@@ -103,9 +103,6 @@ class MachineProgram:
     def flat(self) -> list[Instr]:
         return [ins for block in self.blocks for ins in block]
 
-    def address_of(self, block: int, pos: int) -> int:
-        return 4 * (self.block_starts()[block] + pos)
-
     def to_bytes(self) -> bytes:
         name = self.profile_name.encode("ascii")
         out = bytearray(MAGIC)
@@ -438,8 +435,9 @@ def hd_leak_points(trace: ExecTrace) -> list[LeakPoint]:
 class BatchResult:
     returns: np.ndarray
     cycles: np.ndarray
-    # site -> (number of lanes that executed it, value histogram over 0..255)
-    transitions: dict[tuple[int, str, int], tuple[int, np.ndarray]]
+    # site -> transition-value histogram of shape (groups, 256); row g
+    # counts the lanes of group g that executed the site, by value
+    transitions: dict[tuple[int, str, int], np.ndarray]
 
 
 def run_batch(
@@ -447,53 +445,78 @@ def run_batch(
     inputs: np.ndarray,
     profile: Optional[MachineProfile] = None,
     collect_transitions: bool = True,
+    groups: int = 1,
 ) -> BatchResult:
     """Run the program over many input lanes at once.
 
     `inputs` has shape (num_inputs, n); lane j corresponds to the scalar
     call run(program, inputs[:, j]).  Branching partitions the lanes, so
     the cost is proportional to the number of executed paths, not lanes.
+    The lanes form `groups` equal contiguous runs, and every transition
+    histogram has one row per run, so one call can stand for several
+    independent experiments.
+
+    Cycles are summed per work item in a Python int that travels with
+    the lanes across branches and is written once at RET.  A site where
+    every lane sees the same transition value gets its histogram without
+    a bincount.
     """
     if profile is None:
         profile = PROFILES[program.profile_name]
     if inputs.shape[0] != program.num_inputs:
         raise MachineError(f"expected {program.num_inputs} input rows")
     n = inputs.shape[1]
+    if groups < 1 or n % groups:
+        raise MachineError(f"{n} lanes do not split into {groups} equal groups")
+    per_group = n // groups
 
-    regs0 = np.zeros((profile.num_registers, n), dtype=np.uint8)
-    regs0[: program.num_inputs] = inputs.astype(np.uint8)
-    slots0 = np.zeros((profile.mem_slots, n), dtype=np.uint8)
-    bus0 = np.zeros(n, dtype=np.uint8)
+    # machine state, one column per lane: registers, memory slots, the bus
+    nregs = profile.num_registers
+    state0 = np.zeros((nregs + profile.mem_slots + 1, n), dtype=np.uint8)
+    state0[: program.num_inputs] = inputs.astype(np.uint8)
 
     returns = np.zeros(n, dtype=np.uint8)
     cycles = np.zeros(n, dtype=np.int64)
-    transitions: dict[tuple[int, str, int], tuple[int, np.ndarray]] = {}
+    transitions: dict[tuple[int, str, int], np.ndarray] = {}
     starts = program.block_starts()
 
     def record(site: tuple[int, str, int], values: np.ndarray) -> None:
         if not collect_transitions:
             return
-        hist = np.bincount(values, minlength=256)
-        if site in transitions:
-            count, acc = transitions[site]
-            transitions[site] = (count + values.size, acc + hist)
+        if values.min() == values.max():
+            hist = np.zeros((groups, 256), dtype=np.int64)
+            hist[:, values[0]] = group_lanes
+        elif groups == 1:
+            hist = np.bincount(values, minlength=256)[None, :]
         else:
-            transitions[site] = (values.size, hist)
+            hist = np.bincount(key_base + values, minlength=groups * 256)
+            hist = hist.reshape(groups, 256)
+        acc = transitions.get(site)
+        transitions[site] = hist if acc is None else acc + hist
 
-    # worklist of (block, lane indices, registers, slots, bus)
-    work = [(0, np.arange(n), regs0, slots0, bus0)]
+    # worklist of (block, lane indices, state, cycles so far); lane indices
+    # stay sorted, so a work item of n lanes covers every lane
+    work = [(0, np.arange(n), state0, 0)]
     while work:
-        block, lanes, regs, slots, bus = work.pop()
+        block, lanes, state, spent = work.pop()
         if lanes.size == 0:
             continue
+        regs, slots, bus = state[:nregs], state[nregs:-1], state[-1]
         if block >= len(program.blocks):
             raise MachineError("fell off program end")
+        # read by record(): lanes per group, and each lane's first bin
+        if groups == 1:
+            group_lanes = lanes.size
+        elif collect_transitions:
+            lane_group = lanes // per_group
+            key_base = lane_group * 256
+            group_lanes = np.bincount(lane_group, minlength=groups)
         next_block = block + 1
         done = False
         for pos, ins in enumerate(program.blocks[block]):
             address = 4 * (starts[block] + pos)
             op = ins.opcode
-            lat = profile.lat(op)
+            spent += profile.lat(op)
             if op in (Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR, Opcode.MOV):
                 x = regs[ins.b]
                 if op is Opcode.ADD:
@@ -507,60 +530,55 @@ def run_batch(
                 elif op is Opcode.OR:
                     value = x | regs[ins.c]
                 else:
-                    value = x.copy()
+                    value = x
                 record((address, "reg", ins.a), regs[ins.a] ^ value)
                 regs[ins.a] = value
             elif op is Opcode.LI:
-                value = np.full(lanes.size, ins.b, dtype=np.uint8)
-                record((address, "reg", ins.a), regs[ins.a] ^ value)
-                regs[ins.a] = value
+                record((address, "reg", ins.a), regs[ins.a] ^ np.uint8(ins.b))
+                regs[ins.a] = ins.b
             elif op is Opcode.LD:
                 value = slots[ins.b]
                 record((address, "bus", 0), bus ^ value)
-                bus = value.copy()
+                bus[:] = value
                 record((address, "reg", ins.a), regs[ins.a] ^ value)
-                regs[ins.a] = value.copy()
+                regs[ins.a] = value
             elif op is Opcode.ST:
                 value = regs[ins.b]
                 record((address, "bus", 0), bus ^ value)
-                bus = value.copy()
-                slots[ins.a] = value.copy()
+                bus[:] = value
+                slots[ins.a] = value
             elif op is Opcode.NOP:
                 pass
             elif op is Opcode.B:
                 next_block = ins.a
             elif op in (Opcode.BEQ, Opcode.BNE):
-                cycles[lanes] += lat
                 eq = regs[ins.a] == regs[ins.b]
                 taken_mask = eq if op is Opcode.BEQ else ~eq
-                if taken_mask.any():
-                    idx = np.nonzero(taken_mask)[0]
-                    cycles[lanes[idx]] += profile.taken_branch_overhead
-                    work.append(
-                        (ins.c, lanes[idx], regs[:, idx].copy(), slots[:, idx].copy(), bus[idx].copy())
-                    )
-                if not taken_mask.all():
-                    idx = np.nonzero(~taken_mask)[0]
-                    work.append(
-                        (
-                            block + 1,
-                            lanes[idx],
-                            regs[:, idx].copy(),
-                            slots[:, idx].copy(),
-                            bus[idx].copy(),
-                        )
-                    )
+                taken = spent + profile.taken_branch_overhead
+                if taken_mask.all():
+                    work.append((ins.c, lanes, state, taken))
+                elif not taken_mask.any():
+                    work.append((block + 1, lanes, state, spent))
+                else:
+                    for idx, target, cost in (
+                        (np.nonzero(taken_mask)[0], ins.c, taken),
+                        (np.nonzero(~taken_mask)[0], block + 1, spent),
+                    ):
+                        work.append((target, lanes[idx], np.take(state, idx, axis=1), cost))
                 done = True
                 break
             elif op is Opcode.RET:
-                cycles[lanes] += lat
-                returns[lanes] = regs[ins.a]
+                if lanes.size == n:
+                    returns[:] = regs[ins.a]
+                    cycles[:] = spent
+                else:
+                    returns[lanes] = regs[ins.a]
+                    cycles[lanes] = spent
                 done = True
                 break
             else:
                 raise MachineError(f"invalid opcode {op}")
-            cycles[lanes] += lat
         if not done:
-            work.append((next_block, lanes, regs, slots, bus))
+            work.append((next_block, lanes, state, spent))
 
     return BatchResult(returns=returns, cycles=cycles, transitions=transitions)

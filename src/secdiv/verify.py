@@ -14,6 +14,14 @@ with the constraint model, so these checks can veto the whole pipeline.
 
 Exact enumeration at 8-bit width replaces statistical testing; there are
 no tolerances to tune.
+
+The power-leak check puts several secret values into one `run_batch`
+call, lane-major by secret (all randoms of the first secret, then of the
+next), with up to `_PSC_BATCH_LANES` lanes and joint (secret, value)
+histogram bins per call; `run_batch` returns one histogram row per
+secret, and builds the rows of a site where every lane sees one value
+without a bincount.  A secret whose randoms alone exceed the cap runs in
+a call of its own.
 """
 
 from __future__ import annotations
@@ -38,8 +46,7 @@ _SAMPLES = 1000
 
 def _full_grid(k: int) -> np.ndarray:
     """All 256**k input combinations, shape (k, 256**k)."""
-    grids = np.meshgrid(*([np.arange(256, dtype=np.uint8)] * k), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids]) if k else np.zeros((0, 1), dtype=np.uint8)
+    return next(_hidden_chunks(k, max_lanes=256**k))
 
 
 # ----------------------------------------------------------------------
@@ -193,17 +200,15 @@ def check_cr(
 
 
 def _hidden_chunks(k: int, max_lanes: int = 1 << 16):
-    """Yield the exhaustive 256**k grid in memory-bounded chunks."""
-    if k == 0:
-        yield np.zeros((0, 1), dtype=np.uint8)
-        return
-    if 256**k <= max_lanes:
-        yield _full_grid(k)
-        return
-    rest = _full_grid(k - 1)
-    for v in range(256):
-        first = np.full(rest.shape[1], v, dtype=np.uint8)
-        yield np.vstack([first[None, :], rest])
+    """Yield the exhaustive 256**k grid in lexicographic order, in chunks
+    of at most `max_lanes` lanes (each of shape (k, lanes))."""
+    total = 256**k
+    for start in range(0, total, max_lanes):
+        index = np.arange(start, min(start + max_lanes, total))
+        chunk = np.empty((k, index.size), dtype=np.uint8)
+        for row in range(k):
+            chunk[row] = index >> 8 * (k - 1 - row)  # the uint8 row keeps the low byte
+        yield chunk
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +248,9 @@ def _site_str(site: tuple[int, str, int]) -> str:
 
 
 _PSC_HIDDEN_LIMIT = 3
+# Lanes per batched run_batch call, and also the bound on its joint
+# (secret, value) histogram bins: at least one secret goes in each call.
+_PSC_BATCH_LANES = 1 << 14
 
 
 def check_psc(
@@ -255,7 +263,9 @@ def check_psc(
     For every leak site the full distribution of transition values over
     uniform randoms is compared across all secret values (publics fixed
     at the probe set).  Any difference in distribution, or in how often a
-    site executes, is a leak.
+    site executes, is a leak.  Several secret values share one
+    `run_batch` call, one lane group per secret, and each site's
+    histogram row for a secret is compared with the first secret's.
     """
     names = [n for n, _ in policy]
     secret_idx = [i for i, (_, lab) in enumerate(policy) if lab is SecurityLabel.SECRET]
@@ -274,38 +284,43 @@ def check_psc(
         return report  # nothing to compare across
 
     random_grid = _full_grid(len(random_idx))
-    lanes = random_grid.shape[1]
-    secret_grid = _full_grid(len(secret_idx))
+    per_secret = random_grid.shape[1]
+    secrets_per_call = max(1, _PSC_BATCH_LANES // max(per_secret, 256))
 
     all_sites: set[tuple[int, str, int]] = set()
     for public in itertools.product(public_probes, repeat=len(public_idx)):
         reference: Optional[dict] = None
         ref_secret: Optional[tuple[int, ...]] = None
-        for j in range(secret_grid.shape[1]):
-            secret = tuple(int(secret_grid[i, j]) for i in range(len(secret_idx)))
-            inputs = np.zeros((len(names), lanes), dtype=np.uint8)
+        for chunk in _hidden_chunks(len(secret_idx), secrets_per_call):
+            batch = chunk.shape[1]
+            inputs = np.zeros((len(names), batch * per_secret), dtype=np.uint8)
             for pos, i in enumerate(public_idx):
                 inputs[i] = public[pos]
             for pos, i in enumerate(secret_idx):
-                inputs[i] = secret[pos]
+                inputs[i] = np.repeat(chunk[pos], per_secret)
             for pos, i in enumerate(random_idx):
-                inputs[i] = random_grid[pos]
-            result = run_batch(program, inputs)
-            dist = {
-                site: (count, hist.tobytes())
-                for site, (count, hist) in result.transitions.items()
-            }
-            all_sites.update(dist)
+                inputs[i] = np.tile(random_grid[pos], batch)
+            hists = run_batch(program, inputs, groups=batch).transitions
+            all_sites.update(hists)
+            ran = {site: hist.any(axis=1) for site, hist in hists.items()}
             if reference is None:
-                reference, ref_secret = dist, secret
-                continue
-            if dist.keys() != reference.keys():
-                for site in sorted(set(dist) ^ set(reference)):
-                    report.leaks.append((site, ref_secret, secret))
-                continue
-            for site in sorted(dist):
-                if dist[site] != reference[site]:
-                    report.leaks.append((site, ref_secret, secret))
+                ref_secret = tuple(int(v) for v in chunk[:, 0])
+                reference = {site: hist[0] for site, hist in hists.items() if ran[site][0]}
+            same = {
+                site: (hists[site] == row).all(axis=1)
+                for site, row in reference.items()
+                if site in hists
+            }
+            for j in range(batch):
+                secret = tuple(int(v) for v in chunk[:, j])
+                sites = {site for site in hists if ran[site][j]}
+                if sites != reference.keys():
+                    for site in sorted(sites ^ reference.keys()):
+                        report.leaks.append((site, ref_secret, secret))
+                    continue
+                for site in sorted(sites):
+                    if not same[site][j]:
+                        report.leaks.append((site, ref_secret, secret))
 
     leak_sites = {site for site, _, _ in report.leaks}
     for site in all_sites:

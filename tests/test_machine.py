@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load
+from secdiv.copmodel import Mode, build_problem, to_schedule
 from secdiv.machine import (
     PROFILES,
     TIGHT8,
@@ -20,6 +21,8 @@ from secdiv.machine import (
     run_batch,
 )
 from secdiv.mir import Opcode, parse_function
+from secdiv.secanalysis import analyze
+from secdiv.solver import solve_optimal
 
 
 def test_profiles_shipped():
@@ -239,3 +242,77 @@ def test_run_batch_agrees_on_branches(pub, key):
     batch = run_batch(program, np.array([[pub], [key]], dtype=np.uint8))
     assert int(batch.returns[0]) == scalar.return_value
     assert int(batch.cycles[0]) == scalar.total_cycles
+
+
+def _check_bit_program():
+    sched = Schedule(
+        active=set(range(7)),
+        cycle={0: 0, 1: 1, 2: 3, 3: 0, 4: 1, 5: 0, 6: 2},
+        loc={"pub": 0, "key": 1, "t0": 2, "t1": 3, "r": 4},
+    )
+    return encode(load("check_bit"), sched, TIGHT8)
+
+
+def _modexp_step_program():
+    # unbalanced (mode none), so lanes on different paths differ in cycles
+    analyzed = analyze(load("modexp_step"), TIGHT8)
+    prob = build_problem(analyzed.function, analyzed.pairs, [], TIGHT8, mode=Mode.NONE)
+    return encode(analyzed.function, to_schedule(prob, solve_optimal(prob).solution), TIGHT8)
+
+
+def _seeded_lanes(num_inputs: int, n: int, seed: int) -> np.ndarray:
+    lanes = np.random.default_rng(seed).integers(0, 256, size=(num_inputs, n), dtype=np.uint8)
+    lanes[1, ::3] = lanes[0, ::3]  # equal operands, so check_bit's lanes split
+    return lanes
+
+
+def _scalar_totals(program, lanes: np.ndarray):
+    """Per-lane return values and cycles, and per-site transition
+    histograms summed over the lanes, all from the scalar interpreter."""
+    returns, cycles, totals = [], [], {}
+    for j in range(lanes.shape[1]):
+        trace = run(program, [int(v) for v in lanes[:, j]])
+        returns.append(trace.return_value)
+        cycles.append(trace.total_cycles)
+        for site, value in hd_leak_points(trace):
+            totals.setdefault(site, np.zeros(256, dtype=np.int64))[value] += 1
+    return returns, cycles, totals
+
+
+@pytest.mark.parametrize(
+    "program, lanes",
+    [
+        (_check_bit_program, _seeded_lanes(2, 300, seed=1)),
+        (_check_bit_program, np.full((2, 300), 7, dtype=np.uint8)),  # no split
+        (_modexp_step_program, _seeded_lanes(3, 300, seed=2)),
+    ],
+)
+def test_run_batch_many_lanes_agrees_with_scalar(program, lanes):
+    program = program()
+    returns, cycles, totals = _scalar_totals(program, lanes)
+    batch = run_batch(program, lanes)
+    assert batch.returns.tolist() == returns
+    assert batch.cycles.tolist() == cycles
+    assert batch.transitions.keys() == totals.keys()
+    for site, hist in batch.transitions.items():
+        assert hist.shape == (1, 256)
+        assert int(hist.sum()) == int(totals[site].sum())  # lanes at the site
+        assert hist[0].tolist() == totals[site].tolist()
+
+
+@pytest.mark.parametrize("program", [_check_bit_program, _modexp_step_program])
+def test_run_batch_groups_match_separate_runs(program):
+    program = program()
+    lanes = _seeded_lanes(program.num_inputs, 300, seed=3)
+    grouped = run_batch(program, lanes, groups=3)
+    for g in range(3):
+        alone = run_batch(program, lanes[:, 100 * g : 100 * (g + 1)])
+        for site, hist in grouped.transitions.items():
+            expected = alone.transitions.get(site, np.zeros((1, 256), dtype=np.int64))
+            assert hist[g].tolist() == expected[0].tolist()
+        assert set(alone.transitions) <= set(grouped.transitions)
+
+
+def test_run_batch_rejects_unequal_groups():
+    with pytest.raises(MachineError, match="equal groups"):
+        run_batch(_check_bit_program(), np.zeros((2, 10), dtype=np.uint8), groups=3)

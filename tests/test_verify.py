@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import load
 from secdiv.copmodel import Mode, build_problem, to_schedule
-from secdiv.machine import TIGHT8, Instr, Schedule, encode
-from secdiv.mir import Opcode, parse_function
+from secdiv.machine import TIGHT8, Instr, Schedule, encode, run_batch
+from secdiv.mir import Opcode, SecurityLabel, parse_function
 from secdiv.secanalysis import analyze
 from secdiv.solver import diversify, naive_diversify, solve_optimal
 from secdiv.verify import (
     PUBLIC_PROBES,
+    PscReport,
+    _hidden_chunks,
     check_cr,
     check_equivalence,
     check_psc,
@@ -113,6 +117,22 @@ def test_unbalanced_original_flagged():
     assert not report.secure
     (_, costs), = report.path_costs
     assert len(set(costs.values())) == 2  # the taken arm runs longer
+
+
+def test_hidden_chunks_respect_max_lanes():
+    chunks = list(itertools.islice(_hidden_chunks(4), 3))
+    low = np.array(list(itertools.product(range(256), repeat=2)), dtype=np.uint8).T
+    for v, chunk in enumerate(chunks):
+        assert chunk.shape == (4, 1 << 16) and chunk.dtype == np.uint8
+        assert (chunk[0] == 0).all() and (chunk[1] == v).all()
+        assert np.array_equal(chunk[2:], low)
+
+
+def test_hidden_chunks_cover_grid_in_order():
+    chunks = list(_hidden_chunks(1, max_lanes=100))
+    assert [c.shape for c in chunks] == [(1, 100), (1, 100), (1, 56)]
+    assert np.concatenate(chunks, axis=1)[0].tolist() == list(range(256))
+    assert [c.tolist() for c in _hidden_chunks(0)] == [[]]
 
 
 def test_straightline_trivially_secure():
@@ -220,3 +240,56 @@ def test_naive_pool_produces_cr_violations():
         report = check_cr(program, pool.problem.function.inputs, analyzed.psets)
         bad += not report.secure
     assert bad > 0
+
+
+def _reference_psc(program, policy) -> PscReport:
+    """check_psc with one run_batch call per secret value."""
+    labels = [lab for _, lab in policy]
+    secret_idx = [i for i, lab in enumerate(labels) if lab is SecurityLabel.SECRET]
+    random_idx = [i for i, lab in enumerate(labels) if lab is SecurityLabel.RANDOM]
+    public_idx = [i for i, lab in enumerate(labels) if lab is SecurityLabel.PUBLIC]
+    randoms = list(itertools.product(range(256), repeat=len(random_idx)))
+    report = PscReport()
+    all_sites = set()
+    for public in itertools.product(PUBLIC_PROBES, repeat=len(public_idx)):
+        reference = ref_secret = None
+        for secret in itertools.product(range(256), repeat=len(secret_idx)):
+            inputs = np.zeros((len(policy), len(randoms)), dtype=np.uint8)
+            for pos, i in enumerate(public_idx):
+                inputs[i] = public[pos]
+            for pos, i in enumerate(secret_idx):
+                inputs[i] = secret[pos]
+            for pos, i in enumerate(random_idx):
+                inputs[i] = [r[pos] for r in randoms]
+            result = run_batch(program, inputs)
+            dist = {site: hist.tobytes() for site, hist in result.transitions.items()}
+            all_sites.update(dist)
+            if reference is None:
+                reference, ref_secret = dist, secret
+            elif dist.keys() != reference.keys():
+                for site in sorted(set(dist) ^ set(reference)):
+                    report.leaks.append((site, ref_secret, secret))
+            else:
+                for site in sorted(dist):
+                    if dist[site] != reference[site]:
+                        report.leaks.append((site, ref_secret, secret))
+    leak_sites = {site for site, _, _ in report.leaks}
+    report.verdicts = {s: "leak" if s in leak_sites else "independent" for s in all_sites}
+    first = {}
+    for site, s1, s2 in report.leaks:
+        first.setdefault(site, (site, s1, s2))
+    report.leaks = list(first.values())
+    return report
+
+
+@pytest.mark.parametrize("name", ["masked_xor", "masked_xor_broken", "check_bit"])
+def test_batched_psc_matches_per_secret_reference(name):
+    pool = naive_diversify(load(name), TIGHT8, 12, seed=0)
+    func = pool.problem.function
+    leaking = 0
+    for sol in pool.solutions:
+        program = encode(func, to_schedule(pool.problem, sol), TIGHT8)
+        report = check_psc(program, func.inputs)
+        assert report.lines() == _reference_psc(program, func.inputs).lines()
+        leaking += bool(report.leaks)
+    assert leaking > 0
