@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 
 from .machine import MachineProfile, Opcode, Schedule
 from .mir import FunctionIR, Operation
-from .secanalysis import LeakPairSets, SecretPathSet
+from .secanalysis import LeakPairSets, SecretPathSet, memory_conflicts
 
 VarKey = tuple[str, object]
 
@@ -62,9 +62,6 @@ class Solution:
     assignment: tuple[tuple[VarKey, object], ...]
     objective: Fraction
     seed: int = 0
-
-    def value(self, key: VarKey):
-        return dict(self.assignment)[key]
 
     def as_dict(self) -> dict[VarKey, object]:
         return dict(self.assignment)
@@ -150,7 +147,7 @@ def build_problem(
         nop_budget=nop_budget,
     )
     if mode is not Mode.PSC:
-        prob = replace(prob, pairs=LeakPairSets(frozenset(), frozenset(), frozenset()))
+        prob = replace(prob, pairs=LeakPairSets(frozenset(), frozenset()))
 
     prob.ops = sorted(func.all_ops(), key=lambda o: o.index)
     prob.op_block = {op.index: func.block_of_op(op.index) for op in prob.ops}
@@ -443,17 +440,6 @@ def objective_value_from(prob: CopProblem, values: Mapping[VarKey, object]) -> F
     return total
 
 
-def objective_value(sol: Solution, prob: Optional[CopProblem] = None) -> Fraction:
-    """Block-weighted makespan, with the worst-case taken-branch overhead
-    amortized into each conditional block's cost."""
-    if prob is None:
-        return sol.objective
-    values = sol.as_dict()
-    if any(("cycle", op.index) not in values for op in prob.ops):
-        raise ModelError("partial assignment")
-    return objective_value_from(prob, values)
-
-
 def path_cost(
     prob: CopProblem, path: Sequence[int], spans: Mapping[int, int]
 ) -> int:
@@ -700,7 +686,7 @@ def check_solution(sol: Solution | Mapping[VarKey, object], prob: CopProblem) ->
             out.append(Violation("balance", f"unbalanced secret paths: {detail}"))
 
     # power constraints: register-overwrite and memory-bus transitions
-    if prob.pairs.rpairs or prob.pairs.hazard_temps or prob.pairs.mpairs:
+    if prob.pairs.rpairs or prob.pairs.hazard_temps:
         out.extend(_check_transitions(prob, active, cycle, loc, roots))
 
     if prob.opt_bound is not None:
@@ -839,7 +825,7 @@ def emit_model(prob: CopProblem) -> str:
         lines.append(f"  (balance {rendered})")
     for t1, t2 in sorted(prob.pairs.rpairs):
         lines.append(f"  (rot-conflict {t1} {t2})")
-    for o1, o2 in sorted(prob.pairs.mpairs):
+    for o1, o2 in memory_conflicts(prob.function, prob.pairs):
         lines.append(f"  (mre-conflict {o1} {o2})")
     for t in sorted(prob.pairs.hazard_temps):
         lines.append(f"  (secret-valued {t})")

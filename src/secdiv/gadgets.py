@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .machine import Instr, MachineProgram, Opcode
 from .mir import TERMINATORS
@@ -59,15 +59,32 @@ def srate(a: MachineProgram, b: MachineProgram, k: int = DEFAULT_MAX_LEN) -> Fra
     Comparison is on NOP-stripped word sequences; a program without any
     gadget has srate 0 by definition.
     """
-    ga = extract_gadgets(a, k)
-    if not ga:
-        return Fraction(0)
-    gb = extract_gadgets(b, k)
+    return _shared_fraction(extract_gadgets(a, k), _address_index(extract_gadgets(b, k)))
+
+
+def _address_index(gadgets: set[Gadget]) -> dict[int, set[tuple[int, ...]]]:
     index: dict[int, set[tuple[int, ...]]] = {}
-    for g in gb:
+    for g in gadgets:
         index.setdefault(g.start, set()).add(g.normalized)
-    shared = sum(1 for g in ga if g.normalized in index.get(g.start, ()))
-    return Fraction(shared, len(ga))
+    return index
+
+
+def _shared_fraction(gadgets: set[Gadget], index: dict[int, set[tuple[int, ...]]]) -> Fraction:
+    if not gadgets:
+        return Fraction(0)
+    shared = sum(1 for g in gadgets if g.normalized in index.get(g.start, ()))
+    return Fraction(shared, len(gadgets))
+
+
+def _pair_srates(programs: Sequence[MachineProgram], k: int) -> Iterator[Fraction]:
+    """srate(programs[i], programs[j]) for every ordered pair i != j, by i
+    then j; each program's gadgets are extracted once."""
+    gadget_sets = [extract_gadgets(p, k) for p in programs]
+    indexes = [_address_index(g) for g in gadget_sets]
+    for i, gadgets in enumerate(gadget_sets):
+        for j, index in enumerate(indexes):
+            if i != j:
+                yield _shared_fraction(gadgets, index)
 
 
 @dataclass
@@ -106,23 +123,9 @@ def pool_histogram(
     """Bucketed srate over all ordered pairs of a variant pool."""
     if len(programs) < 2:
         raise ValueError("histogram needs at least two variants")
-    cache = [extract_gadgets(p, k) for p in programs]
-    indexes = []
-    for gset in cache:
-        index: dict[int, set[tuple[int, ...]]] = {}
-        for g in gset:
-            index.setdefault(g.start, set()).add(g.normalized)
-        indexes.append(index)
     hist = SrateHistogram()
-    for i, gset in enumerate(cache):
-        for j, index in enumerate(indexes):
-            if i == j:
-                continue
-            if not gset:
-                hist.add(Fraction(0))
-                continue
-            shared = sum(1 for g in gset if g.normalized in index.get(g.start, ()))
-            hist.add(Fraction(shared, len(gset)))
+    for rate in _pair_srates(programs, k):
+        hist.add(rate)
     return hist
 
 
@@ -130,21 +133,5 @@ def mean_srate(programs: Sequence[MachineProgram], k: int = DEFAULT_MAX_LEN) -> 
     """Mean srate over all ordered pairs."""
     if len(programs) < 2:
         raise ValueError("mean srate needs at least two variants")
-    total = Fraction(0)
-    pairs = 0
-    cache = [extract_gadgets(p, k) for p in programs]
-    indexes = []
-    for gset in cache:
-        index: dict[int, set[tuple[int, ...]]] = {}
-        for g in gset:
-            index.setdefault(g.start, set()).add(g.normalized)
-        indexes.append(index)
-    for i, gset in enumerate(cache):
-        for j, index in enumerate(indexes):
-            if i == j:
-                continue
-            pairs += 1
-            if gset:
-                shared = sum(1 for g in gset if g.normalized in index.get(g.start, ()))
-                total += Fraction(shared, len(gset))
-    return total / pairs
+    rates = list(_pair_srates(programs, k))
+    return sum(rates, Fraction(0)) / len(rates)

@@ -300,9 +300,6 @@ class ExecTrace:
     return_value: int
     path: list[int]
 
-    def recomputed_cycles(self) -> int:
-        return sum(step.cycles for step in self.steps)
-
 
 def run(
     program: MachineProgram,

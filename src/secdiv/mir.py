@@ -538,11 +538,6 @@ def build_cfg(func: FunctionIR) -> BlockGraph:
     return BlockGraph(succ=succ, exits=exits)
 
 
-def topological_check(graph: BlockGraph) -> bool:
-    """True when node ids already form a topological order (acyclic)."""
-    return all(s > b for b, succs in enumerate(graph.succ) for s in succs)
-
-
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
@@ -573,14 +568,3 @@ def serialize_function(func: FunctionIR) -> str:
             else:
                 out.append(f"{prefix}{op.opcode.value}")
     return "\n".join(out) + "\n"
-
-
-def structurally_equal(a: FunctionIR, b: FunctionIR) -> bool:
-    if a.name != b.name or a.inputs != b.inputs or a.slots != b.slots:
-        return False
-    if len(a.blocks) != len(b.blocks):
-        return False
-    for ba, bb in zip(a.blocks, b.blocks):
-        if ba.weight != bb.weight or ba.ops != bb.ops:
-            return False
-    return True

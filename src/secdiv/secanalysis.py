@@ -726,15 +726,14 @@ def _rewrite_chain(func: FunctionIR, chain: list[Operation], order: list) -> Non
 @dataclass(frozen=True)
 class LeakPairSets:
     rpairs: frozenset[tuple[str, str]]
-    mpairs: frozenset[tuple[int, int]]
     # temps whose value is secret on its own: they conflict with any
     # uncorrelated previous content (e.g. a zero-initialized register)
     hazard_temps: frozenset[str] = frozenset()
 
 
 def gen_leak_pairs(func: FunctionIR, types: dict[str, InferredType]) -> LeakPairSets:
-    """All temp pairs (and memory-op pairs) whose combined transition
-    value is secret-dependent under the Hamming-distance model."""
+    """All temp pairs whose combined transition value is secret-dependent
+    under the Hamming-distance model."""
     labels = _labels_of(func)
     names = sorted(types)
     rpairs = set()
@@ -743,22 +742,27 @@ def gen_leak_pairs(func: FunctionIR, types: dict[str, InferredType]) -> LeakPair
             if pair_is_hazard(types[t1], types[t2], labels):
                 rpairs.add((t1, t2))
 
-    mem_ops = [
-        op for op in func.all_ops() if op.opcode in (Opcode.LD, Opcode.ST)
-    ]
-    mpairs = set()
-    for i, o1 in enumerate(mem_ops):
-        for o2 in mem_ops[i + 1 :]:
-            d1, d2 = _mem_data_temp(o1), _mem_data_temp(o2)
-            if pair_is_hazard(types[d1], types[d2], labels):
-                mpairs.add((o1.index, o2.index))
-
     hazards = frozenset(
         name for name in names if types[name].label is SecurityLabel.SECRET
     )
-    return LeakPairSets(
-        rpairs=frozenset(rpairs), mpairs=frozenset(mpairs), hazard_temps=hazards
-    )
+    return LeakPairSets(rpairs=frozenset(rpairs), hazard_temps=hazards)
+
+
+def memory_conflicts(func: FunctionIR, pairs: LeakPairSets) -> list[tuple[int, int]]:
+    """Sorted pairs of memory ops whose data temps conflict in `pairs`.
+
+    The bus carries each access's data temp, so two accesses conflict
+    exactly when their data temps form a register-transition conflict (a
+    temp never conflicts with itself).
+    """
+    mem_ops = [op for op in func.all_ops() if op.opcode in (Opcode.LD, Opcode.ST)]
+    out = []
+    for i, o1 in enumerate(mem_ops):
+        for o2 in mem_ops[i + 1 :]:
+            d1, d2 = sorted((_mem_data_temp(o1), _mem_data_temp(o2)))
+            if (d1, d2) in pairs.rpairs:
+                out.append((o1.index, o2.index))
+    return sorted(out)
 
 
 def _mem_data_temp(op: Operation) -> str:
@@ -826,9 +830,10 @@ def emit_analysis(analyzed: AnalyzedFunction) -> str:
     for t1, t2 in sorted(analyzed.pairs.rpairs):
         out.append(f"  ({t1}, {t2})")
     out.append("memory order conflicts:")
-    if not analyzed.pairs.mpairs:
+    mem_conflicts = memory_conflicts(func, analyzed.pairs)
+    if not mem_conflicts:
         out.append("  (none)")
-    for o1, o2 in sorted(analyzed.pairs.mpairs):
+    for o1, o2 in mem_conflicts:
         out.append(f"  (op {o1}, op {o2})")
     if analyzed.pairs.hazard_temps:
         out.append("secret-valued temps: " + ", ".join(sorted(analyzed.pairs.hazard_temps)))

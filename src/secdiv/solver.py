@@ -8,6 +8,15 @@ fully determined once cycles are placed, so incumbent bounding happens
 before allocation and the allocation phase is a pure feasibility search.
 Every accepted leaf is re-validated by the independent constraint checker
 before it may become an incumbent or a pool member.
+
+The phases are generators chained with ``yield from``: the innermost one
+yields every leaf that passes the checker and the blocking distance, and
+``_Search.run`` is their only consumer.  A first-solution search stops at
+the first leaf; an optimizing search keeps each improving leaf as the
+incumbent, which the bounds read as soon as the search resumes.
+``_Timeout`` is the search's only exception: the deadline is read in
+``_tick`` at any depth, and raising there spares a test after every
+``yield from``.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .copmodel import (
     CopProblem,
@@ -74,21 +83,11 @@ class _Timeout(Exception):
     pass
 
 
-class _AllocDone(Exception):
-    pass
-
-
-class _Found(Exception):
-    def __init__(self, solution: Solution):
-        self.solution = solution
-
-
 class _Search:
     def __init__(
         self,
         prob: CopProblem,
         seed: int = 0,
-        minimize: bool = True,
         shuffle: bool = False,
         blocking: Optional[list[Solution]] = None,
         dthresh: int = 1,
@@ -97,7 +96,6 @@ class _Search:
     ):
         self.prob = prob
         self.seed = seed
-        self.minimize = minimize
         self.shuffle = shuffle
         self.compact = compact
         self.blocking = blocking or []
@@ -190,12 +188,13 @@ class _Search:
         if root_family is not None:
             return SolveResult(status=SolveStatus.UNSAT, failing_family=root_family)
         try:
-            self._assign_structural(0, {})
-        except _Found as found:
-            return SolveResult(status=SolveStatus.SAT, solution=found.solution, nodes=self.nodes)
+            for sol in self._assign_structural(0, {}):
+                if self.shuffle:
+                    return SolveResult(status=SolveStatus.SAT, solution=sol, nodes=self.nodes)
+                if self.best is None or sol.objective < self.best.objective:
+                    self.best = sol
         except _Timeout:
-            status = SolveStatus.TIMEOUT
-            return SolveResult(status=status, solution=self.best, nodes=self.nodes)
+            return SolveResult(status=SolveStatus.TIMEOUT, solution=self.best, nodes=self.nodes)
         if self.best is not None:
             return SolveResult(status=SolveStatus.OPTIMAL, solution=self.best, nodes=self.nodes)
         family = max(self.fail_counts, key=lambda k: (self.fail_counts[k], k), default="search")
@@ -212,17 +211,17 @@ class _Search:
                 return "optimality-gap"
         return None
 
-    def _assign_structural(self, k: int, chosen: dict[VarKey, object]) -> None:
+    def _assign_structural(self, k: int, chosen: dict[VarKey, object]) -> Iterator[Solution]:
         self._tick()
         if k == len(self.structural_vars):
-            self._enter_schedule(chosen)
+            yield from self._enter_schedule(chosen)
             return
         key = self.structural_vars[k]
         for value in self.value_order[key]:
             if key[0] == "active" and value and not self._nop_prefix_ok(key[1], chosen):
                 continue
             chosen[key] = value
-            self._assign_structural(k + 1, chosen)
+            yield from self._assign_structural(k + 1, chosen)
             del chosen[key]
 
     def _nop_prefix_ok(self, idx: int, chosen: dict[VarKey, object]) -> bool:
@@ -235,7 +234,7 @@ class _Search:
 
     # -- phase B: cycles ------------------------------------------------
 
-    def _enter_schedule(self, structural: dict[VarKey, object]) -> None:
+    def _enter_schedule(self, structural: dict[VarKey, object]) -> Iterator[Solution]:
         prob = self.prob
         active = set(self.mandatory)
         for idx in self.active_vars:
@@ -285,7 +284,7 @@ class _Search:
             return
 
         state = _ScheduleState(active=active, roots=roots, deps=deps, lb_span=lb_span, ub_span=ub_span)
-        self._assign_cycles(0, state, structural)
+        yield from self._assign_cycles(0, state)
 
     def _balance_bounds_ok(self, lb_span, ub_span, spans=None) -> bool:
         spans = spans or {}
@@ -311,17 +310,17 @@ class _Search:
             total += block.weight * (span + self.edge_const[block.index])
         if prob.opt_bound is not None and total > prob.opt_bound:
             return False
-        if self.minimize and self.best is not None and total >= self.best.objective:
+        if self.best is not None and total >= self.best.objective:
             return False
         return True
 
-    def _assign_cycles(self, k: int, state: "_ScheduleState", structural) -> None:
+    def _assign_cycles(self, k: int, state: "_ScheduleState") -> Iterator[Solution]:
         self._tick()
         prob = self.prob
         while k < len(self.cycle_order) and self.cycle_order[k] not in state.active:
             k += 1
         if k == len(self.cycle_order):
-            self._enter_allocation(state, structural)
+            yield from self._enter_allocation(state)
             return
         idx = self.cycle_order[k]
         op = prob.function.op(idx)
@@ -373,7 +372,7 @@ class _Search:
                     self._fail("optimality-gap")
                     ok = False
             if ok:
-                self._assign_cycles(k + 1, state, structural)
+                yield from self._assign_cycles(k + 1, state)
             if last_in_block:
                 state.spans.pop(block, None)
             state.block_end[block] = prev_end
@@ -382,7 +381,7 @@ class _Search:
 
     # -- phase C: locations ---------------------------------------------
 
-    def _enter_allocation(self, state: "_ScheduleState", structural) -> None:
+    def _enter_allocation(self, state: "_ScheduleState") -> Iterator[Solution]:
         prob = self.prob
         spans = {
             b.index: state.block_end.get(b.index, 0) for b in prob.function.blocks
@@ -413,18 +412,18 @@ class _Search:
                 prob.function.op(op_idx).opcode is Opcode.COPY for _, _, op_idx in uses
             )
 
-        loc: dict[str, int] = {}
-        try:
-            self._assign_locs(0, order, overlap, mem_ok, model, state, structural, loc)
-        except _AllocDone:
-            pass
+        # the objective is fixed by the schedule: one feasible allocation per
+        # schedule is enough when optimizing, and a first-solution search
+        # stops at its first leaf anyway
+        leaves = self._assign_locs(0, order, overlap, mem_ok, model, state, {})
+        yield from itertools.islice(leaves, 1)
 
-    def _assign_locs(self, k, order, overlap, mem_ok, model, state, structural, loc) -> None:
+    def _assign_locs(self, k, order, overlap, mem_ok, model, state, loc) -> Iterator[Solution]:
         self._tick()
         prob = self.prob
         nregs = prob.num_registers
         if k == len(order):
-            self._leaf(state, structural, loc, model)
+            yield from self._leaf(state, loc, model)
             return
         value = order[k]
         copy_src_mem = False
@@ -441,14 +440,14 @@ class _Search:
                 pass  # reload into a register is fine
             if any(loc.get(other) == r for other in overlap[value]):
                 continue
-            if not self._psc_candidate_ok(value, r, loc, model, state):
+            if not self._psc_candidate_ok(value, r, loc, model):
                 self._fail("rot-conflict")
                 continue
             loc[value] = r
-            self._assign_locs(k + 1, order, overlap, mem_ok, model, state, structural, loc)
+            yield from self._assign_locs(k + 1, order, overlap, mem_ok, model, state, loc)
             del loc[value]
 
-    def _psc_candidate_ok(self, value, r, loc, model, state) -> bool:
+    def _psc_candidate_ok(self, value, r, loc, model) -> bool:
         """Forbid a location when it provably creates a hazardous adjacent
         register transition (no unplaced value could break the adjacency)."""
         prob = self.prob
@@ -484,7 +483,7 @@ class _Search:
 
     # -- leaf -----------------------------------------------------------
 
-    def _leaf(self, state, structural, loc, model) -> None:
+    def _leaf(self, state, loc, model) -> Iterator[Solution]:
         prob = self.prob
         values: dict[VarKey, object] = {}
         for idx in self.active_vars:
@@ -513,13 +512,7 @@ class _Search:
             if any(distance(sol, blocked) < self.dthresh for blocked in self.blocking):
                 self._fail("distance")
                 continue
-            if self.minimize:
-                if self.best is None or sol.objective < self.best.objective:
-                    self.best = sol
-                # the objective is fixed by the schedule: one feasible
-                # allocation per schedule is enough when optimizing
-                raise _AllocDone()
-            raise _Found(sol)
+            yield sol
 
     def _leaf_combos(self):
         """Assignments of the free instr/swap variables: the defaults when
@@ -575,13 +568,11 @@ def solve_optimal(prob: CopProblem, time_budget: float = 600.0, seed: int = 0) -
     dive = _Search(
         prob,
         seed=seed,
-        minimize=True,
-        shuffle=False,
         compact=True,
         deadline=min(time.monotonic() + max(1.0, time_budget / 4), deadline),
     )
     warm = dive.run()
-    search = _Search(prob, seed=seed, minimize=True, shuffle=False, deadline=deadline)
+    search = _Search(prob, seed=seed, deadline=deadline)
     if warm.solution is not None:
         search.best = warm.solution
     return search.run()
@@ -599,7 +590,6 @@ def solve_one(
     search = _Search(
         prob,
         seed=seed,
-        minimize=False,
         shuffle=True,
         blocking=blocking,
         dthresh=dthresh,

@@ -168,7 +168,7 @@ def test_run_determinism(masked_xor):
 def test_cycle_additivity(masked_xor):
     program = encode(masked_xor, _sched_masked_xor(True), TIGHT8)
     trace = run(program, [7, 8, 9])
-    assert trace.total_cycles == trace.recomputed_cycles()
+    assert trace.total_cycles == sum(step.cycles for step in trace.steps)
 
 
 def test_hd_leak_points_masked_xor():

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import all_corpus_names, corpus_path, load
 from secdiv.mir import (
+    BlockGraph,
+    FunctionIR,
     IRSyntaxError,
     IRValidationError,
     Opcode,
@@ -13,9 +15,24 @@ from secdiv.mir import (
     build_cfg,
     parse_function,
     serialize_function,
-    structurally_equal,
-    topological_check,
 )
+
+
+def topological_check(graph: BlockGraph) -> bool:
+    """True when node ids already form a topological order (acyclic)."""
+    return all(s > b for b, succs in enumerate(graph.succ) for s in succs)
+
+
+def structurally_equal(a: FunctionIR, b: FunctionIR) -> bool:
+    if a.name != b.name or a.inputs != b.inputs or a.slots != b.slots:
+        return False
+    if len(a.blocks) != len(b.blocks):
+        return False
+    for ba, bb in zip(a.blocks, b.blocks):
+        if ba.weight != bb.weight or ba.ops != bb.ops:
+            return False
+    return True
+
 
 MASKED_XOR_TEXT = """\
 func masked_xor (pub:public, key:secret, mask:random)

@@ -19,6 +19,7 @@ from secdiv.secanalysis import (
     gen_leak_pairs,
     get_paths,
     infer_types,
+    memory_conflicts,
     restore_mask_order,
 )
 
@@ -81,10 +82,9 @@ def test_load_type_joins_stores(check_bit):
 
 
 def _distribution_by_secret(values: np.ndarray, secrets: np.ndarray) -> dict:
-    out = {}
-    for s in np.unique(secrets):
-        out[int(s)] = np.bincount(values[secrets == s], minlength=256).tobytes()
-    return out
+    joint = np.bincount(secrets.astype(np.intp) * 256 + values, minlength=65536)
+    rows = joint.reshape(256, 256)
+    return {int(s): rows[s].tobytes() for s in np.unique(secrets)}
 
 
 @pytest.mark.parametrize("name", ["masked_xor", "masked_chain"])
@@ -447,14 +447,14 @@ def test_masked_xor_pairs(masked_xor):
     assert ("key", "mk") not in pairs.rpairs  # key ^ (key ^ mask) = mask
     assert ("mask", "t") in pairs.rpairs
     assert pairs.hazard_temps == {"key"}
-    assert pairs.mpairs == frozenset()
+    assert memory_conflicts(masked_xor, pairs) == []
 
 
 def test_all_public_program_empty_pairs():
     func = load("two_exits")
     pairs = gen_leak_pairs(func, infer_types(func))
     assert pairs.rpairs == frozenset()
-    assert pairs.mpairs == frozenset()
+    assert memory_conflicts(func, pairs) == []
     assert pairs.hazard_temps == frozenset()
 
 
@@ -473,7 +473,7 @@ def test_mpairs_on_secret_stores():
     ops = {op.index: op for op in func.all_ops()}
     st_pairs = [
         (a, b)
-        for a, b in pairs.mpairs
+        for a, b in memory_conflicts(func, pairs)
         if ops[a].opcode.value == "st" and ops[b].opcode.value == "st"
     ]
     assert st_pairs  # mk then m on the bus transitions by k

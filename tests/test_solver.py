@@ -96,6 +96,25 @@ def test_unsat_names_a_family():
     assert result.failing_family == "mre-conflict"
 
 
+def test_zero_budget_times_out_at_first_deadline_check():
+    # share_compare's psc model is unsatisfiable after more than a million
+    # nodes, so neither the dive nor the full search ends on its own; both
+    # stop at node 512, where _tick first reads the clock
+    result = solve_optimal(_problem("share_compare", Mode.PSC), time_budget=0)
+    assert result.status is SolveStatus.TIMEOUT
+    assert result.solution is None
+    assert result.nodes == 512
+
+
+def test_zero_budget_keeps_the_dive_incumbent():
+    prob = _problem("long_arm", Mode.TSC)
+    result = solve_optimal(prob, time_budget=0)
+    assert result.status is SolveStatus.TIMEOUT
+    assert result.nodes == 512
+    assert result.solution is not None
+    assert check_solution(result.solution, prob) == []
+
+
 # ----------------------------------------------------------------------
 # distance
 # ----------------------------------------------------------------------
@@ -154,6 +173,14 @@ def test_two_solution_problem_exhausts():
     pool = diversify(prob, best, n=200, gap=Fraction(1), time_budget=30, seed=0)
     assert len(pool.solutions) == 2
     assert pool.reason is PoolReason.EXHAUSTED
+
+
+def test_zero_budget_pool_is_best_alone():
+    prob = _problem("long_arm", Mode.TSC)
+    best = solve_optimal(prob, time_budget=60).solution
+    pool = diversify(prob, best, n=10, gap=Fraction(1, 10), time_budget=0, seed=0)
+    assert pool.solutions == [best]
+    assert pool.reason is PoolReason.TIMEOUT
 
 
 def test_pool_contains_best_first():
