@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .machine import MachineProfile, Opcode, Schedule
-from .mir import FunctionIR, Operation
+from .mir import FunctionIR, Operation, paths
 from .secanalysis import LeakPairSets, SecretPathSet, memory_conflicts
 
 VarKey = tuple[str, object]
@@ -98,7 +98,6 @@ class CopProblem:
     reg_domain: dict[str, tuple[int, ...]] = field(default_factory=dict)
     var_order: list[VarKey] = field(default_factory=list)
     entry_paths: tuple[tuple[int, ...], ...] = ()
-    balance_paths: tuple[tuple[tuple[int, ...], ...], ...] = ()
     # same-slot memory accesses keep their program order (no aliasing
     # analysis: one name is one location)
     mem_deps: tuple[tuple[int, int], ...] = ()
@@ -219,8 +218,7 @@ def build_problem(
         order.append(("reg", name))
     prob.var_order = order
 
-    prob.entry_paths = _all_entry_paths(func)
-    prob.balance_paths = tuple(tuple(sorted(s.paths)) for s in prob.psets)
+    prob.entry_paths = paths(func)
 
     mem_deps = []
     for block in func.blocks:
@@ -238,22 +236,6 @@ def build_problem(
     if best_cost is not None:
         prob.opt_bound = math.floor((1 + gap) * best_cost)
     return prob
-
-
-def _all_entry_paths(func: FunctionIR) -> tuple[tuple[int, ...], ...]:
-    paths: list[tuple[int, ...]] = []
-
-    def walk(block: int, acc: list[int]) -> None:
-        acc = acc + [block]
-        succ = func.successors(block)
-        if not succ:
-            paths.append(tuple(acc))
-            return
-        for s in succ:
-            walk(s, acc)
-
-    walk(0, [])
-    return tuple(sorted(paths))
 
 
 def _detect_obvious_infeasibility(prob: CopProblem) -> None:
@@ -677,8 +659,8 @@ def check_solution(sol: Solution | Mapping[VarKey, object], prob: CopProblem) ->
 
     # timing-balance constraints
     spans = block_makespans(prob, active, cycle)
-    for pset_paths in prob.balance_paths:
-        costs = {path: path_cost(prob, path, spans) for path in pset_paths}
+    for pset in prob.psets:
+        costs = {path: path_cost(prob, path, spans) for path in pset.paths}
         if len(set(costs.values())) > 1:
             detail = ", ".join(
                 "->".join(map(str, p)) + f"={c}" for p, c in sorted(costs.items())
@@ -820,8 +802,8 @@ def emit_model(prob: CopProblem) -> str:
     for name in sorted(prob.function.temps):
         dom = prob.reg_domain[name]
         lines.append(f"  (reg {name} {{{','.join(map(str, dom))}}})")
-    for pset_paths in prob.balance_paths:
-        rendered = " ".join("->".join(map(str, p)) for p in pset_paths)
+    for pset in prob.psets:
+        rendered = " ".join("->".join(map(str, p)) for p in pset.paths)
         lines.append(f"  (balance {rendered})")
     for t1, t2 in sorted(prob.pairs.rpairs):
         lines.append(f"  (rot-conflict {t1} {t2})")

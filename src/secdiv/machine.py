@@ -2,9 +2,12 @@
 
 Instructions are fixed 4-byte words (opcode byte plus three operand
 bytes) laid out from address 0, so the address of the i-th word of the
-program is 4*i.  The interpreter is the ground truth for every oracle:
+program is 4*i.  The vectorized interpreter `run_batch` is the ground
+truth for every oracle: it runs many input lanes at once and reports
 functional results, cycle counts, and the register/memory-bus value
-transitions that the Hamming-distance leakage model observes.
+transitions that the Hamming-distance leakage model observes.  The tests
+check it lane by lane against a scalar reference interpreter
+(`tests/scalar_machine.py`).
 
 Cost model: ALU/MOV/LI/NOP take 1 cycle, LD/ST take 2, the unconditional
 branch takes 3, a conditional branch takes 1 plus a 2-cycle overhead when
@@ -15,11 +18,11 @@ predictable microcontroller and is flagged in emitted reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .mir import VALUE_MASK, FunctionIR, Opcode
+from .mir import FunctionIR, Opcode
 
 MAGIC = b"MRSC"
 
@@ -278,153 +281,7 @@ def _lower_copy(func: FunctionIR, schedule: Schedule, op, reg_of, impl: Opcode, 
 
 
 # ----------------------------------------------------------------------
-# execution
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Step:
-    address: int
-    opcode: Opcode
-    cycles: int
-    registers: tuple[int, ...]
-    bus: int
-    reg_write: Optional[tuple[int, int, int]]  # (reg, old, new)
-    bus_write: Optional[tuple[int, int]]  # (old, new)
-
-
-@dataclass
-class ExecTrace:
-    steps: list[Step]
-    total_cycles: int
-    return_value: int
-    path: list[int]
-
-
-def run(
-    program: MachineProgram,
-    inputs: Sequence[int],
-    profile: Optional[MachineProfile] = None,
-) -> ExecTrace:
-    """Execute to RET; deterministic for identical (program, inputs, profile)."""
-    if profile is None:
-        profile = PROFILES[program.profile_name]
-    if len(inputs) != program.num_inputs:
-        raise MachineError(f"expected {program.num_inputs} inputs, got {len(inputs)}")
-
-    regs = [0] * profile.num_registers
-    for i, value in enumerate(inputs):
-        regs[i] = value & VALUE_MASK
-    slots = [0] * profile.mem_slots
-    bus = 0
-
-    starts = program.block_starts()
-    steps: list[Step] = []
-    path: list[int] = []
-    total = 0
-    block = 0
-    while True:
-        if block >= len(program.blocks):
-            raise MachineError("fell off program end")
-        path.append(block)
-        pos = 0
-        words = program.blocks[block]
-        next_block = block + 1
-        returned = None
-        while pos < len(words):
-            ins = words[pos]
-            address = 4 * (starts[block] + pos)
-            cycles = profile.lat(ins.opcode)
-            reg_write = None
-            bus_write = None
-            op = ins.opcode
-            if op in (Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR):
-                x, y = regs[ins.b], regs[ins.c]
-                if op is Opcode.ADD:
-                    value = (x + y) & VALUE_MASK
-                elif op is Opcode.SUB:
-                    value = (x - y) & VALUE_MASK
-                elif op is Opcode.XOR:
-                    value = x ^ y
-                elif op is Opcode.AND:
-                    value = x & y
-                else:
-                    value = x | y
-                reg_write = (ins.a, regs[ins.a], value)
-                regs[ins.a] = value
-            elif op is Opcode.MOV:
-                value = regs[ins.b]
-                reg_write = (ins.a, regs[ins.a], value)
-                regs[ins.a] = value
-            elif op is Opcode.LI:
-                reg_write = (ins.a, regs[ins.a], ins.b)
-                regs[ins.a] = ins.b
-            elif op is Opcode.LD:
-                value = slots[ins.b]
-                bus_write = (bus, value)
-                bus = value
-                reg_write = (ins.a, regs[ins.a], value)
-                regs[ins.a] = value
-            elif op is Opcode.ST:
-                value = regs[ins.b]
-                bus_write = (bus, value)
-                bus = value
-                slots[ins.a] = value
-            elif op is Opcode.NOP:
-                pass
-            elif op is Opcode.B:
-                next_block = ins.a
-            elif op in (Opcode.BEQ, Opcode.BNE):
-                taken = (regs[ins.a] == regs[ins.b]) == (op is Opcode.BEQ)
-                if taken:
-                    cycles += profile.taken_branch_overhead
-                    next_block = ins.c
-            elif op is Opcode.RET:
-                returned = regs[ins.a]
-            else:
-                raise MachineError(f"invalid opcode {op}")
-            total += cycles
-            steps.append(
-                Step(
-                    address=address,
-                    opcode=op,
-                    cycles=cycles,
-                    registers=tuple(regs),
-                    bus=bus,
-                    reg_write=reg_write,
-                    bus_write=bus_write,
-                )
-            )
-            if returned is not None:
-                return ExecTrace(
-                    steps=steps, total_cycles=total, return_value=returned, path=path
-                )
-            pos += 1
-        block = next_block
-
-
-LeakPoint = tuple[tuple[int, str, int], int]
-
-
-def hd_leak_points(trace: ExecTrace) -> list[LeakPoint]:
-    """(site, old^new) for every register write and memory-bus update.
-
-    Sites are (instruction address, kind, index) with kind "reg" for
-    register-overwrite transitions and "bus" for memory-remnant ones.
-    """
-    points: list[LeakPoint] = []
-    for step in trace.steps:
-        if step.reg_write is not None:
-            reg, old, new = step.reg_write
-            points.append(((step.address, "reg", reg), old ^ new))
-        if step.bus_write is not None:
-            old, new = step.bus_write
-            points.append(((step.address, "bus", 0), old ^ new))
-    return points
-
-
-# ----------------------------------------------------------------------
-# vectorized execution (used by the exhaustive-enumeration oracles)
+# execution (vectorized; used by the exhaustive-enumeration oracles)
 # ----------------------------------------------------------------------
 
 
@@ -446,8 +303,8 @@ def run_batch(
 ) -> BatchResult:
     """Run the program over many input lanes at once.
 
-    `inputs` has shape (num_inputs, n); lane j corresponds to the scalar
-    call run(program, inputs[:, j]).  Branching partitions the lanes, so
+    `inputs` has shape (num_inputs, n); lane j runs on the input vector
+    inputs[:, j], as if it ran alone.  Branching partitions the lanes, so
     the cost is proportional to the number of executed paths, not lanes.
     The lanes form `groups` equal contiguous runs, and every transition
     histogram has one row per run, so one call can stand for several

@@ -81,15 +81,6 @@ class IRValidationError(IRError):
 
 
 @dataclass(frozen=True)
-class Temp:
-    """A single-assignment 8-bit value; inputs carry their policy label."""
-
-    name: str
-    width: int = TEMP_WIDTH
-    label: Optional[SecurityLabel] = None
-
-
-@dataclass(frozen=True)
 class Operation:
     index: int
     opcode: Opcode
@@ -141,27 +132,13 @@ class Block:
         return self.ops[:-1] if term is not None else list(self.ops)
 
 
-@dataclass(frozen=True)
-class BlockGraph:
-    """Adjacency over block ids; entry is block 0, exits end in RET."""
-
-    succ: tuple[tuple[int, ...], ...]
-    exits: tuple[int, ...]
-
-    @property
-    def entry(self) -> int:
-        return 0
-
-    def successors(self, block: int) -> tuple[int, ...]:
-        return self.succ[block]
-
-
 @dataclass
 class FunctionIR:
     name: str
     inputs: list[tuple[str, SecurityLabel]]
     blocks: list[Block]
-    temps: dict[str, Temp] = field(default_factory=dict)
+    # every temp name: the inputs first, then the defs in op order
+    temps: tuple[str, ...] = ()
     slots: tuple[str, ...] = ()
 
     def input_names(self) -> tuple[str, ...]:
@@ -417,17 +394,17 @@ def _check_shape(op: Operation, lineno: int) -> None:
 
 
 def _collect_temps(func: FunctionIR) -> None:
-    temps: dict[str, Temp] = {}
-    for name, label in func.inputs:
+    temps: dict[str, None] = {}  # insertion-ordered set
+    for name, _ in func.inputs:
         if name in temps:
             raise IRValidationError(f"duplicate input {name!r}")
-        temps[name] = Temp(name=name, label=label)
+        temps[name] = None
     for op in func.all_ops():
         for d in op.defs:
             if d in temps:
                 raise IRValidationError(f"temp {d!r} defined more than once")
-            temps[d] = Temp(name=d)
-    func.temps = temps
+            temps[d] = None
+    func.temps = tuple(temps)
 
 
 # ----------------------------------------------------------------------
@@ -532,10 +509,42 @@ def _dominators(func: FunctionIR) -> dict[int, set[int]]:
     return dom
 
 
-def build_cfg(func: FunctionIR) -> BlockGraph:
-    succ = tuple(func.successors(b.index) for b in func.blocks)
-    exits = tuple(b.index for b in func.blocks if not succ[b.index])
-    return BlockGraph(succ=succ, exits=exits)
+# ----------------------------------------------------------------------
+# paths
+# ----------------------------------------------------------------------
+
+
+def paths(
+    func: FunctionIR, start: int = 0, stop: Optional[int] = None
+) -> tuple[tuple[int, ...], ...]:
+    """Every path from block `start` that ends at block `stop` or at a
+    return, in sorted order."""
+    found: list[tuple[int, ...]] = []
+    stack = [(start,)]
+    while stack:
+        path = stack.pop()
+        succ = () if path[-1] == stop else func.successors(path[-1])
+        if not succ:
+            found.append(path)
+        stack.extend(path + (s,) for s in succ)
+    return tuple(sorted(found))
+
+
+def post_dominator(func: FunctionIR, block: int) -> Optional[int]:
+    """The first block on every path from `block` to a return, or None
+    when the paths share no block after `block`.
+
+    One backward pass builds the post-dominator sets of the later blocks.
+    Edges only go forward, so every path visits the blocks of a set in
+    increasing order and the smallest one comes first.
+    """
+    pdom: dict[int, frozenset[int]] = {}
+    for b in range(len(func.blocks) - 1, block - 1, -1):
+        succ = func.successors(b)
+        common = frozenset.intersection(*(pdom[s] for s in succ)) if succ else frozenset()
+        pdom[b] = common | {b}
+    later = pdom[block] - {block}
+    return min(later) if later else None
 
 
 # ----------------------------------------------------------------------

@@ -11,23 +11,25 @@ opaque and is treated conservatively.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional
 
 from .machine import MachineProfile, TIGHT8
 from .mir import (
     Block,
-    BlockGraph,
     FunctionIR,
     IRValidationError,
     Opcode,
     Operation,
     SecurityLabel,
-    build_cfg,
+    _collect_temps,
     parse_function,
+    paths,
+    post_dominator,
     serialize_function,
+    validate_function,
 )
 
 
@@ -283,59 +285,13 @@ def _path_without_store(func, load_block, store_blocks, slot, load_pos) -> bool:
 @dataclass(frozen=True)
 class SecretPathSet:
     branch_block: int
-    paths: frozenset[tuple[int, ...]]
+    paths: tuple[tuple[int, ...], ...]
 
 
-class CycleError(Exception):
-    pass
-
-
-def get_paths(n: int, graph: BlockGraph) -> frozenset[tuple[int, ...]]:
-    """All maximal paths from block n to a common sink or to the exits.
-
-    Paths are explored with a priority queue keyed by the ordinal of the
-    path's last block (smaller first), so all open paths advance roughly
-    in block order.  As soon as every open and finished path ends at the
-    same block, that block is the common sink and the search stops early;
-    otherwise paths run to the exit blocks.
-    """
-    counter = itertools.count()
-    heap: list[tuple[int, int, list[int]]] = []
-
-    def push(path: list[int]) -> None:
-        heapq.heappush(heap, (path[-1], next(counter), path))
-
-    push([n])
-    finished: list[list[int]] = []
-
-    def all_done() -> Optional[frozenset[tuple[int, ...]]]:
-        lasts = {p[-1] for p in finished} | {p[-1] for _, _, p in heap}
-        if len(lasts) == 1:
-            every = [tuple(p) for p in finished] + [tuple(p) for _, _, p in heap]
-            return frozenset(every)
-        return None
-
-    while heap:
-        _, _, path = heapq.heappop(heap)
-        head = path[-1]
-        succ = graph.successors(head)
-        if not succ:
-            finished.append(path)
-        elif len(succ) == 1:
-            (s,) = succ
-            if s in path:
-                raise CycleError(f"cycle through block {s}")
-            path.append(s)
-            push(path)
-            done = all_done()
-            if done is not None:
-                return done
-        else:
-            for s in succ:
-                if s in path:
-                    raise CycleError(f"cycle through block {s}")
-                push(path + [s])
-    return frozenset(tuple(p) for p in finished)
+def get_paths(func: FunctionIR, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every path from block n to the block where its paths rejoin (the
+    post-dominator of n), or to a return when they never rejoin."""
+    return paths(func, n, post_dominator(func, n))
 
 
 def branch_condition_type(
@@ -351,12 +307,11 @@ def branch_condition_type(
 def extract_secret_path_sets(
     func: FunctionIR, types: dict[str, InferredType]
 ) -> list[SecretPathSet]:
-    graph = build_cfg(func)
     sets: list[SecretPathSet] = []
     for block in func.blocks:
         cond = branch_condition_type(func, block, types)
         if cond is not None and secret_dependent(cond):
-            sets.append(SecretPathSet(branch_block=block.index, paths=get_paths(block.index, graph)))
+            sets.append(SecretPathSet(branch_block=block.index, paths=get_paths(func, block.index)))
     return sets
 
 
@@ -441,8 +396,6 @@ def _insert_block(func: FunctionIR, src: int, old_target: int, ops: list[Operati
             Operation(index=-1, opcode=Opcode.B, defs=(), uses=(remap(idx + 1),))
         )
 
-    from fractions import Fraction
-
     new_block = Block(index=pos, weight=Fraction(1), ops=list(ops))
     new_f.blocks.insert(pos, new_block)
     for i, block in enumerate(new_f.blocks):
@@ -456,9 +409,6 @@ def _insert_block(func: FunctionIR, src: int, old_target: int, ops: list[Operati
             src_block.ops[-1] = replace(term, uses=(term.uses[0], term.uses[1], pos))
 
     new_f.renumber_ops()
-    new_f.temps = {}
-    from .mir import _collect_temps, validate_function  # late import, module-internal
-
     _collect_temps(new_f)
     validate_function(new_f)
     return new_f
@@ -472,10 +422,10 @@ def balance_ebb(
     How many of the NOPs become active is decided later by the solver;
     the budget here is the worst-case cost of the sibling paths.
     """
-    paths = sorted(pset.paths, key=lambda p: (len(p), p))
-    if len(paths) < 2 or len(paths[0]) == len(paths[-1]):
+    by_length = sorted(pset.paths, key=lambda p: (len(p), p))
+    if len(by_length) < 2 or len(by_length[0]) == len(by_length[-1]):
         return BalanceResult(function=func, changed=False, note="already balanced")
-    short = paths[0]
+    short = by_length[0]
     budget = _nop_budget(func, pset, short, profile)
     nops = [
         Operation(index=-1, opcode=Opcode.NOP, defs=(), uses=(), optional=True)
@@ -487,10 +437,10 @@ def balance_ebb(
 
 def balance_cbb(func: FunctionIR, pset: SecretPathSet) -> BalanceResult:
     """Balance a one-block arm by copying it with dead definitions."""
-    paths = sorted(pset.paths, key=lambda p: (len(p), p))
-    if len(paths) != 2:
+    by_length = sorted(pset.paths, key=lambda p: (len(p), p))
+    if len(by_length) != 2:
         raise BalanceError("copy balancing needs exactly two paths")
-    short, long_ = paths
+    short, long_ = by_length
     if len(short) == len(long_):
         return BalanceResult(function=func, changed=False, note="already balanced")
     if len(long_) != 3 or len(short) != 2:
@@ -822,8 +772,8 @@ def emit_analysis(analyzed: AnalyzedFunction) -> str:
     if not analyzed.psets:
         out.append("  (none)")
     for pset in analyzed.psets:
-        paths = " ".join("->".join(map(str, p)) for p in sorted(pset.paths))
-        out.append(f"  branch block {pset.branch_block}: {paths}")
+        rendered = " ".join("->".join(map(str, p)) for p in pset.paths)
+        out.append(f"  branch block {pset.branch_block}: {rendered}")
     out.append("register transition conflicts:")
     if not analyzed.pairs.rpairs:
         out.append("  (none)")

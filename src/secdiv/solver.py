@@ -147,22 +147,16 @@ class _Search:
 
         # balance equalities in difference form: shared blocks cancel, so
         # the check fires as soon as the differing blocks are scheduled
+        # (path_cost with zero makespans is the taken-edge overhead alone)
         self.balance_diffs: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-        for pset_paths in prob.balance_paths:
-            anchor = pset_paths[0]
-            for other in pset_paths[1:]:
+        no_spans = dict.fromkeys(range(len(func.blocks)), 0)
+        for pset in prob.psets:
+            anchor, *others = pset.paths
+            for other in others:
                 left = tuple(b for b in anchor if b not in set(other))
                 right = tuple(b for b in other if b not in set(anchor))
-                const = self._path_edges(anchor) - self._path_edges(other)
+                const = path_cost(prob, anchor, no_spans) - path_cost(prob, other, no_spans)
                 self.balance_diffs.append((left, right, const))
-
-    def _path_edges(self, path: tuple[int, ...]) -> int:
-        total = 0
-        for i, b in enumerate(path[:-1]):
-            taken = self.prob.function.taken_successor(b)
-            if taken is not None and path[i + 1] == taken:
-                total += self.prob.profile.taken_branch_overhead
-        return total
 
     def _ordered(self, values: list) -> list:
         return self._shuffled(values) if self.shuffle else values
@@ -386,8 +380,8 @@ class _Search:
         spans = {
             b.index: state.block_end.get(b.index, 0) for b in prob.function.blocks
         }
-        for pset_paths in prob.balance_paths:
-            costs = {path_cost(prob, p, spans) for p in pset_paths}
+        for pset in prob.psets:
+            costs = {path_cost(prob, p, spans) for p in pset.paths}
             if len(costs) > 1:
                 self._fail("balance")
                 return

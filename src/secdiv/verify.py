@@ -194,7 +194,7 @@ def check_cr(
 
     path_costs = []
     for pset in psets:
-        costs = {tuple(p): static_path_cost(program, p) for p in pset.paths}
+        costs = {p: static_path_cost(program, p) for p in pset.paths}
         path_costs.append((pset.branch_block, costs))
     return CrReport(per_public=per_public, path_costs=path_costs)
 

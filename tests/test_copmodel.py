@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import load
+from scalar_machine import run
 from secdiv.copmodel import (
     Mode,
     ModelInfeasibleError,
@@ -15,7 +16,7 @@ from secdiv.copmodel import (
     objective_value_from,
     to_schedule,
 )
-from secdiv.machine import TIGHT8, encode, run
+from secdiv.machine import TIGHT8, encode
 from secdiv.mir import parse_function
 from secdiv.secanalysis import analyze
 from secdiv import solver
@@ -34,7 +35,7 @@ def _problem(name: str, mode: Mode, profile=TIGHT8):
 
 def test_mode_none_has_no_security_constraints():
     prob = _problem("masked_xor", Mode.NONE)
-    assert prob.balance_paths == ()
+    assert prob.psets == []
     assert not prob.pairs.rpairs and not prob.pairs.hazard_temps
 
 
@@ -45,8 +46,8 @@ def test_mode_psc_attaches_pairs():
 
 def test_mode_tsc_attaches_balance():
     prob = _problem("check_bit", Mode.TSC)
-    assert len(prob.balance_paths) == 1
-    assert prob.balance_paths[0] == ((0, 1, 3), (0, 2, 3))
+    (pset,) = prob.psets
+    assert pset.paths == ((0, 1, 3), (0, 2, 3))
 
 
 def test_inputs_pinned_to_argument_registers():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load
+from scalar_machine import hd_leak_points, run
 from secdiv.copmodel import Mode, build_problem, to_schedule
 from secdiv.machine import (
     PROFILES,
@@ -16,8 +17,6 @@ from secdiv.machine import (
     MachineProgram,
     Schedule,
     encode,
-    hd_leak_points,
-    run,
     run_batch,
 )
 from secdiv.mir import Opcode, parse_function

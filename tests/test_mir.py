@@ -6,21 +6,21 @@ from hypothesis import strategies as st
 
 from conftest import all_corpus_names, corpus_path, load
 from secdiv.mir import (
-    BlockGraph,
     FunctionIR,
     IRSyntaxError,
     IRValidationError,
     Opcode,
     SecurityLabel,
-    build_cfg,
     parse_function,
+    paths,
+    post_dominator,
     serialize_function,
 )
 
 
-def topological_check(graph: BlockGraph) -> bool:
-    """True when node ids already form a topological order (acyclic)."""
-    return all(s > b for b, succs in enumerate(graph.succ) for s in succs)
+def topological_check(func: FunctionIR) -> bool:
+    """True when block ids already form a topological order (acyclic)."""
+    return all(s > b.index for b in func.blocks for s in func.successors(b.index))
 
 
 def structurally_equal(a: FunctionIR, b: FunctionIR) -> bool:
@@ -144,18 +144,18 @@ block 3
 
 
 def test_cfg_check_bit_join_shape(check_bit):
-    graph = build_cfg(check_bit)
-    assert graph.successors(0) == (1, 2)
-    assert graph.successors(1) == (2,)
-    assert graph.successors(2) == ()
-    assert graph.exits == (2,)
-    assert topological_check(graph)
+    assert check_bit.successors(0) == (1, 2)
+    assert check_bit.successors(1) == (2,)
+    assert check_bit.successors(2) == ()
+    assert paths(check_bit) == ((0, 1, 2), (0, 2))
+    assert post_dominator(check_bit, 0) == 2
+    assert topological_check(check_bit)
 
 
 def test_cfg_single_block(straightline):
-    graph = build_cfg(straightline)
-    assert graph.successors(0) == ()
-    assert graph.exits == (0,)
+    assert straightline.successors(0) == ()
+    assert paths(straightline) == ((0,),)
+    assert post_dominator(straightline, 0) is None
 
 
 def test_cfg_diamond():
@@ -176,11 +176,14 @@ block 3
   r = ld slot
   ret r
 """
-    graph = build_cfg(parse_function(text))
-    assert graph.successors(0) == (1, 2)
-    assert graph.successors(1) == (3,)
-    assert graph.successors(2) == (3,)
-    assert graph.exits == (3,)
+    func = parse_function(text)
+    assert func.successors(0) == (1, 2)
+    assert func.successors(1) == (3,)
+    assert func.successors(2) == (3,)
+    assert paths(func) == ((0, 1, 3), (0, 2, 3))
+    assert post_dominator(func, 0) == 3
+    assert paths(func, 1) == ((1, 3),)
+    assert paths(func, 0, stop=1) == ((0, 1), (0, 2, 3))
 
 
 @pytest.mark.parametrize("name", all_corpus_names())
@@ -239,4 +242,4 @@ def straightline_funcs(draw):
 def test_roundtrip_property(text):
     func = parse_function(text)
     assert serialize_function(func) == text
-    assert topological_check(build_cfg(func))
+    assert topological_check(func)

@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load
+from conftest import all_corpus_names, load
 from ir_eval import eval_ir, input_grid
-from secdiv.mir import BlockGraph, SecurityLabel, parse_function, serialize_function
+from secdiv.copmodel import Mode, build_problem
+from secdiv.machine import TIGHT8
+from secdiv.mir import (
+    FunctionIR,
+    SecurityLabel,
+    parse_function,
+    paths,
+    post_dominator,
+    serialize_function,
+)
 from secdiv.secanalysis import (
     BalanceError,
-    CycleError,
     analyze,
     apply_balancing,
     balance_cbb,
@@ -121,88 +129,125 @@ def test_inference_soundness_against_exhaustive_oracle(name):
 # ----------------------------------------------------------------------
 
 
-def _graph(edges: dict[int, tuple[int, ...]], n: int) -> BlockGraph:
-    succ = tuple(edges.get(i, ()) for i in range(n))
-    exits = tuple(i for i in range(n) if not succ[i])
-    return BlockGraph(succ=succ, exits=exits)
+def _graph(edges: dict[int, tuple[int, ...]], n: int) -> FunctionIR:
+    """A function of n blocks whose successor lists are `edges` (a block
+    with none returns)."""
+    lines = ["func g (x:public, y:public)"]
+    for i in range(n):
+        lines.append(f"block {i}")
+        succ = edges.get(i, ())
+        if not succ:
+            lines.append("  ret x")
+        elif len(succ) == 2:
+            lines.append(f"  beq x, y, {succ[1]}")
+        elif succ[0] != i + 1:
+            lines.append(f"  b {succ[0]}")
+    func = parse_function("\n".join(lines) + "\n")
+    assert all(func.successors(i) == edges.get(i, ()) for i in range(n))
+    return func
 
 
 def test_get_paths_diamond_stops_at_sink():
     g = _graph({0: (1, 2), 1: (3,), 2: (3,)}, 4)
-    assert get_paths(0, g) == {(0, 1, 3), (0, 2, 3)}
+    assert get_paths(g, 0) == ((0, 1, 3), (0, 2, 3))
 
 
 def test_get_paths_join_shape():
     g = _graph({0: (1, 2), 1: (2,)}, 3)
-    assert get_paths(0, g) == {(0, 1, 2), (0, 2)}
+    assert get_paths(g, 0) == ((0, 1, 2), (0, 2))
 
 
 def test_get_paths_two_exits():
     g = _graph({0: (1, 2)}, 3)
-    assert get_paths(0, g) == {(0, 1), (0, 2)}
+    assert post_dominator(g, 0) is None
+    assert get_paths(g, 0) == ((0, 1), (0, 2))
 
 
 def test_get_paths_sink_past_lagging_branch():
     g = _graph({0: (1, 3), 1: (2,), 2: (3,)}, 4)
-    assert get_paths(0, g) == {(0, 1, 2, 3), (0, 3)}
+    assert get_paths(g, 0) == ((0, 1, 2, 3), (0, 3))
 
 
-def test_get_paths_cycle_guard():
-    g = BlockGraph(succ=((1, 2), (1,), ()), exits=(2,))
-    with pytest.raises(CycleError):
-        get_paths(0, g)
-
-
-def _dfs_paths_oracle(n: int, g: BlockGraph) -> frozenset[tuple[int, ...]]:
-    """All simple paths to the exits, truncated at the first node common
-    to every path (the sink), if one exists."""
+def _all_paths_oracle(func: FunctionIR, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every path from block n to a return, by recursive search."""
     full: list[tuple[int, ...]] = []
 
     def walk(node, acc):
         acc = acc + [node]
-        if not g.successors(node):
+        if not func.successors(node):
             full.append(tuple(acc))
             return
-        for s in g.successors(node):
+        for s in func.successors(node):
             walk(s, acc)
 
     walk(n, [])
+    return tuple(sorted(full))
+
+
+def _truncate_at_sink(full: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """Cut every path after the first block other than n common to all of
+    them (the sink), if there is one."""
     common = set(full[0])
     for p in full[1:]:
         common &= set(p)
     common.discard(n)
     if not common:
-        return frozenset(full)
+        return full
     sink = min(common)  # block ids are topological: smallest comes first
-    return frozenset(p[: p.index(sink) + 1] for p in full)
+    return tuple(sorted({p[: p.index(sink) + 1] for p in full}))
+
+
+def _dfs_paths_oracle(func: FunctionIR, n: int) -> tuple[tuple[int, ...], ...]:
+    return _truncate_at_sink(_all_paths_oracle(func, n), n)
 
 
 @st.composite
 def random_dags(draw):
+    """Valid functions of 3-7 blocks: a block that no earlier block jumps
+    to is reached by falling through from the block before it."""
     n = draw(st.integers(min_value=3, max_value=7))
     edges: dict[int, tuple[int, ...]] = {}
+    targeted: set[int] = set()
     for i in range(n - 1):
-        kind = draw(st.integers(0, 2))
-        if kind == 0:
-            continue  # exit node
-        if kind == 1:
-            edges[i] = (draw(st.integers(i + 1, n - 1)),)
-        else:
-            a = draw(st.integers(i + 1, n - 1))
-            b = draw(st.integers(i + 1, n - 1))
-            if a == b:
-                edges[i] = (a,)
-            else:
-                edges[i] = (a, b)
+        shapes: list[tuple[int, ...]] = [(i + 1,)]
+        shapes += [(i + 1, t) for t in range(i + 2, n)]
+        if i + 1 in targeted:
+            shapes += [()] + [(t,) for t in range(i + 2, n)]
+        succ = draw(st.sampled_from(shapes))
+        if succ:
+            edges[i] = succ
+        targeted.update(succ)
     return _graph(edges, n)
 
 
 @settings(max_examples=150, deadline=None)
 @given(random_dags())
-def test_get_paths_matches_dfs_oracle(g):
-    if len(g.successors(0)) != 2:
-        return
-    assert get_paths(0, g) == _dfs_paths_oracle(0, g)
+def test_get_paths_matches_dfs_oracle(func):
+    assert paths(func) == _all_paths_oracle(func, 0)
+    for block in func.blocks:
+        if len(func.successors(block.index)) == 2:
+            assert get_paths(func, block.index) == _dfs_paths_oracle(func, block.index)
+
+
+_CONFIGS = {
+    # the analysis each CLI mode runs: (mode, balance, fix_mask_order)
+    "none": (Mode.NONE, None, False),
+    "tsc-ebb": (Mode.TSC, "ebb", False),
+    "tsc-cbb": (Mode.TSC, "cbb", False),
+    "psc": (Mode.PSC, None, True),
+}
+
+
+@pytest.mark.parametrize("config", sorted(_CONFIGS))
+@pytest.mark.parametrize("name", all_corpus_names())
+def test_corpus_paths_match_oracle(name, config):
+    mode, balance, fix_mask_order = _CONFIGS[config]
+    analyzed = analyze(load(name), TIGHT8, balance=balance, fix_mask_order=fix_mask_order)
+    func = analyzed.function
+    prob = build_problem(func, analyzed.pairs, analyzed.psets, TIGHT8, mode=mode)
+    assert prob.entry_paths == _all_paths_oracle(func, 0)
+    for pset in analyzed.psets:
+        assert pset.paths == _dfs_paths_oracle(func, pset.branch_block)
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +260,7 @@ def test_check_bit_one_set_two_paths(check_bit):
     sets = extract_secret_path_sets(check_bit, types)
     assert len(sets) == 1
     assert sets[0].branch_block == 0
-    assert sets[0].paths == {(0, 1, 2), (0, 2)}
+    assert sets[0].paths == ((0, 1, 2), (0, 2))
 
 
 def test_all_public_function_no_sets():
@@ -262,7 +307,7 @@ def test_ebb_inserts_nop_block(check_bit):
     # the fall-through arm now jumps over the inserted block
     assert serialize_function(func).count("b 3") == 1
     sets = extract_secret_path_sets(func, infer_types(func))
-    assert sets[0].paths == {(0, 1, 3), (0, 2, 3)}
+    assert sets[0].paths == ((0, 1, 3), (0, 2, 3))
 
 
 def test_ebb_balanced_diamond_untouched():
@@ -480,7 +525,6 @@ def test_mpairs_on_secret_stores():
 
 
 def test_emit_analysis_deterministic(masked_xor):
-    from secdiv.machine import TIGHT8
     from secdiv.secanalysis import emit_analysis
 
     a1 = emit_analysis(analyze(masked_xor, TIGHT8))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import load
+from scalar_machine import run
 from secdiv.copmodel import Mode, build_problem, to_schedule
 from secdiv.machine import TIGHT8, Instr, Schedule, encode, run_batch
 from secdiv.mir import Opcode, SecurityLabel, parse_function
@@ -145,8 +146,6 @@ def test_straightline_trivially_secure():
 
 def test_static_path_cost_matches_simulator():
     analyzed, prob, sol, program = _compile("check_bit", Mode.TSC)
-    from secdiv.machine import run
-
     for pub, key, path in [(1, 1, (0, 1, 3)), (1, 2, (0, 2, 3))]:
         trace = run(program, [pub, key])
         assert tuple(trace.path) == path
