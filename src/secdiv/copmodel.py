@@ -87,7 +87,11 @@ class CopProblem:
 
     # derived structure (filled by build_problem)
     ops: list[Operation] = field(default_factory=list)
+    op_at: dict[int, Operation] = field(default_factory=dict)
     op_block: dict[int, int] = field(default_factory=dict)
+    # temp-name operands of each op, and the op defining each non-input temp
+    op_uses: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    def_site: dict[str, int] = field(default_factory=dict)
     optional_ops: tuple[int, ...] = ()
     copy_ops: dict[int, tuple[str, str]] = field(default_factory=dict)
     alternatives: dict[int, tuple[Opcode, ...]] = field(default_factory=dict)
@@ -149,7 +153,13 @@ def build_problem(
         prob = replace(prob, pairs=LeakPairSets(frozenset(), frozenset()))
 
     prob.ops = sorted(func.all_ops(), key=lambda o: o.index)
-    prob.op_block = {op.index: func.block_of_op(op.index) for op in prob.ops}
+    for block in func.blocks:
+        for op in block.ops:
+            prob.op_at[op.index] = op
+            prob.op_block[op.index] = block.index
+            prob.op_uses[op.index] = op.temp_uses()
+            for name in op.defs:
+                prob.def_site.setdefault(name, op.index)
     prob.optional_ops = tuple(op.index for op in prob.ops if op.optional)
     prob.copy_ops = {
         op.index: (op.uses[0], op.defs[0]) for op in prob.ops if op.opcode is Opcode.COPY
@@ -171,7 +181,9 @@ def build_problem(
     prob.swap_ops = tuple(
         op.index
         for op in prob.ops
-        if op.commutative and len(op.temp_uses()) == 2 and op.temp_uses()[0] != op.temp_uses()[1]
+        if op.commutative
+        and len(prob.op_uses[op.index]) == 2
+        and prob.op_uses[op.index][0] != prob.op_uses[op.index][1]
     )
 
     # blocks made only of optional NOPs (balancing blocks) are canonical:
@@ -325,7 +337,7 @@ def build_value_model(
     for op in prob.ops:
         if op.index not in active:
             continue
-        for temp in op.temp_uses():
+        for temp in prob.op_uses[op.index]:
             root = roots[temp]
             if root in uses:
                 uses[root].append((prob.op_block[op.index], cycle[op.index], op.index))
@@ -557,7 +569,7 @@ def check_solution(sol: Solution | Mapping[VarKey, object], prob: CopProblem) ->
                     Violation("operand-location", f"copy {op.index} rematerializes into memory")
                 )
         else:
-            for temp in op.temp_uses():
+            for temp in prob.op_uses[op.index]:
                 if loc[roots[temp]] >= nregs:
                     out.append(
                         Violation(
@@ -575,9 +587,9 @@ def check_solution(sol: Solution | Mapping[VarKey, object], prob: CopProblem) ->
     for op in prob.ops:
         if op.index not in active:
             continue
-        for temp in op.temp_uses():
+        for temp in prob.op_uses[op.index]:
             root = roots[temp]
-            site = func.def_site(root)
+            site = prob.def_site.get(root)
             if site is None:
                 continue  # input
             if site not in active:
@@ -587,7 +599,7 @@ def check_solution(sol: Solution | Mapping[VarKey, object], prob: CopProblem) ->
                 continue
             db, ub = prob.op_block[site], prob.op_block[op.index]
             if db == ub:
-                ready = cycle[site] + prob.op_lat(func.op(site))
+                ready = cycle[site] + prob.op_lat(prob.op_at[site])
                 if cycle[op.index] < ready:
                     out.append(
                         Violation(
@@ -601,7 +613,7 @@ def check_solution(sol: Solution | Mapping[VarKey, object], prob: CopProblem) ->
 
     for a, b in prob.mem_deps:
         if a in active and b in active:
-            ready = cycle[a] + prob.op_lat(func.op(a))
+            ready = cycle[a] + prob.op_lat(prob.op_at[a])
             if cycle[b] < ready:
                 out.append(
                     Violation(

@@ -3,9 +3,10 @@
 A gadget is a suffix of the linear instruction stream ending at a return:
 that is what an attacker who redirects control into the middle of the
 code gets to execute.  Suffixes containing another control transfer are
-not useful chain links and are skipped.  Overlap between two variants
-(`srate`) counts gadgets of the first that appear, NOP-stripped but at
-the same byte address, in the second.
+not useful chain links and are skipped.  The overlap (srate) of a
+variant with another is the share of its gadgets that appear,
+NOP-stripped but at the same byte address, in the other; a program
+without any gadget has srate 0.
 """
 
 from __future__ import annotations
@@ -53,15 +54,6 @@ def extract_gadgets(program: MachineProgram, k: int = DEFAULT_MAX_LEN) -> set[Ga
     return gadgets
 
 
-def srate(a: MachineProgram, b: MachineProgram, k: int = DEFAULT_MAX_LEN) -> Fraction:
-    """Fraction of a's gadgets found identically at the same address in b.
-
-    Comparison is on NOP-stripped word sequences; a program without any
-    gadget has srate 0 by definition.
-    """
-    return _shared_fraction(extract_gadgets(a, k), _address_index(extract_gadgets(b, k)))
-
-
 def _address_index(gadgets: set[Gadget]) -> dict[int, set[tuple[int, ...]]]:
     index: dict[int, set[tuple[int, ...]]] = {}
     for g in gadgets:
@@ -77,8 +69,8 @@ def _shared_fraction(gadgets: set[Gadget], index: dict[int, set[tuple[int, ...]]
 
 
 def _pair_srates(programs: Sequence[MachineProgram], k: int) -> Iterator[Fraction]:
-    """srate(programs[i], programs[j]) for every ordered pair i != j, by i
-    then j; each program's gadgets are extracted once."""
+    """The srate of programs[i] against programs[j] for every ordered pair
+    i != j, by i then j; each program's gadgets are extracted once."""
     gadget_sets = [extract_gadgets(p, k) for p in programs]
     indexes = [_address_index(g) for g in gadget_sets]
     for i, gadgets in enumerate(gadget_sets):

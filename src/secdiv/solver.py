@@ -6,6 +6,8 @@ The search runs in three phases per branch: structural decisions first
 block by block, then a location for every live value.  The objective is
 fully determined once cycles are placed, so incumbent bounding happens
 before allocation and the allocation phase is a pure feasibility search.
+The bound is integer arithmetic on block weights scaled to integers, and
+it is kept incremental: fixing a block's span adds that block's term.
 Every accepted leaf is re-validated by the independent constraint checker
 before it may become an incumbent or a pool member.
 
@@ -93,6 +95,7 @@ class _Search:
         dthresh: int = 1,
         deadline: Optional[float] = None,
         compact: bool = False,
+        incumbent: Optional[Solution] = None,
     ):
         self.prob = prob
         self.seed = seed
@@ -103,13 +106,21 @@ class _Search:
         self.deadline = deadline
         self.rng = random.Random(f"secdiv:{seed}")
         self.nodes = 0
-        self.best: Optional[Solution] = None
         self.fail_counts: dict[str, int] = {}
 
         func = prob.function
+        # the objective in integers: block weights scaled by the LCM of
+        # their denominators, and the bound and incumbent scaled alike
+        self.scale = math.lcm(*(b.weight.denominator for b in func.blocks))
+        self.weight = [int(b.weight * self.scale) for b in func.blocks]
+        self.bound = None if prob.opt_bound is None else prob.opt_bound * self.scale
+        self.best = incumbent
+        self.best_objective = None if incumbent is None else self._scaled(incumbent)
+        self.inputs = func.input_names()
         self.ops_by_block = [list(b.ops) for b in func.blocks]
         self.lat = {op.index: prob.op_lat(op) for op in prob.ops}
         self.mandatory = {op.index for op in prob.ops if not op.optional}
+        self.terminators = {op.index for op in prob.ops if op.is_terminator}
         self.active_vars = [op.index for op in prob.ops if op.optional]
         self.instr_vars = [
             op.index for op in prob.ops if len(prob.alternatives[op.index]) > 1
@@ -166,6 +177,9 @@ class _Search:
         self.rng.shuffle(values)
         return values
 
+    def _scaled(self, sol: Solution) -> int:
+        return int(sol.objective * self.scale)
+
     def _fail(self, family: str) -> None:
         self.fail_counts[family] = self.fail_counts.get(family, 0) + 1
 
@@ -185,8 +199,9 @@ class _Search:
             for sol in self._assign_structural(0, {}):
                 if self.shuffle:
                     return SolveResult(status=SolveStatus.SAT, solution=sol, nodes=self.nodes)
-                if self.best is None or sol.objective < self.best.objective:
-                    self.best = sol
+                objective = self._scaled(sol)
+                if self.best_objective is None or objective < self.best_objective:
+                    self.best, self.best_objective = sol, objective
         except _Timeout:
             return SolveResult(status=SolveStatus.TIMEOUT, solution=self.best, nodes=self.nodes)
         if self.best is not None:
@@ -195,13 +210,12 @@ class _Search:
         return SolveResult(status=SolveStatus.UNSAT, failing_family=family, nodes=self.nodes)
 
     def _root_check(self) -> Optional[str]:
-        prob = self.prob
-        if prob.opt_bound is not None:
-            lb = Fraction(0)
-            for block in prob.function.blocks:
+        if self.bound is not None:
+            lb = 0
+            for block in self.prob.function.blocks:
                 span = sum(self.lat[o.index] for o in block.ops if not o.optional)
-                lb += block.weight * (span + self.edge_const[block.index])
-            if lb > prob.opt_bound:
+                lb += self.weight[block.index] * (span + self.edge_const[block.index])
+            if lb > self.bound:
                 return "optimality-gap"
         return None
 
@@ -247,9 +261,8 @@ class _Search:
             for op in block_ops:
                 if op.index not in active:
                     continue
-                for temp in op.temp_uses():
-                    root = roots[temp]
-                    site = prob.function.def_site(root)
+                for temp in prob.op_uses[op.index]:
+                    site = prob.def_site.get(roots[temp])
                     if site is None or site not in active:
                         continue
                     if prob.op_block[site] == prob.op_block[op.index]:
@@ -273,11 +286,29 @@ class _Search:
         if not self._balance_bounds_ok(lb_span, ub_span):
             self._fail("balance")
             return
-        if not self._objective_bound_ok(lb_span, {}):
+        objective = sum(
+            self.weight[b] * (lb_span[b] + self.edge_const[b]) for b in lb_span
+        )
+        if not self._objective_bound_ok(objective):
             self._fail("optimality-gap")
             return
 
-        state = _ScheduleState(active=active, roots=roots, deps=deps, lb_span=lb_span, ub_span=ub_span)
+        # placing a block's last active op fixes the block's span
+        closing = set()
+        for block_ops in self.ops_by_block:
+            actives = [o.index for o in block_ops if o.index in active]
+            if actives:
+                closing.add(actives[-1])
+
+        state = _ScheduleState(
+            active=active,
+            roots=roots,
+            deps=deps,
+            lb_span=lb_span,
+            ub_span=ub_span,
+            closing=closing,
+            objective=objective,
+        )
         yield from self._assign_cycles(0, state)
 
     def _balance_bounds_ok(self, lb_span, ub_span, spans=None) -> bool:
@@ -296,15 +327,10 @@ class _Search:
                 return False
         return True
 
-    def _objective_bound_ok(self, lb_span, spans) -> bool:
-        prob = self.prob
-        total = Fraction(0)
-        for block in prob.function.blocks:
-            span = spans.get(block.index, lb_span[block.index])
-            total += block.weight * (span + self.edge_const[block.index])
-        if prob.opt_bound is not None and total > prob.opt_bound:
+    def _objective_bound_ok(self, objective: int) -> bool:
+        if self.bound is not None and objective > self.bound:
             return False
-        if self.best is not None and total >= self.best.objective:
+        if self.best_objective is not None and objective >= self.best_objective:
             return False
         return True
 
@@ -317,7 +343,6 @@ class _Search:
             yield from self._enter_allocation(state)
             return
         idx = self.cycle_order[k]
-        op = prob.function.op(idx)
         block = prob.op_block[idx]
         lat = self.lat[idx]
         horizon = prob.horizon[block]
@@ -325,14 +350,13 @@ class _Search:
         lo = 0
         for site, site_lat in state.deps.get(idx, ()):
             lo = max(lo, state.cycle[site] + site_lat)
-        if op.is_terminator:
+        if idx in self.terminators:
             lo = max(lo, state.block_end.get(block, 0))
 
-        last_in_block = self.ops_by_block[block][-1].index == idx or all(
-            o.index not in state.active
-            for o in self.ops_by_block[block]
-            if o.index > idx
-        )
+        last_in_block = idx in state.closing
+        weight = self.weight[block]
+        lb = state.lb_span[block]
+        prev_objective = state.objective
 
         if self.compact:
             # heuristic dive: issue in block order, earliest feasible cycle
@@ -351,24 +375,24 @@ class _Search:
             ok = True
             if last_in_block:
                 state.spans[block] = state.block_end[block]
+                state.objective = prev_objective + weight * (state.block_end[block] - lb)
                 if not self._balance_bounds_ok(state.lb_span, state.ub_span, state.spans):
                     self._fail("balance")
                     ok = False
-                elif not self._objective_bound_ok(state.lb_span, state.spans):
+                elif not self._objective_bound_ok(state.objective):
                     self._fail("optimality-gap")
                     ok = False
             else:
                 # the unfinished block's span is at least its current end
-                lb_here = max(state.block_end[block], state.lb_span[block])
-                trial = dict(state.spans)
-                trial[block] = lb_here
-                if not self._objective_bound_ok(state.lb_span, trial):
+                lb_here = max(state.block_end[block], lb)
+                if not self._objective_bound_ok(prev_objective + weight * (lb_here - lb)):
                     self._fail("optimality-gap")
                     ok = False
             if ok:
                 yield from self._assign_cycles(k + 1, state)
             if last_in_block:
                 state.spans.pop(block, None)
+                state.objective = prev_objective
             state.block_end[block] = prev_end
             intervals.pop()
             del state.cycle[idx]
@@ -403,7 +427,7 @@ class _Search:
         for v in model.values:
             uses = model.uses[v]
             mem_ok[v] = all(
-                prob.function.op(op_idx).opcode is Opcode.COPY for _, _, op_idx in uses
+                prob.op_at[op_idx].opcode is Opcode.COPY for _, _, op_idx in uses
             )
 
         # the objective is fixed by the schedule: one feasible allocation per
@@ -421,7 +445,7 @@ class _Search:
             return
         value = order[k]
         copy_src_mem = False
-        site = prob.function.def_site(value)
+        site = prob.def_site.get(value)
         if site is not None and site in prob.copy_ops:
             src, _ = prob.copy_ops[site]
             copy_src_mem = loc[state.roots[src]] >= nregs
@@ -450,7 +474,7 @@ class _Search:
         if not prob.pairs.rpairs and not prob.pairs.hazard_temps:
             return True
         here = model.def_point[value]
-        inputs = prob.function.input_names()
+        inputs = self.inputs
         prev = None
         prev_key = None
         for v, rv in loc.items():
@@ -532,6 +556,10 @@ class _ScheduleState:
     deps: dict[int, list[tuple[int, int]]]
     lb_span: dict[int, int]
     ub_span: dict[int, int]
+    # ops whose placement fixes their block's span
+    closing: set[int]
+    # scaled objective with the spans fixed so far and lb_span elsewhere
+    objective: int
     cycle: dict[int, int] = field(default_factory=dict)
     intervals: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     block_end: dict[int, int] = field(default_factory=dict)
@@ -566,10 +594,7 @@ def solve_optimal(prob: CopProblem, time_budget: float = 600.0, seed: int = 0) -
         deadline=min(time.monotonic() + max(1.0, time_budget / 4), deadline),
     )
     warm = dive.run()
-    search = _Search(prob, seed=seed, deadline=deadline)
-    if warm.solution is not None:
-        search.best = warm.solution
-    return search.run()
+    return _Search(prob, seed=seed, deadline=deadline, incumbent=warm.solution).run()
 
 
 def solve_one(

@@ -17,11 +17,12 @@ no tolerances to tune.
 
 The power-leak check puts several secret values into one `run_batch`
 call, lane-major by secret (all randoms of the first secret, then of the
-next), with up to `_PSC_BATCH_LANES` lanes and joint (secret, value)
-histogram bins per call; `run_batch` returns one histogram row per
-secret, and builds the rows of a site where every lane sees one value
-without a bincount.  A secret whose randoms alone exceed the cap runs in
-a call of its own.
+next), with up to `_PSC_BATCH_LANES` lanes and `_PSC_BATCH_BINS` joint
+(secret, value) histogram bins per call; `run_batch` returns one
+histogram row per secret, and builds the rows of a site where every lane
+sees one value without a bincount.  A secret whose randoms alone exceed
+the lane cap runs in a call of its own.  The rows of all secrets of a
+call are compared with the reference secret's in whole-array operations.
 """
 
 from __future__ import annotations
@@ -248,9 +249,12 @@ def _site_str(site: tuple[int, str, int]) -> str:
 
 
 _PSC_HIDDEN_LIMIT = 3
-# Lanes per batched run_batch call, and also the bound on its joint
-# (secret, value) histogram bins: at least one secret goes in each call.
+# Lanes per batched run_batch call; at least one secret goes in each call.
 _PSC_BATCH_LANES = 1 << 14
+# Joint (secret, value) histogram bins per call, 256 per secret: a site's
+# histogram takes 8 bytes a bin, so 512 KiB.  Secrets with 256 or more
+# randoms each reach the lane cap first.
+_PSC_BATCH_BINS = 1 << 16
 
 
 def check_psc(
@@ -285,9 +289,10 @@ def check_psc(
 
     random_grid = _full_grid(len(random_idx))
     per_secret = random_grid.shape[1]
-    secrets_per_call = max(1, _PSC_BATCH_LANES // max(per_secret, 256))
+    secrets_per_call = max(1, min(_PSC_BATCH_LANES // per_secret, _PSC_BATCH_BINS // 256))
 
     all_sites: set[tuple[int, str, int]] = set()
+    witnessed: set[tuple[int, str, int]] = set()
     for public in itertools.product(public_probes, repeat=len(public_idx)):
         reference: Optional[dict] = None
         ref_secret: Optional[tuple[int, ...]] = None
@@ -302,35 +307,39 @@ def check_psc(
                 inputs[i] = np.tile(random_grid[pos], batch)
             hists = run_batch(program, inputs, groups=batch).transitions
             all_sites.update(hists)
-            ran = {site: hist.any(axis=1) for site, hist in hists.items()}
             if reference is None:
                 ref_secret = tuple(int(v) for v in chunk[:, 0])
-                reference = {site: hist[0] for site, hist in hists.items() if ran[site][0]}
-            same = {
-                site: (hists[site] == row).all(axis=1)
-                for site, row in reference.items()
-                if site in hists
-            }
-            for j in range(batch):
-                secret = tuple(int(v) for v in chunk[:, j])
-                sites = {site for site in hists if ran[site][j]}
-                if sites != reference.keys():
-                    for site in sorted(sites ^ reference.keys()):
-                        report.leaks.append((site, ref_secret, secret))
-                    continue
-                for site in sorted(sites):
-                    if not same[site][j]:
-                        report.leaks.append((site, ref_secret, secret))
+                reference = {site: hist[0] for site, hist in hists.items() if hist[0].any()}
+            # a secret whose set of executed sites differs from the
+            # reference's leaks at the sites in the difference; any other
+            # leaks where its histogram row differs from the reference's
+            sites = list(hists.keys() | reference.keys())
+            none = np.zeros(batch, dtype=bool)
+            ran = np.array(
+                [hists[site].any(axis=1) if site in hists else none for site in sites],
+                dtype=bool,
+            ).reshape(len(sites), batch)
+            differs = np.array(
+                [
+                    (hists[site] != reference[site]).any(axis=1)
+                    if site in hists and site in reference and site not in witnessed
+                    else none
+                    for site in sites
+                ],
+                dtype=bool,
+            ).reshape(len(sites), batch)
+            moved = ran != np.array([site in reference for site in sites], dtype=bool)[:, None]
+            leaking = np.where(moved.any(axis=0), moved, differs)
+            found = [
+                (int(leaking[i].argmax()), sites[i])
+                for i in np.flatnonzero(leaking.any(axis=1))
+                if sites[i] not in witnessed
+            ]
+            # one witness per site: the first secret, in enumeration order
+            for j, site in sorted(found):
+                witnessed.add(site)
+                report.leaks.append((site, ref_secret, tuple(int(v) for v in chunk[:, j])))
 
-    leak_sites = {site for site, _, _ in report.leaks}
     for site in all_sites:
-        report.verdicts[site] = "leak" if site in leak_sites else "independent"
-    # keep one witness per site
-    seen: set = set()
-    unique = []
-    for site, s1, s2 in report.leaks:
-        if site not in seen:
-            seen.add(site)
-            unique.append((site, s1, s2))
-    report.leaks = unique
+        report.verdicts[site] = "leak" if site in witnessed else "independent"
     return report

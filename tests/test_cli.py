@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import corpus_path
+from secdiv import cli
 from secdiv.cli import main
 
 
@@ -229,3 +231,52 @@ def test_report_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     assert run_cli("report", "--out", out, "--format", "csv") == 0
     assert capsys.readouterr().out == first
+
+
+
+def _session(fresh: bool, capsys) -> list:
+    """diversify, verify, gadgets, a usage error, then diversify and
+    gadgets with every option left at its default, run in the current
+    directory; with `fresh` each call gets a newly built parser."""
+    out = Path("out")
+    pool = out / "check_bit-tsc-g10"
+    calls = [
+        ("diversify", corpus_path("check_bit"), "--mode", "tsc", "--variants", 3,
+         "--gap", 10, "--seed", 5, "--dthresh", 2, "--out", out),
+        ("verify", corpus_path("check_bit"), "--pool", pool),
+        ("gadgets", "--pool", pool, "--k", 3, "--format", "csv"),
+        ("diversify", corpus_path("check_bit"), "--variants", "many", "--out", out),
+        ("diversify", corpus_path("check_bit"), "--variants", 3, "--out", out),
+        ("gadgets", "--pool", out / "check_bit-none-g0"),
+    ]
+    results = []
+    for call in calls:
+        if fresh:
+            cli._parser.cache_clear()
+        try:
+            rc = run_cli(*call)
+        except SystemExit as exc:
+            rc = exc.code
+        results.append((rc, capsys.readouterr().out))
+    files = {
+        str(p): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "timing.log"
+    }
+    return [results, files]
+
+
+def test_cached_parser_matches_fresh_parsers(tmp_path, capsys, monkeypatch):
+    cli._parser.cache_clear()
+    (tmp_path / "cached").mkdir()
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path / "cached")
+    cached = _session(False, capsys)
+    monkeypatch.chdir(tmp_path / "fresh")
+    fresh = _session(True, capsys)
+    assert [rc for rc, _ in cached[0]] == [0, 0, 0, 2, 0, 0]
+    assert cached == fresh
+    # the last calls ran on the defaults: no value of an earlier call leaked
+    manifest = json.loads((tmp_path / "cached" / "out" / "check_bit-none-g0" / "manifest.json").read_text())
+    assert (manifest["mode"], manifest["seed"], manifest["dthresh"]) == ("none", 0, 1)
+    assert "," not in cached[0][5][1]  # a text table, not the earlier csv

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -256,3 +257,64 @@ def test_naive_reproducible():
     p1 = naive_diversify(load("masked_xor"), TIGHT8, 6, seed=5)
     p2 = naive_diversify(load("masked_xor"), TIGHT8, 6, seed=5)
     assert [s.assignment for s in p1.solutions] == [s.assignment for s in p2.solutions]
+
+
+# fractional block weights, given to the analyzed function's blocks in turn
+_WEIGHTS = (Fraction(1, 3), Fraction(5, 2), Fraction(7, 4), Fraction(2, 9))
+
+
+def _fractional_problem(name: str, mode: Mode):
+    analyzed = analyze(load(name), TIGHT8, balance="ebb" if mode is Mode.TSC else None)
+    for i, block in enumerate(analyzed.function.blocks):
+        block.weight = _WEIGHTS[i % len(_WEIGHTS)]
+    return build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=mode)
+
+
+def _digest(solutions) -> str:
+    return hashlib.sha256(repr([s.assignment for s in solutions]).encode()).hexdigest()[:16]
+
+
+# solve_optimal (status, nodes, objective, digest), the n=6 pools at gaps
+# 0 and 25% (reason, size, digest), and the nodes of one first-solution
+# search at gap 25% away from the optimum, which count the bound's
+# prunings; pinned from a search that summed the objective in Fractions.
+# At gap 0 the floored bound lies below the fractional optimum, so those
+# pools hold the optimum alone.
+_FRACTIONAL_GOLDEN = {
+    ("two_branches", "tsc"): ("optimal", 1002, "1525/36", "a5f56186fa59cb7f",
+                              ("exhausted", 1, "a5f56186fa59cb7f"), ("complete", 6, "5b7d53b5e485eef0"), 336),
+    ("two_branches", "none"): ("optimal", 1, "239/12", "5b7b2b781dd10661",
+                               ("exhausted", 1, "5b7b2b781dd10661"), ("complete", 6, "5ea3e3c4054898bc"), 29),
+    ("long_arm", "tsc"): ("optimal", 3801, "1259/36", "a6d7da27a74f59dd",
+                          ("exhausted", 1, "a6d7da27a74f59dd"), ("complete", 6, "10ce37b3f24b39b3"), 204),
+    ("long_arm", "none"): ("optimal", 1, "62/3", "faf28f09fa49a5fb",
+                           ("exhausted", 1, "faf28f09fa49a5fb"), ("complete", 6, "d164bf0c78ae9f60"), 41),
+    ("check_bit", "tsc"): ("optimal", 78, "74/3", "afa05da1ac3bcf47",
+                           ("exhausted", 1, "afa05da1ac3bcf47"), ("complete", 6, "9da0b831314c147d"), 67),
+    ("check_bit", "none"): ("optimal", 1, "59/4", "601fa9676cb94481",
+                            ("exhausted", 1, "601fa9676cb94481"), ("complete", 6, "f9ac0786a6d31ef0"), 16),
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(_FRACTIONAL_GOLDEN))
+def test_fractional_weights_reproduce_pinned_search(name, mode):
+    prob = _fractional_problem(name, Mode(mode))
+    result = solve_optimal(prob, time_budget=60)
+    row = [result.status.value, result.nodes, str(result.solution.objective), _digest([result.solution])]
+    for gap in (0, 25):
+        pool = diversify(prob, result.solution, 6, gap=Fraction(gap, 100), time_budget=60)
+        row.append((pool.reason.value, len(pool.solutions), _digest(pool.solutions)))
+    row.append(solve_one(pool.problem, blocking=[result.solution], seed=1).nodes)
+    assert tuple(row) == _FRACTIONAL_GOLDEN[(name, mode)]
+
+
+@pytest.mark.parametrize("name", ["two_branches", "long_arm", "check_bit"])
+def test_fractional_weights_search_respects_bound(name):
+    prob = _fractional_problem(name, Mode.TSC)
+    best = solve_optimal(prob, time_budget=60).solution
+    for gap in (0, 10, 25):
+        pool = diversify(prob, best, 6, gap=Fraction(gap, 100), time_budget=60)
+        # variant 0 is the optimum itself; every later one came from the search
+        for sol in pool.solutions[1:]:
+            assert sol.objective <= pool.problem.opt_bound
+            assert not check_solution(sol, pool.problem)

@@ -8,7 +8,7 @@ import pytest
 from conftest import load
 from scalar_machine import run
 from secdiv.copmodel import Mode, build_problem, to_schedule
-from secdiv.machine import TIGHT8, Instr, Schedule, encode, run_batch
+from secdiv.machine import TIGHT8, Instr, MachineProgram, Schedule, encode, run_batch
 from secdiv.mir import Opcode, SecurityLabel, parse_function
 from secdiv.secanalysis import analyze
 from secdiv.solver import diversify, naive_diversify, solve_optimal
@@ -196,6 +196,15 @@ def test_all_public_program_independent():
     assert not report.leaks
 
 
+def test_program_without_transition_sites_independent():
+    # ret reads its input register in place: no write, no bus update
+    secret, random = ("k", SecurityLabel.SECRET), ("m", SecurityLabel.RANDOM)
+    for policy in ([secret, random], [secret]):
+        program = MachineProgram("tight8", len(policy), [[Instr(Opcode.RET, 0)]])
+        report = check_psc(program, policy)
+        assert report.secure and not report.verdicts
+
+
 def test_masked_chain_exhaustively_independent():
     _, _, _, program = _compile("masked_chain", Mode.PSC)
     func = load("masked_chain")
@@ -241,27 +250,58 @@ def test_naive_pool_produces_cr_violations():
     assert bad > 0
 
 
-def _reference_psc(program, policy) -> PscReport:
-    """check_psc with one run_batch call per secret value."""
+def _secret_dists(program, policy, public):
+    """(secret, {site: distribution}) for every secret value in order, at
+    one assignment of the public inputs.
+
+    With a random input, one run_batch call per secret gives the
+    histograms.  Without one, a secret is a single lane and its
+    distribution is the one transition value of each site it executes;
+    one call covers the 256 secrets that differ in the last secret input,
+    a group of one lane each, so that 2**16 secrets take 256 calls."""
     labels = [lab for _, lab in policy]
     secret_idx = [i for i, lab in enumerate(labels) if lab is SecurityLabel.SECRET]
     random_idx = [i for i, lab in enumerate(labels) if lab is SecurityLabel.RANDOM]
     public_idx = [i for i, lab in enumerate(labels) if lab is SecurityLabel.PUBLIC]
     randoms = list(itertools.product(range(256), repeat=len(random_idx)))
+    if random_idx:
+        calls = [[secret] for secret in itertools.product(range(256), repeat=len(secret_idx))]
+    else:
+        calls = [
+            [lead + (last,) for last in range(256)]
+            for lead in itertools.product(range(256), repeat=len(secret_idx) - 1)
+        ]
+    for secrets in calls:
+        lanes = [(secret, r) for secret in secrets for r in randoms]
+        inputs = np.zeros((len(policy), len(lanes)), dtype=np.uint8)
+        for pos, i in enumerate(public_idx):
+            inputs[i] = public[pos]
+        for pos, i in enumerate(secret_idx):
+            inputs[i] = [secret[pos] for secret, _ in lanes]
+        for pos, i in enumerate(random_idx):
+            inputs[i] = [r[pos] for _, r in lanes]
+        hists = run_batch(program, inputs, groups=len(secrets)).transitions
+        if random_idx:
+            yield secrets[0], {site: hist.tobytes() for site, hist in hists.items()}
+            continue
+        dists = [{} for _ in secrets]
+        for site, hist in hists.items():
+            ran = hist.any(axis=1).tolist()
+            values = hist.argmax(axis=1).tolist()
+            for dist, executed, value in zip(dists, ran, values):
+                if executed:
+                    dist[site] = value
+        yield from zip(secrets, dists)
+
+
+def _reference_psc(program, policy, public_probes=PUBLIC_PROBES) -> PscReport:
+    """check_psc secret by secret, over the distributions of _secret_dists."""
+    public_count = sum(lab is SecurityLabel.PUBLIC for _, lab in policy)
     report = PscReport()
     all_sites = set()
-    for public in itertools.product(PUBLIC_PROBES, repeat=len(public_idx)):
+    for public in itertools.product(public_probes, repeat=public_count):
         reference = ref_secret = None
-        for secret in itertools.product(range(256), repeat=len(secret_idx)):
-            inputs = np.zeros((len(policy), len(randoms)), dtype=np.uint8)
-            for pos, i in enumerate(public_idx):
-                inputs[i] = public[pos]
-            for pos, i in enumerate(secret_idx):
-                inputs[i] = secret[pos]
-            for pos, i in enumerate(random_idx):
-                inputs[i] = [r[pos] for r in randoms]
-            result = run_batch(program, inputs)
-            dist = {site: hist.tobytes() for site, hist in result.transitions.items()}
+        for secret, dist in _secret_dists(program, policy, public):
             all_sites.update(dist)
             if reference is None:
                 reference, ref_secret = dist, secret
@@ -281,14 +321,24 @@ def _reference_psc(program, policy) -> PscReport:
     return report
 
 
-@pytest.mark.parametrize("name", ["masked_xor", "masked_xor_broken", "check_bit"])
-def test_batched_psc_matches_per_secret_reference(name):
-    pool = naive_diversify(load(name), TIGHT8, 12, seed=0)
+@pytest.mark.parametrize(
+    "name, n, probes",
+    [
+        pytest.param("masked_xor", 12, PUBLIC_PROBES, id="masked_xor"),
+        pytest.param("masked_xor_broken", 12, PUBLIC_PROBES, id="masked_xor_broken"),
+        pytest.param("check_bit", 12, PUBLIC_PROBES, id="check_bit"),
+        # two secrets and no random input: 2**16 secrets of one lane each,
+        # at one value of the public input to keep the reference short
+        pytest.param("modexp_step", 2, (0x5A,), id="modexp_step"),
+    ],
+)
+def test_batched_psc_matches_per_secret_reference(name, n, probes):
+    pool = naive_diversify(load(name), TIGHT8, n, seed=0)
     func = pool.problem.function
     leaking = 0
     for sol in pool.solutions:
         program = encode(func, to_schedule(pool.problem, sol), TIGHT8)
-        report = check_psc(program, func.inputs)
-        assert report.lines() == _reference_psc(program, func.inputs).lines()
+        report = check_psc(program, func.inputs, public_probes=probes)
+        assert report.lines() == _reference_psc(program, func.inputs, probes).lines()
         leaking += bool(report.leaks)
     assert leaking > 0
