@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -23,11 +24,11 @@ from pathlib import Path
 from typing import Optional
 
 from . import copmodel, gadgets, solver, verify
-from .copmodel import Mode, build_problem, to_schedule
+from .copmodel import build_problem, to_schedule
 from .machine import PROFILES, MachineProgram, encode
 from .mir import IRError, SecurityLabel, parse_function, serialize_function
-from .secanalysis import analyze, emit_analysis
-from .solver import SolveStatus
+from .secanalysis import Mode, analyze, emit_analysis
+from .solver import SolveResult, SolveStatus
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,17 +60,22 @@ def _run_dir(out: Path, name: str, mode: str, gap_percent: int) -> Path:
 
 
 def _compile(func, profile, mode: Mode, seed: int, budget: float, balance: str):
-    analyzed = analyze(
-        func,
-        profile,
-        balance=balance if mode is Mode.TSC else None,
-        fix_mask_order=mode is Mode.PSC,
-    )
+    analyzed = analyze(func, profile, mode=mode, balance=balance)
     prob = build_problem(
         analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode
     )
     result = solver.solve_optimal(prob, time_budget=budget, seed=seed)
     return analyzed, prob, result
+
+
+def _no_solution(result: SolveResult) -> int:
+    """Report a solve that ended without a solution: unsat, or a timeout
+    before any incumbent."""
+    if result.status is SolveStatus.UNSAT:
+        print(f"unsat: {result.failing_family}", file=sys.stderr)
+        return EXIT_UNSAT
+    print("timeout without incumbent", file=sys.stderr)
+    return EXIT_TIMEOUT
 
 
 def cmd_compile(args) -> int:
@@ -84,11 +90,7 @@ def cmd_compile(args) -> int:
     )
     elapsed = time.monotonic() - started
     if result.solution is None:
-        if result.status is SolveStatus.UNSAT:
-            print(f"unsat: {result.failing_family}", file=sys.stderr)
-            return EXIT_UNSAT
-        print("timeout without incumbent", file=sys.stderr)
-        return EXIT_TIMEOUT
+        return _no_solution(result)
 
     program = encode(analyzed.function, to_schedule(prob, result.solution), profile)
     (out / "base.bin").write_bytes(program.to_bytes())
@@ -144,19 +146,12 @@ def cmd_diversify(args) -> int:
     started = time.monotonic()
     if args.mode == "naive":
         pool = solver.naive_diversify(func, profile, args.variants, seed=args.seed)
-        analyzed = analyze(func, profile)
-        prob = pool.problem
     else:
-        mode = Mode(args.mode)
-        analyzed, prob, result = _compile(
-            func, profile, mode, args.seed, args.budget_secs, args.balance
+        _, prob, result = _compile(
+            func, profile, Mode(args.mode), args.seed, args.budget_secs, args.balance
         )
         if result.solution is None:
-            if result.status is SolveStatus.UNSAT:
-                print(f"unsat: {result.failing_family}", file=sys.stderr)
-                return EXIT_UNSAT
-            print("timeout without incumbent", file=sys.stderr)
-            return EXIT_TIMEOUT
+            return _no_solution(result)
         pool = solver.diversify(
             prob,
             result.solution,
@@ -166,7 +161,7 @@ def cmd_diversify(args) -> int:
             time_budget=args.budget_secs,
             seed=args.seed,
         )
-        prob = pool.problem
+    prob = pool.problem
     elapsed = time.monotonic() - started
 
     func_out = prob.function
@@ -192,7 +187,9 @@ def cmd_diversify(args) -> int:
         "requested": args.variants,
         "produced": len(pool.solutions),
         "reason": pool.reason.value,
-        "objective_bound": prob.opt_bound,
+        # an int: with integer block weights, as in the corpus, every
+        # objective is an int and the floor bounds it as the exact bound does
+        "objective_bound": None if prob.opt_bound is None else math.floor(prob.opt_bound),
         "variants": variants,
     }
     _write_json(out / "manifest.json", manifest)

@@ -19,30 +19,18 @@ final word on feasibility.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .machine import MachineProfile, Opcode, Schedule
 from .mir import FunctionIR, Operation, paths
-from .secanalysis import LeakPairSets, SecretPathSet, memory_conflicts
+from .secanalysis import LeakPairSets, Mode, SecretPathSet, memory_conflicts
 
 VarKey = tuple[str, object]
 
 
-class Mode(Enum):
-    NONE = "none"
-    TSC = "tsc"
-    PSC = "psc"
-
-
-class ModelError(Exception):
-    pass
-
-
-class ModelInfeasibleError(ModelError):
+class ModelInfeasibleError(Exception):
     """Raised when the problem is infeasible by construction."""
 
 
@@ -61,17 +49,16 @@ class Solution:
 
     assignment: tuple[tuple[VarKey, object], ...]
     objective: Fraction
-    seed: int = 0
 
     def as_dict(self) -> dict[VarKey, object]:
         return dict(self.assignment)
 
 
-def make_solution(prob: "CopProblem", values: Mapping[VarKey, object], seed: int = 0) -> Solution:
+def make_solution(prob: "CopProblem", values: Mapping[VarKey, object]) -> Solution:
     canon = canonicalize(prob, dict(values))
     assignment = tuple((k, canon[k]) for k in prob.var_order)
     objective = objective_value_from(prob, canon)
-    return Solution(assignment=assignment, objective=objective, seed=seed)
+    return Solution(assignment=assignment, objective=objective)
 
 
 @dataclass
@@ -81,8 +68,8 @@ class CopProblem:
     mode: Mode
     pairs: LeakPairSets
     psets: list[SecretPathSet]
-    gap: Fraction = Fraction(0)
-    opt_bound: Optional[int] = None
+    # (1 + gap) times the optimum, exact, when the problem bounds the gap
+    opt_bound: Optional[Fraction] = None
     nop_budget: int = 3
 
     # derived structure (filled by build_problem)
@@ -92,7 +79,6 @@ class CopProblem:
     # temp-name operands of each op, and the op defining each non-input temp
     op_uses: dict[int, tuple[str, ...]] = field(default_factory=dict)
     def_site: dict[str, int] = field(default_factory=dict)
-    optional_ops: tuple[int, ...] = ()
     copy_ops: dict[int, tuple[str, str]] = field(default_factory=dict)
     alternatives: dict[int, tuple[Opcode, ...]] = field(default_factory=dict)
     swap_ops: tuple[int, ...] = ()
@@ -126,8 +112,6 @@ def build_problem(
     psets: Sequence[SecretPathSet],
     profile: MachineProfile,
     mode: Mode = Mode.NONE,
-    gap: Fraction = Fraction(0),
-    best_cost: Optional[Fraction] = None,
     nop_budget: int = 3,
 ) -> CopProblem:
     """Assemble the constraint problem for one function."""
@@ -144,13 +128,10 @@ def build_problem(
         function=func,
         profile=profile,
         mode=mode,
-        pairs=pairs,
+        pairs=pairs if mode is Mode.PSC else LeakPairSets(frozenset(), frozenset()),
         psets=list(psets) if mode is Mode.TSC else [],
-        gap=gap,
         nop_budget=nop_budget,
     )
-    if mode is not Mode.PSC:
-        prob = replace(prob, pairs=LeakPairSets(frozenset(), frozenset()))
 
     prob.ops = sorted(func.all_ops(), key=lambda o: o.index)
     for block in func.blocks:
@@ -160,7 +141,6 @@ def build_problem(
             prob.op_uses[op.index] = op.temp_uses()
             for name in op.defs:
                 prob.def_site.setdefault(name, op.index)
-    prob.optional_ops = tuple(op.index for op in prob.ops if op.optional)
     prob.copy_ops = {
         op.index: (op.uses[0], op.defs[0]) for op in prob.ops if op.opcode is Opcode.COPY
     }
@@ -244,9 +224,6 @@ def build_problem(
     prob.mem_deps = tuple(mem_deps)
 
     _detect_obvious_infeasibility(prob)
-
-    if best_cost is not None:
-        prob.opt_bound = math.floor((1 + gap) * best_cost)
     return prob
 
 
@@ -306,8 +283,6 @@ class ValueModel:
     values: list[str]
     def_point: dict[str, tuple[int, int]]  # value -> (block, ready time)
     uses: dict[str, list[tuple[int, int, int]]]  # value -> [(block, cycle, op)]
-    live_in: dict[int, set[str]]
-    live_out: dict[int, set[str]]
     # value -> [(block, start, end)] closed intervals; end may be INF
     intervals: dict[str, list[tuple[int, int, int]]]
 
@@ -389,14 +364,7 @@ def build_value_model(
                 continue
             if end >= starts:
                 intervals[v].append((b, starts, end))
-    return ValueModel(
-        values=values,
-        def_point=def_point,
-        uses=uses,
-        live_in=live_in,
-        live_out=live_out,
-        intervals=intervals,
-    )
+    return ValueModel(values=values, def_point=def_point, uses=uses, intervals=intervals)
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,6 @@ class MachineProfile:
     num_registers: int
     latency: dict[Opcode, int]
     taken_branch_overhead: int = 2
-    not_taken_cost: int = 1
     mem_slots: int = 8
 
     def lat(self, opcode: Opcode) -> int:
@@ -297,7 +296,6 @@ class BatchResult:
 def run_batch(
     program: MachineProgram,
     inputs: np.ndarray,
-    profile: Optional[MachineProfile] = None,
     collect_transitions: bool = True,
     groups: int = 1,
 ) -> BatchResult:
@@ -315,8 +313,7 @@ def run_batch(
     every lane sees the same transition value gets its histogram without
     a bincount.
     """
-    if profile is None:
-        profile = PROFILES[program.profile_name]
+    profile = PROFILES[program.profile_name]
     if inputs.shape[0] != program.num_inputs:
         raise MachineError(f"expected {program.num_inputs} input rows")
     n = inputs.shape[1]

@@ -54,7 +54,6 @@ class Opcode(Enum):
     COPY = "copy"
 
 
-ALU_OPCODES = frozenset({Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR})
 TERMINATORS = frozenset({Opcode.BEQ, Opcode.BNE, Opcode.B, Opcode.RET})
 COMMUTATIVE = frozenset({Opcode.ADD, Opcode.XOR, Opcode.AND, Opcode.OR, Opcode.BEQ, Opcode.BNE})
 # Operations that may be inactive in a solution: copies (and spill
@@ -99,9 +98,7 @@ class Operation:
     @property
     def slot(self) -> Optional[str]:
         """Named memory slot for LD/ST, else None."""
-        if self.opcode is Opcode.LD:
-            return self.uses[0]  # type: ignore[return-value]
-        if self.opcode is Opcode.ST:
+        if self.opcode in (Opcode.LD, Opcode.ST):
             return self.uses[0]  # type: ignore[return-value]
         return None
 
@@ -314,25 +311,16 @@ def _parse_operand(tok: str, lineno: int) -> Operand:
 
 
 def _parse_op(line: str, lineno: int, index: int) -> Operation:
-    optional = False
-    if line.startswith("opt "):
-        optional = True
+    optional = line.startswith("opt ")
+    if optional:
         line = line[4:].strip()
 
+    defs: tuple[str, ...] = ()
     if "=" in line:
-        dest, rhs = (s.strip() for s in line.split("=", 1))
+        dest, line = (s.strip() for s in line.split("=", 1))
         if not dest.isidentifier():
             raise IRSyntaxError(f"bad def {dest!r}", lineno)
-        parts = rhs.split(None, 1)
-        opname = parts[0]
-        if opname not in _OPCODES:
-            raise IRSyntaxError(f"unknown opcode {opname!r}", lineno)
-        opcode = _OPCODES[opname]
-        raw_uses = parts[1] if len(parts) > 1 else ""
-        uses = tuple(_parse_operand(t, lineno) for t in raw_uses.split(",")) if raw_uses else ()
-        op = Operation(index=index, opcode=opcode, defs=(dest,), uses=uses, optional=optional)
-        _check_shape(op, lineno)
-        return op
+        defs = (dest,)
 
     parts = line.split(None, 1)
     opname = parts[0]
@@ -341,7 +329,7 @@ def _parse_op(line: str, lineno: int, index: int) -> Operation:
     opcode = _OPCODES[opname]
     raw_uses = parts[1] if len(parts) > 1 else ""
     uses = tuple(_parse_operand(t, lineno) for t in raw_uses.split(",")) if raw_uses else ()
-    op = Operation(index=index, opcode=opcode, defs=(), uses=uses, optional=optional)
+    op = Operation(index=index, opcode=opcode, defs=defs, uses=uses, optional=optional)
     _check_shape(op, lineno)
     return op
 

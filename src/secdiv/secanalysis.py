@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
@@ -33,6 +34,14 @@ from .mir import (
 )
 
 
+class Mode(Enum):
+    """The side channel a compilation defends against."""
+
+    NONE = "none"
+    TSC = "tsc"
+    PSC = "psc"
+
+
 @dataclass(frozen=True)
 class InferredType:
     label: SecurityLabel
@@ -48,10 +57,15 @@ def _labels_of(func: FunctionIR) -> dict[str, SecurityLabel]:
     return {name: label for name, label in func.inputs}
 
 
-def _from_parity(parity: frozenset[str], labels: dict[str, SecurityLabel]) -> InferredType:
-    secrets = frozenset(n for n in parity if labels.get(n) is SecurityLabel.SECRET)
-    randoms = frozenset(n for n in parity if labels.get(n) is SecurityLabel.RANDOM)
-    if randoms:
+def _labeled(
+    dominant: frozenset[str],
+    secrets: frozenset[str],
+    randoms: frozenset[str],
+    parity: Optional[frozenset[str]] = None,
+) -> InferredType:
+    """The label rule: random when some random dominates the value, else
+    secret when it may depend on a secret, else public."""
+    if dominant:
         label = SecurityLabel.RANDOM
     elif secrets:
         label = SecurityLabel.SECRET
@@ -59,11 +73,17 @@ def _from_parity(parity: frozenset[str], labels: dict[str, SecurityLabel]) -> In
         label = SecurityLabel.PUBLIC
     return InferredType(
         label=label,
-        dominant_randoms=randoms,
+        dominant_randoms=dominant,
         secret_support=secrets,
         random_support=randoms,
         parity=parity,
     )
+
+
+def _from_parity(parity: frozenset[str], labels: dict[str, SecurityLabel]) -> InferredType:
+    secrets = frozenset(n for n in parity if labels.get(n) is SecurityLabel.SECRET)
+    randoms = frozenset(n for n in parity if labels.get(n) is SecurityLabel.RANDOM)
+    return _labeled(randoms, secrets, randoms, parity)
 
 
 CONST_TYPE = InferredType(label=SecurityLabel.PUBLIC, parity=frozenset())
@@ -90,32 +110,15 @@ def xor_type(a: InferredType, b: InferredType, labels: dict[str, SecurityLabel])
         {r for r in a.dominant_randoms if r not in b.random_support}
         | {r for r in b.dominant_randoms if r not in a.random_support}
     )
-    secrets = a.secret_support | b.secret_support
-    randoms = a.random_support | b.random_support
-    if dominant:
-        label = SecurityLabel.RANDOM
-    elif secrets:
-        label = SecurityLabel.SECRET
-    else:
-        label = SecurityLabel.PUBLIC
-    return InferredType(
-        label=label,
-        dominant_randoms=dominant,
-        secret_support=secrets,
-        random_support=randoms,
-        parity=None,
+    return _labeled(
+        dominant, a.secret_support | b.secret_support, a.random_support | b.random_support
     )
 
 
 def _nonlinear_type(a: InferredType, b: InferredType) -> InferredType:
-    secrets = a.secret_support | b.secret_support
-    randoms = a.random_support | b.random_support
-    label = SecurityLabel.SECRET if secrets else SecurityLabel.PUBLIC
-    return InferredType(
-        label=label,
-        secret_support=secrets,
-        random_support=randoms,
-        parity=None,
+    # no random dominates a value that passed through a non-linear op
+    return _labeled(
+        frozenset(), a.secret_support | b.secret_support, a.random_support | b.random_support
     )
 
 
@@ -126,21 +129,10 @@ def _join(types: list[InferredType], labels: dict[str, SecurityLabel]) -> Inferr
     parities = {t.parity for t in types}
     if len(parities) == 1 and None not in parities:
         return _from_parity(next(iter(parities)), labels)
-    dominant = frozenset.intersection(*(t.dominant_randoms for t in types))
-    secrets = frozenset().union(*(t.secret_support for t in types))
-    randoms = frozenset().union(*(t.random_support for t in types))
-    if dominant:
-        label = SecurityLabel.RANDOM
-    elif secrets:
-        label = SecurityLabel.SECRET
-    else:
-        label = SecurityLabel.PUBLIC
-    return InferredType(
-        label=label,
-        dominant_randoms=dominant,
-        secret_support=secrets,
-        random_support=randoms,
-        parity=None,
+    return _labeled(
+        frozenset.intersection(*(t.dominant_randoms for t in types)),
+        frozenset().union(*(t.secret_support for t in types)),
+        frozenset().union(*(t.random_support for t in types)),
     )
 
 
@@ -736,19 +728,21 @@ class AnalyzedFunction:
 def analyze(
     func: FunctionIR,
     profile: MachineProfile = TIGHT8,
-    balance: Optional[str] = None,
-    fix_mask_order: bool = False,
+    mode: Mode = Mode.NONE,
+    balance: str = "ebb",
 ) -> AnalyzedFunction:
-    """Run the full analysis stage, optionally applying transformations."""
+    """Run the full analysis stage with the transformation `mode` needs:
+    TSC balances secret branches (by `balance`, ebb or cbb), PSC repairs
+    the masking order of XOR chains, NONE transforms nothing."""
     notes: list[str] = []
-    if fix_mask_order:
+    if mode is Mode.PSC:
         result = restore_mask_order(func, infer_types(func))
         func = result.function
         if result.changed:
             notes.append("reassociated xor chains to restore masking order")
         if result.residual:
             notes.append("residual secret intermediates: " + ", ".join(result.residual))
-    if balance:
+    if mode is Mode.TSC:
         func, balance_notes = apply_balancing(func, profile, method=balance)
         notes.extend(balance_notes)
     types = infer_types(func)

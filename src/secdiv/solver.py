@@ -34,7 +34,6 @@ from typing import Iterator, Optional
 
 from .copmodel import (
     CopProblem,
-    Mode,
     Solution,
     VarKey,
     build_problem,
@@ -46,9 +45,8 @@ from .copmodel import (
     worst_edge_overhead,
 )
 from .machine import MachineProfile, Opcode
-from .mir import FunctionIR
-from .secanalysis import analyze, extract_secret_path_sets, infer_types
-from .mir import SecurityLabel
+from .mir import FunctionIR, SecurityLabel
+from .secanalysis import Mode, analyze, extract_secret_path_sets, infer_types
 
 
 class SolveStatus(Enum):
@@ -75,8 +73,6 @@ class SolveResult:
 @dataclass
 class VariantPool:
     solutions: list[Solution]
-    gap: Optional[Fraction]
-    distance_threshold: int
     reason: PoolReason
     problem: CopProblem
 
@@ -98,7 +94,6 @@ class _Search:
         incumbent: Optional[Solution] = None,
     ):
         self.prob = prob
-        self.seed = seed
         self.shuffle = shuffle
         self.compact = compact
         self.blocking = blocking or []
@@ -110,10 +105,11 @@ class _Search:
 
         func = prob.function
         # the objective in integers: block weights scaled by the LCM of
-        # their denominators, and the bound and incumbent scaled alike
+        # their denominators, and the bound and incumbent scaled alike; the
+        # scaled objective is an int, so flooring the scaled bound is exact
         self.scale = math.lcm(*(b.weight.denominator for b in func.blocks))
         self.weight = [int(b.weight * self.scale) for b in func.blocks]
-        self.bound = None if prob.opt_bound is None else prob.opt_bound * self.scale
+        self.bound = None if prob.opt_bound is None else math.floor(prob.opt_bound * self.scale)
         self.best = incumbent
         self.best_objective = None if incumbent is None else self._scaled(incumbent)
         self.inputs = func.input_names()
@@ -121,6 +117,10 @@ class _Search:
         self.lat = {op.index: prob.op_lat(op) for op in prob.ops}
         self.mandatory = {op.index for op in prob.ops if not op.optional}
         self.terminators = {op.index for op in prob.ops if op.is_terminator}
+        # only activations are searched: instruction alternatives and
+        # operand swaps touch no constraint and no cost, so the leaf picks
+        # their values (enumerating combinations only when blocking
+        # requires it)
         self.active_vars = [op.index for op in prob.ops if op.optional]
         self.instr_vars = [
             op.index for op in prob.ops if len(prob.alternatives[op.index]) > 1
@@ -142,19 +142,13 @@ class _Search:
         for idx in self.swap_vars:
             self.value_order[("swap", idx)] = self._ordered([False, True])
         for idx in self.cycle_order:
-            dom = list(prob.cycle_domain[idx])
-            self.value_order[("cycle", idx)] = self._shuffled(dom) if shuffle else dom
+            self.value_order[("cycle", idx)] = self._ordered(list(prob.cycle_domain[idx]))
         for name in func.temps:
-            dom = list(prob.reg_domain[name])
-            self.value_order[("reg", name)] = self._shuffled(dom) if shuffle else dom
+            self.value_order[("reg", name)] = self._ordered(list(prob.reg_domain[name]))
 
         self.edge_const = {
             b.index: worst_edge_overhead(prob, b.index) for b in func.blocks
         }
-        # instruction alternatives and operand swaps touch no constraint
-        # and no cost, so they are not searched: the leaf picks values
-        # (enumerating combinations only when blocking requires it)
-        self.structural_vars: list[VarKey] = [("active", i) for i in self.active_vars]
 
         # balance equalities in difference form: shared blocks cancel, so
         # the check fires as soon as the differing blocks are scheduled
@@ -221,18 +215,21 @@ class _Search:
 
     def _assign_structural(self, k: int, chosen: dict[VarKey, object]) -> Iterator[Solution]:
         self._tick()
-        if k == len(self.structural_vars):
+        if k == len(self.active_vars):
             yield from self._enter_schedule(chosen)
             return
-        key = self.structural_vars[k]
+        idx = self.active_vars[k]
+        key = ("active", idx)
         for value in self.value_order[key]:
-            if key[0] == "active" and value and not self._nop_prefix_ok(key[1], chosen):
+            if value and not self._nop_prefix_ok(idx, chosen):
                 continue
             chosen[key] = value
             yield from self._assign_structural(k + 1, chosen)
             del chosen[key]
 
     def _nop_prefix_ok(self, idx: int, chosen: dict[VarKey, object]) -> bool:
+        """A balancing NOP may be active only after the one before it, so
+        the active NOPs of a block always form a prefix."""
         block = self.prob.op_block[idx]
         nops = self.prob.nop_blocks.get(block)
         if not nops or idx not in nops:
@@ -248,12 +245,6 @@ class _Search:
         for idx in self.active_vars:
             if structural.get(("active", idx)):
                 active.add(idx)
-        # NOP prefix canonical form
-        for nops in prob.nop_blocks.values():
-            actives = [i for i in nops if i in active]
-            if actives != list(nops[: len(actives)]):
-                self._fail("symmetry")
-                return
         roots = resolve_roots(prob, active)
 
         deps: dict[int, list[tuple[int, int]]] = {}
@@ -451,11 +442,10 @@ class _Search:
             copy_src_mem = loc[state.roots[src]] >= nregs
 
         for r in self.value_order[("reg", value)]:
-            if r >= nregs:
-                if not mem_ok[value] or copy_src_mem:
-                    continue
-            elif copy_src_mem:
-                pass  # reload into a register is fine
+            # a memory slot takes neither a value with a non-copy use nor
+            # a reload (a copy whose source is in memory)
+            if r >= nregs and (not mem_ok[value] or copy_src_mem):
+                continue
             if any(loc.get(other) == r for other in overlap[value]):
                 continue
             if not self._psc_candidate_ok(value, r, loc, model):
@@ -518,7 +508,7 @@ class _Search:
         checked = False
         for combo in self._leaf_combos():
             values.update(combo)
-            sol = make_solution(prob, values, seed=self.seed)
+            sol = make_solution(prob, values)
             if not checked:
                 # feasibility is independent of instr/swap choices: the
                 # checker verdict of the first combination binds them all
@@ -637,8 +627,7 @@ def diversify(
 ) -> VariantPool:
     """Grow a pool of solutions within the optimality gap, each at least
     `dthresh` away from every other; the best solution is variant 0."""
-    bound = math.floor((1 + gap) * best.objective)
-    bounded = replace(prob, opt_bound=bound, gap=gap)
+    bounded = replace(prob, opt_bound=(1 + gap) * best.objective)
     pool = [best]
     deadline = time.monotonic() + time_budget
     reason = PoolReason.COMPLETE
@@ -664,13 +653,7 @@ def diversify(
         else:
             reason = PoolReason.TIMEOUT
             break
-    return VariantPool(
-        solutions=pool,
-        gap=gap,
-        distance_threshold=dthresh,
-        reason=reason,
-        problem=bounded,
-    )
+    return VariantPool(solutions=pool, reason=reason, problem=bounded)
 
 
 # ----------------------------------------------------------------------
@@ -692,7 +675,6 @@ def naive_diversify(
     profile: MachineProfile,
     n: int,
     seed: int = 0,
-    base_mode: Optional[Mode] = None,
 ) -> VariantPool:
     """Random register renaming plus random NOP insertion on top of a
     secure base solution, with no knowledge of balancing or leak pairs.
@@ -702,13 +684,8 @@ def naive_diversify(
     allocator does, but it ignores transition hazards; NOP insertion
     ignores path balance.
     """
-    mode = base_mode if base_mode is not None else pick_base_mode(func)
-    analyzed = analyze(
-        func,
-        profile,
-        balance="ebb" if mode is Mode.TSC else None,
-        fix_mask_order=mode is Mode.PSC,
-    )
+    mode = pick_base_mode(func)
+    analyzed = analyze(func, profile, mode=mode)
     prob = build_problem(
         analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode
     )
@@ -742,15 +719,13 @@ def naive_diversify(
         if not _naive_rename(prob, model, order, inputs, roots, values, rng):
             continue
         _naive_insert_nops(prob, active, values, rng)
-        sol = make_solution(prob, values, seed=seed)
+        sol = make_solution(prob, values)
         if sol.assignment in seen:
             continue
         seen.add(sol.assignment)
         pool.append(sol)
     return VariantPool(
         solutions=pool,
-        gap=None,
-        distance_threshold=1,
         reason=PoolReason.COMPLETE if len(pool) == n else PoolReason.EXHAUSTED,
         problem=prob,
     )

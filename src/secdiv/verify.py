@@ -162,7 +162,6 @@ def check_cr(
     program: MachineProgram,
     policy: Policy,
     psets: Iterable = (),
-    public_inputs: Optional[Sequence[Sequence[int]]] = None,
 ) -> CrReport:
     """Exhaustive best-/worst-case execution time comparison.
 
@@ -174,11 +173,9 @@ def check_cr(
     names = [n for n, _ in policy]
     public_idx = [i for i, (_, lab) in enumerate(policy) if lab is SecurityLabel.PUBLIC]
     hidden_idx = [i for i in range(len(names)) if i not in public_idx]
-    if public_inputs is None:
-        public_inputs = list(itertools.product(PUBLIC_PROBES, repeat=len(public_idx)))
 
     per_public: list[tuple[tuple[int, ...], int, int]] = []
-    for assignment in public_inputs:
+    for assignment in itertools.product(PUBLIC_PROBES, repeat=len(public_idx)):
         bcet, wcet = None, None
         for chunk in _hidden_chunks(len(hidden_idx)):
             lanes = chunk.shape[1]

@@ -55,7 +55,7 @@ def brute_optimal(prob: CopProblem) -> Optional[Fraction]:
 def _active_configs(prob: CopProblem):
     """All activation choices; NOP-block activations only as prefixes."""
     nop_ops = {idx for nops in prob.nop_blocks.values() for idx in nops}
-    free = [idx for idx in prob.optional_ops if idx not in nop_ops]
+    free = [op.index for op in prob.ops if op.optional and op.index not in nop_ops]
     mandatory = {op.index for op in prob.ops if not op.optional}
     prefix_choices = []
     for nops in sorted(prob.nop_blocks.values()):

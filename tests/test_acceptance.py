@@ -49,12 +49,7 @@ def compiled(name: str, mode: Mode, profile_name: str = "tight8"):
     if key not in _cache:
         profile = PROFILES[profile_name]
         func = load(name)
-        analyzed = analyze(
-            func,
-            profile,
-            balance="ebb" if mode is Mode.TSC else None,
-            fix_mask_order=mode is Mode.PSC,
-        )
+        analyzed = analyze(func, profile, mode=mode)
         prob = build_problem(
             analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode
         )
@@ -121,12 +116,7 @@ def test_criterion_1_solver_optimality_oracle():
         for mode in (Mode.NONE, Mode.TSC, Mode.PSC):
             profile = TIGHT8
             func = load(name)
-            analyzed = analyze(
-                func,
-                profile,
-                balance="ebb" if mode is Mode.TSC else None,
-                fix_mask_order=mode is Mode.PSC,
-            )
+            analyzed = analyze(func, profile, mode=mode)
             prob = build_problem(
                 analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode
             )

@@ -24,12 +24,7 @@ from secdiv import solver
 
 def _problem(name: str, mode: Mode, profile=TIGHT8):
     func = load(name)
-    analyzed = analyze(
-        func,
-        profile,
-        balance="ebb" if mode is Mode.TSC else None,
-        fix_mask_order=mode is Mode.PSC,
-    )
+    analyzed = analyze(func, profile, mode=mode)
     return build_problem(analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode)
 
 

@@ -31,7 +31,7 @@ def test_profiles_shipped():
     assert TIGHT8.latency[Opcode.B] == 3
     assert TIGHT8.latency[Opcode.MOV] == 1
     assert TIGHT8.taken_branch_overhead == 2
-    assert TIGHT8.not_taken_cost == 1
+    assert TIGHT8.lat(Opcode.BEQ) == 1
 
 
 def test_word_encoding_bijective():

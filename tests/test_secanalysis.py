@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import all_corpus_names, load
 from ir_eval import eval_ir, input_grid
-from secdiv.copmodel import Mode, build_problem
+from secdiv.copmodel import build_problem, emit_model
 from secdiv.machine import TIGHT8
 from secdiv.mir import (
     FunctionIR,
@@ -19,10 +21,12 @@ from secdiv.mir import (
 )
 from secdiv.secanalysis import (
     BalanceError,
+    Mode,
     analyze,
     apply_balancing,
     balance_cbb,
     balance_ebb,
+    emit_analysis,
     extract_secret_path_sets,
     gen_leak_pairs,
     get_paths,
@@ -230,24 +234,98 @@ def test_get_paths_matches_dfs_oracle(func):
 
 
 _CONFIGS = {
-    # the analysis each CLI mode runs: (mode, balance, fix_mask_order)
-    "none": (Mode.NONE, None, False),
-    "tsc-ebb": (Mode.TSC, "ebb", False),
-    "tsc-cbb": (Mode.TSC, "cbb", False),
-    "psc": (Mode.PSC, None, True),
+    # the analysis each CLI mode runs: (mode, balance)
+    "none": (Mode.NONE, "ebb"),
+    "tsc-ebb": (Mode.TSC, "ebb"),
+    "tsc-cbb": (Mode.TSC, "cbb"),
+    "psc": (Mode.PSC, "ebb"),
 }
 
 
 @pytest.mark.parametrize("config", sorted(_CONFIGS))
 @pytest.mark.parametrize("name", all_corpus_names())
 def test_corpus_paths_match_oracle(name, config):
-    mode, balance, fix_mask_order = _CONFIGS[config]
-    analyzed = analyze(load(name), TIGHT8, balance=balance, fix_mask_order=fix_mask_order)
+    mode, balance = _CONFIGS[config]
+    analyzed = analyze(load(name), TIGHT8, mode=mode, balance=balance)
     func = analyzed.function
     prob = build_problem(func, analyzed.pairs, analyzed.psets, TIGHT8, mode=mode)
     assert prob.entry_paths == _all_paths_oracle(func, 0)
     for pset in analyzed.psets:
         assert pset.paths == _dfs_paths_oracle(func, pset.branch_block)
+
+
+# sha256 of emit_analysis + emit_model per (config, corpus function), pinned
+# from the analysis that took a balance method and a mask-order flag
+# instead of a mode
+_DUMP_SHA256 = {
+    ("none", "check_bit"): "d97621a994682a2185b48f37c400a2c8d4839206948c0ef4c7c01a48e4ab5dc6",
+    ("none", "long_arm"): "3e02cb2e459a5498066458f76a11707c63eecf3c440aba9d7e75618a45aef5d5",
+    ("none", "masked_chain"): "ea9d7dd9d3c2cf7a53f395233646e1e524c6b5f762ce859bffd733ab77955ea4",
+    ("none", "masked_xor"): "83c38c818fe94d793925be4e3cf04a001b783d77b542a4bec22efbc2b4504fb6",
+    ("none", "masked_xor_broken"): "61e543cfb99b93f03e1b91d914e85687281f77f4ee4a305ad60ecd0c83812b3f",
+    ("none", "minimal"): "908b5fbe44cc0989fc53b86db2c10fd594a0e651523ebde2b4c132a5add66615",
+    ("none", "modexp_step"): "b8d01d28d1176a3abc6c59fa054dec66f25c7ceb783d43dfef35374f5f761edc",
+    ("none", "share_compare"): "8c8ff5d208485fcc0b27668096a7879ecc18cecaa06ae9ba3ab24a680c74793c",
+    ("none", "spill_pair"): "51d57f5cb6fe0a8ebe5b0afe2a6258db7f9c3a0664dd709eb13d5ba5c2405877",
+    ("none", "straightline"): "117112ab326402460323b40e5cfe6cfe679ea929414f32defff4716d03b28050",
+    ("none", "two_branches"): "e1069e3eac77f9d20a0f096b52bf5660d52dfa49de3e3d94d8c4da20b9e2f5e1",
+    ("none", "two_exits"): "2b8ab6f21e935a5ab07df2d73407ac30bafdde3ef43927e0154d70d6e07aea4c",
+    ("psc", "check_bit"): "48da304825f12c9779431db1c4639f9824dbe43943bcb64b5508a0413e84cd3c",
+    ("psc", "long_arm"): "bb4fca10b183e51cac962e6404b4bc3ea7d5c8b5d062bb9e371a525551669f8a",
+    ("psc", "masked_chain"): "91412f1796e72b7c006a97d2d332af5a1f7984eb60576cbf5a2b95168310d9eb",
+    ("psc", "masked_xor"): "3e0a690ac6b7440a540b78cc52879c779911dbbcb58f51ba1c4093da0f03d6b7",
+    ("psc", "masked_xor_broken"): "f18f13686ae0cb1172f1b44e22af45364e9f68a2e2544f91408b83a9b4230146",
+    ("psc", "minimal"): "3524b433aab1eed1901056203ff63be91d17b8f8f6a966e79a44f9b03e3a25e3",
+    ("psc", "modexp_step"): "24d5658e54de5bd02546ed0f337fc3220ac70dbfd7dffa3e6a951f8829745cb8",
+    ("psc", "share_compare"): "7314641a97fa4517192286669591fb294c0e8ecc9930366a9b68c8e1b09a743c",
+    ("psc", "spill_pair"): "0b4a1f9282f60cb65d7f9ef7517a0e0d997525753e014358583feb47a7eb7486",
+    ("psc", "straightline"): "68a392c4c7bb29d9eb5609f5c0cefc5f08d59945ae90a18e7792644e16aae1d5",
+    ("psc", "two_branches"): "5e641fc94af372e9a84d7735929b40a45a46ee89cecaf50dd6bc68326ea994ad",
+    ("psc", "two_exits"): "ce6bc751f527da3074afc1d7818e0ebb04b771f17417dfd8c8c7591ab834e14c",
+    ("tsc-cbb", "check_bit"): "2554e52923faa2d88afdcffe2ee46c0f1de5dc536ee05309dd27870d4d7c1135",
+    ("tsc-cbb", "long_arm"): "ba4d9e530f6e2403c70f1d6d445046c19483399c48d8f65c7622db3212197f89",
+    ("tsc-cbb", "masked_chain"): "75ab76679454df953418d5baadbf1b0dbf7323e508279d0bfa6fa1d483c097e9",
+    ("tsc-cbb", "masked_xor"): "b9c38ce971707698e25b8a9aef93c157fae5bd78c018d9c8e7c7d38280086407",
+    ("tsc-cbb", "masked_xor_broken"): "f25105971a1c0636eece91adc53f87dda631c12019e20600079a79fe7d5baad1",
+    ("tsc-cbb", "minimal"): "6a39785c96da31c3ab87700f32489218c23145adfba6220c1647d0e0658a71cc",
+    ("tsc-cbb", "modexp_step"): "3665e465d3cd400a5a69fa500cb342b45d4822aee89cd25b92e66320317385a2",
+    ("tsc-cbb", "share_compare"): "a2c7462508f6640f3fa45ab3ae0f3bbc8443d39d315e567baea0d2306a1b8aa4",
+    ("tsc-cbb", "spill_pair"): "0685d212355dfff072a1f6b1a6ef562455cb60bd6e333e8645be95b61d0dd03e",
+    ("tsc-cbb", "straightline"): "8753cbb2a3abed96a6423822d27bae5c340dd51e43cbb0880de2bc07546d95d6",
+    ("tsc-cbb", "two_branches"): "e3238b835cf2f3d93af0e4cd28c916993a768c3e2052c840225ab65cc132951c",
+    ("tsc-cbb", "two_exits"): "f80d969bfa918c5d6aff60ea759c13408a339b1ac7f95b4ab07c6c9ca0f4ffa3",
+    ("tsc-ebb", "check_bit"): "233b82f5c32facd1ac2ca79f9151b37242f66636fcedf84a67192e07ca22937e",
+    ("tsc-ebb", "long_arm"): "8b4ec19c3b78456f22b6fdb1ee4d344148e9959fd21bd4b95b1d5af32e62a39b",
+    ("tsc-ebb", "masked_chain"): "75ab76679454df953418d5baadbf1b0dbf7323e508279d0bfa6fa1d483c097e9",
+    ("tsc-ebb", "masked_xor"): "b9c38ce971707698e25b8a9aef93c157fae5bd78c018d9c8e7c7d38280086407",
+    ("tsc-ebb", "masked_xor_broken"): "f25105971a1c0636eece91adc53f87dda631c12019e20600079a79fe7d5baad1",
+    ("tsc-ebb", "minimal"): "6a39785c96da31c3ab87700f32489218c23145adfba6220c1647d0e0658a71cc",
+    ("tsc-ebb", "modexp_step"): "4aa5d5174160de67397dfaa825ab479de7f8b7e9fe1ab084a7d18b2917693621",
+    ("tsc-ebb", "share_compare"): "a2c7462508f6640f3fa45ab3ae0f3bbc8443d39d315e567baea0d2306a1b8aa4",
+    ("tsc-ebb", "spill_pair"): "0685d212355dfff072a1f6b1a6ef562455cb60bd6e333e8645be95b61d0dd03e",
+    ("tsc-ebb", "straightline"): "8753cbb2a3abed96a6423822d27bae5c340dd51e43cbb0880de2bc07546d95d6",
+    ("tsc-ebb", "two_branches"): "ee105affc03bc52e28b4ee805c698f26e1d0c4e6a7a6d6b26493a92778f8a27d",
+    ("tsc-ebb", "two_exits"): "f80d969bfa918c5d6aff60ea759c13408a339b1ac7f95b4ab07c6c9ca0f4ffa3",
+}
+
+
+def _dumps(name: str, mode: Mode, balance: str) -> str:
+    analyzed = analyze(load(name), TIGHT8, mode=mode, balance=balance)
+    func = analyzed.function
+    prob = build_problem(func, analyzed.pairs, analyzed.psets, TIGHT8, mode=mode)
+    return emit_analysis(analyzed) + emit_model(prob)
+
+
+@pytest.mark.parametrize("config, name", sorted(_DUMP_SHA256))
+def test_corpus_dumps_match_pinned_digests(config, name):
+    dump = _dumps(name, *_CONFIGS[config])
+    assert hashlib.sha256(dump.encode()).hexdigest() == _DUMP_SHA256[(config, name)]
+
+
+@pytest.mark.parametrize("mode", [Mode.NONE, Mode.PSC])
+@pytest.mark.parametrize("name", all_corpus_names())
+def test_balance_method_matters_only_in_tsc(name, mode):
+    assert _dumps(name, mode, "cbb") == _dumps(name, mode, "ebb")
 
 
 # ----------------------------------------------------------------------

@@ -27,12 +27,7 @@ from secdiv.solver import (
 
 def _problem(name: str, mode: Mode, profile=TIGHT8, nop_budget: int = 3):
     func = load(name)
-    analyzed = analyze(
-        func,
-        profile,
-        balance="ebb" if mode is Mode.TSC else None,
-        fix_mask_order=mode is Mode.PSC,
-    )
+    analyzed = analyze(func, profile, mode=mode)
     return build_problem(
         analyzed.function,
         analyzed.pairs,
@@ -264,7 +259,7 @@ _WEIGHTS = (Fraction(1, 3), Fraction(5, 2), Fraction(7, 4), Fraction(2, 9))
 
 
 def _fractional_problem(name: str, mode: Mode):
-    analyzed = analyze(load(name), TIGHT8, balance="ebb" if mode is Mode.TSC else None)
+    analyzed = analyze(load(name), TIGHT8, mode=mode)
     for i, block in enumerate(analyzed.function.blocks):
         block.weight = _WEIGHTS[i % len(_WEIGHTS)]
     return build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=mode)
@@ -277,22 +272,25 @@ def _digest(solutions) -> str:
 # solve_optimal (status, nodes, objective, digest), the n=6 pools at gaps
 # 0 and 25% (reason, size, digest), and the nodes of one first-solution
 # search at gap 25% away from the optimum, which count the bound's
-# prunings; pinned from a search that summed the objective in Fractions.
-# At gap 0 the floored bound lies below the fractional optimum, so those
-# pools hold the optimum alone.
+# prunings.  The optimum row was pinned from a search that summed the
+# objective in Fractions.  The pool rows hold the bound exact, at
+# (1 + gap) times the optimum; a search handed that bound as a Fraction
+# gives the same rows.  A bound floored to an int lay below the
+# fractional optimum at gap 0, which left those pools with the optimum
+# alone.
 _FRACTIONAL_GOLDEN = {
     ("two_branches", "tsc"): ("optimal", 1002, "1525/36", "a5f56186fa59cb7f",
-                              ("exhausted", 1, "a5f56186fa59cb7f"), ("complete", 6, "5b7d53b5e485eef0"), 336),
+                              ("complete", 6, "b9d358d83bca3351"), ("complete", 6, "1060605120070306"), 253),
     ("two_branches", "none"): ("optimal", 1, "239/12", "5b7b2b781dd10661",
-                               ("exhausted", 1, "5b7b2b781dd10661"), ("complete", 6, "5ea3e3c4054898bc"), 29),
+                               ("complete", 6, "60e2c80ecda96150"), ("complete", 6, "83636e7e843cee9a"), 27),
     ("long_arm", "tsc"): ("optimal", 3801, "1259/36", "a6d7da27a74f59dd",
-                          ("exhausted", 1, "a6d7da27a74f59dd"), ("complete", 6, "10ce37b3f24b39b3"), 204),
+                          ("complete", 6, "40741a8c4ec89910"), ("complete", 6, "10ce37b3f24b39b3"), 204),
     ("long_arm", "none"): ("optimal", 1, "62/3", "faf28f09fa49a5fb",
-                           ("exhausted", 1, "faf28f09fa49a5fb"), ("complete", 6, "d164bf0c78ae9f60"), 41),
+                           ("complete", 6, "4df6ee96d2f0a0c7"), ("complete", 6, "fd4d353fad99e09c"), 41),
     ("check_bit", "tsc"): ("optimal", 78, "74/3", "afa05da1ac3bcf47",
-                           ("exhausted", 1, "afa05da1ac3bcf47"), ("complete", 6, "9da0b831314c147d"), 67),
+                           ("complete", 6, "d7ee18177bab034f"), ("complete", 6, "9da0b831314c147d"), 73),
     ("check_bit", "none"): ("optimal", 1, "59/4", "601fa9676cb94481",
-                            ("exhausted", 1, "601fa9676cb94481"), ("complete", 6, "f9ac0786a6d31ef0"), 16),
+                            ("complete", 6, "0845628de506999f"), ("complete", 6, "e6e0a50e35f4e6d4"), 18),
 }
 
 
@@ -314,7 +312,9 @@ def test_fractional_weights_search_respects_bound(name):
     best = solve_optimal(prob, time_budget=60).solution
     for gap in (0, 10, 25):
         pool = diversify(prob, best, 6, gap=Fraction(gap, 100), time_budget=60)
-        # variant 0 is the optimum itself; every later one came from the search
+        # variant 0 is the optimum itself, which every bound must admit;
+        # every later one came from the search
+        assert not check_solution(pool.solutions[0], pool.problem)
         for sol in pool.solutions[1:]:
             assert sol.objective <= pool.problem.opt_bound
             assert not check_solution(sol, pool.problem)

@@ -26,12 +26,7 @@ from fractions import Fraction
 
 def _compile(name: str, mode: Mode, profile=TIGHT8):
     func = load(name)
-    analyzed = analyze(
-        func,
-        profile,
-        balance="ebb" if mode is Mode.TSC else None,
-        fix_mask_order=mode is Mode.PSC,
-    )
+    analyzed = analyze(func, profile, mode=mode)
     prob = build_problem(analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode)
     sol = solve_optimal(prob, time_budget=60).solution
     program = encode(analyzed.function, to_schedule(prob, sol), profile)
