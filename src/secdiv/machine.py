@@ -95,13 +95,6 @@ class MachineProgram:
     num_inputs: int
     blocks: list[list[Instr]]
 
-    def block_starts(self) -> list[int]:
-        starts, offset = [], 0
-        for block in self.blocks:
-            starts.append(offset)
-            offset += len(block)
-        return starts
-
     def flat(self) -> list[Instr]:
         return [ins for block in self.blocks for ins in block]
 
@@ -293,6 +286,79 @@ class BatchResult:
     transitions: dict[tuple[int, str, int], np.ndarray]
 
 
+_ALU = {
+    Opcode.ADD: np.add,
+    Opcode.SUB: np.subtract,
+    Opcode.XOR: np.bitwise_xor,
+    Opcode.AND: np.bitwise_and,
+    Opcode.OR: np.bitwise_or,
+}
+
+# What operands a, b and c of each opcode name: "r" a register, "s" a
+# memory slot, "-" an immediate, a block or nothing.
+_ROLES = {
+    **{op: "rrr" for op in _ALU},
+    Opcode.MOV: "rr-",
+    Opcode.LI: "r--",
+    Opcode.LD: "rs-",
+    Opcode.ST: "sr-",
+    Opcode.BEQ: "rr-",
+    Opcode.BNE: "rr-",
+    Opcode.B: "---",
+    Opcode.RET: "r--",
+    Opcode.NOP: "---",
+}
+
+
+def _decode(program: MachineProgram, profile: MachineProfile):
+    """Rename the program's operands to compact state rows.
+
+    Only the registers some instruction names get a row, in index order,
+    then the memory slots some LD/ST names, then the bus as the last row;
+    a location no instruction names is never read or written.  Returns,
+    per block, the instructions as (opcode, latency, a, b, c, ALU ufunc,
+    register site, bus site) with register and slot operands replaced by
+    their rows, the input registers that have a row (their rows come
+    first, in the same order), and the number of rows.
+    """
+    flat = program.flat()
+    roles = [_ROLES.get(ins.opcode, "---") for ins in flat]
+    named: dict[str, set[int]] = {"r": set(), "s": set(), "-": set()}
+    for ins, (ra, rb, rc) in zip(flat, roles):
+        named[ra].add(ins.a)
+        named[rb].add(ins.b)
+        named[rc].add(ins.c)
+    for role, what, limit in (
+        ("r", "register", profile.num_registers),
+        ("s", "memory slot", profile.mem_slots),
+    ):
+        if named[role] and max(named[role]) >= limit:
+            raise MachineError(
+                f"{what} operand {max(named[role])} out of range for profile "
+                f"{profile.name} ({limit} {what}s)"
+            )
+    registers = sorted(named["r"])
+    row = {("r", r): i for i, r in enumerate(registers)}
+    row.update({("s", s): len(row) + i for i, s in enumerate(sorted(named["s"]))})
+    nrows = len(row) + 1
+    row.update({("-", v): v for v in named["-"]})
+
+    code, pos = [], 0
+    for block in program.blocks:
+        decoded = []
+        for ins in block:
+            ra, rb, rc = roles[pos]
+            decoded.append((
+                ins.opcode, profile.latency[ins.opcode],
+                row[ra, ins.a], row[rb, ins.b], row[rc, ins.c], _ALU.get(ins.opcode),
+                (4 * pos, "reg", ins.a), (4 * pos, "bus", 0),
+            ))
+            pos += 1
+        code.append(decoded)
+    inputs = [r for r in registers if r < program.num_inputs]
+    return code, inputs, nrows
+
+
 def run_batch(
     program: MachineProgram,
     inputs: np.ndarray,
@@ -308,6 +374,14 @@ def run_batch(
     histogram has one row per run, so one call can stand for several
     independent experiments.
 
+    The program is decoded once per call (`_decode`): the state holds a
+    row only for each register and memory slot that an instruction
+    names, plus the bus, so a branch split copies no more rows than the
+    program uses; transition sites keep the architectural register
+    index.  A register operand outside the profile's registers, or a
+    slot operand outside its memory slots, raises MachineError before
+    anything runs.
+
     Cycles are summed per work item in a Python int that travels with
     the lanes across branches and is written once at RET.  A site where
     every lane sees the same transition value gets its histogram without
@@ -320,20 +394,20 @@ def run_batch(
     if groups < 1 or n % groups:
         raise MachineError(f"{n} lanes do not split into {groups} equal groups")
     per_group = n // groups
+    code, input_regs, nrows = _decode(program, profile)
+    overhead = profile.taken_branch_overhead
 
-    # machine state, one column per lane: registers, memory slots, the bus
-    nregs = profile.num_registers
-    state0 = np.zeros((nregs + profile.mem_slots + 1, n), dtype=np.uint8)
-    state0[: program.num_inputs] = inputs.astype(np.uint8)
+    # machine state, one column per lane: the rows of _decode
+    state0 = np.zeros((nrows, n), dtype=np.uint8)
+    for row, r in enumerate(input_regs):
+        state0[row] = inputs[r]
+    bus = nrows - 1
 
     returns = np.zeros(n, dtype=np.uint8)
     cycles = np.zeros(n, dtype=np.int64)
     transitions: dict[tuple[int, str, int], np.ndarray] = {}
-    starts = program.block_starts()
 
     def record(site: tuple[int, str, int], values: np.ndarray) -> None:
-        if not collect_transitions:
-            return
         if values.min() == values.max():
             hist = np.zeros((groups, 256), dtype=np.int64)
             hist[:, values[0]] = group_lanes
@@ -346,90 +420,84 @@ def run_batch(
         transitions[site] = hist if acc is None else acc + hist
 
     # worklist of (block, lane indices, state, cycles so far); lane indices
-    # stay sorted, so a work item of n lanes covers every lane
-    work = [(0, np.arange(n), state0, 0)]
+    # stay sorted, and None stands for every lane
+    work = [(0, None, state0, 0)] if n else []
     while work:
         block, lanes, state, spent = work.pop()
-        if lanes.size == 0:
-            continue
-        regs, slots, bus = state[:nregs], state[nregs:-1], state[-1]
-        if block >= len(program.blocks):
+        rows = list(state)
+        if block >= len(code):
             raise MachineError("fell off program end")
         # read by record(): lanes per group, and each lane's first bin
         if groups == 1:
-            group_lanes = lanes.size
+            group_lanes = n if lanes is None else lanes.size
         elif collect_transitions:
-            lane_group = lanes // per_group
-            key_base = lane_group * 256
-            group_lanes = np.bincount(lane_group, minlength=groups)
+            if lanes is None:
+                group_lanes = per_group
+                key_base = np.repeat(np.arange(0, 256 * groups, 256), per_group)
+            else:
+                lane_group = lanes // per_group
+                key_base = lane_group * 256
+                group_lanes = np.bincount(lane_group, minlength=groups)
         next_block = block + 1
-        done = False
-        for pos, ins in enumerate(program.blocks[block]):
-            address = 4 * (starts[block] + pos)
-            op = ins.opcode
-            spent += profile.lat(op)
-            if op in (Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR, Opcode.MOV):
-                x = regs[ins.b]
-                if op is Opcode.ADD:
-                    value = x + regs[ins.c]
-                elif op is Opcode.SUB:
-                    value = x - regs[ins.c]
-                elif op is Opcode.XOR:
-                    value = x ^ regs[ins.c]
-                elif op is Opcode.AND:
-                    value = x & regs[ins.c]
-                elif op is Opcode.OR:
-                    value = x | regs[ins.c]
+        for op, lat, a, b, c, fn, reg_site, bus_site in code[block]:
+            spent += lat
+            if fn is not None:
+                if collect_transitions:
+                    value = fn(rows[b], rows[c])
+                    record(reg_site, rows[a] ^ value)
+                    rows[a][:] = value
                 else:
-                    value = x
-                record((address, "reg", ins.a), regs[ins.a] ^ value)
-                regs[ins.a] = value
+                    fn(rows[b], rows[c], out=rows[a])
+            elif op is Opcode.MOV:
+                if collect_transitions:
+                    record(reg_site, rows[a] ^ rows[b])
+                rows[a][:] = rows[b]
             elif op is Opcode.LI:
-                record((address, "reg", ins.a), regs[ins.a] ^ np.uint8(ins.b))
-                regs[ins.a] = ins.b
+                if collect_transitions:
+                    record(reg_site, rows[a] ^ np.uint8(b))
+                rows[a][:] = b
             elif op is Opcode.LD:
-                value = slots[ins.b]
-                record((address, "bus", 0), bus ^ value)
-                bus[:] = value
-                record((address, "reg", ins.a), regs[ins.a] ^ value)
-                regs[ins.a] = value
+                if collect_transitions:
+                    record(bus_site, rows[bus] ^ rows[b])
+                    record(reg_site, rows[a] ^ rows[b])
+                rows[bus][:] = rows[b]
+                rows[a][:] = rows[b]
             elif op is Opcode.ST:
-                value = regs[ins.b]
-                record((address, "bus", 0), bus ^ value)
-                bus[:] = value
-                slots[ins.a] = value
+                if collect_transitions:
+                    record(bus_site, rows[bus] ^ rows[b])
+                rows[bus][:] = rows[b]
+                rows[a][:] = rows[b]
             elif op is Opcode.NOP:
                 pass
             elif op is Opcode.B:
-                next_block = ins.a
+                next_block = a
             elif op in (Opcode.BEQ, Opcode.BNE):
-                eq = regs[ins.a] == regs[ins.b]
+                eq = rows[a] == rows[b]
                 taken_mask = eq if op is Opcode.BEQ else ~eq
-                taken = spent + profile.taken_branch_overhead
+                taken = spent + overhead
                 if taken_mask.all():
-                    work.append((ins.c, lanes, state, taken))
+                    work.append((c, lanes, state, taken))
                 elif not taken_mask.any():
                     work.append((block + 1, lanes, state, spent))
                 else:
                     for idx, target, cost in (
-                        (np.nonzero(taken_mask)[0], ins.c, taken),
+                        (np.nonzero(taken_mask)[0], c, taken),
                         (np.nonzero(~taken_mask)[0], block + 1, spent),
                     ):
-                        work.append((target, lanes[idx], np.take(state, idx, axis=1), cost))
-                done = True
+                        sub = idx if lanes is None else lanes[idx]
+                        work.append((target, sub, np.take(state, idx, axis=1), cost))
                 break
             elif op is Opcode.RET:
-                if lanes.size == n:
-                    returns[:] = regs[ins.a]
+                if lanes is None:
+                    returns[:] = rows[a]
                     cycles[:] = spent
                 else:
-                    returns[lanes] = regs[ins.a]
+                    returns[lanes] = rows[a]
                     cycles[lanes] = spent
-                done = True
                 break
             else:
                 raise MachineError(f"invalid opcode {op}")
-        if not done:
+        else:
             work.append((next_block, lanes, state, spent))
 
     return BatchResult(returns=returns, cycles=cycles, transitions=transitions)

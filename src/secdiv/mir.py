@@ -323,6 +323,8 @@ def _parse_op(line: str, lineno: int, index: int) -> Operation:
         defs = (dest,)
 
     parts = line.split(None, 1)
+    if not parts:
+        raise IRSyntaxError("missing opcode", lineno)
     opname = parts[0]
     if opname not in _OPCODES:
         raise IRSyntaxError(f"unknown opcode {opname!r}", lineno)

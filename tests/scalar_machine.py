@@ -8,6 +8,7 @@ every register write and memory-bus update.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,7 +52,7 @@ def run(
     slots = [0] * profile.mem_slots
     bus = 0
 
-    starts = program.block_starts()
+    starts = list(itertools.accumulate((len(b) for b in program.blocks[:-1]), initial=0))
     steps: list[Step] = []
     path: list[int] = []
     total = 0

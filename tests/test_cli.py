@@ -27,6 +27,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_missing_opcode_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.mir"
+    bad.write_text("func f (x:public)\nblock 0\n  y =\n  ret x\n")
+    assert run_cli("compile", bad, "--out", tmp_path / "out") == 2
+    assert "missing opcode" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert run_cli("compile", tmp_path / "nope.mir", "--out", tmp_path / "out") == 2
 

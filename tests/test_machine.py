@@ -315,3 +315,74 @@ def test_run_batch_groups_match_separate_runs(program):
 def test_run_batch_rejects_unequal_groups():
     with pytest.raises(MachineError, match="equal groups"):
         run_batch(_check_bit_program(), np.zeros((2, 10), dtype=np.uint8), groups=3)
+
+
+def _sparse_program() -> MachineProgram:
+    """Registers r0, r2-r7 and slots 2 and 5 of tight8, with input r1
+    never named: r4 is read before it is written, slot 2 is loaded before
+    anything is stored to it, and block 0 ends in a branch on r0 == r2."""
+    return MachineProgram(
+        profile_name="tight8",
+        num_inputs=3,
+        blocks=[
+            [
+                Instr(Opcode.LD, 3, 2),
+                Instr(Opcode.ADD, 5, 0, 4),
+                Instr(Opcode.OR, 5, 5, 5),
+                Instr(Opcode.XOR, 7, 2, 0),
+                Instr(Opcode.ST, 5, 7),
+                Instr(Opcode.BEQ, 0, 2, 2),
+            ],
+            [
+                Instr(Opcode.SUB, 4, 7, 5),
+                Instr(Opcode.LD, 6, 5),
+                Instr(Opcode.LI, 4, 0x5A),
+                Instr(Opcode.B, 3),
+            ],
+            [Instr(Opcode.AND, 7, 5, 3), Instr(Opcode.ST, 2, 7), Instr(Opcode.NOP)],
+            [Instr(Opcode.XOR, 5, 5, 7), Instr(Opcode.ADD, 5, 5, 6), Instr(Opcode.RET, 5)],
+        ],
+    )
+
+
+@pytest.mark.parametrize("groups", [1, 3])
+def test_run_batch_compact_rows_agree_with_scalar(groups):
+    program = _sparse_program()
+    lanes = np.random.default_rng(4).integers(0, 256, size=(3, 300), dtype=np.uint8)
+    lanes[2, ::3] = lanes[0, ::3]  # r0 == r2, so the branch splits the lanes
+    batch = run_batch(program, lanes, groups=groups)
+    returns, cycles, totals = _scalar_totals(program, lanes)
+    assert batch.returns.tolist() == returns
+    assert batch.cycles.tolist() == cycles
+    assert len(set(cycles)) == 2  # both paths ran
+    plain = run_batch(program, lanes, collect_transitions=False, groups=groups)
+    assert plain.returns.tolist() == returns
+    assert plain.cycles.tolist() == cycles
+    assert plain.transitions == {}
+    assert batch.transitions.keys() == totals.keys()
+    assert {(kind, index) for _, kind, index in totals} == {
+        ("reg", 3), ("reg", 4), ("reg", 5), ("reg", 6), ("reg", 7), ("bus", 0)
+    }
+    width = 300 // groups
+    for g in range(groups):
+        _, _, expected = _scalar_totals(program, lanes[:, width * g : width * (g + 1)])
+        for site, hist in batch.transitions.items():
+            assert hist.shape == (groups, 256)
+            want = expected.get(site, np.zeros(256, dtype=np.int64))
+            assert hist[g].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "ins, match",
+    [
+        (Instr(Opcode.MOV, 8, 0), "register operand 8"),
+        (Instr(Opcode.BEQ, 0, 8, 1), "register operand 8"),
+        (Instr(Opcode.LD, 0, 8), "memory slot operand 8"),
+        (Instr(Opcode.ST, 8, 0), "memory slot operand 8"),
+    ],
+)
+def test_run_batch_rejects_operands_outside_profile(ins, match):
+    # the bad instruction is never reached: the check is made when decoding
+    program = MachineProgram("tight8", 1, [[Instr(Opcode.RET, 0)], [ins]])
+    with pytest.raises(MachineError, match=match):
+        run_batch(program, np.zeros((1, 4), dtype=np.uint8))

@@ -88,6 +88,13 @@ def test_syntax_error_carries_line_number():
         parse_function(text)
 
 
+@pytest.mark.parametrize("line", ["y =", "opt y ="])
+def test_def_without_opcode_rejected(line):
+    text = f"func f (x:public)\nblock 0\n  {line}\n  ret x\n"
+    with pytest.raises(IRSyntaxError, match="line 3:1: missing opcode"):
+        parse_function(text)
+
+
 def test_conditional_to_fallthrough_rejected():
     text = """\
 func f (x:public)
