@@ -5,9 +5,13 @@ bytes) laid out from address 0, so the address of the i-th word of the
 program is 4*i.  The vectorized interpreter `run_batch` is the ground
 truth for every oracle: it runs many input lanes at once and reports
 functional results, cycle counts, and the register/memory-bus value
-transitions that the Hamming-distance leakage model observes.  The tests
-check it lane by lane against a scalar reference interpreter
-(`tests/scalar_machine.py`).
+transitions that the Hamming-distance leakage model observes.  It
+decodes the program once per call into instructions that name compact
+state rows: one per register and memory slot the program names, then
+the bus, so an unnamed location costs nothing.  A register or slot
+operand beyond the profile is a MachineError at decode time, whether or
+not the instruction runs.  The tests check `run_batch` lane by lane
+against a scalar reference interpreter (`tests/scalar_machine.py`).
 
 Cost model: ALU/MOV/LI/NOP take 1 cycle, LD/ST take 2, the unconditional
 branch takes 3, a conditional branch takes 1 plus a 2-cycle overhead when
@@ -341,7 +345,7 @@ def _decode(program: MachineProgram, profile: MachineProfile):
     row = {("r", r): i for i, r in enumerate(registers)}
     row.update({("s", s): len(row) + i for i, s in enumerate(sorted(named["s"]))})
     nrows = len(row) + 1
-    row.update({("-", v): v for v in named["-"]})
+    row.update({("-", v): v for v in named["-"]})  # immediates and blocks stay
 
     code, pos = [], 0
     for block in program.blocks:

@@ -23,6 +23,9 @@ histogram row per secret, and builds the rows of a site where every lane
 sees one value without a bincount.  A secret whose randoms alone exceed
 the lane cap runs in a call of its own.  The rows of all secrets of a
 call are compared with the reference secret's in whole-array operations.
+
+The oracles build their input arrays once and rewrite only the rows
+that change from one `run_batch` call to the next.
 """
 
 from __future__ import annotations
