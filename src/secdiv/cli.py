@@ -214,6 +214,12 @@ def cmd_verify(args) -> int:
     func = _load_function(args.file)
     pool_dir = Path(args.pool)
     manifest, programs = _load_pool(pool_dir)
+    if manifest["function"] != func.name:
+        print(
+            f"error: pool {pool_dir} holds {manifest['function']}, not {func.name}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     transformed = parse_function((pool_dir / "transformed.mir").read_text())
     profile = PROFILES[manifest["profile"]]
     analyzed = analyze(transformed, profile)
@@ -434,13 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mode=True):
+    def common(p):
         p.add_argument("--profile", choices=sorted(PROFILES), default="tight8")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget-secs", type=float, default=600.0)
         p.add_argument("--out", default="out")
-        if with_mode:
-            p.add_argument("--balance", choices=["ebb", "cbb"], default="ebb")
+        p.add_argument("--balance", choices=["ebb", "cbb"], default="ebb")
 
     p = sub.add_parser("compile", help="analyze, build the model, solve, and encode")
     p.add_argument("file")

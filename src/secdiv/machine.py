@@ -210,12 +210,9 @@ def encode(func: FunctionIR, schedule: Schedule, profile: MachineProfile) -> Mac
 
 def remat_constant(func: FunctionIR, temp: str) -> Optional[int]:
     """Immediate value when `temp` is defined by LI, else None."""
-    site = func.def_site(temp)
-    if site is None:
-        return None
-    op = func.op(site)
-    if op.opcode is Opcode.LI:
-        return op.uses[0]
+    for op in func.all_ops():
+        if temp in op.defs:
+            return op.uses[0] if op.opcode is Opcode.LI else None
     return None
 
 

@@ -145,26 +145,6 @@ class FunctionIR:
         for block in self.blocks:
             yield from block.ops
 
-    def op(self, index: int) -> Operation:
-        for o in self.all_ops():
-            if o.index == index:
-                return o
-        raise KeyError(index)
-
-    def block_of_op(self, index: int) -> int:
-        for block in self.blocks:
-            for o in block.ops:
-                if o.index == index:
-                    return block.index
-        raise KeyError(index)
-
-    def def_site(self, temp: str) -> Optional[int]:
-        """Operation index defining `temp`, or None for inputs."""
-        for o in self.all_ops():
-            if temp in o.defs:
-                return o.index
-        return None
-
     def successors(self, block_index: int) -> tuple[int, ...]:
         block = self.blocks[block_index]
         term = block.terminator

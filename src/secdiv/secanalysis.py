@@ -11,7 +11,6 @@ opaque and is treated conservatively.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -151,7 +150,14 @@ def pair_is_hazard(a: InferredType, b: InferredType, labels: dict[str, SecurityL
 
 
 def infer_types(func: FunctionIR) -> dict[str, InferredType]:
-    """Propagate policy labels to every temp (single forward pass)."""
+    """Propagate policy labels to every temp (single forward pass).
+
+    A load joins the types of the stores to its slot that may have run
+    before it, in program order, plus the zero initial value when some
+    path reaches it with the slot still unstored.  Edges only go forward,
+    so both facts are complete at a block's entry once the blocks before
+    it are walked.
+    """
     labels = _labels_of(func)
     types: dict[str, InferredType] = {
         name: input_type(name, label) for name, label in func.inputs
@@ -159,11 +165,20 @@ def infer_types(func: FunctionIR) -> dict[str, InferredType]:
 
     # store sites per slot, in program order, for load-type joins
     stores: dict[str, list[tuple[int, str]]] = {s: [] for s in func.slots}
+    # per block entry: the store ops that may have run, and the slots
+    # that some path reaches still unstored
+    ran_in: list[set[int]] = [set() for _ in func.blocks]
+    unstored_in: list[set[str]] = [set() for _ in func.blocks]
+    unstored_in[0].update(func.slots)
 
     for block in func.blocks:
+        ran = ran_in[block.index]
+        unstored = unstored_in[block.index]
         for op in block.ops:
             if op.opcode is Opcode.ST:
                 stores[op.uses[0]].append((op.index, op.uses[1]))
+                ran.add(op.index)
+                unstored.discard(op.uses[0])
                 continue
             if not op.defs:
                 continue
@@ -181,9 +196,17 @@ def infer_types(func: FunctionIR) -> dict[str, InferredType]:
                     _use_type(types, op.uses[0], op), _use_type(types, op.uses[1], op)
                 )
             elif op.opcode is Opcode.LD:
-                types[dest] = _load_type(func, op, stores, types, labels)
+                slot = op.uses[0]
+                # never empty: a slot no store has reached is unstored
+                candidates = [types[temp] for site, temp in stores[slot] if site in ran]
+                if slot in unstored:
+                    candidates.append(CONST_TYPE)
+                types[dest] = _join(candidates, labels)
             else:
                 raise IRValidationError(f"op {op.index} ({op.opcode.value}) defines a temp")
+        for succ in func.successors(block.index):
+            ran_in[succ] |= ran
+            unstored_in[succ] |= unstored
     return types
 
 
@@ -193,80 +216,6 @@ def _use_type(types: dict[str, InferredType], use, op: Operation) -> InferredTyp
     if use not in types:
         raise IRValidationError(f"use of undefined temp {use!r} in op {op.index}")
     return types[use]
-
-
-def _load_type(func, op, stores, types, labels) -> InferredType:
-    """Join over stores that may reach this load, plus the zero initial
-    value when some path reaches the load without any store."""
-    slot = op.uses[0]
-    load_block = func.block_of_op(op.index)
-    load_pos = _pos_in_block(func, op.index)
-    candidates: list[InferredType] = []
-    store_blocks = []
-    for st_index, temp in stores[slot]:
-        st_block = func.block_of_op(st_index)
-        st_pos = _pos_in_block(func, st_index)
-        if st_block == load_block and st_pos < load_pos:
-            candidates.append(types[temp])
-            store_blocks.append(st_block)
-        elif st_block != load_block and _reaches(func, st_block, load_block):
-            candidates.append(types[temp])
-            store_blocks.append(st_block)
-    if _path_without_store(func, load_block, set(store_blocks), slot, load_pos):
-        candidates.append(CONST_TYPE)
-    if not candidates:
-        return CONST_TYPE
-    return _join(candidates, labels)
-
-
-def _pos_in_block(func: FunctionIR, op_index: int) -> int:
-    block = func.blocks[func.block_of_op(op_index)]
-    for pos, op in enumerate(block.ops):
-        if op.index == op_index:
-            return pos
-    raise KeyError(op_index)
-
-
-def _reaches(func: FunctionIR, src: int, dst: int) -> bool:
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        b = frontier.pop()
-        for s in func.successors(b):
-            if s == dst:
-                return True
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-    return False
-
-
-def _path_without_store(func, load_block, store_blocks, slot, load_pos) -> bool:
-    """DFS from entry: can the load execute before any store to the slot?"""
-    block = func.blocks[load_block]
-    local_store = any(
-        op.opcode is Opcode.ST and op.uses[0] == slot and pos < load_pos
-        for pos, op in enumerate(block.ops)
-    )
-
-    def blocked(b: int) -> bool:
-        if b == load_block:
-            return local_store
-        return any(op.opcode is Opcode.ST and op.uses[0] == slot for op in func.blocks[b].ops)
-
-    stack = [0]
-    seen = set()
-    while stack:
-        b = stack.pop()
-        if b in seen:
-            continue
-        seen.add(b)
-        if b == load_block and not local_store:
-            return True
-        if blocked(b):
-            continue
-        stack.extend(func.successors(b))
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -544,9 +493,7 @@ def _xor_chains(func: FunctionIR) -> list[list[Operation]]:
     return chains
 
 
-def restore_mask_order(
-    func: FunctionIR, types: dict[str, InferredType]
-) -> MaskOrderResult:
+def restore_mask_order(func: FunctionIR) -> MaskOrderResult:
     """Reassociate XOR chains so no intermediate value is secret-typed.
 
     Compiler-style reorderings such as (pub ^ key) ^ mask leak the
@@ -557,26 +504,21 @@ def restore_mask_order(
     labels = _labels_of(func)
     func = _clone_function(func)
     changed = False
-    residual: list[str] = []
 
     for _ in range(8):
         types = infer_types(func)
-        chains = _xor_chains(func)
         fixed_any = False
-        for chain in chains:
-            defs = [op.defs[0] for op in chain]
-            if not any(types[d].label is SecurityLabel.SECRET for d in defs):
+        for chain in _xor_chains(func):
+            if not any(types[op.defs[0]].label is SecurityLabel.SECRET for op in chain):
                 continue
             order = _find_safe_order(func, chain, labels)
             if order is None:
-                residual.extend(d for d in defs if types[d].label is SecurityLabel.SECRET)
                 continue
             _rewrite_chain(func, chain, order)
             changed = True
             fixed_any = True
         if not fixed_any:
             break
-        residual = []
 
     types = infer_types(func)
     final_residual = tuple(
@@ -602,62 +544,69 @@ def _chain_leaves(chain: list[Operation]) -> list:
     return leaves
 
 
-def _def_order_key(func: FunctionIR, use) -> int:
-    if isinstance(use, int):
-        return -1
-    site = func.def_site(use)
-    return -1 if site is None else site
-
-
 def _find_safe_order(func, chain, labels) -> Optional[list]:
-    """First leaf permutation whose every XOR prefix is non-secret."""
-    leaves = _chain_leaves(chain)
+    """The chain's own leaf order when every XOR prefix is non-secret,
+    else the first such order among the permutations of the leaves sorted
+    by definition site, taken in lexicographic order of positions.
+
+    Leaf i is consumed by chain op max(1, i) - 1 and must already be
+    defined there.  Whether a prefix passes depends only on the prefix,
+    so the search extends prefixes depth first and drops every extension
+    that fails; the remaining leaves' fate depends only on the prefix's
+    type and which leaves remain, so a failed (type, remaining) state is
+    never searched twice.
+    """
     types = infer_types(func)
-    op_sites = [op.index for op in sorted(chain, key=lambda o: o.index)]
+    site = {d: op.index for op in func.all_ops() for d in op.defs}  # inputs: -1
+    op_sites = sorted(op.index for op in chain)
 
-    def leaf_type(use) -> InferredType:
-        if isinstance(use, int):
-            return CONST_TYPE
-        return types[use]
+    def extend(acc: Optional[InferredType], i: int, use) -> Optional[InferredType]:
+        """The type of the prefix with `use` as leaf i, None if it fails."""
+        if site.get(use, -1) >= op_sites[max(1, i) - 1]:
+            return None
+        if i == 0:
+            return types[use]
+        acc = xor_type(acc, types[use], labels)
+        return None if acc.label is SecurityLabel.SECRET else acc
 
-    def valid(order) -> bool:
-        # leaf i is consumed by chain op max(1, i) - 1; it must already
-        # be defined at that point
-        acc = leaf_type(order[0])
-        for i in range(1, len(order)):
-            site = op_sites[i - 1]
-            for use in (order[i],) if i > 1 else (order[0], order[1]):
-                if _def_order_key(func, use) >= site:
-                    return False
-            acc = xor_type(acc, leaf_type(order[i]), labels)
-            if acc.label is SecurityLabel.SECRET:
-                return False
-        return True
+    leaves = _chain_leaves(chain)
+    acc = None
+    for i, use in enumerate(leaves):
+        acc = extend(acc, i, use)
+        if acc is None:
+            break
+    else:
+        return leaves
 
-    ordered = sorted(leaves, key=lambda u: (_def_order_key(func, u), str(u)))
-    original = leaves
-    if valid(original):
-        return original
-    for perm in itertools.permutations(ordered):
-        if valid(list(perm)):
-            return list(perm)
-    return None
+    failed: set = set()
+
+    def search(acc, order: list, rest: tuple) -> Optional[list]:
+        if not rest:
+            return order
+        if (acc, rest) in failed:
+            return None
+        for j, use in enumerate(rest):
+            nxt = extend(acc, len(order), use)
+            if nxt is not None:
+                found = search(nxt, order + [use], rest[:j] + rest[j + 1 :])
+                if found is not None:
+                    return found
+        failed.add((acc, rest))
+        return None
+
+    return search(None, [], tuple(sorted(leaves, key=lambda u: (site.get(u, -1), u))))
 
 
 def _rewrite_chain(func: FunctionIR, chain: list[Operation], order: list) -> None:
     chain = sorted(chain, key=lambda o: o.index)
-    prev_def = None
-    for i, op in enumerate(chain):
-        if i == 0:
-            uses = (order[0], order[1])
-        else:
-            uses = (prev_def, order[i + 1])
-        prev_def = op.defs[0]
-        block = func.blocks[func.block_of_op(op.index)]
-        for pos, existing in enumerate(block.ops):
-            if existing.index == op.index:
-                block.ops[pos] = replace(existing, uses=uses)
-                break
+    new_uses = {chain[0].index: (order[0], order[1])}
+    for i in range(1, len(chain)):
+        new_uses[chain[i].index] = (chain[i - 1].defs[0], order[i + 1])
+    for block in func.blocks:
+        block.ops = [
+            replace(op, uses=new_uses[op.index]) if op.index in new_uses else op
+            for op in block.ops
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -736,7 +685,7 @@ def analyze(
     the masking order of XOR chains, NONE transforms nothing."""
     notes: list[str] = []
     if mode is Mode.PSC:
-        result = restore_mask_order(func, infer_types(func))
+        result = restore_mask_order(func)
         func = result.function
         if result.changed:
             notes.append("reassociated xor chains to restore masking order")

@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .machine import MachineProgram, run_batch
+from .machine import PROFILES, MachineProgram, Opcode, run_batch
 from .mir import SecurityLabel
 
 # Fixed public probe values used when enumerating; callers may extend.
@@ -149,8 +149,6 @@ class CrReport:
 def static_block_costs(program: MachineProgram) -> dict[int, int]:
     """Per-block cycle cost read off the encoded words (taken overheads
     excluded; they belong to edges)."""
-    from .machine import PROFILES
-
     profile = PROFILES[program.profile_name]
     return {
         b: sum(profile.lat(ins.opcode) for ins in block)
@@ -159,8 +157,6 @@ def static_block_costs(program: MachineProgram) -> dict[int, int]:
 
 
 def static_path_cost(program: MachineProgram, path: Sequence[int]) -> int:
-    from .machine import PROFILES, Opcode
-
     profile = PROFILES[program.profile_name]
     costs = static_block_costs(program)
     total = 0

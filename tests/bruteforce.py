@@ -30,7 +30,15 @@ from secdiv.copmodel import (
     make_solution,
     resolve_roots,
 )
-from secdiv.mir import Opcode
+from secdiv.mir import FunctionIR, Opcode
+
+
+def def_site(func: FunctionIR, temp: str) -> Optional[int]:
+    """Operation index defining `temp`, or None for inputs."""
+    for op in func.all_ops():
+        if temp in op.defs:
+            return op.index
+    return None
 
 
 def brute_optimal(prob: CopProblem) -> Optional[Fraction]:
@@ -99,7 +107,7 @@ def _compact_schedules(prob, active, roots):
                 lo = clock
                 for temp in op.temp_uses():
                     root = roots[temp]
-                    site = prob.function.def_site(root)
+                    site = def_site(prob.function, root)
                     if site is not None and site in active and site in ready:
                         lo = max(lo, ready[site])
                 for site in mem_before.get(op.index, ()):
@@ -120,7 +128,7 @@ def _deps_respected(prob, perm, active, roots) -> bool:
     pos = {op.index: i for i, op in enumerate(perm)}
     for i, op in enumerate(perm):
         for temp in op.temp_uses():
-            site = prob.function.def_site(roots[temp])
+            site = def_site(prob.function, roots[temp])
             if site is not None and site in pos and pos[site] >= i:
                 return False
     return True

@@ -192,6 +192,16 @@ def test_verify_flags_tampered_variant(tmp_path, capsys):
     assert "mismatch" in (pool / "verify.txt").read_text()
 
 
+def test_verify_rejects_another_functions_pool(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("diversify", corpus_path("minimal"), "--out", out, "--variants", "1") == 0
+    pool = out / "minimal-none-g0"
+    capsys.readouterr()
+    assert run_cli("verify", corpus_path("straightline"), "--pool", pool) == 2
+    assert capsys.readouterr().err == f"error: pool {pool} holds minimal, not straightline\n"
+    assert not (pool / "verify.json").exists()
+
+
 def test_gadgets_command(tmp_path, capsys):
     out = tmp_path / "out"
     run_cli(

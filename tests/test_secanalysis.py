@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
+import time
+from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruteforce import def_site
 from conftest import all_corpus_names, load
 from ir_eval import eval_ir, input_grid
 from secdiv.copmodel import build_problem, emit_model
@@ -20,8 +24,13 @@ from secdiv.mir import (
     serialize_function,
 )
 from secdiv.secanalysis import (
+    CONST_TYPE,
     BalanceError,
     Mode,
+    _chain_leaves,
+    _find_safe_order,
+    _join,
+    _xor_chains,
     analyze,
     apply_balancing,
     balance_cbb,
@@ -33,6 +42,7 @@ from secdiv.secanalysis import (
     infer_types,
     memory_conflicts,
     restore_mask_order,
+    xor_type,
 )
 
 # ----------------------------------------------------------------------
@@ -93,6 +103,57 @@ def test_load_type_joins_stores(check_bit):
     assert types["r"].label is SecurityLabel.PUBLIC
 
 
+@st.composite
+def memory_functions(draw):
+    """Valid functions of 3-7 blocks that store to and load from two slots
+    in different blocks and on different branches.  Block 0 defines the
+    values every block may store; a block may also store what it loaded."""
+    edges, n = draw(dag_edges())
+    bodies = {0: ["  km = xor k, m", "  xk = xor x, k"]}
+    loads = 0
+    for i in range(n):
+        stored = ["k", "m", "x", "km", "xk"]
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            slot = draw(st.sampled_from(["s0", "s1"]))
+            if draw(st.booleans()):
+                bodies.setdefault(i, []).append(f"  st {slot}, {draw(st.sampled_from(stored))}")
+            else:
+                bodies.setdefault(i, []).append(f"  l{loads} = ld {slot}")
+                stored.append(f"l{loads}")
+                loads += 1
+    return _graph(edges, n, "x:public, y:public, k:secret, m:random", bodies)
+
+
+def _load_type_oracle(func, types, load):
+    """Join of the stores that precede `load` on some path from the entry,
+    in program order, plus the zero initial value when some path has no
+    store to the slot before it."""
+    block = next(b for b in func.blocks if load in b.ops)
+    candidates: set = set()
+    unstored = False
+    for path in paths(func):
+        if block.index not in path:
+            continue
+        before = [op for b in path[: path.index(block.index)] for op in func.blocks[b].ops]
+        before += block.ops[: block.ops.index(load)]
+        found = [op for op in before if op.opcode.value == "st" and op.uses[0] == load.uses[0]]
+        candidates.update(found)
+        unstored = unstored or not found
+    joined = [types[op.uses[1]] for op in sorted(candidates, key=lambda op: op.index)]
+    if unstored:
+        joined.append(CONST_TYPE)
+    return _join(joined, dict(func.inputs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(memory_functions())
+def test_load_types_match_path_oracle(func):
+    types = infer_types(func)
+    for op in func.all_ops():
+        if op.opcode.value == "ld":
+            assert types[op.defs[0]] == _load_type_oracle(func, types, op), op
+
+
 def _distribution_by_secret(values: np.ndarray, secrets: np.ndarray) -> dict:
     joint = np.bincount(secrets.astype(np.intp) * 256 + values, minlength=65536)
     rows = joint.reshape(256, 256)
@@ -133,12 +194,19 @@ def test_inference_soundness_against_exhaustive_oracle(name):
 # ----------------------------------------------------------------------
 
 
-def _graph(edges: dict[int, tuple[int, ...]], n: int) -> FunctionIR:
+def _graph(
+    edges: dict[int, tuple[int, ...]],
+    n: int,
+    inputs: str = "x:public, y:public",
+    bodies: Optional[dict[int, list[str]]] = None,
+) -> FunctionIR:
     """A function of n blocks whose successor lists are `edges` (a block
-    with none returns)."""
-    lines = ["func g (x:public, y:public)"]
+    with none returns) and whose block i starts with the ops `bodies[i]`.
+    The inputs must include public x and y."""
+    lines = [f"func g ({inputs})"]
     for i in range(n):
         lines.append(f"block {i}")
+        lines += (bodies or {}).get(i, [])
         succ = edges.get(i, ())
         if not succ:
             lines.append("  ret x")
@@ -206,9 +274,10 @@ def _dfs_paths_oracle(func: FunctionIR, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @st.composite
-def random_dags(draw):
-    """Valid functions of 3-7 blocks: a block that no earlier block jumps
-    to is reached by falling through from the block before it."""
+def dag_edges(draw):
+    """(successor lists, n) of a valid function of 3-7 blocks: a block
+    that no earlier block jumps to is reached by falling through from the
+    block before it."""
     n = draw(st.integers(min_value=3, max_value=7))
     edges: dict[int, tuple[int, ...]] = {}
     targeted: set[int] = set()
@@ -221,7 +290,12 @@ def random_dags(draw):
         if succ:
             edges[i] = succ
         targeted.update(succ)
-    return _graph(edges, n)
+    return edges, n
+
+
+@st.composite
+def random_dags(draw):
+    return _graph(*draw(dag_edges()))
 
 
 @settings(max_examples=150, deadline=None)
@@ -521,7 +595,7 @@ def test_restore_mask_order_fixes_broken_chain():
     func = load("masked_xor_broken")
     types = infer_types(func)
     assert types["t1"].label is SecurityLabel.SECRET  # pub ^ key leaks
-    result = restore_mask_order(func, types)
+    result = restore_mask_order(func)
     assert result.changed
     assert result.residual == ()
     fixed_types = infer_types(result.function)
@@ -545,7 +619,7 @@ def test_restore_mask_order_fixes_broken_chain():
 
 
 def test_restore_mask_order_keeps_safe_function(masked_xor):
-    result = restore_mask_order(masked_xor, infer_types(masked_xor))
+    result = restore_mask_order(masked_xor)
     assert not result.changed
     assert serialize_function(result.function) == serialize_function(masked_xor)
 
@@ -554,8 +628,103 @@ def test_restore_mask_order_reports_residual():
     func = parse_function(
         "func f (k1:secret, k2:secret)\nblock 0\n  t = xor k1, k2\n  ret t\n"
     )
-    result = restore_mask_order(func, infer_types(func))
+    result = restore_mask_order(func)
     assert result.residual == ("t",)
+
+
+@st.composite
+def xor_chain_functions(draw):
+    """A single-block function whose XOR chain (any tree shape) has 2-6
+    leaves: inputs of mixed labels, possibly repeated, and mov/add/or
+    temps defined between the chain ops (a mov keeps a mask a mask)."""
+    labels = draw(st.lists(st.sampled_from(["secret", "public", "random"]), min_size=2, max_size=4))
+    inputs = [f"i{k}" for k in range(len(labels))]
+    lines = ["func c (" + ", ".join(f"{n}:{l}" for n, l in zip(inputs, labels)) + ")", "block 0"]
+    n = draw(st.integers(min_value=2, max_value=6))
+    stack: list[str] = []
+    pushed = temps = 0
+    while pushed < n or len(stack) > 1:
+        if pushed < n and (len(stack) < 2 or draw(st.booleans())):
+            leaf = draw(st.sampled_from(inputs))
+            op = draw(st.sampled_from(["", "", "mov", "add", "or"]))
+            if op == "mov":
+                lines.append(f"  n{pushed} = mov {leaf}")
+                leaf = f"n{pushed}"
+            elif op:
+                other = draw(st.sampled_from(inputs))
+                lines.append(f"  n{pushed} = {op} {leaf}, {other}")
+                leaf = f"n{pushed}"
+            stack.append(leaf)
+            pushed += 1
+        else:
+            b, a = stack.pop(), stack.pop()
+            if draw(st.booleans()):
+                a, b = b, a
+            lines.append(f"  x{temps} = xor {a}, {b}")
+            stack.append(f"x{temps}")
+            temps += 1
+    lines.append(f"  ret {stack[0]}")
+    return parse_function("\n".join(lines) + "\n")
+
+
+def _brute_safe_order(func, chain, labels):
+    """The chain's own leaf order if safe, else the first safe permutation
+    of the leaves sorted by definition site."""
+    types = infer_types(func)
+    op_sites = sorted(op.index for op in chain)
+
+    def key(use) -> int:
+        site = def_site(func, use) if isinstance(use, str) else None
+        return -1 if site is None else site
+
+    def valid(order) -> bool:
+        acc = types[order[0]]
+        for i in range(1, len(order)):
+            for use in (order[i],) if i > 1 else (order[0], order[1]):
+                if key(use) >= op_sites[i - 1]:
+                    return False
+            acc = xor_type(acc, types[order[i]], labels)
+            if acc.label is SecurityLabel.SECRET:
+                return False
+        return True
+
+    leaves = _chain_leaves(chain)
+    if valid(leaves):
+        return leaves
+    for perm in itertools.permutations(sorted(leaves, key=lambda u: (key(u), str(u)))):
+        if valid(list(perm)):
+            return list(perm)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(xor_chain_functions())
+def test_find_safe_order_matches_permutation_oracle(func):
+    labels = dict(func.inputs)
+    for chain in _xor_chains(func):
+        assert _find_safe_order(func, chain, labels) == _brute_safe_order(func, chain, labels)
+
+
+@pytest.mark.parametrize(
+    "inputs, residual",
+    [
+        # no prefix of two or more secrets is safe
+        ([f"k{i}:secret" for i in range(9)], tuple(f"t{i}" for i in range(1, 9))),
+        # every order xors the secret into a public prefix without a mask
+        (["k0:secret"] + [f"p{i}:public" for i in range(1, 9)], tuple(f"t{i}" for i in range(1, 9))),
+    ],
+)
+def test_restore_mask_order_nine_leaf_chain_is_fast(inputs, residual):
+    names = [i.split(":")[0] for i in inputs]
+    lines = [f"func f ({', '.join(inputs)})", "block 0", f"  t1 = xor {names[0]}, {names[1]}"]
+    lines += [f"  t{i} = xor t{i - 1}, {names[i]}" for i in range(2, 9)]
+    lines.append("  ret t8")
+    func = parse_function("\n".join(lines) + "\n")
+    start = time.process_time()
+    result = restore_mask_order(func)
+    assert time.process_time() - start < 1.0
+    assert not result.changed
+    assert result.residual == residual
 
 
 # ----------------------------------------------------------------------
