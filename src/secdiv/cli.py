@@ -6,8 +6,9 @@ transformed IR (``transformed.mir``), the analysis dump, a deterministic
 ``manifest.json``, and a ``timing.log`` kept separate so that manifests
 and reports are byte-identical across reruns with the same seed.
 
-Exit codes: 0 success, 2 usage or parse error, 3 unsatisfiable model,
-4 solver timeout with an incumbent, 5 oracle failure.
+Exit codes: 0 success, 2 usage or parse error (of the IR or of an
+encoded variant), 3 unsatisfiable model or balancing that cannot equalize
+the secret paths, 4 solver timeout with an incumbent, 5 oracle failure.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from typing import Optional
 
 from . import copmodel, gadgets, solver, verify
 from .copmodel import build_problem, to_schedule
-from .machine import PROFILES, MachineProgram, encode
+from .machine import PROFILES, MachineError, MachineProgram, encode
 from .mir import IRError, SecurityLabel, parse_function, serialize_function
-from .secanalysis import Mode, analyze, emit_analysis
+from .secanalysis import BalanceError, Mode, analyze, emit_analysis
 from .solver import SolveResult, SolveStatus
 
 EXIT_OK = 0
@@ -494,13 +495,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except IRError as exc:
+    except (IRError, MachineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"error: missing input {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
-    except copmodel.ModelInfeasibleError as exc:
+    except (copmodel.ModelInfeasibleError, BalanceError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_UNSAT
 

@@ -6,12 +6,16 @@ program is 4*i.  The vectorized interpreter `run_batch` is the ground
 truth for every oracle: it runs many input lanes at once and reports
 functional results, cycle counts, and the register/memory-bus value
 transitions that the Hamming-distance leakage model observes.  It
-decodes the program once per call into instructions that name compact
-state rows: one per register and memory slot the program names, then
-the bus, so an unnamed location costs nothing.  A register or slot
-operand beyond the profile is a MachineError at decode time, whether or
-not the instruction runs.  The tests check `run_batch` lane by lane
-against a scalar reference interpreter (`tests/scalar_machine.py`).
+decodes a program once, not once per call, into instructions that name
+compact state rows: one per register and memory slot the program names,
+then the bus, so an unnamed location costs nothing.  A register or slot
+operand beyond the profile, or a branch to a block that is not a later
+one, is a MachineError at decode time, whether or not the instruction
+runs.  The decoded program keeps its lane buffers (state, temporaries,
+histogram bins) across calls, so repeated calls on one program allocate
+no large array besides the ones they return.  The tests check
+`run_batch` lane by lane against a scalar reference interpreter
+(`tests/scalar_machine.py`).
 
 Cost model: ALU/MOV/LI/NOP take 1 cycle, LD/ST take 2, the unconditional
 branch takes 3, a conditional branch takes 1 plus a 2-cycle overhead when
@@ -21,6 +25,7 @@ predictable microcontroller and is flagged in emitted reports.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -118,29 +123,29 @@ class MachineProgram:
 
     @staticmethod
     def from_bytes(data: bytes) -> "MachineProgram":
+        """Parse `to_bytes` output; truncated or trailing data, or an
+        unknown profile name, is a MachineError."""
         if data[:4] != MAGIC:
             raise MachineError("bad magic")
         pos = 4
-        name_len = data[pos]
-        pos += 1
-        profile_name = data[pos : pos + name_len].decode("ascii")
-        pos += name_len
-        num_inputs = data[pos]
-        pos += 1
-        nblocks = int.from_bytes(data[pos : pos + 2], "little")
-        pos += 2
-        counts = []
-        for _ in range(nblocks):
-            counts.append(int.from_bytes(data[pos : pos + 2], "little"))
-            pos += 2
-        blocks = []
-        for count in counts:
-            block = []
-            for _ in range(count):
-                word = int.from_bytes(data[pos : pos + 4], "little")
-                pos += 4
-                block.append(Instr.from_word(word))
-            blocks.append(block)
+
+        def take(size: int) -> int:
+            nonlocal pos
+            if pos + size > len(data):
+                raise MachineError(f"program truncated at byte {len(data)}")
+            pos += size
+            return int.from_bytes(data[pos - size : pos], "little")
+
+        name_len = take(1)
+        take(name_len)
+        profile_name = data[pos - name_len : pos].decode("ascii", errors="replace")
+        if profile_name not in PROFILES:
+            raise MachineError(f"unknown profile {profile_name!r}")
+        num_inputs = take(1)
+        counts = [take(2) for _ in range(take(2))]
+        blocks = [[Instr.from_word(take(4)) for _ in range(count)] for count in counts]
+        if pos != len(data):
+            raise MachineError(f"{len(data) - pos} bytes after the program's last word")
         return MachineProgram(profile_name=profile_name, num_inputs=num_inputs, blocks=blocks)
 
 
@@ -311,17 +316,50 @@ _ROLES = {
 }
 
 
-def _decode(program: MachineProgram, profile: MachineProfile):
-    """Rename the program's operands to compact state rows.
+@dataclass
+class _Decoded:
+    """A program renamed to compact state rows, and the lane buffers that
+    every `run_batch` call on it reuses.
+
+    `code` holds, per block, the instructions as (opcode, latency, a, b,
+    c, ALU ufunc, register site, bus site) with register and slot
+    operands replaced by their rows; `input_regs` the input registers that
+    have a row (their rows come first, in the same order); `nrows` the
+    number of rows.  The buffers grow to the largest lane count seen and
+    hold nothing from one call to the next, but two calls on one program
+    must not run at the same time.
+    """
+
+    code: list[list[tuple]]
+    input_regs: list[int]
+    nrows: int
+    lanes: int = 0
+
+    def reserve(self, n: int) -> None:
+        if n <= self.lanes:
+            return
+        self.lanes = n
+        self.state = np.empty(self.nrows * n, dtype=np.uint8)
+        self.value = np.empty(n, dtype=np.uint8)  # an ALU result
+        self.delta = np.empty(n, dtype=np.uint8)  # a transition value
+        self.mask = np.empty(n, dtype=bool)  # a branch condition
+        self.keys = np.empty(n, dtype=np.intp)  # histogram bins
+        self.key_base = np.empty(n, dtype=np.intp)  # each lane's first bin
+
+
+@functools.lru_cache(maxsize=1)
+def _decode(encoded: bytes) -> _Decoded:
+    """Decode an encoded program for `run_batch`, once per program.
 
     Only the registers some instruction names get a row, in index order,
     then the memory slots some LD/ST names, then the bus as the last row;
-    a location no instruction names is never read or written.  Returns,
-    per block, the instructions as (opcode, latency, a, b, c, ALU ufunc,
-    register site, bus site) with register and slot operands replaced by
-    their rows, the input registers that have a row (their rows come
-    first, in the same order), and the number of rows.
+    a location no instruction names is never read or written.  An
+    operand outside the profile, or a branch to a block that is not a
+    later block of the program, is a MachineError.  The result is kept
+    for the next call with the same program.
     """
+    program = MachineProgram.from_bytes(encoded)
+    profile = PROFILES[program.profile_name]
     flat = program.flat()
     roles = [_ROLES.get(ins.opcode, "---") for ins in flat]
     named: dict[str, set[int]] = {"r": set(), "s": set(), "-": set()}
@@ -345,9 +383,14 @@ def _decode(program: MachineProgram, profile: MachineProfile):
     row.update({("-", v): v for v in named["-"]})  # immediates and blocks stay
 
     code, pos = [], 0
-    for block in program.blocks:
+    for index, block in enumerate(program.blocks):
         decoded = []
         for ins in block:
+            target = {Opcode.B: ins.a, Opcode.BEQ: ins.c, Opcode.BNE: ins.c}.get(ins.opcode)
+            if target is not None and not index < target < len(program.blocks):
+                raise MachineError(
+                    f"block {index} branches to block {target}, not to a later block"
+                )
             ra, rb, rc = roles[pos]
             decoded.append((
                 ins.opcode, profile.latency[ins.opcode],
@@ -356,8 +399,8 @@ def _decode(program: MachineProgram, profile: MachineProfile):
             ))
             pos += 1
         code.append(decoded)
-    inputs = [r for r in registers if r < program.num_inputs]
-    return code, inputs, nrows
+    input_regs = [r for r in registers if r < program.num_inputs]
+    return _Decoded(code, input_regs, nrows)
 
 
 def run_batch(
@@ -375,34 +418,44 @@ def run_batch(
     histogram has one row per run, so one call can stand for several
     independent experiments.
 
-    The program is decoded once per call (`_decode`): the state holds a
-    row only for each register and memory slot that an instruction
-    names, plus the bus, so a branch split copies no more rows than the
-    program uses; transition sites keep the architectural register
-    index.  A register operand outside the profile's registers, or a
-    slot operand outside its memory slots, raises MachineError before
-    anything runs.
+    The program is decoded once per program, not per call (`_decode`,
+    kept for the next call on the same program): the state holds a row
+    only for each register and memory slot that an instruction names,
+    plus the bus, so a branch split copies no more rows than the program
+    uses; transition sites keep the architectural register index.  A
+    register operand outside the profile's registers, a slot operand
+    outside its memory slots, or a branch that does not go to a later
+    block raises MachineError before anything runs, so every run ends.
 
-    Cycles are summed per work item in a Python int that travels with
-    the lanes across branches and is written once at RET.  A site where
-    every lane sees the same transition value gets its histogram without
-    a bincount.
+    The root state, ALU results, transition values, branch conditions and
+    histogram bins live in lane buffers that the decoded program keeps
+    across calls, grown to the largest lane count seen; the returned
+    arrays are new on every call.  Cycles are summed per work item in a
+    Python int that travels with the lanes across branches and is written
+    once at RET.  A site where every lane sees the same transition value
+    gets its histogram without a bincount.
     """
-    profile = PROFILES[program.profile_name]
     if inputs.shape[0] != program.num_inputs:
         raise MachineError(f"expected {program.num_inputs} input rows")
     n = inputs.shape[1]
     if groups < 1 or n % groups:
         raise MachineError(f"{n} lanes do not split into {groups} equal groups")
     per_group = n // groups
-    code, input_regs, nrows = _decode(program, profile)
-    overhead = profile.taken_branch_overhead
+    decoded = _decode(program.to_bytes())
+    decoded.reserve(n)
+    code, nrows = decoded.code, decoded.nrows
+    overhead = PROFILES[program.profile_name].taken_branch_overhead
 
     # machine state, one column per lane: the rows of _decode
-    state0 = np.zeros((nrows, n), dtype=np.uint8)
-    for row, r in enumerate(input_regs):
+    state0 = decoded.state[: nrows * n].reshape(nrows, n)
+    for row, r in enumerate(decoded.input_regs):
         state0[row] = inputs[r]
+    state0[len(decoded.input_regs) :].fill(0)
     bus = nrows - 1
+    if groups > 1 and collect_transitions:
+        # the every-lane item's first histogram bin per lane, 256 per group
+        every_key_base = decoded.key_base[:n]
+        every_key_base.reshape(groups, per_group)[:] = np.arange(0, 256 * groups, 256)[:, None]
 
     returns = np.zeros(n, dtype=np.uint8)
     cycles = np.zeros(n, dtype=np.int64)
@@ -412,11 +465,12 @@ def run_batch(
         if values.min() == values.max():
             hist = np.zeros((groups, 256), dtype=np.int64)
             hist[:, values[0]] = group_lanes
-        elif groups == 1:
-            hist = np.bincount(values, minlength=256)[None, :]
         else:
-            hist = np.bincount(key_base + values, minlength=groups * 256)
-            hist = hist.reshape(groups, 256)
+            if groups == 1:
+                keys[:] = values
+            else:
+                np.add(key_base, values, out=keys)
+            hist = np.bincount(keys, minlength=groups * 256).reshape(groups, 256)
         acc = transitions.get(site)
         transitions[site] = hist if acc is None else acc + hist
 
@@ -428,13 +482,18 @@ def run_batch(
         rows = list(state)
         if block >= len(code):
             raise MachineError("fell off program end")
+        # this item's slices of the lane buffers
+        m = state.shape[1]
+        value, delta, mask, keys = (
+            decoded.value[:m], decoded.delta[:m], decoded.mask[:m], decoded.keys[:m]
+        )
         # read by record(): lanes per group, and each lane's first bin
         if groups == 1:
-            group_lanes = n if lanes is None else lanes.size
+            group_lanes = m
         elif collect_transitions:
             if lanes is None:
                 group_lanes = per_group
-                key_base = np.repeat(np.arange(0, 256 * groups, 256), per_group)
+                key_base = every_key_base
             else:
                 lane_group = lanes // per_group
                 key_base = lane_group * 256
@@ -444,28 +503,28 @@ def run_batch(
             spent += lat
             if fn is not None:
                 if collect_transitions:
-                    value = fn(rows[b], rows[c])
-                    record(reg_site, rows[a] ^ value)
+                    fn(rows[b], rows[c], out=value)
+                    record(reg_site, np.bitwise_xor(rows[a], value, out=delta))
                     rows[a][:] = value
                 else:
                     fn(rows[b], rows[c], out=rows[a])
             elif op is Opcode.MOV:
                 if collect_transitions:
-                    record(reg_site, rows[a] ^ rows[b])
+                    record(reg_site, np.bitwise_xor(rows[a], rows[b], out=delta))
                 rows[a][:] = rows[b]
             elif op is Opcode.LI:
                 if collect_transitions:
-                    record(reg_site, rows[a] ^ np.uint8(b))
+                    record(reg_site, np.bitwise_xor(rows[a], np.uint8(b), out=delta))
                 rows[a][:] = b
             elif op is Opcode.LD:
                 if collect_transitions:
-                    record(bus_site, rows[bus] ^ rows[b])
-                    record(reg_site, rows[a] ^ rows[b])
+                    record(bus_site, np.bitwise_xor(rows[bus], rows[b], out=delta))
+                    record(reg_site, np.bitwise_xor(rows[a], rows[b], out=delta))
                 rows[bus][:] = rows[b]
                 rows[a][:] = rows[b]
             elif op is Opcode.ST:
                 if collect_transitions:
-                    record(bus_site, rows[bus] ^ rows[b])
+                    record(bus_site, np.bitwise_xor(rows[bus], rows[b], out=delta))
                 rows[bus][:] = rows[b]
                 rows[a][:] = rows[b]
             elif op is Opcode.NOP:
@@ -473,8 +532,9 @@ def run_batch(
             elif op is Opcode.B:
                 next_block = a
             elif op in (Opcode.BEQ, Opcode.BNE):
-                eq = rows[a] == rows[b]
-                taken_mask = eq if op is Opcode.BEQ else ~eq
+                taken_mask = (np.equal if op is Opcode.BEQ else np.not_equal)(
+                    rows[a], rows[b], out=mask
+                )
                 taken = spent + overhead
                 if taken_mask.all():
                     work.append((c, lanes, state, taken))

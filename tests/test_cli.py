@@ -202,6 +202,48 @@ def test_verify_rejects_another_functions_pool(tmp_path, capsys):
     assert not (pool / "verify.json").exists()
 
 
+@pytest.mark.parametrize("damage", ["truncated", "loops"])
+def test_verify_rejects_malformed_variant(tmp_path, capsys, damage):
+    out = tmp_path / "out"
+    run_cli(
+        "diversify", corpus_path("masked_xor"), "--mode", "psc", "--out", out,
+        "--variants", "2", "--budget-secs", "60",
+    )
+    pool = out / "masked_xor-psc-g0"
+    variant = pool / "variant_001.bin"
+    from secdiv.machine import Instr, MachineProgram, Opcode
+
+    if damage == "truncated":
+        variant.write_bytes(variant.read_bytes()[:-6])
+    else:  # b 0: a lane would never leave block 0
+        variant.write_bytes(MachineProgram("tight8", 3, [[Instr(Opcode.B, 0)]]).to_bytes())
+    capsys.readouterr()
+    assert run_cli("verify", corpus_path("masked_xor"), "--pool", pool) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("truncated" if damage == "truncated" else "branches to block 0") in err
+    assert not (pool / "verify.json").exists()
+
+
+def test_compile_reports_failed_balancing(tmp_path, capsys):
+    # the 4-block shape {0: (1, 2), 1: (2, 3)} of dag_edges in
+    # test_secanalysis.py, branching on a secret: the edge 0 -> 2 has no
+    # room for a balancing block, because block 1 falls through into 2
+    src = tmp_path / "nested.mir"
+    src.write_text(
+        "func g (x:secret, y:public)\n"
+        "block 0\n  beq x, y, 2\n"
+        "block 1\n  beq x, y, 3\n"
+        "block 2\n  ret x\n"
+        "block 3\n  ret x\n"
+    )
+    assert run_cli("compile", src, "--mode", "tsc", "--out", tmp_path / "out") == 3
+    assert capsys.readouterr().err == (
+        "infeasible: cannot insert on edge 0->2: block 1 falls through a "
+        "conditional branch into the insertion point\n"
+    )
+
+
 def test_gadgets_command(tmp_path, capsys):
     out = tmp_path / "out"
     run_cli(

@@ -386,3 +386,85 @@ def test_run_batch_rejects_operands_outside_profile(ins, match):
     program = MachineProgram("tight8", 1, [[Instr(Opcode.RET, 0)], [ins]])
     with pytest.raises(MachineError, match=match):
         run_batch(program, np.zeros((1, 4), dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "blocks, match",
+    [
+        ([[Instr(Opcode.B, 0)]], "block 0 branches to block 0"),
+        ([[Instr(Opcode.NOP)], [Instr(Opcode.BEQ, 0, 0, 0)], [Instr(Opcode.RET, 0)]],
+         "block 1 branches to block 0"),
+        ([[Instr(Opcode.BNE, 0, 0, 1)], [Instr(Opcode.B, 1)]], "block 1 branches to block 1"),
+        ([[Instr(Opcode.B, 2)], [Instr(Opcode.RET, 0)]], "block 0 branches to block 2"),
+    ],
+)
+def test_run_batch_rejects_branches_that_are_not_forward(blocks, match):
+    # a back edge would let a lane loop for ever; no instruction runs
+    program = MachineProgram("tight8", 1, blocks)
+    with pytest.raises(MachineError, match=match):
+        run_batch(program, np.zeros((1, 4), dtype=np.uint8))
+
+
+def test_from_bytes_rejects_truncated_and_trailing_data():
+    data = _check_bit_program().to_bytes()
+    for cut in (1, 6, len(data) - 9):
+        with pytest.raises(MachineError, match="truncated"):
+            MachineProgram.from_bytes(data[:-cut])
+    with pytest.raises(MachineError, match="2 bytes after"):
+        MachineProgram.from_bytes(data + b"\0\0")
+    with pytest.raises(MachineError, match="unknown profile"):
+        MachineProgram.from_bytes(data.replace(b"tight8", b"tight9"))
+
+
+def _masked_xor_program():
+    return encode(load("masked_xor"), _sched_masked_xor(True), TIGHT8)
+
+
+@pytest.mark.parametrize(
+    "program",
+    [_masked_xor_program, _check_bit_program, _sparse_program, _modexp_step_program],
+)
+def test_run_batch_repeated_calls_keep_results_apart(program):
+    """One program, called again and again on lane counts that grow and
+    shrink, with and without groups and transitions: every call agrees
+    with the scalar interpreter, and no later call changes an array an
+    earlier call returned."""
+    program = program()
+    calls = [
+        (240, 1, True), (60, 3, True), (480, 4, True), (480, 4, False),
+        (120, 2, True), (480, 4, True), (30, 1, True), (480, 1, False),
+    ]
+    kept = []
+    for seed, (n, groups, collect) in enumerate(calls):
+        lanes = np.random.default_rng(seed).integers(
+            0, 256, size=(program.num_inputs, n), dtype=np.uint8
+        )
+        lanes[:, ::3] = lanes[0, ::3]  # equal inputs, so branches split the lanes
+        batch = run_batch(program, lanes, collect_transitions=collect, groups=groups)
+        returns, cycles, _ = _scalar_totals(program, lanes)
+        assert batch.returns.tolist() == returns
+        assert batch.cycles.tolist() == cycles
+        width = n // groups
+        expected = [
+            _scalar_totals(program, lanes[:, width * g : width * (g + 1)])[2]
+            for g in range(groups)
+        ] if collect else []
+        sites = set().union(*expected)
+        assert batch.transitions.keys() == sites
+        for site, hist in batch.transitions.items():
+            assert hist.shape == (groups, 256)
+            for g in range(groups):
+                want = expected[g].get(site, np.zeros(256, dtype=np.int64))
+                assert hist[g].tolist() == want.tolist()
+        snapshot = (
+            batch.returns.copy(),
+            batch.cycles.copy(),
+            {site: hist.copy() for site, hist in batch.transitions.items()},
+        )
+        kept.append((batch, snapshot))
+    for batch, (returns, cycles, transitions) in kept:
+        assert np.array_equal(batch.returns, returns)
+        assert np.array_equal(batch.cycles, cycles)
+        assert batch.transitions.keys() == transitions.keys()
+        for site, hist in transitions.items():
+            assert np.array_equal(batch.transitions[site], hist)
