@@ -7,8 +7,10 @@ transformed IR (``transformed.mir``), the analysis dump, a deterministic
 and reports are byte-identical across reruns with the same seed.
 
 Exit codes: 0 success, 2 usage or parse error (of the IR or of an
-encoded variant), 3 unsatisfiable model or balancing that cannot equalize
-the secret paths, 4 solver timeout with an incumbent, 5 oracle failure.
+encoded variant), 3 unsatisfiable model, or one infeasible by
+construction (too many inputs, slots or live values), 4 solver timeout
+with an incumbent, 5 oracle failure.  tsc balancing always succeeds: it
+pads every secret path that costs less than its siblings.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import copmodel, gadgets, solver, verify
 from .copmodel import build_problem, to_schedule
 from .machine import PROFILES, MachineError, MachineProgram, encode
 from .mir import IRError, SecurityLabel, parse_function, serialize_function
-from .secanalysis import BalanceError, Mode, analyze, emit_analysis
+from .secanalysis import Mode, analyze, emit_analysis
 from .solver import SolveResult, SolveStatus
 
 EXIT_OK = 0
@@ -248,7 +250,7 @@ def cmd_verify(args) -> int:
             lines.append(f"{tag}\tcr\t{verdict}")
             if not report.secure:
                 cr_violations += 1
-                if mode in ("tsc",):
+                if mode == "tsc":
                     failures += 1
         if check_psc:
             report = verify.check_psc(program, policy)
@@ -260,7 +262,7 @@ def cmd_verify(args) -> int:
                 lines.append(f"{tag}\tpsc\t{verdict}")
                 if not report.secure:
                     psc_violations += 1
-                    if mode in ("psc",):
+                    if mode == "psc":
                         failures += 1
 
     n = len(programs)
@@ -501,7 +503,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
-    except (copmodel.ModelInfeasibleError, BalanceError) as exc:
+    except copmodel.ModelInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_UNSAT
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .machine import MachineProfile, Opcode, Schedule
+from .machine import MachineProfile, Opcode, Schedule, remat_constant
 from .mir import FunctionIR, Operation, paths
 from .secanalysis import LeakPairSets, Mode, SecretPathSet, memory_conflicts
 
@@ -150,8 +150,6 @@ def build_problem(
             prob.alternatives[op.index] = (Opcode.MOV, Opcode.OR, Opcode.AND)
         elif op.opcode is Opcode.COPY:
             alts = [Opcode.MOV, Opcode.OR, Opcode.AND]
-            from .machine import remat_constant
-
             if remat_constant(func, op.uses[0]) is not None:
                 alts.append(Opcode.LI)
             prob.alternatives[op.index] = tuple(alts)

@@ -119,11 +119,3 @@ def pool_histogram(
     for rate in _pair_srates(programs, k):
         hist.add(rate)
     return hist
-
-
-def mean_srate(programs: Sequence[MachineProgram], k: int = DEFAULT_MAX_LEN) -> Fraction:
-    """Mean srate over all ordered pairs."""
-    if len(programs) < 2:
-        raise ValueError("mean srate needs at least two variants")
-    rates = list(_pair_srates(programs, k))
-    return sum(rates, Fraction(0)) / len(rates)

@@ -11,6 +11,7 @@ opaque and is treated conservatively.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -257,190 +258,187 @@ def extract_secret_path_sets(
 
 
 # ----------------------------------------------------------------------
-# balancing transformations
+# branch balancing
 # ----------------------------------------------------------------------
 
-
-@dataclass
-class BalanceResult:
-    function: FunctionIR
-    changed: bool
-    note: str = ""
-    new_block: Optional[int] = None
+Edge = tuple[int, int]
 
 
-class BalanceError(Exception):
-    pass
+def _falls_through(func: FunctionIR, u: int, v: int) -> bool:
+    term = func.blocks[u].terminator
+    return v == u + 1 and (term is None or term.opcode in (Opcode.BEQ, Opcode.BNE))
 
 
-def _clone_function(func: FunctionIR) -> FunctionIR:
-    return parse_function(serialize_function(func))
+def _layout(func: FunctionIR, padded) -> tuple[list[tuple[str, object]], set[Edge]]:
+    """The block order with a pad on each edge in `padded`, and the edges
+    that reach their target through a `b`.  An entry is ("block", b) for
+    old block b, ("pad", e) for the pad of edge e, or ("jump", v) for a
+    block that jumps to old block v.  The pads into v sit just before it,
+    the fall-through's first.  Only the last edge of that chain falls
+    through into v, so no conditional fall-through moves; a block without
+    terminator takes its own jump."""
+    layout: list[tuple[str, object]] = []
+    jumped: set[Edge] = set()
+    for v in range(len(func.blocks)):
+        chain = sorted(e for e in padded if e[1] == v and not _falls_through(func, *e))
+        if v and _falls_through(func, v - 1, v):
+            chain.insert(0, (v - 1, v))
+        for e in chain:
+            if e in padded:
+                layout.append(("pad", e))
+            if e != chain[-1]:
+                jumped.add(e)
+                if e in padded or func.blocks[e[0]].terminator is not None:
+                    layout.append(("jump", v))
+        layout.append(("block", v))
+    return layout, jumped
 
 
-def _nop_budget(func: FunctionIR, pset: SecretPathSet, short, profile: MachineProfile) -> int:
-    """Upper bound on the padding the new block may need: the worst-case
+def _deficits(func: FunctionIR, cost, edges, jumped, profile: MachineProfile) -> dict[Edge, int]:
+    """How many cycles less than the costliest path from its source the
+    costliest path through each edge takes, to the returns.  Block b costs
+    cost[b]; an edge, its taken-branch overhead and a `b` if in `jumped`."""
+
+    def edge_cost(u: int, v: int) -> int:
+        jump = profile.lat(Opcode.B) if (u, v) in jumped else 0
+        return jump + (profile.taken_branch_overhead if func.taken_successor(u) == v else 0)
+
+    longest = [0] * len(cost)
+    for b in reversed(range(len(cost))):
+        succ = func.successors(b)
+        longest[b] = cost[b] + max((edge_cost(b, s) + longest[s] for s in succ), default=0)
+    return {(u, v): longest[u] - cost[u] - edge_cost(u, v) - longest[v] for u, v in edges}
+
+
+def _nop_budget(pset: SecretPathSet, short, cost, profile: MachineProfile) -> int:
+    """Upper bound on the padding a pad on `short` may need: the worst-case
     cost of the blocks exclusive to the sibling paths, plus the jump the
     insertion may add and one taken-branch overhead of slack."""
-    shared = set(short)
-    worst = 0
-    for path in pset.paths:
-        cost = sum(
-            profile.lat(op.opcode)
-            for b in path
-            if b not in shared
-            for op in func.blocks[b].ops
-        )
-        worst = max(worst, cost)
+    worst = max(sum(cost[b] for b in path if b not in short) for path in pset.paths)
     return worst + profile.lat(Opcode.B) + profile.taken_branch_overhead + 3
 
 
-def _insert_block(func: FunctionIR, src: int, old_target: int, ops: list[Operation]) -> FunctionIR:
-    """Insert a new block carrying `ops` on the edge src -> old_target.
-
-    The new block takes the id of the old target and falls through to it;
-    later blocks shift by one.  Fall-through edges of other blocks that
-    would now land in the new block are made explicit with a `b`.
-    """
-    new_f = _clone_function(func)
-    pos = old_target
-
-    # blocks whose implicit fall-through must become explicit after the shift
-    needs_jump = []
-    for block in new_f.blocks:
-        if block.index == src:
-            continue
-        if block.terminator is None and block.index + 1 == pos and block.index + 1 < len(new_f.blocks):
-            needs_jump.append(block.index)
-        elif block.terminator is not None and block.terminator.opcode in (Opcode.BEQ, Opcode.BNE):
-            if block.index + 1 == pos:
-                raise BalanceError(
-                    f"cannot insert on edge {src}->{old_target}: block {block.index} "
-                    "falls through a conditional branch into the insertion point"
-                )
-
-    def remap(b: int) -> int:
-        return b + 1 if b >= pos else b
-
-    for block in new_f.blocks:
-        new_ops = []
-        for op in block.ops:
-            if op.opcode is Opcode.B:
-                new_ops.append(replace(op, uses=(remap(op.uses[0]),)))
-            elif op.opcode in (Opcode.BEQ, Opcode.BNE):
-                new_ops.append(replace(op, uses=(op.uses[0], op.uses[1], remap(op.uses[2]))))
-            else:
-                new_ops.append(op)
-        block.ops = new_ops
-
-    for idx in needs_jump:
-        new_f.blocks[idx].ops.append(
-            Operation(index=-1, opcode=Opcode.B, defs=(), uses=(remap(idx + 1),))
+def _copy_refusal(func: FunctionIR, pset: SecretPathSet) -> Optional[str]:
+    """Why `pset` cannot be balanced by a dead-def copy of its one-block
+    arm on the edge that skips it (Agat's cross-copying), or None.  With
+    ops in the arm and no other way into it, the copy costs what the arm
+    costs up to 3 cycles of jumps and taken overhead, which the solver
+    closes by issuing the ops of the copy or of the arm later."""
+    if len(pset.paths) != 2:
+        return "copy balancing needs exactly two paths"
+    short, long_ = sorted(pset.paths, key=len)
+    if len(short) != 2 or short[-1] != long_[-1]:
+        return "no edge skips an arm: use the empty-block transformation"
+    if len(long_) != 3:
+        return "arm longer than one block: use the empty-block transformation"
+    arm = long_[1]
+    body = func.blocks[arm].body
+    if any(op.opcode is Opcode.ST for op in body):
+        return (
+            "arm stores to memory: copying it would clobber the slot, "
+            "use the empty-block transformation"
         )
+    if not body or any(arm in func.successors(b) for b in range(arm - 1)):
+        return "arm is empty or entered from elsewhere: use the empty-block transformation"
+    return None
 
-    new_block = Block(index=pos, weight=Fraction(1), ops=list(ops))
-    new_f.blocks.insert(pos, new_block)
-    for i, block in enumerate(new_f.blocks):
-        block.index = i
 
-    # redirect the balanced edge when it was the taken edge of src
-    src_block = new_f.blocks[src]
-    term = src_block.terminator
-    if term is not None and term.opcode in (Opcode.BEQ, Opcode.BNE):
-        if term.uses[2] == remap(old_target) and old_target != src + 1:
-            src_block.ops[-1] = replace(term, uses=(term.uses[0], term.uses[1], pos))
+def _dead_copy(block: Block, names: set[str]) -> list[Operation]:
+    """The body of `block` with each def renamed to a fresh name that
+    nothing reads; `names` holds the names in use and grows."""
+    rename: dict[str, str] = {}
+    copies = []
+    for op in block.body:
+        uses = tuple(rename.get(u, u) if isinstance(u, str) else u for u in op.uses)
+        for d in op.defs:
+            fresh = (f"{d}_dead{n or ''}" for n in itertools.count())
+            rename[d] = next(name for name in fresh if name not in names)
+            names.add(rename[d])
+        copies.append(replace(op, defs=tuple(rename[d] for d in op.defs), uses=uses))
+    return copies
 
+
+def _with_pads(func: FunctionIR, pads: dict[Edge, list[Operation]]) -> FunctionIR:
+    """The function laid out by `_layout`, renumbered and validated."""
+    layout, jumped = _layout(func, pads)
+    where = {key: i for i, (kind, key) in enumerate(layout) if kind != "jump"}
+    blocks = []
+    for i, (kind, key) in enumerate(layout):
+        weight = Fraction(1)
+        if kind == "jump":
+            ops = [Operation(index=-1, opcode=Opcode.B, defs=(), uses=(where[key],))]
+        elif kind == "pad":
+            ops = list(pads[key])
+        else:
+            old = func.blocks[key]
+            weight, ops, term = old.weight, list(old.ops), old.terminator
+            if term is None and (key, key + 1) in jumped and (key, key + 1) not in pads:
+                ops.append(Operation(index=-1, opcode=Opcode.B, defs=(), uses=(where[key + 1],)))
+            elif term is not None and term.opcode is not Opcode.RET:
+                target = where.get((key, term.uses[-1]), where[term.uses[-1]])
+                ops[-1] = replace(term, uses=term.uses[:-1] + (target,))
+        blocks.append(Block(index=i, weight=weight, ops=ops))
+    new_f = FunctionIR(name=func.name, inputs=list(func.inputs), blocks=blocks, slots=func.slots)
     new_f.renumber_ops()
     _collect_temps(new_f)
     validate_function(new_f)
     return new_f
 
 
-def balance_ebb(
-    func: FunctionIR, pset: SecretPathSet, profile: MachineProfile = TIGHT8
-) -> BalanceResult:
-    """Add an empty block of optional NOPs on the shortest path of `pset`.
-
-    How many of the NOPs become active is decided later by the solver;
-    the budget here is the worst-case cost of the sibling paths.
-    """
-    by_length = sorted(pset.paths, key=lambda p: (len(p), p))
-    if len(by_length) < 2 or len(by_length[0]) == len(by_length[-1]):
-        return BalanceResult(function=func, changed=False, note="already balanced")
-    short = by_length[0]
-    budget = _nop_budget(func, pset, short, profile)
-    nops = [
-        Operation(index=-1, opcode=Opcode.NOP, defs=(), uses=(), optional=True)
-        for _ in range(budget)
-    ]
-    new_f = _insert_block(func, short[0], short[1], nops)
-    return BalanceResult(function=new_f, changed=True, new_block=short[1], note="ebb")
-
-
-def balance_cbb(func: FunctionIR, pset: SecretPathSet) -> BalanceResult:
-    """Balance a one-block arm by copying it with dead definitions."""
-    by_length = sorted(pset.paths, key=lambda p: (len(p), p))
-    if len(by_length) != 2:
-        raise BalanceError("copy balancing needs exactly two paths")
-    short, long_ = by_length
-    if len(short) == len(long_):
-        return BalanceResult(function=func, changed=False, note="already balanced")
-    if len(long_) != 3 or len(short) != 2:
-        raise BalanceError("arm longer than one block: use the empty-block transformation")
-    arm = long_[1]
-    arm_block = func.blocks[arm]
-    for op in arm_block.body:
-        if op.opcode is Opcode.ST:
-            raise BalanceError(
-                "arm stores to memory: copying it would clobber the slot, "
-                "use the empty-block transformation"
-            )
-    rename: dict[str, str] = {}
-    copies: list[Operation] = []
-    existing = set(func.temps)
-    for op in arm_block.body:
-        new_uses = tuple(rename.get(u, u) if isinstance(u, str) else u for u in op.uses)
-        new_defs = []
-        for d in op.defs:
-            fresh = f"{d}_dead"
-            n = 0
-            while fresh in existing:
-                n += 1
-                fresh = f"{d}_dead{n}"
-            existing.add(fresh)
-            rename[d] = fresh
-            new_defs.append(fresh)
-        copies.append(replace(op, defs=tuple(new_defs), uses=new_uses, index=-1))
-    new_f = _insert_block(func, short[0], short[1], copies)
-    return BalanceResult(function=new_f, changed=True, new_block=short[1], note="cbb")
-
-
 def apply_balancing(
     func: FunctionIR, profile: MachineProfile = TIGHT8, method: str = "ebb"
 ) -> tuple[FunctionIR, list[str]]:
-    """Balance every secret-dependent branch; returns (function, notes)."""
-    notes: list[str] = []
-    for _ in range(16):  # bound: one insertion per secret branch
-        types = infer_types(func)
-        psets = extract_secret_path_sets(func, types)
-        unbalanced = [
-            s for s in psets if len({len(p) for p in s.paths}) > 1
-        ]
-        if not unbalanced:
-            return func, notes
-        pset = unbalanced[0]
-        if method == "cbb":
-            try:
-                result = balance_cbb(func, pset)
-            except BalanceError as exc:
-                notes.append(f"block {pset.branch_block}: {exc}; fell back to ebb")
-                result = balance_ebb(func, pset, profile)
-        else:
-            result = balance_ebb(func, pset, profile)
-        if not result.changed:
-            return func, notes
-        notes.append(f"block {pset.branch_block}: inserted block {result.new_block} ({result.note})")
-        func = result.function
-    raise BalanceError("balancing did not converge")
+    """Pad the secret branches so that their paths can take equal cycles;
+    returns (function, notes).
+
+    Every edge of a secret region with a cycle deficit gets one pad: a
+    block of optional NOPs that the solver activates, or under cbb a
+    dead-def copy of the one-block arm that the edge skips.  Padding each
+    edge by its deficit makes all paths from a block to the returns cost
+    the same, which balances every region at once (per-path cost repair,
+    Wu et al., ISSTA 2018).  A deficit in a region that gets a copy goes
+    to the edge that skips the arm.  Only pads off the fall-through add
+    jumps, and jumps only add cycles, so the loop that finds those pads
+    grows their set each round and ends within one round per edge.
+    """
+    psets = extract_secret_path_sets(func, infer_types(func))
+    # each edge belongs to the innermost (last) region that takes it
+    region: dict[Edge, SecretPathSet] = {}
+    for pset in psets:
+        for path in pset.paths:
+            region.update(dict.fromkeys(zip(path, path[1:]), pset))
+    # under cbb: why each region cannot copy its arm (None: it can), and where
+    why = {p.branch_block: _copy_refusal(func, p) for p in psets if method == "cbb"}
+    skip = {b: min(p.paths, key=len) for b, p in zip(why, psets) if why[b] is None}
+    cost = [sum(profile.lat(op.opcode) for op in block.ops) for block in func.blocks]
+    fronts, grown = None, set()
+    while grown != fronts:
+        fronts = grown
+        deficit = _deficits(func, cost, region, _layout(func, fronts)[1], profile)
+        wanted = {skip.get(region[e].branch_block, e) for e, d in deficit.items() if d > 0}
+        grown = fronts | {e for e in wanted if not _falls_through(func, *e)}
+    padded = fronts | wanted
+
+    layout = _layout(func, padded)[0]
+    where = {key: i for i, (kind, key) in enumerate(layout) if kind != "jump"}
+    pads: dict[Edge, list[Operation]] = {}
+    notes = []
+    names = set(func.temps)
+    for pset in psets:
+        branch = pset.branch_block
+        owned = sorted((e for e in padded if region[e] is pset), key=where.get)
+        if owned and why.get(branch):
+            notes.append(f"block {where[branch]}: {why[branch]}; fell back to ebb")
+        for e in owned:
+            if e == skip.get(branch):
+                pads[e] = _dead_copy(func.blocks[max(pset.paths, key=len)[1]], names)
+            else:
+                short = next(p for p in sorted(pset.paths, key=len) if e in zip(p, p[1:]))
+                nop = Operation(index=-1, opcode=Opcode.NOP, defs=(), uses=(), optional=True)
+                pads[e] = [nop] * _nop_budget(pset, short, cost, profile)
+            kind = "cbb" if e == skip.get(branch) else "ebb"
+            notes.append(f"block {where[branch]}: inserted block {where[e]} ({kind})")
+    return (_with_pads(func, pads) if pads else func), notes
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +500,7 @@ def restore_mask_order(func: FunctionIR) -> MaskOrderResult:
     which no ordering avoids a secret intermediate are reported back.
     """
     labels = _labels_of(func)
-    func = _clone_function(func)
+    func = parse_function(serialize_function(func))
     changed = False
 
     for _ in range(8):

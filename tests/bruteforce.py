@@ -10,12 +10,13 @@ Completeness argument for the minimum: any feasible solution can be
 left-compacted without changing op order, which preserves dependencies,
 single-issue, interference (order-preserving), transition adjacency
 (order-based), and never increases any block makespan.  Padding needed by
-the timing-balance equality is only ever useful on the short side of a
-branch, where the balancing transformation provides explicit optional
-NOPs, so the compact+NOP space contains an optimal solution.  This holds
-for uniform block weights, which the small corpus functions use;
-instruction alternatives and operand swaps never affect feasibility or
-cost and are fixed at their defaults.
+the timing-balance equality is only ever useful on a path that costs less
+than its siblings, and the empty-block balancing puts explicit optional
+NOPs on every edge of a secret region with such a deficit, so the
+compact+NOP space contains an optimal solution.  This holds for uniform
+block weights, which the small corpus functions use; instruction
+alternatives and operand swaps never affect feasibility or cost and are
+fixed at their defaults.
 """
 
 from __future__ import annotations

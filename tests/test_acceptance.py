@@ -13,6 +13,7 @@ from math import floor
 
 from bruteforce import brute_optimal
 from conftest import all_corpus_names, corpus_path, load
+from gadget_overlap import mean_srate
 from secdiv import gadgets as gadgets_mod
 from secdiv import solver as solver_mod
 from secdiv import verify as verify_mod
@@ -264,8 +265,8 @@ def test_criterion_7_gadget_trend_and_buckets():
         _, _, tight_programs = pool_for(name, mode, "tight8")
         _, _, wide_programs = pool_for(name, mode, "wide32")
         assert len(tight_programs) >= POOL_SIZE and len(wide_programs) >= POOL_SIZE
-        tight = gadgets_mod.mean_srate(tight_programs)
-        wide = gadgets_mod.mean_srate(wide_programs)
+        tight = mean_srate(tight_programs)
+        wide = mean_srate(wide_programs)
         assert wide <= tight, f"{name}: wide32 {wide} > tight8 {tight}"
         assert tight < 1 and wide < 1
         trends.append(f"{name}: wide32 {float(wide):.3f} <= tight8 {float(tight):.3f}")
@@ -306,8 +307,8 @@ def test_criterion_8_mitigation_compatibility():
         if n < 2:
             rows.append(f"{name}: n/a (pool of {n})")
             continue
-        aware = float(gadgets_mod.mean_srate(aware_programs[:n]))
-        unaware = float(gadgets_mod.mean_srate(unaware_programs[:n]))
+        aware = float(mean_srate(aware_programs[:n]))
+        unaware = float(mean_srate(unaware_programs[:n]))
         assert abs(aware - unaware) <= 0.15, (
             f"{name}: aware {aware:.3f} vs unaware {unaware:.3f}"
         )

@@ -225,10 +225,11 @@ def test_verify_rejects_malformed_variant(tmp_path, capsys, damage):
     assert not (pool / "verify.json").exists()
 
 
-def test_compile_reports_failed_balancing(tmp_path, capsys):
+def test_compile_balances_nested_secret_branches(tmp_path, capsys):
     # the 4-block shape {0: (1, 2), 1: (2, 3)} of dag_edges in
-    # test_secanalysis.py, branching on a secret: the edge 0 -> 2 has no
-    # room for a balancing block, because block 1 falls through into 2
+    # test_secanalysis.py, branching on a secret: block 1 falls through a
+    # conditional into 2, so the pad of the edge 0 -> 2 cannot take that
+    # slot and the fall-through reaches 2 through a jump of its own
     src = tmp_path / "nested.mir"
     src.write_text(
         "func g (x:secret, y:public)\n"
@@ -237,11 +238,16 @@ def test_compile_reports_failed_balancing(tmp_path, capsys):
         "block 2\n  ret x\n"
         "block 3\n  ret x\n"
     )
-    assert run_cli("compile", src, "--mode", "tsc", "--out", tmp_path / "out") == 3
-    assert capsys.readouterr().err == (
-        "infeasible: cannot insert on edge 0->2: block 1 falls through a "
-        "conditional branch into the insertion point\n"
-    )
+    out = tmp_path / "out"
+    assert run_cli("compile", src, "--mode", "tsc", "--out", out) == 0
+    assert run_cli(
+        "diversify", src, "--mode", "tsc", "--out", out, "--variants", "4", "--gap", "10"
+    ) == 0
+    assert run_cli("verify", src, "--pool", out / "g-tsc-g10") == 0
+    verify_txt = (out / "g-tsc-g10" / "verify.txt").read_text()
+    assert verify_txt.count("\tcr\tsecure") == 4
+    assert json.loads((out / "g-tsc-g10" / "verify.json").read_text())["failures"] == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_gadgets_command(tmp_path, capsys):

@@ -5,28 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import load
+from gadget_overlap import mean_srate, srate
 from secdiv.copmodel import Mode, build_problem, to_schedule
-from secdiv.gadgets import (
-    DEFAULT_MAX_LEN,
-    SrateHistogram,
-    extract_gadgets,
-    mean_srate,
-    pool_histogram,
-)
+from secdiv.gadgets import SrateHistogram, extract_gadgets, pool_histogram
 from secdiv.machine import TIGHT8, Instr, MachineProgram, Schedule, encode
 from secdiv.mir import Opcode
 from secdiv.secanalysis import analyze
 from secdiv.solver import solve_optimal
-
-
-def srate(a: MachineProgram, b: MachineProgram, k: int = DEFAULT_MAX_LEN) -> Fraction:
-    """Share of a's gadgets found, NOP-stripped, at the same byte address
-    in b; 0 when a has no gadget."""
-    gadgets = extract_gadgets(a, k)
-    if not gadgets:
-        return Fraction(0)
-    in_b = {(g.start, g.normalized) for g in extract_gadgets(b, k)}
-    return Fraction(sum((g.start, g.normalized) in in_b for g in gadgets), len(gadgets))
 
 
 def _program(words: list[Instr], num_inputs=1) -> MachineProgram:

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from bruteforce import def_site
 from conftest import all_corpus_names, load
 from ir_eval import eval_ir, input_grid
-from secdiv.copmodel import build_problem, emit_model
-from secdiv.machine import TIGHT8
+from secdiv.copmodel import build_problem, check_solution, emit_model, to_schedule
+from secdiv.machine import TIGHT8, encode
 from secdiv.mir import (
     FunctionIR,
     SecurityLabel,
@@ -25,7 +25,6 @@ from secdiv.mir import (
 )
 from secdiv.secanalysis import (
     CONST_TYPE,
-    BalanceError,
     Mode,
     _chain_leaves,
     _find_safe_order,
@@ -33,8 +32,6 @@ from secdiv.secanalysis import (
     _xor_chains,
     analyze,
     apply_balancing,
-    balance_cbb,
-    balance_ebb,
     emit_analysis,
     extract_secret_path_sets,
     gen_leak_pairs,
@@ -44,6 +41,8 @@ from secdiv.secanalysis import (
     restore_mask_order,
     xor_type,
 )
+from secdiv.solver import SolveStatus, solve_optimal
+from secdiv.verify import check_cr
 
 # ----------------------------------------------------------------------
 # type inference
@@ -330,7 +329,9 @@ def test_corpus_paths_match_oracle(name, config):
 
 # sha256 of emit_analysis + emit_model per (config, corpus function), pinned
 # from the analysis that took a balance method and a mask-order flag
-# instead of a mode
+# instead of a mode.  long_arm and share_compare under tsc were pinned again
+# when balancing went by cycles: long_arm got one NOP block instead of two,
+# and share_compare a NOP block for the 1-cycle gap between its arms.
 _DUMP_SHA256 = {
     ("none", "check_bit"): "d97621a994682a2185b48f37c400a2c8d4839206948c0ef4c7c01a48e4ab5dc6",
     ("none", "long_arm"): "3e02cb2e459a5498066458f76a11707c63eecf3c440aba9d7e75618a45aef5d5",
@@ -357,25 +358,25 @@ _DUMP_SHA256 = {
     ("psc", "two_branches"): "5e641fc94af372e9a84d7735929b40a45a46ee89cecaf50dd6bc68326ea994ad",
     ("psc", "two_exits"): "ce6bc751f527da3074afc1d7818e0ebb04b771f17417dfd8c8c7591ab834e14c",
     ("tsc-cbb", "check_bit"): "2554e52923faa2d88afdcffe2ee46c0f1de5dc536ee05309dd27870d4d7c1135",
-    ("tsc-cbb", "long_arm"): "ba4d9e530f6e2403c70f1d6d445046c19483399c48d8f65c7622db3212197f89",
+    ("tsc-cbb", "long_arm"): "96d917b54ba789c65d14c8d2ec561d35527f8144ba090c943b3ef9e7e43a1b1d",
     ("tsc-cbb", "masked_chain"): "75ab76679454df953418d5baadbf1b0dbf7323e508279d0bfa6fa1d483c097e9",
     ("tsc-cbb", "masked_xor"): "b9c38ce971707698e25b8a9aef93c157fae5bd78c018d9c8e7c7d38280086407",
     ("tsc-cbb", "masked_xor_broken"): "f25105971a1c0636eece91adc53f87dda631c12019e20600079a79fe7d5baad1",
     ("tsc-cbb", "minimal"): "6a39785c96da31c3ab87700f32489218c23145adfba6220c1647d0e0658a71cc",
     ("tsc-cbb", "modexp_step"): "3665e465d3cd400a5a69fa500cb342b45d4822aee89cd25b92e66320317385a2",
-    ("tsc-cbb", "share_compare"): "a2c7462508f6640f3fa45ab3ae0f3bbc8443d39d315e567baea0d2306a1b8aa4",
+    ("tsc-cbb", "share_compare"): "2c0d93e60b60ac51ae1f98427c694b44d104f55c3f83f94d944f3a5d44f89d2d",
     ("tsc-cbb", "spill_pair"): "0685d212355dfff072a1f6b1a6ef562455cb60bd6e333e8645be95b61d0dd03e",
     ("tsc-cbb", "straightline"): "8753cbb2a3abed96a6423822d27bae5c340dd51e43cbb0880de2bc07546d95d6",
     ("tsc-cbb", "two_branches"): "e3238b835cf2f3d93af0e4cd28c916993a768c3e2052c840225ab65cc132951c",
     ("tsc-cbb", "two_exits"): "f80d969bfa918c5d6aff60ea759c13408a339b1ac7f95b4ab07c6c9ca0f4ffa3",
     ("tsc-ebb", "check_bit"): "233b82f5c32facd1ac2ca79f9151b37242f66636fcedf84a67192e07ca22937e",
-    ("tsc-ebb", "long_arm"): "8b4ec19c3b78456f22b6fdb1ee4d344148e9959fd21bd4b95b1d5af32e62a39b",
+    ("tsc-ebb", "long_arm"): "b793740d5bff375ccc0afb80a09f536b56ed01a8bc9cecfbbca3144b6db98125",
     ("tsc-ebb", "masked_chain"): "75ab76679454df953418d5baadbf1b0dbf7323e508279d0bfa6fa1d483c097e9",
     ("tsc-ebb", "masked_xor"): "b9c38ce971707698e25b8a9aef93c157fae5bd78c018d9c8e7c7d38280086407",
     ("tsc-ebb", "masked_xor_broken"): "f25105971a1c0636eece91adc53f87dda631c12019e20600079a79fe7d5baad1",
     ("tsc-ebb", "minimal"): "6a39785c96da31c3ab87700f32489218c23145adfba6220c1647d0e0658a71cc",
     ("tsc-ebb", "modexp_step"): "4aa5d5174160de67397dfaa825ab479de7f8b7e9fe1ab084a7d18b2917693621",
-    ("tsc-ebb", "share_compare"): "a2c7462508f6640f3fa45ab3ae0f3bbc8443d39d315e567baea0d2306a1b8aa4",
+    ("tsc-ebb", "share_compare"): "0beb70ed4d51c777fc604f11b07fcf1d330de8503688fb0bda61bbc958a53605",
     ("tsc-ebb", "spill_pair"): "0685d212355dfff072a1f6b1a6ef562455cb60bd6e333e8645be95b61d0dd03e",
     ("tsc-ebb", "straightline"): "8753cbb2a3abed96a6423822d27bae5c340dd51e43cbb0880de2bc07546d95d6",
     ("tsc-ebb", "two_branches"): "ee105affc03bc52e28b4ee805c698f26e1d0c4e6a7a6d6b26493a92778f8a27d",
@@ -443,19 +444,27 @@ def test_masked_comparison_branch_not_secret():
 
 
 # ----------------------------------------------------------------------
-# balancing transformations
+# balancing
 # ----------------------------------------------------------------------
 
 
+def _nop_blocks(func: FunctionIR) -> list[int]:
+    return [
+        b.index for b in func.blocks
+        if b.ops and all(op.opcode.value == "nop" and op.optional for op in b.ops)
+    ]
+
+
+def _same_results(before: FunctionIR, after: FunctionIR, seed: int) -> bool:
+    inputs = input_grid(before, np.random.default_rng(seed), 512)
+    return bool((eval_ir(before, inputs)["<ret>"] == eval_ir(after, inputs)["<ret>"]).all())
+
+
 def test_ebb_inserts_nop_block(check_bit):
-    types = infer_types(check_bit)
-    (pset,) = extract_secret_path_sets(check_bit, types)
-    result = balance_ebb(check_bit, pset)
-    assert result.changed
-    func = result.function
+    func, notes = apply_balancing(check_bit)
+    assert notes == ["block 0: inserted block 2 (ebb)"]
     assert len(func.blocks) == 4
-    nop_block = func.blocks[2]
-    assert nop_block.ops and all(op.optional for op in nop_block.ops)
+    assert _nop_blocks(func) == [2]
     # the fall-through arm now jumps over the inserted block
     assert serialize_function(func).count("b 3") == 1
     sets = extract_secret_path_sets(func, infer_types(func))
@@ -463,6 +472,7 @@ def test_ebb_inserts_nop_block(check_bit):
 
 
 def test_ebb_balanced_diamond_untouched():
+    # both arms cost li + st + the 2 cycles of a jump or a taken branch
     text = (
         "func f (p:public, k:secret)\n"
         "block 0\n"
@@ -474,31 +484,34 @@ def test_ebb_balanced_diamond_untouched():
         "  b 3\n"
         "block 2\n"
         "  c = li 2\n"
+        "  nop\n"
         "  st out, c\n"
         "block 3\n"
         "  r = ld out\n"
         "  ret r\n"
     )
     func = parse_function(text)
-    (pset,) = extract_secret_path_sets(func, infer_types(func))
-    result = balance_ebb(func, pset)
-    assert not result.changed
-    assert "balanced" in result.note
+    for balance in ("ebb", "cbb"):
+        assert apply_balancing(func, method=balance) == (func, [])
 
 
 def test_ebb_multi_block_arm():
+    # one pad covers the whole arm: the sibling's blocks (9 cycles) plus
+    # the jump, the taken overhead and 3 cycles of slack
     func = load("long_arm")
-    (pset,) = extract_secret_path_sets(func, infer_types(func))
-    result = balance_ebb(func, pset)
-    assert result.changed
-    assert len(result.function.blocks) == len(func.blocks) + 1
+    balanced, notes = apply_balancing(func)
+    assert notes == ["block 0: inserted block 3 (ebb)"]
+    assert len(balanced.blocks) == len(func.blocks) + 1
+    assert _nop_blocks(balanced) == [3]
+    assert len(balanced.blocks[3].ops) == 17
 
 
-def test_ebb_preserves_semantics(check_bit):
-    balanced, _ = apply_balancing(check_bit)
-    rng = np.random.default_rng(7)
-    inputs = input_grid(check_bit, rng, 512)
-    assert (eval_ir(check_bit, inputs)["<ret>"] == eval_ir(balanced, inputs)["<ret>"]).all()
+def test_ebb_preserves_semantics():
+    for name in ("check_bit", "long_arm", "share_compare", "two_branches", "modexp_step"):
+        for balance in ("ebb", "cbb"):
+            func = load(name)
+            balanced, _ = apply_balancing(func, method=balance)
+            assert _same_results(func, balanced, seed=7), (name, balance)
 
 
 def test_cbb_copies_arm_with_dead_defs():
@@ -514,18 +527,14 @@ def test_cbb_copies_arm_with_dead_defs():
         "  ret r\n"
     )
     func = parse_function(text)
-    (pset,) = extract_secret_path_sets(func, infer_types(func))
-    result = balance_cbb(func, pset)
-    assert result.changed
-    new = result.function
+    new, notes = apply_balancing(func, method="cbb")
+    assert notes == ["block 0: inserted block 2 (cbb)"]
     assert len(new.blocks) == 4
     copied = new.blocks[2]
     assert [op.opcode.value for op in copied.body] == ["li"]
     dead = copied.body[0].defs[0]
     assert dead not in {u for op in new.all_ops() for u in op.temp_uses()}
-    rng = np.random.default_rng(3)
-    inputs = input_grid(func, rng, 512)
-    assert (eval_ir(func, inputs)["<ret>"] == eval_ir(new, inputs)["<ret>"]).all()
+    assert _same_results(func, new, seed=3)
 
 
 def test_cbb_three_op_arm():
@@ -543,8 +552,8 @@ def test_cbb_three_op_arm():
         "  ret r\n"
     )
     func = parse_function(text)
-    (pset,) = extract_secret_path_sets(func, infer_types(func))
-    new = balance_cbb(func, pset).function
+    new, notes = apply_balancing(func, method="cbb")
+    assert notes == ["block 0: inserted block 2 (cbb)"]
     copied = new.blocks[2]
     assert len(copied.body) == 3
     defs = {op.defs[0] for op in copied.body}
@@ -558,19 +567,48 @@ def test_cbb_three_op_arm():
         for u in op.temp_uses()
     }
     assert not (defs & external_uses)
+    assert _same_results(func, new, seed=5)
 
 
 def test_cbb_multi_block_arm_unsupported():
-    func = load("long_arm")
-    (pset,) = extract_secret_path_sets(func, infer_types(func))
-    with pytest.raises(BalanceError, match="empty-block"):
-        balance_cbb(func, pset)
+    balanced, notes = apply_balancing(load("long_arm"), method="cbb")
+    assert notes == [
+        "block 0: arm longer than one block: use the empty-block transformation; "
+        "fell back to ebb",
+        "block 0: inserted block 3 (ebb)",
+    ]
+    assert balanced.blocks == apply_balancing(load("long_arm"))[0].blocks
 
 
 def test_cbb_arm_with_store_unsupported(check_bit):
-    (pset,) = extract_secret_path_sets(check_bit, infer_types(check_bit))
-    with pytest.raises(BalanceError, match="clobber"):
-        balance_cbb(check_bit, pset)
+    balanced, notes = apply_balancing(check_bit, method="cbb")
+    assert notes == [
+        "block 0: arm stores to memory: copying it would clobber the slot, "
+        "use the empty-block transformation; fell back to ebb",
+        "block 0: inserted block 2 (ebb)",
+    ]
+    assert _nop_blocks(balanced) == [2]
+
+
+@pytest.mark.parametrize(
+    "edges, n, bodies, branch",
+    [
+        # block 2 is the arm of branch 1, and block 0 jumps into it too
+        ({0: (1, 2), 1: (2, 3), 2: (3,)}, 4, {2: ["  t = add x, x"]}, 1),
+        # the arm of branch 0 has no op that could take up a cycle
+        ({0: (1, 2), 1: (2,)}, 3, {}, 0),
+    ],
+)
+def test_cbb_arm_shared_or_empty_gets_nops(edges, n, bodies, branch):
+    func = _secret_graph(edges, n, bodies)
+    balanced, notes = apply_balancing(func, method="cbb")
+    assert notes == [
+        f"block {branch}: arm is empty or entered from elsewhere: use the empty-block "
+        "transformation; fell back to ebb",
+        f"block {branch}: inserted block {branch + 1} (ebb)",
+    ]
+    assert _nop_blocks(balanced) == [branch + 1]
+    assert _same_results(func, balanced, seed=13)
 
 
 def test_apply_balancing_handles_two_branches():
@@ -581,9 +619,76 @@ def test_apply_balancing_handles_two_branches():
     for s in sets:
         lengths = {len(p) for p in s.paths}
         assert len(lengths) == 1
-    rng = np.random.default_rng(11)
-    inputs = input_grid(func, rng, 512)
-    assert (eval_ir(func, inputs)["<ret>"] == eval_ir(balanced, inputs)["<ret>"]).all()
+    assert _same_results(func, balanced, seed=11)
+
+
+def _all_dag_edges(n: int) -> list[dict[int, tuple[int, ...]]]:
+    """Every successor map that `dag_edges` can draw for n blocks."""
+    shapes: list[dict[int, tuple[int, ...]]] = [{}]
+    targeted: list[set[int]] = [set()]
+    for i in range(n - 1):
+        grown, grown_targeted = [], []
+        for edges, done in zip(shapes, targeted):
+            options: list[tuple[int, ...]] = [(i + 1,)] + [(i + 1, t) for t in range(i + 2, n)]
+            if i + 1 in done:
+                options += [()] + [(t,) for t in range(i + 2, n)]
+            for succ in options:
+                grown.append({**edges, i: succ} if succ else dict(edges))
+                grown_targeted.append(done | set(succ))
+        shapes, targeted = grown, grown_targeted
+    return shapes
+
+
+def _secret_graph(edges, n: int, bodies=None) -> FunctionIR:
+    """`_graph` with every branch on the secret y."""
+    return _graph(edges, n, "x:public, y:secret", bodies)
+
+
+def test_every_small_cfg_balances_in_one_pass():
+    counts = {}
+    for n in (3, 4, 5, 6):
+        shapes = _all_dag_edges(n)
+        counts[n] = len(shapes)
+        for edges in shapes:
+            func = _secret_graph(edges, n)
+            start = time.process_time()
+            analyzed = analyze(func, TIGHT8, mode=Mode.TSC)
+            assert time.process_time() - start < 0.1, edges
+            # at most one pad per edge of a secret region, each with at
+            # most one jump block behind it
+            region_edges = {
+                e for s in extract_secret_path_sets(func, infer_types(func))
+                for p in s.paths for e in zip(p, p[1:])
+            }
+            assert len(analyzed.function.blocks) <= n + 2 * len(region_edges), edges
+    assert counts == {3: 3, 4: 13, 5: 75, 6: 541}
+
+
+def _pipeline_ok(func: FunctionIR, balance: str) -> bool:
+    analyzed = analyze(func, TIGHT8, mode=Mode.TSC, balance=balance)
+    prob = build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=Mode.TSC)
+    result = solve_optimal(prob, time_budget=20)
+    assert result.status is SolveStatus.OPTIMAL
+    assert check_solution(result.solution, prob) == []
+    program = encode(prob.function, to_schedule(prob, result.solution), TIGHT8)
+    return check_cr(program, analyzed.function.inputs, analyzed.psets).secure
+
+
+# The 3-4-block shapes include {0: (1, 3), 1: (2, 3), 2: (3,)}, on which
+# the round-by-round balancing did not converge, and {0: (1, 2), 1: (2, 3)},
+# where it found no room for a block.  It counted {0: (1,), 1: (2, 4),
+# 2: (3, 4)} as balanced by blocks, and the solver then timed out at 20 s.
+@pytest.mark.parametrize(
+    "edges, n",
+    [(e, n) for n in (3, 4) for e in _all_dag_edges(n)]
+    + [({0: (1,), 1: (2, 4), 2: (3, 4)}, 5)],
+    ids=str,
+)
+def test_balanced_small_cfg_solves_and_is_constant_time(edges, n):
+    assert _pipeline_ok(_secret_graph(edges, n), "ebb")
+    # one op in every block lets cbb copy the one-block arms
+    bodies = {i: [f"  t{i} = add x, x"] for i in range(n)}
+    assert _pipeline_ok(_secret_graph(edges, n, bodies), "cbb")
 
 
 # ----------------------------------------------------------------------
