@@ -147,14 +147,13 @@ def cmd_diversify(args) -> int:
     out = _run_dir(Path(args.out), func.name, args.mode, args.gap)
 
     started = time.monotonic()
+    mode = solver.pick_base_mode(func) if args.mode == "naive" else Mode(args.mode)
+    _, prob, result = _compile(func, profile, mode, args.seed, args.budget_secs, args.balance)
+    if result.solution is None:
+        return _no_solution(result)
     if args.mode == "naive":
-        pool = solver.naive_diversify(func, profile, args.variants, seed=args.seed)
+        pool = solver.naive_diversify(prob, result.solution, args.variants, seed=args.seed)
     else:
-        _, prob, result = _compile(
-            func, profile, Mode(args.mode), args.seed, args.budget_secs, args.balance
-        )
-        if result.solution is None:
-            return _no_solution(result)
         pool = solver.diversify(
             prob,
             result.solution,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .machine import MachineProfile, Opcode, Schedule, remat_constant
-from .mir import FunctionIR, Operation, paths
+from .mir import FunctionIR, Operation
 from .secanalysis import LeakPairSets, Mode, SecretPathSet, memory_conflicts
 
 VarKey = tuple[str, object]
@@ -87,7 +87,6 @@ class CopProblem:
     cycle_domain: dict[int, tuple[int, ...]] = field(default_factory=dict)
     reg_domain: dict[str, tuple[int, ...]] = field(default_factory=dict)
     var_order: list[VarKey] = field(default_factory=list)
-    entry_paths: tuple[tuple[int, ...], ...] = ()
     # same-slot memory accesses keep their program order (no aliasing
     # analysis: one name is one location)
     mem_deps: tuple[tuple[int, int], ...] = ()
@@ -207,8 +206,6 @@ def build_problem(
     for name in sorted(func.temps):
         order.append(("reg", name))
     prob.var_order = order
-
-    prob.entry_paths = paths(func)
 
     mem_deps = []
     for block in func.blocks:
@@ -677,62 +674,61 @@ def _hazard(prob: CopProblem, a: str, b: str) -> bool:
 
 
 def _check_transitions(prob, active, cycle, loc, roots) -> list[Violation]:
-    """Walk every execution path and flag forbidden adjacent values in any
-    register and on the memory bus."""
+    """Flag forbidden adjacent values in any register and on the memory
+    bus, on any execution path.
+
+    One forward pass over the blocks (their order is topological) keeps
+    the values each location may hold: at a block's entry, the union over
+    its predecessors.  The last writer of a location depends on the path
+    alone, never on another location, so a write meets a value of that
+    set exactly when some path makes the transition."""
     out: list[Violation] = []
     func = prob.function
     nregs = prob.num_registers
     seen: set[tuple[str, str, str]] = set()
+    held: list[dict[str, set[str]]] = [{} for _ in func.blocks]
+    held[0] = {f"r{r}": {_ZERO} for r in range(nregs)}
+    held[0].update({f"r{i}": {name} for i, name in enumerate(func.input_names())})
+    held[0]["bus"] = {_ZERO}
 
-    for path in prob.entry_paths:
-        regs: dict[int, str] = {i: _ZERO for i in range(nregs)}
-        for i, name in enumerate(func.input_names()):
-            regs[i] = name
-        bus = _ZERO
-        for b in path:
-            ops_here = sorted(
-                (op for op in func.blocks[b].ops if op.index in active),
-                key=lambda o: cycle[o.index],
-            )
-            for op in ops_here:
-                data: Optional[str] = None
-                if op.opcode is Opcode.ST:
-                    data = roots[op.uses[1]]
-                elif op.opcode is Opcode.LD:
-                    data = roots[op.defs[0]]
-                elif op.opcode is Opcode.COPY:
-                    src, dst = prob.copy_ops[op.index]
-                    if loc[dst] >= nregs:
-                        data = roots[src]  # spill store
-                    elif loc[roots[src]] >= nregs:
-                        data = roots[dst]  # reload
-                if data is not None:
-                    if _hazard(prob, bus, data) and ("bus", bus, data) not in seen:
-                        seen.add(("bus", bus, data))
-                        out.append(
-                            Violation(
-                                "mre-conflict",
-                                f"memory bus transition {bus} -> {data} at op {op.index}",
-                            )
-                        )
-                    bus = data
-                if op.defs:
-                    value = roots[op.defs[0]]
-                    if value != op.defs[0]:
-                        continue  # aliased def, not a real write
-                    r = loc[value]
-                    if r < nregs:
-                        prev = regs[r]
-                        if _hazard(prob, prev, value) and (f"r{r}", prev, value) not in seen:
-                            seen.add((f"r{r}", prev, value))
-                            out.append(
-                                Violation(
-                                    "rot-conflict",
-                                    f"register r{r} transition {prev} -> {value} "
-                                    f"at op {op.index}",
-                                )
-                            )
-                        regs[r] = value
+    def write(here: dict[str, set[str]], where: str, value: str, op: Operation) -> None:
+        for prev in sorted(here[where]):
+            if _hazard(prob, prev, value) and (where, prev, value) not in seen:
+                seen.add((where, prev, value))
+                if where == "bus":
+                    family, what = "mre-conflict", "memory bus"
+                else:
+                    family, what = "rot-conflict", f"register {where}"
+                out.append(
+                    Violation(family, f"{what} transition {prev} -> {value} at op {op.index}")
+                )
+        here[where] = {value}
+
+    for block in func.blocks:
+        here = held[block.index]
+        ops_here = sorted(
+            (op for op in block.ops if op.index in active), key=lambda o: cycle[o.index]
+        )
+        for op in ops_here:
+            data: Optional[str] = None
+            if op.opcode is Opcode.ST:
+                data = roots[op.uses[1]]
+            elif op.opcode is Opcode.LD:
+                data = roots[op.defs[0]]
+            elif op.opcode is Opcode.COPY:
+                src, dst = prob.copy_ops[op.index]
+                if loc[dst] >= nregs:
+                    data = roots[src]  # spill store
+                elif loc[roots[src]] >= nregs:
+                    data = roots[dst]  # reload
+            if data is not None:
+                write(here, "bus", data, op)
+            # an aliased def is not a real write
+            if op.defs and roots[op.defs[0]] == op.defs[0] and loc[op.defs[0]] < nregs:
+                write(here, f"r{loc[op.defs[0]]}", op.defs[0], op)
+        for succ in func.successors(block.index):
+            for where, values in here.items():
+                held[succ].setdefault(where, set()).update(values)
     return out
 
 

@@ -26,10 +26,8 @@ from .mir import (
     Operation,
     SecurityLabel,
     _collect_temps,
-    parse_function,
     paths,
     post_dominator,
-    serialize_function,
     validate_function,
 )
 
@@ -462,7 +460,8 @@ def _use_counts(func: FunctionIR) -> dict[str, int]:
 
 
 def _xor_chains(func: FunctionIR) -> list[list[Operation]]:
-    """Maximal single-use XOR chains, each a list of ops in program order."""
+    """Maximal single-use XOR chains, each a list of ops in program order,
+    in order of their last op."""
     counts = _use_counts(func)
     xor_def: dict[str, Operation] = {}
     for op in func.all_ops():
@@ -483,12 +482,10 @@ def _xor_chains(func: FunctionIR) -> list[list[Operation]]:
                 if inner.index not in consumed and inner not in chain:
                     chain.append(inner)
                     frontier.extend(inner.uses)
-        if chain:
-            chain.sort(key=lambda o: o.index)
-            consumed.update(o.index for o in chain)
-            chains.append(chain)
-    chains.sort(key=lambda c: c[0].index)
-    return chains
+        chain.sort(key=lambda o: o.index)
+        consumed.update(o.index for o in chain)
+        chains.append(chain)
+    return chains[::-1]
 
 
 def restore_mask_order(func: FunctionIR) -> MaskOrderResult:
@@ -498,38 +495,31 @@ def restore_mask_order(func: FunctionIR) -> MaskOrderResult:
     intermediate pub ^ key; XOR associativity lets us compute
     (key ^ mask) ^ pub instead without changing the result.  Chains for
     which no ordering avoids a secret intermediate are reported back.
+
+    One sweep visits the chains in order of their last op: a chain's
+    leaves are defined before that op and only its last def is read
+    outside the chain, so the types of its leaves are final when it is
+    visited.
     """
     labels = _labels_of(func)
-    func = parse_function(serialize_function(func))
-    changed = False
-
-    for _ in range(8):
-        types = infer_types(func)
-        fixed_any = False
-        for chain in _xor_chains(func):
-            if not any(types[op.defs[0]].label is SecurityLabel.SECRET for op in chain):
-                continue
-            order = _find_safe_order(func, chain, labels)
-            if order is None:
-                continue
-            _rewrite_chain(func, chain, order)
-            changed = True
-            fixed_any = True
-        if not fixed_any:
-            break
-
+    chains = _xor_chains(func)
     types = infer_types(func)
-    final_residual = tuple(
-        sorted(
-            {
-                op.defs[0]
-                for chain in _xor_chains(func)
-                for op in chain
-                if types[op.defs[0]].label is SecurityLabel.SECRET
-            }
-        )
-    )
-    return MaskOrderResult(function=func, changed=changed, residual=final_residual)
+    changed = False
+    for chain in chains:
+        if not any(types[op.defs[0]].label is SecurityLabel.SECRET for op in chain):
+            continue
+        order = _find_safe_order(func, chain, types, labels)
+        if order is not None:
+            func = _rewrite_chain(func, chain, order)
+            types = infer_types(func)
+            changed = True
+    residual = {
+        op.defs[0]
+        for chain in chains
+        for op in chain
+        if types[op.defs[0]].label is SecurityLabel.SECRET
+    }
+    return MaskOrderResult(function=func, changed=changed, residual=tuple(sorted(residual)))
 
 
 def _chain_leaves(chain: list[Operation]) -> list:
@@ -542,7 +532,7 @@ def _chain_leaves(chain: list[Operation]) -> list:
     return leaves
 
 
-def _find_safe_order(func, chain, labels) -> Optional[list]:
+def _find_safe_order(func, chain, types, labels) -> Optional[list]:
     """The chain's own leaf order when every XOR prefix is non-secret,
     else the first such order among the permutations of the leaves sorted
     by definition site, taken in lexicographic order of positions.
@@ -554,7 +544,6 @@ def _find_safe_order(func, chain, labels) -> Optional[list]:
     type and which leaves remain, so a failed (type, remaining) state is
     never searched twice.
     """
-    types = infer_types(func)
     site = {d: op.index for op in func.all_ops() for d in op.defs}  # inputs: -1
     op_sites = sorted(op.index for op in chain)
 
@@ -595,16 +584,20 @@ def _find_safe_order(func, chain, labels) -> Optional[list]:
     return search(None, [], tuple(sorted(leaves, key=lambda u: (site.get(u, -1), u))))
 
 
-def _rewrite_chain(func: FunctionIR, chain: list[Operation], order: list) -> None:
-    chain = sorted(chain, key=lambda o: o.index)
+def _rewrite_chain(func: FunctionIR, chain: list[Operation], order: list) -> FunctionIR:
+    """`func` with the chain's XORs taking the leaves in `order`, each op
+    xoring the previous one's def with the next leaf."""
     new_uses = {chain[0].index: (order[0], order[1])}
-    for i in range(1, len(chain)):
-        new_uses[chain[i].index] = (chain[i - 1].defs[0], order[i + 1])
+    for prev, op, leaf in zip(chain, chain[1:], order[2:]):
+        new_uses[op.index] = (prev.defs[0], leaf)
+    blocks = []
     for block in func.blocks:
-        block.ops = [
+        ops = [
             replace(op, uses=new_uses[op.index]) if op.index in new_uses else op
             for op in block.ops
         ]
+        blocks.append(replace(block, ops=ops))
+    return replace(func, blocks=blocks)
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .copmodel import (
     CopProblem,
     Solution,
     VarKey,
-    build_problem,
     build_value_model,
     check_solution,
     make_solution,
@@ -44,9 +43,9 @@ from .copmodel import (
     resolve_roots,
     worst_edge_overhead,
 )
-from .machine import MachineProfile, Opcode
+from .machine import Opcode
 from .mir import FunctionIR, SecurityLabel
-from .secanalysis import Mode, analyze, extract_secret_path_sets, infer_types
+from .secanalysis import Mode, extract_secret_path_sets, infer_types
 
 
 class SolveStatus(Enum):
@@ -145,6 +144,11 @@ class _Search:
             self.value_order[("cycle", idx)] = self._ordered(list(prob.cycle_domain[idx]))
         for name in func.temps:
             self.value_order[("reg", name)] = self._ordered(list(prob.reg_domain[name]))
+
+        # the blocks each block reaches, itself included
+        self.reach: list[set[int]] = [set() for _ in func.blocks]
+        for b in reversed(range(len(func.blocks))):
+            self.reach[b] = {b}.union(*(self.reach[s] for s in func.successors(b)))
 
         self.edge_const = {
             b.index: worst_edge_overhead(prob, b.index) for b in func.blocks
@@ -468,9 +472,11 @@ class _Search:
         prev = None
         prev_key = None
         for v, rv in loc.items():
-            if rv != r or v == value:
-                continue
             key = model.def_point[v]
+            # a value whose block cannot reach this value's block is on no
+            # path to it
+            if rv != r or v == value or here[0] not in self.reach[key[0]]:
+                continue
             if key <= here and (prev_key is None or key >= prev_key):
                 prev, prev_key = v, key
         unplaced = [v for v in model.values if v not in loc and v != value]
@@ -671,31 +677,24 @@ def pick_base_mode(func: FunctionIR) -> Mode:
 
 
 def naive_diversify(
-    func: FunctionIR,
-    profile: MachineProfile,
+    prob: CopProblem,
+    base: Solution,
     n: int,
     seed: int = 0,
 ) -> VariantPool:
     """Random register renaming plus random NOP insertion on top of a
     secure base solution, with no knowledge of balancing or leak pairs.
 
-    Renaming keeps live-range validity (variants stay functionally
+    `prob` is built in the mode `pick_base_mode` picks, and `base` solves
+    it.  Renaming keeps live-range validity (variants stay functionally
     correct) and prefers recently freed registers the way a reuse-friendly
     allocator does, but it ignores transition hazards; NOP insertion
     ignores path balance.
     """
-    mode = pick_base_mode(func)
-    analyzed = analyze(func, profile, mode=mode)
-    prob = build_problem(
-        analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode
-    )
-    base = solve_optimal(prob, time_budget=120.0, seed=seed)
-    if base.solution is None:
-        raise RuntimeError(f"no base solution: {base.status}")
-    pool = [base.solution]
-    seen = {base.solution.assignment}
+    pool = [base]
+    seen = {base.assignment}
 
-    base_values = base.solution.as_dict()
+    base_values = base.as_dict()
     active = {
         op.index
         for op in prob.ops

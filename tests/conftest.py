@@ -4,7 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from secdiv.copmodel import build_problem
+from secdiv.machine import TIGHT8
 from secdiv.mir import parse_function
+from secdiv.secanalysis import analyze
+from secdiv.solver import naive_diversify, pick_base_mode, solve_optimal
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "secdiv" / "corpus"
 
@@ -15,6 +19,18 @@ def corpus_path(name: str) -> Path:
 
 def load(name: str):
     return parse_function(corpus_path(name).read_text())
+
+
+def corpus_naive_pool(name: str, n: int, seed: int = 0):
+    """The naive pool of corpus function `name`, grown from the base that
+    `secdiv diversify --mode naive` uses: the optimum in the mode
+    `pick_base_mode` picks."""
+    func = load(name)
+    mode = pick_base_mode(func)
+    analyzed = analyze(func, TIGHT8, mode=mode)
+    prob = build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=mode)
+    base = solve_optimal(prob, time_budget=120, seed=seed).solution
+    return naive_diversify(prob, base, n, seed=seed)
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import floor
 
 from bruteforce import brute_optimal
-from conftest import all_corpus_names, corpus_path, load
+from conftest import all_corpus_names, corpus_naive_pool, corpus_path, load
 from gadget_overlap import mean_srate
 from secdiv import gadgets as gadgets_mod
 from secdiv import solver as solver_mod
@@ -84,7 +84,7 @@ def pool_for(name: str, mode: Mode, profile_name: str = "tight8"):
 def naive_pool(name: str, n: int = 50):
     key = ("naive", name, n)
     if key not in _cache:
-        pool = solver_mod.naive_diversify(load(name), TIGHT8, n, seed=0)
+        pool = corpus_naive_pool(name, n, seed=0)
         programs = [
             encode(pool.problem.function, to_schedule(pool.problem, s), TIGHT8)
             for s in pool.solutions

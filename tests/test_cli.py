@@ -38,19 +38,31 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert run_cli("compile", tmp_path / "nope.mir", "--out", tmp_path / "out") == 2
 
 
+# every memory-access order pairs the hazardous values: PSC unsat
+UNSAT_TEXT = (
+    "func f (k:secret, m:random)\n"
+    "block 0\n"
+    "  mk = xor k, m\n"
+    "  st s1, mk\n"
+    "  st s2, m\n"
+    "  r = ld s1\n"
+    "  ret r\n"
+)
+
+
 def test_unsat_exit_code(tmp_path, capsys):
-    # every memory-access order pairs the hazardous values: PSC unsat
     src = tmp_path / "unsat.mir"
-    src.write_text(
-        "func f (k:secret, m:random)\n"
-        "block 0\n"
-        "  mk = xor k, m\n"
-        "  st s1, mk\n"
-        "  st s2, m\n"
-        "  r = ld s1\n"
-        "  ret r\n"
-    )
+    src.write_text(UNSAT_TEXT)
     rc = run_cli("compile", src, "--mode", "psc", "--out", tmp_path / "out")
+    assert rc == 3
+    assert "unsat" in capsys.readouterr().err
+
+
+def test_naive_unsat_base_exit_code(tmp_path, capsys):
+    # naive mode grows its pool from a psc base here, which is unsat
+    src = tmp_path / "unsat.mir"
+    src.write_text(UNSAT_TEXT)
+    rc = run_cli("diversify", src, "--mode", "naive", "--variants", "4", "--out", tmp_path / "out")
     assert rc == 3
     assert "unsat" in capsys.readouterr().err
 

@@ -1,25 +1,34 @@
 from __future__ import annotations
 
+import re
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load
 from scalar_machine import run
 from secdiv.copmodel import (
+    _ZERO,
     Mode,
     ModelInfeasibleError,
+    _check_transitions,
+    _hazard,
     build_problem,
     check_solution,
     emit_model,
     make_solution,
     objective_value_from,
+    resolve_roots,
     to_schedule,
 )
 from secdiv.machine import TIGHT8, encode
-from secdiv.mir import parse_function
+from secdiv.mir import FunctionIR, Opcode, parse_function, paths
 from secdiv.secanalysis import analyze
 from secdiv import solver
+from test_secanalysis import _graph, dag_edges
 
 
 def _problem(name: str, mode: Mode, profile=TIGHT8):
@@ -262,3 +271,114 @@ def test_emit_model_deterministic_and_complete():
     assert "(secret-valued key)" in dump
     prob_tsc = _problem("check_bit", Mode.TSC)
     assert "(balance" in emit_model(prob_tsc)
+
+
+# ----------------------------------------------------------------------
+# power transitions on every path
+# ----------------------------------------------------------------------
+
+
+def _every_path_transitions(prob, active, cycle, loc, roots) -> set:
+    """(family, location, prev, value) of each forbidden transition, found
+    by walking every path from the entry on its own."""
+    func = prob.function
+    nregs = prob.num_registers
+    found = set()
+    for path in paths(func):
+        held = {f"r{r}": _ZERO for r in range(nregs)}
+        held.update({f"r{i}": name for i, name in enumerate(func.input_names())})
+        held["bus"] = _ZERO
+        for b in path:
+            ops = [op for op in func.blocks[b].ops if op.index in active]
+            for op in sorted(ops, key=lambda o: cycle[o.index]):
+                writes = []
+                if op.opcode is Opcode.ST:
+                    writes.append(("bus", roots[op.uses[1]]))
+                elif op.opcode is Opcode.LD:
+                    writes.append(("bus", roots[op.defs[0]]))
+                elif op.opcode is Opcode.COPY and loc[op.defs[0]] >= nregs:
+                    writes.append(("bus", roots[op.uses[0]]))  # spill store
+                elif op.opcode is Opcode.COPY and loc[roots[op.uses[0]]] >= nregs:
+                    writes.append(("bus", roots[op.defs[0]]))  # reload
+                if op.defs and roots[op.defs[0]] == op.defs[0] and loc[op.defs[0]] < nregs:
+                    writes.append((f"r{loc[op.defs[0]]}", op.defs[0]))
+                for where, value in writes:
+                    if _hazard(prob, held[where], value):
+                        family = "mre-conflict" if where == "bus" else "rot-conflict"
+                        found.add((family, where, held[where], value))
+                    held[where] = value
+    return found
+
+
+_TRANSITION = re.compile(r"(?:register (r\d+)|memory (bus)) transition (\S+) -> (\S+) at op")
+
+
+@st.composite
+def psc_functions(draw):
+    """Valid functions of 3-7 blocks over public, secret and random inputs
+    whose blocks xor, copy (optionally), store and load."""
+    edges, n = draw(dag_edges())
+    bodies = {0: ["  km = xor k, m", "  xk = xor x, k"]}
+    fresh = 0
+    for i in range(n):
+        local = ["x", "k", "m", "km", "xk"]
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            a, b = draw(st.sampled_from(local)), draw(st.sampled_from(local))
+            slot = draw(st.sampled_from(["s0", "s1"]))
+            line = draw(st.sampled_from([
+                f"  v{fresh} = xor {a}, {b}",
+                f"  opt v{fresh} = copy {a}",
+                f"  v{fresh} = ld {slot}",
+                f"  st {slot}, {a}",
+            ]))
+            bodies.setdefault(i, []).append(line)
+            if "=" in line:
+                local.append(f"v{fresh}")
+                fresh += 1
+    return _graph(edges, n, "x:public, y:public, k:secret, m:random", bodies)
+
+
+@settings(max_examples=200, deadline=None)
+@given(psc_functions(), st.randoms(use_true_random=False))
+def test_transitions_match_every_path_walk(func, rng):
+    analyzed = analyze(func, TIGHT8, mode=Mode.PSC)
+    prob = build_problem(
+        analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=Mode.PSC
+    )
+    active = {op.index for op in prob.ops if not op.optional or rng.random() < 0.5}
+    cycle = {op.index: rng.choice(prob.cycle_domain[op.index]) for op in prob.ops}
+    # the inputs sit in r0-r3: drawing from those and the spill slots
+    # makes values share locations often
+    loc = {
+        name: rng.choice([r for r in dom if r < 4 or r >= prob.num_registers])
+        for name, dom in prob.reg_domain.items()
+    }
+    roots = resolve_roots(prob, active)
+    flagged = set()
+    for v in _check_transitions(prob, active, cycle, loc, roots):
+        reg, bus, prev, value = _TRANSITION.match(v.message).groups()
+        flagged.add((v.family, reg or bus, prev, value))
+    assert flagged == _every_path_transitions(prob, active, cycle, loc, roots)
+
+
+def _diamonds(n: int, cond: str) -> FunctionIR:
+    """n diamonds in sequence, each branching on x != cond; one arm masks
+    k, the other copies the mask."""
+    lines = ["func d (x:public, y:public, k:secret, m:random)"]
+    for i in range(n):
+        head = 3 * i
+        lines += [f"block {head}", f"  bne x, {cond}, {head + 2}"]
+        lines += [f"block {head + 1}", f"  a{i} = xor k, m", f"  b {head + 3}"]
+        lines += [f"block {head + 2}", f"  c{i} = mov m"]
+    lines += [f"block {3 * n}", "  ret x"]
+    return parse_function("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("mode, cond", [(Mode.NONE, "y"), (Mode.TSC, "k"), (Mode.PSC, "y")])
+def test_twenty_diamonds_build_fast(mode, cond):
+    # 2^20 paths lead from the entry to the return
+    start = time.process_time()
+    analyzed = analyze(_diamonds(20, cond), TIGHT8, mode=mode)
+    build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=mode)
+    assert time.process_time() - start < 1.0
+    assert len(analyzed.psets) == (20 if mode is Mode.TSC else 0)

@@ -321,8 +321,7 @@ def test_corpus_paths_match_oracle(name, config):
     mode, balance = _CONFIGS[config]
     analyzed = analyze(load(name), TIGHT8, mode=mode, balance=balance)
     func = analyzed.function
-    prob = build_problem(func, analyzed.pairs, analyzed.psets, TIGHT8, mode=mode)
-    assert prob.entry_paths == _all_paths_oracle(func, 0)
+    assert paths(func) == _all_paths_oracle(func, 0)
     for pset in analyzed.psets:
         assert pset.paths == _dfs_paths_oracle(func, pset.branch_block)
 
@@ -807,7 +806,8 @@ def _brute_safe_order(func, chain, labels):
 def test_find_safe_order_matches_permutation_oracle(func):
     labels = dict(func.inputs)
     for chain in _xor_chains(func):
-        assert _find_safe_order(func, chain, labels) == _brute_safe_order(func, chain, labels)
+        found = _find_safe_order(func, chain, infer_types(func), labels)
+        assert found == _brute_safe_order(func, chain, labels)
 
 
 @pytest.mark.parametrize(
@@ -830,6 +830,80 @@ def test_restore_mask_order_nine_leaf_chain_is_fast(inputs, residual):
     assert time.process_time() - start < 1.0
     assert not result.changed
     assert result.residual == residual
+
+
+def test_restore_mask_order_sees_earlier_rewrites():
+    # (n ^ s) ^ s is secret by the rule for values without a parity set
+    # (n passed through an `or`), s ^ s ^ n is public.  Once the first
+    # chain is rewritten, the second one, (x2 ^ p) ^ r, has no secret def
+    # left and keeps its text.
+    text = (
+        "func f (s:secret, p:public, r:random)\n"
+        "block 0\n"
+        "  n = or p, p\n"
+        "  x1 = xor n, s\n"
+        "  x2 = xor x1, s\n"
+        "  st t, x2\n"
+        "  y1 = xor x2, p\n"
+        "  y2 = xor r, y1\n"
+        "  ret y2\n"
+    )
+    result = restore_mask_order(parse_function(text))
+    assert result.changed and result.residual == ()
+    fixed = text.replace("xor n, s", "xor s, s").replace("xor x1, s", "xor x1, n")
+    assert serialize_function(result.function) == fixed
+
+
+@st.composite
+def xor_chain_programs(draw):
+    """A single-block function of 2-4 XOR chains (any tree shapes) of 2-5
+    leaves each.  A leaf is an input of any label, an earlier chain's
+    result, a load or an `or` of two of those; a chain's result may be
+    stored to one of two slots, so loads join the chains' types."""
+    labels = draw(st.lists(st.sampled_from(["secret", "public", "random"]), min_size=2, max_size=4))
+    values = [f"i{k}" for k in range(len(labels))]
+    lines = ["func c (" + ", ".join(f"{n}:{l}" for n, l in zip(values, labels)) + ")", "block 0"]
+    fresh = 0
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        n = draw(st.integers(min_value=2, max_value=5))
+        stack: list[str] = []
+        pushed = 0
+        while pushed < n or len(stack) > 1:
+            if pushed < n and (len(stack) < 2 or draw(st.booleans())):
+                leaf = draw(st.sampled_from(values + ["ld", "or"]))
+                if leaf == "ld":
+                    lines.append(f"  l{fresh} = ld s{draw(st.integers(0, 1))}")
+                elif leaf == "or":
+                    a, b = draw(st.sampled_from(values)), draw(st.sampled_from(values))
+                    lines.append(f"  l{fresh} = or {a}, {b}")
+                if leaf in ("ld", "or"):
+                    leaf = f"l{fresh}"
+                    fresh += 1
+                stack.append(leaf)
+                pushed += 1
+            else:
+                b, a = stack.pop(), stack.pop()
+                lines.append(f"  x{fresh} = xor {a}, {b}")
+                stack.append(f"x{fresh}")
+                fresh += 1
+        if draw(st.booleans()):
+            lines.append(f"  st s{draw(st.integers(0, 1))}, {stack[0]}")
+        values.append(stack[0])
+    lines.append(f"  ret {values[-1]}")
+    return parse_function("\n".join(lines) + "\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(xor_chain_functions(), xor_chain_programs()))
+def test_restore_mask_order_is_a_fixpoint(func):
+    text = serialize_function(func)
+    first = restore_mask_order(func)
+    assert serialize_function(func) == text  # the argument is left as it was
+    again = restore_mask_order(first.function)
+    assert not again.changed
+    assert serialize_function(again.function) == serialize_function(first.function)
+    assert again.residual == first.residual
+    assert _same_results(func, first.function, seed=0)
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import brute_optimal
-from conftest import load
-from secdiv.copmodel import Mode, build_problem, check_solution
+from bruteforce import (
+    _active_configs,
+    _assemble,
+    _compact_schedules,
+    _location_assignments,
+    brute_optimal,
+)
+from conftest import corpus_naive_pool, load
+from secdiv.copmodel import Mode, build_problem, check_solution, make_solution, resolve_roots
 from secdiv.machine import TIGHT8
 from secdiv.mir import parse_function
 from secdiv.secanalysis import analyze
@@ -18,7 +25,6 @@ from secdiv.solver import (
     SolveStatus,
     distance,
     diversify,
-    naive_diversify,
     pick_base_mode,
     solve_one,
     solve_optimal,
@@ -158,6 +164,39 @@ def test_distance_symmetry(seed_a, seed_b):
 # ----------------------------------------------------------------------
 
 
+def test_psc_pool_keeps_values_of_two_arms_in_one_register():
+    # a ^ m and c ^ a leak k, but a and c sit in different arms and are
+    # never adjacent in a register: the allocation prune must not refuse
+    # them one register (3 of the 12 optimal assignments do that)
+    func = parse_function(
+        "func d (p:public, k:secret, m:random)\n"
+        "block 0\n  bne p, m, 2\n"
+        "block 1\n  a = xor k, m\n  ret a\n"
+        "block 2\n  c = mov m\n  ret c\n"
+    )
+    four = replace(TIGHT8, name="four", num_registers=4)
+    analyzed = analyze(func, four, mode=Mode.PSC)
+    prob = build_problem(analyzed.function, analyzed.pairs, analyzed.psets, four, mode=Mode.PSC)
+    best = solve_optimal(prob, time_budget=10).solution
+    pool = diversify(prob, best, n=1000, gap=Fraction(0), time_budget=60)
+    assert pool.reason is PoolReason.EXHAUSTED
+
+    def core(sol):
+        # instruction alternatives and operand swaps are fixed by the oracle
+        return tuple((k, v) for k, v in sol.assignment if k[0] in ("active", "cycle", "reg"))
+
+    optimal = set()
+    for active in _active_configs(prob):
+        roots = resolve_roots(prob, active)
+        for cycles in _compact_schedules(prob, active, roots):
+            for loc in _location_assignments(prob, active, roots):
+                sol = make_solution(prob, _assemble(prob, active, cycles, loc, roots))
+                if sol.objective == best.objective and not check_solution(sol, prob):
+                    optimal.add(core(sol))
+    assert len(optimal) == 12
+    assert optimal <= {core(sol) for sol in pool.solutions}
+
+
 def test_two_solution_problem_exhausts():
     # a single delayed return: with a one-cycle budget there are exactly
     # two schedules, so a 200-variant request must stop at 2
@@ -236,22 +275,22 @@ def test_pick_base_mode():
 
 
 def test_naive_single_variant_is_base():
-    pool = naive_diversify(load("check_bit"), TIGHT8, 1, seed=0)
+    pool = corpus_naive_pool("check_bit", 1, seed=0)
     assert len(pool.solutions) == 1
     base = solve_optimal(_problem("check_bit", Mode.TSC), time_budget=30).solution
     assert pool.solutions[0].assignment == base.assignment
 
 
 def test_naive_variants_distinct():
-    pool = naive_diversify(load("masked_xor"), TIGHT8, 12, seed=4)
+    pool = corpus_naive_pool("masked_xor", 12, seed=4)
     assert len(pool.solutions) == 12
     seen = {s.assignment for s in pool.solutions}
     assert len(seen) == 12
 
 
 def test_naive_reproducible():
-    p1 = naive_diversify(load("masked_xor"), TIGHT8, 6, seed=5)
-    p2 = naive_diversify(load("masked_xor"), TIGHT8, 6, seed=5)
+    p1 = corpus_naive_pool("masked_xor", 6, seed=5)
+    p2 = corpus_naive_pool("masked_xor", 6, seed=5)
     assert [s.assignment for s in p1.solutions] == [s.assignment for s in p2.solutions]
 
 

@@ -5,13 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import load
+from conftest import corpus_naive_pool, load
 from scalar_machine import run
 from secdiv.copmodel import Mode, build_problem, to_schedule
 from secdiv.machine import TIGHT8, Instr, MachineProgram, Schedule, encode, run_batch
 from secdiv.mir import Opcode, SecurityLabel, parse_function
 from secdiv.secanalysis import analyze
-from secdiv.solver import diversify, naive_diversify, solve_optimal
+from secdiv.solver import diversify, solve_optimal
 from secdiv.verify import (
     PUBLIC_PROBES,
     PscReport,
@@ -235,7 +235,7 @@ def test_psc_agrees_with_typing_on_corpus():
 
 
 def test_naive_pool_produces_cr_violations():
-    pool = naive_diversify(load("check_bit"), TIGHT8, 25, seed=0)
+    pool = corpus_naive_pool("check_bit", 25, seed=0)
     analyzed = analyze(pool.problem.function, TIGHT8)
     bad = 0
     for sol in pool.solutions:
@@ -328,7 +328,7 @@ def _reference_psc(program, policy, public_probes=PUBLIC_PROBES) -> PscReport:
     ],
 )
 def test_batched_psc_matches_per_secret_reference(name, n, probes):
-    pool = naive_diversify(load(name), TIGHT8, n, seed=0)
+    pool = corpus_naive_pool(name, n, seed=0)
     func = pool.problem.function
     leaking = 0
     for sol in pool.solutions:
