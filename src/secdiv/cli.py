@@ -62,12 +62,12 @@ def _run_dir(out: Path, name: str, mode: str, gap_percent: int) -> Path:
     return d
 
 
-def _compile(func, profile, mode: Mode, seed: int, budget: float, balance: str):
+def _compile(func, profile, mode: Mode, budget: float, balance: str):
     analyzed = analyze(func, profile, mode=mode, balance=balance)
     prob = build_problem(
         analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode
     )
-    result = solver.solve_optimal(prob, time_budget=budget, seed=seed)
+    result = solver.solve_optimal(prob, time_budget=budget)
     return analyzed, prob, result
 
 
@@ -88,9 +88,7 @@ def cmd_compile(args) -> int:
     out = _run_dir(Path(args.out), func.name, mode.value, 0)
 
     started = time.monotonic()
-    analyzed, prob, result = _compile(
-        func, profile, mode, args.seed, args.budget_secs, args.balance
-    )
+    analyzed, prob, result = _compile(func, profile, mode, args.budget_secs, args.balance)
     elapsed = time.monotonic() - started
     if result.solution is None:
         return _no_solution(result)
@@ -107,9 +105,7 @@ def cmd_compile(args) -> int:
     baseline_obj = None
     overhead = None
     if mode is not Mode.NONE:
-        _, _, base_result = _compile(
-            func, profile, Mode.NONE, args.seed, args.budget_secs, args.balance
-        )
+        _, _, base_result = _compile(func, profile, Mode.NONE, args.budget_secs, args.balance)
         if base_result.solution is not None:
             baseline_obj = base_result.solution.objective
             if baseline_obj > 0:
@@ -148,7 +144,7 @@ def cmd_diversify(args) -> int:
 
     started = time.monotonic()
     mode = solver.pick_base_mode(func) if args.mode == "naive" else Mode(args.mode)
-    _, prob, result = _compile(func, profile, mode, args.seed, args.budget_secs, args.balance)
+    _, prob, result = _compile(func, profile, mode, args.budget_secs, args.balance)
     if result.solution is None:
         return _no_solution(result)
     if args.mode == "naive":
@@ -221,6 +217,9 @@ def cmd_verify(args) -> int:
             f"error: pool {pool_dir} holds {manifest['function']}, not {func.name}",
             file=sys.stderr,
         )
+        return EXIT_USAGE
+    if not programs:
+        print(f"error: pool {pool_dir} holds no variants", file=sys.stderr)
         return EXIT_USAGE
     transformed = parse_function((pool_dir / "transformed.mir").read_text())
     profile = PROFILES[manifest["profile"]]

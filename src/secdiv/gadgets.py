@@ -29,10 +29,6 @@ class Gadget:
     words: tuple[int, ...]
     normalized: tuple[int, ...]  # words with NOPs removed
 
-    @property
-    def length(self) -> int:
-        return len(self.words)
-
 
 def extract_gadgets(program: MachineProgram, k: int = DEFAULT_MAX_LEN) -> set[Gadget]:
     """All suffixes of length 1..k ending at a return instruction."""

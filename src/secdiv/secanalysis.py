@@ -185,15 +185,11 @@ def infer_types(func: FunctionIR) -> dict[str, InferredType]:
             if op.opcode is Opcode.LI:
                 types[dest] = CONST_TYPE
             elif op.opcode in (Opcode.MOV, Opcode.COPY):
-                types[dest] = _use_type(types, op.uses[0], op)
+                types[dest] = types[op.uses[0]]
             elif op.opcode is Opcode.XOR:
-                types[dest] = xor_type(
-                    _use_type(types, op.uses[0], op), _use_type(types, op.uses[1], op), labels
-                )
+                types[dest] = xor_type(types[op.uses[0]], types[op.uses[1]], labels)
             elif op.opcode in (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR):
-                types[dest] = _nonlinear_type(
-                    _use_type(types, op.uses[0], op), _use_type(types, op.uses[1], op)
-                )
+                types[dest] = _nonlinear_type(types[op.uses[0]], types[op.uses[1]])
             elif op.opcode is Opcode.LD:
                 slot = op.uses[0]
                 # never empty: a slot no store has reached is unstored
@@ -207,14 +203,6 @@ def infer_types(func: FunctionIR) -> dict[str, InferredType]:
             ran_in[succ] |= ran
             unstored_in[succ] |= unstored
     return types
-
-
-def _use_type(types: dict[str, InferredType], use, op: Operation) -> InferredType:
-    if isinstance(use, int):
-        return CONST_TYPE
-    if use not in types:
-        raise IRValidationError(f"use of undefined temp {use!r} in op {op.index}")
-    return types[use]
 
 
 # ----------------------------------------------------------------------

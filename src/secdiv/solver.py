@@ -575,7 +575,7 @@ def _intervals_overlap(a, b) -> bool:
 # ----------------------------------------------------------------------
 
 
-def solve_optimal(prob: CopProblem, time_budget: float = 600.0, seed: int = 0) -> SolveResult:
+def solve_optimal(prob: CopProblem, time_budget: float = 600.0) -> SolveResult:
     """Best solution by exhaustive branch-and-bound, or UNSAT/TIMEOUT.
 
     A compact-schedule dive runs first to seed the incumbent, which lets
@@ -585,12 +585,11 @@ def solve_optimal(prob: CopProblem, time_budget: float = 600.0, seed: int = 0) -
     deadline = time.monotonic() + time_budget
     dive = _Search(
         prob,
-        seed=seed,
         compact=True,
         deadline=min(time.monotonic() + max(1.0, time_budget / 4), deadline),
     )
     warm = dive.run()
-    return _Search(prob, seed=seed, deadline=deadline, incumbent=warm.solution).run()
+    return _Search(prob, deadline=deadline, incumbent=warm.solution).run()
 
 
 def solve_one(

@@ -21,8 +21,12 @@ next), with up to `_PSC_BATCH_LANES` lanes and `_PSC_BATCH_BINS` joint
 (secret, value) histogram bins per call; `run_batch` returns one
 histogram row per secret, and builds the rows of a site where every lane
 sees one value without a bincount.  A secret whose randoms alone exceed
-the lane cap runs in a call of its own.  The rows of all secrets of a
-call are compared with the reference secret's in whole-array operations.
+the lane cap runs in a call of its own.  At each site, every secret's
+row is compared with the reference secret's (the first in enumeration
+order), and a site that a secret did not run counts as an all-zero row,
+so running a site more or less often is a difference like any other.
+`PscReport` holds the sites that some lane ran and, per leaking site,
+the reference secret and the first secret whose row differs.
 
 The oracles build their input arrays once and rewrite only the rows
 that change from one `run_batch` call to the next.
@@ -132,38 +136,17 @@ class CrReport:
         timing_ok = all(bcet == wcet for _, bcet, wcet in self.per_public)
         return paths_ok and timing_ok
 
-    def lines(self) -> list[str]:
-        out = []
-        for assignment, bcet, wcet in self.per_public:
-            verdict = "secure" if bcet == wcet else "insecure"
-            out.append(f"{verdict}\tpublic={assignment}\tbcet={bcet} wcet={wcet}")
-        for branch, costs in self.path_costs:
-            rendered = " ".join(
-                "->".join(map(str, p)) + f"={c}" for p, c in sorted(costs.items())
-            )
-            verdict = "secure" if len(set(costs.values())) <= 1 else "insecure"
-            out.append(f"{verdict}\tbranch={branch}\t{rendered}")
-        return out
-
-
-def static_block_costs(program: MachineProgram) -> dict[int, int]:
-    """Per-block cycle cost read off the encoded words (taken overheads
-    excluded; they belong to edges)."""
-    profile = PROFILES[program.profile_name]
-    return {
-        b: sum(profile.lat(ins.opcode) for ins in block)
-        for b, block in enumerate(program.blocks)
-    }
-
 
 def static_path_cost(program: MachineProgram, path: Sequence[int]) -> int:
+    """Cycle cost of a block path read off the encoded words: each
+    block's latencies, plus the taken-branch overhead on every edge that
+    leaves a block through its branch."""
     profile = PROFILES[program.profile_name]
-    costs = static_block_costs(program)
     total = 0
     for i, b in enumerate(path):
-        total += costs[b]
+        block = program.blocks[b]
+        total += sum(profile.lat(ins.opcode) for ins in block)
         if i + 1 < len(path):
-            block = program.blocks[b]
             if block and block[-1].opcode in (Opcode.BEQ, Opcode.BNE):
                 if block[-1].c == path[i + 1] and path[i + 1] != b + 1:
                     total += profile.taken_branch_overhead
@@ -228,35 +211,21 @@ def _hidden_chunks(k: int, max_lanes: int = 1 << 16):
 # ----------------------------------------------------------------------
 
 
+Site = tuple[int, str, int]  # (byte address, "reg" or "bus", register index)
+
+
 @dataclass
 class PscReport:
-    # site -> "independent" or a witness pair of secret assignments
-    verdicts: dict[tuple[int, str, int], str] = field(default_factory=dict)
-    leaks: list[tuple[tuple[int, str, int], tuple[int, ...], tuple[int, ...]]] = field(
-        default_factory=list
-    )
+    # every site that some lane ran, under some public probe
+    sites: set[Site] = field(default_factory=set)
+    # leaking site -> (reference secret, first secret whose row differs)
+    leaks: dict[Site, tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=dict)
     incomplete: bool = False
     reason: str = ""
 
     @property
     def secure(self) -> bool:
         return not self.leaks and not self.incomplete
-
-    def lines(self) -> list[str]:
-        out = []
-        if self.incomplete:
-            out.append(f"incomplete\t-\t{self.reason}")
-        for site in sorted(self.verdicts):
-            out.append(f"{self.verdicts[site]}\t{_site_str(site)}\t-")
-        for site, s1, s2 in self.leaks:
-            out.append(f"leak\t{_site_str(site)}\tsecrets {s1} vs {s2}")
-        return out
-
-
-def _site_str(site: tuple[int, str, int]) -> str:
-    address, kind, index = site
-    target = f"r{index}" if kind == "reg" else "bus"
-    return f"0x{address:04x}:{target}"
 
 
 _PSC_HIDDEN_LIMIT = 3
@@ -278,9 +247,12 @@ def check_psc(
     For every leak site the full distribution of transition values over
     uniform randoms is compared across all secret values (publics fixed
     at the probe set).  Any difference in distribution, or in how often a
-    site executes, is a leak.  Several secret values share one
-    `run_batch` call, one lane group per secret, and each site's
-    histogram row for a secret is compared with the first secret's.
+    site executes, is a leak: a secret's histogram row at a site it did
+    not run is all zeros, and each site's row for every secret is
+    compared with the reference secret's (the first in enumeration
+    order).  The first secret whose row differs is the site's witness.
+    Several secret values share one `run_batch` call, one lane group per
+    secret.
     """
     names = [n for n, _ in policy]
     secret_idx = [i for i, (_, lab) in enumerate(policy) if lab is SecurityLabel.SECRET]
@@ -307,53 +279,24 @@ def check_psc(
     block = np.empty((len(names), secrets_per_call, per_secret), dtype=np.uint8)
     for pos, i in enumerate(random_idx):
         block[i] = random_grid[pos]
-    all_sites: set[tuple[int, str, int]] = set()
-    witnessed: set[tuple[int, str, int]] = set()
+    zero = np.zeros((1, 256), dtype=np.int64)  # the row of a site not run
     for public in itertools.product(public_probes, repeat=len(public_idx)):
         for pos, i in enumerate(public_idx):
             block[i] = public[pos]
         reference: Optional[dict] = None
-        ref_secret: Optional[tuple[int, ...]] = None
         for chunk in _hidden_chunks(len(secret_idx), secrets_per_call):
             batch = chunk.shape[1]
             for pos, i in enumerate(secret_idx):
                 block[i, :batch] = chunk[pos][:, None]
             inputs = block[:, :batch].reshape(len(names), batch * per_secret)
             hists = run_batch(program, inputs, groups=batch).transitions
-            all_sites.update(hists)
+            report.sites.update(hists)
             if reference is None:
                 ref_secret = tuple(int(v) for v in chunk[:, 0])
-                reference = {site: hist[0] for site, hist in hists.items() if hist[0].any()}
-            # a secret whose set of executed sites differs from the
-            # reference's leaks at the sites in the difference; any other
-            # leaks where its histogram row differs from the reference's
-            sites = list(hists.keys() | reference.keys())
-            none = np.zeros(batch, dtype=bool)
-            ran = np.array(
-                [hists[site].any(axis=1) if site in hists else none for site in sites],
-                dtype=bool,
-            ).reshape(len(sites), batch)
-            differs = np.array(
-                [
-                    (hists[site] != reference[site]).any(axis=1)
-                    if site in hists and site in reference and site not in witnessed
-                    else none
-                    for site in sites
-                ],
-                dtype=bool,
-            ).reshape(len(sites), batch)
-            moved = ran != np.array([site in reference for site in sites], dtype=bool)[:, None]
-            leaking = np.where(moved.any(axis=0), moved, differs)
-            found = [
-                (int(leaking[i].argmax()), sites[i])
-                for i in np.flatnonzero(leaking.any(axis=1))
-                if sites[i] not in witnessed
-            ]
-            # one witness per site: the first secret, in enumeration order
-            for j, site in sorted(found):
-                witnessed.add(site)
-                report.leaks.append((site, ref_secret, tuple(int(v) for v in chunk[:, j])))
-
-    for site in all_sites:
-        report.verdicts[site] = "leak" if site in witnessed else "independent"
+                reference = {site: hist[:1] for site, hist in hists.items()}
+            for site in sorted((hists.keys() | reference.keys()) - report.leaks.keys()):
+                differs = (hists.get(site, zero) != reference.get(site, zero)).any(axis=1)
+                if differs.any():
+                    witness = tuple(int(v) for v in chunk[:, differs.argmax()])
+                    report.leaks[site] = (ref_secret, witness)
     return report

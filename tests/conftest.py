@@ -29,7 +29,7 @@ def corpus_naive_pool(name: str, n: int, seed: int = 0):
     mode = pick_base_mode(func)
     analyzed = analyze(func, TIGHT8, mode=mode)
     prob = build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=mode)
-    base = solve_optimal(prob, time_budget=120, seed=seed).solution
+    base = solve_optimal(prob, time_budget=120).solution
     return naive_diversify(prob, base, n, seed=seed)
 
 

@@ -54,7 +54,7 @@ def compiled(name: str, mode: Mode, profile_name: str = "tight8"):
         prob = build_problem(
             analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode
         )
-        result = solver_mod.solve_optimal(prob, time_budget=120, seed=0)
+        result = solver_mod.solve_optimal(prob, time_budget=120)
         _cache[key] = (analyzed, prob, result)
     return _cache[key]
 
@@ -121,7 +121,7 @@ def test_criterion_1_solver_optimality_oracle():
             prob = build_problem(
                 analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode
             )
-            result = solver_mod.solve_optimal(prob, time_budget=60, seed=0)
+            result = solver_mod.solve_optimal(prob, time_budget=60)
             oracle = brute_optimal(prob)
             solver_obj = result.solution.objective if result.solution else None
             assert solver_obj == oracle, f"{name}/{mode.value}: {solver_obj} != {oracle}"
@@ -189,7 +189,7 @@ def test_criterion_4_psc_end_to_end():
         loc={"pub": 0, "key": 1, "mask": 2, "mk": 2, "mkc": 2, "t": 0},
     )
     report = verify_mod.check_psc(encode(func, insecure, TIGHT8), func.inputs)
-    flagged = any(site == (0, "reg", 2) for site, _, _ in report.leaks)
+    flagged = (0, "reg", 2) in report.leaks
     conclude(
         4,
         "first-order leak freedom plus insecure witness",

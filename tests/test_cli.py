@@ -214,6 +214,19 @@ def test_verify_rejects_another_functions_pool(tmp_path, capsys):
     assert not (pool / "verify.json").exists()
 
 
+def test_verify_rejects_empty_pool(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("diversify", corpus_path("minimal"), "--out", out, "--variants", "1") == 0
+    pool = out / "minimal-none-g0"
+    manifest = json.loads((pool / "manifest.json").read_text())
+    manifest["produced"] = 0
+    (pool / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("verify", corpus_path("minimal"), "--pool", pool) == 2
+    assert capsys.readouterr().err == f"error: pool {pool} holds no variants\n"
+    assert not (pool / "verify.json").exists()
+
+
 @pytest.mark.parametrize("damage", ["truncated", "loops"])
 def test_verify_rejects_malformed_variant(tmp_path, capsys, damage):
     out = tmp_path / "out"

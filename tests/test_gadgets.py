@@ -33,10 +33,10 @@ def _xor_ret() -> MachineProgram:
 def test_gadgets_end_at_ret():
     gads = extract_gadgets(_xor_ret())
     assert len(gads) == 4  # suffix lengths 1..4
-    assert {g.length for g in gads} == {1, 2, 3, 4}
+    assert {len(g.words) for g in gads} == {1, 2, 3, 4}
     end = 4 * 3
     for g in gads:
-        assert g.start + 4 * (g.length - 1) == end
+        assert g.start + 4 * (len(g.words) - 1) == end
 
 
 def test_no_ret_no_gadgets():
@@ -53,7 +53,7 @@ def test_two_rets_two_families():
     )
     program = encode(func, sched, TIGHT8)
     gads = extract_gadgets(program)
-    ends = {g.start + 4 * (g.length - 1) for g in gads}
+    ends = {g.start + 4 * (len(g.words) - 1) for g in gads}
     assert len(ends) == 2
 
 
@@ -67,12 +67,12 @@ def test_gadget_does_not_cross_control_transfer():
         ]
     )
     gads = extract_gadgets(program)
-    assert max(g.length for g in gads) == 2  # stops before the b
+    assert max(len(g.words) for g in gads) == 2  # stops before the b
 
 
 def test_k_limits_length():
     gads = extract_gadgets(_xor_ret(), k=2)
-    assert {g.length for g in gads} == {1, 2}
+    assert {len(g.words) for g in gads} == {1, 2}
 
 
 def test_srate_self_is_one():

@@ -10,10 +10,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_smoke_workload_runs_correct():
+def _run_smoke(trace: str) -> None:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "smoke", "--seed", "0",
-         "--seconds", "5", "--trace", "0"],
+         "--seconds", "5", "--trace", trace],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -24,3 +24,13 @@ def test_smoke_workload_runs_correct():
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_smoke_workload_runs_correct():
+    _run_smoke("0")
+
+
+def test_smoke_workload_traced_runs_correct():
+    # tracing wraps every function that perfbench/spans.py names, so this
+    # fails when one of them is renamed or takes its arguments otherwise
+    _run_smoke("1")
