@@ -6,11 +6,12 @@ transformed IR (``transformed.mir``), the analysis dump, a deterministic
 ``manifest.json``, and a ``timing.log`` kept separate so that manifests
 and reports are byte-identical across reruns with the same seed.
 
-Exit codes: 0 success, 2 usage or parse error (of the IR or of an
-encoded variant), 3 unsatisfiable model, or one infeasible by
-construction (too many inputs, slots or live values), 4 solver timeout
-with an incumbent, 5 oracle failure.  tsc balancing always succeeds: it
-pads every secret path that costs less than its siblings.
+Exit codes: 0 success, 2 usage error (an out-of-range option too) or
+parse error (of the IR or of an encoded variant), 3 unsatisfiable
+model, or one infeasible by construction (too many inputs, slots or
+live values), 4 solver timeout with an incumbent, 5 oracle failure.
+tsc balancing always succeeds: it pads every secret path that costs
+less than its siblings.
 """
 
 from __future__ import annotations
@@ -64,9 +65,7 @@ def _run_dir(out: Path, name: str, mode: str, gap_percent: int) -> Path:
 
 def _compile(func, profile, mode: Mode, budget: float, balance: str):
     analyzed = analyze(func, profile, mode=mode, balance=balance)
-    prob = build_problem(
-        analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode
-    )
+    prob = build_problem(analyzed)
     result = solver.solve_optimal(prob, time_budget=budget)
     return analyzed, prob, result
 
@@ -434,6 +433,19 @@ def _read_time(path: Path) -> str:
     return "-"
 
 
+def _at_least(lo: int):
+    """An argparse type: an int no smaller than `lo`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secdiv",
@@ -459,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diversify", help="produce a pool of diverse variants")
     p.add_argument("file")
     p.add_argument("--mode", choices=["tsc", "psc", "none", "naive"], default="none")
-    p.add_argument("--variants", type=int, default=20)
-    p.add_argument("--gap", type=int, default=0, help="optimality gap in percent")
+    p.add_argument("--variants", type=_at_least(1), default=20)
+    p.add_argument("--gap", type=_at_least(0), default=0, help="optimality gap in percent")
     p.add_argument("--dthresh", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_diversify)

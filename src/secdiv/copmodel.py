@@ -25,9 +25,13 @@ from typing import Mapping, Optional, Sequence
 
 from .machine import MachineProfile, Opcode, Schedule, remat_constant
 from .mir import FunctionIR, Operation
-from .secanalysis import LeakPairSets, Mode, SecretPathSet, memory_conflicts
+from .secanalysis import AnalyzedFunction, LeakPairSets, Mode, SecretPathSet, memory_conflicts
 
 VarKey = tuple[str, object]
+
+# idle cycles a block may gain beyond its ops' summed latency (blocks of
+# balancing NOPs gain none: their NOPs are the padding)
+NOP_BUDGET = 3
 
 
 class ModelInfeasibleError(Exception):
@@ -70,7 +74,6 @@ class CopProblem:
     psets: list[SecretPathSet]
     # (1 + gap) times the optimum, exact, when the problem bounds the gap
     opt_bound: Optional[Fraction] = None
-    nop_budget: int = 3
 
     # derived structure (filled by build_problem)
     ops: list[Operation] = field(default_factory=list)
@@ -105,15 +108,11 @@ class CopProblem:
         return self.profile.lat(op.opcode)
 
 
-def build_problem(
-    func: FunctionIR,
-    pairs: LeakPairSets,
-    psets: Sequence[SecretPathSet],
-    profile: MachineProfile,
-    mode: Mode = Mode.NONE,
-    nop_budget: int = 3,
-) -> CopProblem:
-    """Assemble the constraint problem for one function."""
+def build_problem(analyzed: AnalyzedFunction) -> CopProblem:
+    """Assemble the constraint problem for one analyzed function, in the
+    mode and profile its analysis ran with: path balancing in tsc, the
+    leak pairs in psc, neither in none."""
+    func, profile, mode = analyzed.function, analyzed.profile, analyzed.mode
     if len(func.inputs) > profile.num_registers:
         raise ModelInfeasibleError(
             f"{len(func.inputs)} inputs exceed {profile.num_registers} registers"
@@ -127,9 +126,8 @@ def build_problem(
         function=func,
         profile=profile,
         mode=mode,
-        pairs=pairs if mode is Mode.PSC else LeakPairSets(frozenset(), frozenset()),
-        psets=list(psets) if mode is Mode.TSC else [],
-        nop_budget=nop_budget,
+        pairs=analyzed.pairs if mode is Mode.PSC else LeakPairSets(frozenset()),
+        psets=list(analyzed.psets) if mode is Mode.TSC else [],
     )
 
     prob.ops = sorted(func.all_ops(), key=lambda o: o.index)
@@ -171,7 +169,7 @@ def build_problem(
 
     for block in func.blocks:
         total = sum(prob.op_lat(op) for op in block.ops)
-        prob.horizon[block.index] = total + (0 if block.index in prob.nop_blocks else nop_budget)
+        prob.horizon[block.index] = total + (0 if block.index in prob.nop_blocks else NOP_BUDGET)
 
     for op in prob.ops:
         b = prob.op_block[op.index]
@@ -292,8 +290,6 @@ def build_value_model(
     roots: Mapping[str, str],
 ) -> ValueModel:
     func = prob.function
-    input_names = set(func.input_names())
-
     values = list(func.input_names())
     def_point: dict[str, tuple[int, int]] = {n: (0, 0) for n in values}
     for op in prob.ops:
@@ -316,13 +312,9 @@ def build_value_model(
     use_blocks: dict[int, set[str]] = {b: set() for b in range(nblocks)}
     def_blocks: dict[int, set[str]] = {b: set() for b in range(nblocks)}
     for v in values:
-        b, _ = def_point[v]
-        if v not in input_names:
-            def_blocks[b].add(v)
+        def_blocks[def_point[v][0]].add(v)
         for ub, _, _ in uses[v]:
             use_blocks[ub].add(v)
-    for n in func.input_names():
-        def_blocks[0].add(n)
 
     live_in: dict[int, set[str]] = {b: set() for b in range(nblocks)}
     live_out: dict[int, set[str]] = {b: set() for b in range(nblocks)}
@@ -761,7 +753,7 @@ def to_schedule(prob: CopProblem, sol: Solution) -> Schedule:
 def emit_model(prob: CopProblem) -> str:
     """Deterministic s-expression dump of the built problem."""
     lines = [f"(problem {prob.function.name} {prob.profile.name} {prob.mode.value}"]
-    lines.append(f"  (nop-budget {prob.nop_budget})")
+    lines.append(f"  (nop-budget {NOP_BUDGET})")
     for op in prob.ops:
         parts = [f"op {op.index} {op.opcode.value}"]
         if op.optional:

@@ -134,15 +134,6 @@ def _join(types: list[InferredType], labels: dict[str, SecurityLabel]) -> Inferr
     )
 
 
-def secret_dependent(t: InferredType) -> bool:
-    return t.label is SecurityLabel.SECRET
-
-
-def pair_is_hazard(a: InferredType, b: InferredType, labels: dict[str, SecurityLabel]) -> bool:
-    """True when the transition value a ^ b may carry secret information."""
-    return secret_dependent(xor_type(a, b, labels))
-
-
 # ----------------------------------------------------------------------
 # type inference
 # ----------------------------------------------------------------------
@@ -238,7 +229,7 @@ def extract_secret_path_sets(
     sets: list[SecretPathSet] = []
     for block in func.blocks:
         cond = branch_condition_type(func, block, types)
-        if cond is not None and secret_dependent(cond):
+        if cond is not None and cond.label is SecurityLabel.SECRET:
             sets.append(SecretPathSet(branch_block=block.index, paths=get_paths(func, block.index)))
     return sets
 
@@ -609,7 +600,7 @@ def gen_leak_pairs(func: FunctionIR, types: dict[str, InferredType]) -> LeakPair
     rpairs = set()
     for i, t1 in enumerate(names):
         for t2 in names[i + 1 :]:
-            if pair_is_hazard(types[t1], types[t2], labels):
+            if xor_type(types[t1], types[t2], labels).label is SecurityLabel.SECRET:
                 rpairs.add((t1, t2))
 
     hazards = frozenset(
@@ -647,6 +638,10 @@ def _mem_data_temp(op: Operation) -> str:
 @dataclass
 class AnalyzedFunction:
     function: FunctionIR
+    # the transformation the analysis ran, and the profile it ran with:
+    # the model of this function is built in the same mode and profile
+    mode: Mode
+    profile: MachineProfile
     types: dict[str, InferredType]
     psets: list[SecretPathSet]
     pairs: LeakPairSets
@@ -676,7 +671,7 @@ def analyze(
     types = infer_types(func)
     psets = extract_secret_path_sets(func, types)
     pairs = gen_leak_pairs(func, types)
-    return AnalyzedFunction(function=func, types=types, psets=psets, pairs=pairs, notes=notes)
+    return AnalyzedFunction(func, mode, profile, types, psets, pairs, notes)
 
 
 def emit_analysis(analyzed: AnalyzedFunction) -> str:

@@ -36,6 +36,7 @@ from .copmodel import (
     CopProblem,
     Solution,
     VarKey,
+    active_set,
     build_value_model,
     check_solution,
     make_solution,
@@ -168,11 +169,9 @@ class _Search:
                 self.balance_diffs.append((left, right, const))
 
     def _ordered(self, values: list) -> list:
-        return self._shuffled(values) if self.shuffle else values
-
-    def _shuffled(self, values: list) -> list:
-        values = list(values)
-        self.rng.shuffle(values)
+        # shuffles in place: every caller passes a fresh list
+        if self.shuffle:
+            self.rng.shuffle(values)
         return values
 
     def _scaled(self, sol: Solution) -> int:
@@ -190,9 +189,6 @@ class _Search:
     # -- phase A: structural decisions ---------------------------------
 
     def run(self) -> SolveResult:
-        root_family = self._root_check()
-        if root_family is not None:
-            return SolveResult(status=SolveStatus.UNSAT, failing_family=root_family)
         try:
             for sol in self._assign_structural(0, {}):
                 if self.shuffle:
@@ -206,16 +202,6 @@ class _Search:
             return SolveResult(status=SolveStatus.OPTIMAL, solution=self.best, nodes=self.nodes)
         family = max(self.fail_counts, key=lambda k: (self.fail_counts[k], k), default="search")
         return SolveResult(status=SolveStatus.UNSAT, failing_family=family, nodes=self.nodes)
-
-    def _root_check(self) -> Optional[str]:
-        if self.bound is not None:
-            lb = 0
-            for block in self.prob.function.blocks:
-                span = sum(self.lat[o.index] for o in block.ops if not o.optional)
-                lb += self.weight[block.index] * (span + self.edge_const[block.index])
-            if lb > self.bound:
-                return "optimality-gap"
-        return None
 
     def _assign_structural(self, k: int, chosen: dict[VarKey, object]) -> Iterator[Solution]:
         self._tick()
@@ -694,11 +680,7 @@ def naive_diversify(
     seen = {base.assignment}
 
     base_values = base.as_dict()
-    active = {
-        op.index
-        for op in prob.ops
-        if not op.optional or base_values.get(("active", op.index))
-    }
+    active = active_set(prob, base_values)
     roots = resolve_roots(prob, active)
     cycle = {op.index: base_values[("cycle", op.index)] for op in prob.ops}
     model = build_value_model(prob, active, cycle, roots)

@@ -28,7 +28,7 @@ def corpus_naive_pool(name: str, n: int, seed: int = 0):
     func = load(name)
     mode = pick_base_mode(func)
     analyzed = analyze(func, TIGHT8, mode=mode)
-    prob = build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=mode)
+    prob = build_problem(analyzed)
     base = solve_optimal(prob, time_budget=120).solution
     return naive_diversify(prob, base, n, seed=seed)
 

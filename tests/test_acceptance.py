@@ -51,9 +51,7 @@ def compiled(name: str, mode: Mode, profile_name: str = "tight8"):
         profile = PROFILES[profile_name]
         func = load(name)
         analyzed = analyze(func, profile, mode=mode)
-        prob = build_problem(
-            analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode
-        )
+        prob = build_problem(analyzed)
         result = solver_mod.solve_optimal(prob, time_budget=120)
         _cache[key] = (analyzed, prob, result)
     return _cache[key]
@@ -118,9 +116,7 @@ def test_criterion_1_solver_optimality_oracle():
             profile = TIGHT8
             func = load(name)
             analyzed = analyze(func, profile, mode=mode)
-            prob = build_problem(
-                analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode
-            )
+            prob = build_problem(analyzed)
             result = solver_mod.solve_optimal(prob, time_budget=60)
             oracle = brute_optimal(prob)
             solver_obj = result.solution.objective if result.solution else None

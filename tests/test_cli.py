@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -289,6 +291,17 @@ def test_gadgets_command(tmp_path, capsys):
     assert payload["pairs"] == 30
 
 
+@pytest.mark.parametrize("option, value", [("--gap", -10), ("--variants", 0), ("--variants", -3)])
+def test_diversify_rejects_out_of_range_numbers(tmp_path, capsys, option, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("diversify", corpus_path("check_bit"), "--mode", "tsc", option, value,
+                "--out", out)
+    assert exc.value.code == 2
+    assert f"argument {option}: must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_aggregates(tmp_path, capsys):
     out = tmp_path / "out"
     run_cli("compile", corpus_path("check_bit"), "--mode", "tsc", "--out", out,
@@ -306,6 +319,32 @@ def test_report_aggregates(tmp_path, capsys):
     assert "variant pools" in text
     assert "gadget overlap" in text
     assert "check_bit" in text and "masked_xor" in text
+
+
+def test_report_with_times_adds_only_the_seconds_column(tmp_path, capsys):
+    out = tmp_path / "out"
+    run_cli("compile", corpus_path("straightline"), "--out", out, "--budget-secs", "30")
+    for gap in (0, 10):
+        run_cli("diversify", corpus_path("straightline"), "--variants", 3, "--gap", gap,
+                "--out", out, "--budget-secs", "30")
+    run_cli("gadgets", "--pool", out / "straightline-none-g10")
+    capsys.readouterr()
+    assert run_cli("report", "--out", out, "--format", "csv") == 0
+    plain = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert run_cli("report", "--out", out, "--format", "csv", "--with-times") == 0
+    timed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+
+    # the pool header and the two pool rows gain a last cell; every other
+    # row of every section is unchanged
+    assert ["function", "mode", "gap", "pairs", "pct_zero", "pct_low", "pct_high"] in plain
+    assert len(timed) == len(plain)
+    changed = [(t, p) for t, p in zip(timed, plain) if t != p]
+    assert all(t[:-1] == p for t, p in changed)
+    logs = [
+        (out / f"straightline-none-g{gap}" / "timing.log").read_text().split()[1]
+        for gap in (0, 10)
+    ]
+    assert [t[-1] for t, _ in changed] == ["seconds"] + logs
 
 
 def test_report_missing_dir(tmp_path, capsys):

@@ -32,9 +32,8 @@ from test_secanalysis import _graph, dag_edges
 
 
 def _problem(name: str, mode: Mode, profile=TIGHT8):
-    func = load(name)
-    analyzed = analyze(func, profile, mode=mode)
-    return build_problem(analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode)
+    analyzed = analyze(load(name), profile, mode=mode)
+    return build_problem(analyzed)
 
 
 def test_mode_none_has_no_security_constraints():
@@ -69,7 +68,7 @@ def test_too_many_inputs_is_infeasible_by_construction():
     func = parse_function(f"func f ({args})\nblock 0\n  ret x0\n")
     analyzed = analyze(func, TIGHT8)
     with pytest.raises(ModelInfeasibleError, match="inputs exceed"):
-        build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8)
+        build_problem(analyzed)
 
 
 def test_register_pressure_infeasible_by_construction():
@@ -85,7 +84,7 @@ def test_register_pressure_infeasible_by_construction():
     func = parse_function("\n".join(lines) + "\n")
     analyzed = analyze(func, TIGHT8)
     with pytest.raises(ModelInfeasibleError, match="live values"):
-        build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8)
+        build_problem(analyzed)
 
 
 def test_objective_single_block_formula():
@@ -115,7 +114,7 @@ def test_objective_weighted_blocks_arithmetic():
     )
     func = parse_function(text)
     analyzed = analyze(func, TIGHT8)
-    prob = build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8)
+    prob = build_problem(analyzed)
     sol = solver.solve_optimal(prob, time_budget=30).solution
     # block 0 compact: 3 adds + b(3) = 6; block 1: 4 adds + ret = 5
     assert sol.objective == Fraction(6) + 2 * Fraction(5)
@@ -198,8 +197,8 @@ MRE_TEXT = (
 
 def test_solver_separates_hazardous_memory_ops():
     func = parse_function(MRE_TEXT)
-    analyzed = analyze(func, TIGHT8)
-    prob = build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=Mode.PSC)
+    analyzed = analyze(func, TIGHT8, mode=Mode.PSC)
+    prob = build_problem(analyzed)
     sol = solver.solve_optimal(prob, time_budget=30).solution
     assert sol is not None
     assert check_solution(sol, prob) == []
@@ -220,8 +219,8 @@ def test_solver_separates_hazardous_memory_ops():
 
 def test_check_solution_flags_mre_conflict():
     func = parse_function(MRE_TEXT)
-    analyzed = analyze(func, TIGHT8)
-    prob = build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=Mode.PSC)
+    analyzed = analyze(func, TIGHT8, mode=Mode.PSC)
+    prob = build_problem(analyzed)
     sol = solver.solve_optimal(prob, time_budget=30).solution
     values = sol.as_dict()
     ops = {op.uses[0]: op.index for op in prob.ops if op.opcode.value == "st"}
@@ -342,9 +341,7 @@ def psc_functions(draw):
 @given(psc_functions(), st.randoms(use_true_random=False))
 def test_transitions_match_every_path_walk(func, rng):
     analyzed = analyze(func, TIGHT8, mode=Mode.PSC)
-    prob = build_problem(
-        analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=Mode.PSC
-    )
+    prob = build_problem(analyzed)
     active = {op.index for op in prob.ops if not op.optional or rng.random() < 0.5}
     cycle = {op.index: rng.choice(prob.cycle_domain[op.index]) for op in prob.ops}
     # the inputs sit in r0-r3: drawing from those and the spill slots
@@ -379,6 +376,6 @@ def test_twenty_diamonds_build_fast(mode, cond):
     # 2^20 paths lead from the entry to the return
     start = time.process_time()
     analyzed = analyze(_diamonds(20, cond), TIGHT8, mode=mode)
-    build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=mode)
+    build_problem(analyzed)
     assert time.process_time() - start < 1.0
     assert len(analyzed.psets) == (20 if mode is Mode.TSC else 0)

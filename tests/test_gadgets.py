@@ -6,7 +6,7 @@ import pytest
 
 from conftest import load
 from gadget_overlap import mean_srate, srate
-from secdiv.copmodel import Mode, build_problem, to_schedule
+from secdiv.copmodel import build_problem, to_schedule
 from secdiv.gadgets import SrateHistogram, extract_gadgets, pool_histogram
 from secdiv.machine import TIGHT8, Instr, MachineProgram, Schedule, encode
 from secdiv.mir import Opcode
@@ -145,7 +145,7 @@ def test_shifting_the_body_defeats_address_matches():
 def _compile_masked():
     func = load("masked_xor")
     analyzed = analyze(func, TIGHT8)
-    prob = build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=Mode.NONE)
+    prob = build_problem(analyzed)
     sol = solve_optimal(prob, time_budget=30).solution
     program = encode(analyzed.function, to_schedule(prob, sol), TIGHT8)
     return analyzed, prob, sol, program

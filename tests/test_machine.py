@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import load
 from scalar_machine import hd_leak_points, run
-from secdiv.copmodel import Mode, build_problem, to_schedule
+from secdiv.copmodel import build_problem, to_schedule
 from secdiv.machine import (
     PROFILES,
     TIGHT8,
@@ -255,7 +255,7 @@ def _check_bit_program():
 def _modexp_step_program():
     # unbalanced (mode none), so lanes on different paths differ in cycles
     analyzed = analyze(load("modexp_step"), TIGHT8)
-    prob = build_problem(analyzed.function, analyzed.pairs, [], TIGHT8, mode=Mode.NONE)
+    prob = build_problem(analyzed)
     return encode(analyzed.function, to_schedule(prob, solve_optimal(prob).solution), TIGHT8)
 
 

@@ -385,9 +385,7 @@ _DUMP_SHA256 = {
 
 def _dumps(name: str, mode: Mode, balance: str) -> str:
     analyzed = analyze(load(name), TIGHT8, mode=mode, balance=balance)
-    func = analyzed.function
-    prob = build_problem(func, analyzed.pairs, analyzed.psets, TIGHT8, mode=mode)
-    return emit_analysis(analyzed) + emit_model(prob)
+    return emit_analysis(analyzed) + emit_model(build_problem(analyzed))
 
 
 @pytest.mark.parametrize("config, name", sorted(_DUMP_SHA256))
@@ -665,7 +663,7 @@ def test_every_small_cfg_balances_in_one_pass():
 
 def _pipeline_ok(func: FunctionIR, balance: str) -> bool:
     analyzed = analyze(func, TIGHT8, mode=Mode.TSC, balance=balance)
-    prob = build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=Mode.TSC)
+    prob = build_problem(analyzed)
     result = solve_optimal(prob, time_budget=20)
     assert result.status is SolveStatus.OPTIMAL
     assert check_solution(result.solution, prob) == []

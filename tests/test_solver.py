@@ -31,17 +31,9 @@ from secdiv.solver import (
 )
 
 
-def _problem(name: str, mode: Mode, profile=TIGHT8, nop_budget: int = 3):
-    func = load(name)
-    analyzed = analyze(func, profile, mode=mode)
-    return build_problem(
-        analyzed.function,
-        analyzed.pairs,
-        analyzed.psets,
-        profile,
-        mode=mode,
-        nop_budget=nop_budget,
-    )
+def _problem(name: str, mode: Mode, profile=TIGHT8):
+    analyzed = analyze(load(name), profile, mode=mode)
+    return build_problem(analyzed)
 
 
 @pytest.mark.parametrize("mode", [Mode.NONE, Mode.TSC, Mode.PSC])
@@ -89,10 +81,8 @@ def test_unsat_names_a_family():
         "  ret r\n"
     )
     func = parse_function(text)
-    analyzed = analyze(func, TIGHT8)
-    prob = build_problem(
-        analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=Mode.PSC
-    )
+    analyzed = analyze(func, TIGHT8, mode=Mode.PSC)
+    prob = build_problem(analyzed)
     result = solve_optimal(prob, time_budget=30)
     assert result.status is SolveStatus.UNSAT
     assert result.failing_family == "mre-conflict"
@@ -176,7 +166,7 @@ def test_psc_pool_keeps_values_of_two_arms_in_one_register():
     )
     four = replace(TIGHT8, name="four", num_registers=4)
     analyzed = analyze(func, four, mode=Mode.PSC)
-    prob = build_problem(analyzed.function, analyzed.pairs, analyzed.psets, four, mode=Mode.PSC)
+    prob = build_problem(analyzed)
     best = solve_optimal(prob, time_budget=10).solution
     pool = diversify(prob, best, n=1000, gap=Fraction(0), time_budget=60)
     assert pool.reason is PoolReason.EXHAUSTED
@@ -198,13 +188,11 @@ def test_psc_pool_keeps_values_of_two_arms_in_one_register():
 
 
 def test_two_solution_problem_exhausts():
-    # a single delayed return: with a one-cycle budget there are exactly
-    # two schedules, so a 200-variant request must stop at 2
+    # a lone return costs one cycle, so the 100% gap bound of two cycles
+    # admits it only at cycles 0 and 1: a 200-variant request stops at 2
     func = load("minimal")
     analyzed = analyze(func, TIGHT8)
-    prob = build_problem(
-        analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, nop_budget=1
-    )
+    prob = build_problem(analyzed)
     best = solve_optimal(prob, time_budget=10).solution
     pool = diversify(prob, best, n=200, gap=Fraction(1), time_budget=30, seed=0)
     assert len(pool.solutions) == 2
@@ -302,7 +290,7 @@ def _fractional_problem(name: str, mode: Mode):
     analyzed = analyze(load(name), TIGHT8, mode=mode)
     for i, block in enumerate(analyzed.function.blocks):
         block.weight = _WEIGHTS[i % len(_WEIGHTS)]
-    return build_problem(analyzed.function, analyzed.pairs, analyzed.psets, TIGHT8, mode=mode)
+    return build_problem(analyzed)
 
 
 def _digest(solutions) -> str:

@@ -26,7 +26,7 @@ from fractions import Fraction
 def _compile(name: str, mode: Mode, profile=TIGHT8):
     func = load(name)
     analyzed = analyze(func, profile, mode=mode)
-    prob = build_problem(analyzed.function, analyzed.pairs, analyzed.psets, profile, mode=mode)
+    prob = build_problem(analyzed)
     sol = solve_optimal(prob, time_budget=60).solution
     program = encode(analyzed.function, to_schedule(prob, sol), profile)
     return analyzed, prob, sol, program
@@ -105,7 +105,7 @@ def test_tsc_variant_constant_resource():
 def test_unbalanced_original_flagged():
     func = load("check_bit")
     analyzed = analyze(func, TIGHT8)  # no balancing
-    prob = build_problem(analyzed.function, analyzed.pairs, [], TIGHT8, mode=Mode.NONE)
+    prob = build_problem(analyzed)
     sol = solve_optimal(prob, time_budget=30).solution
     program = encode(analyzed.function, to_schedule(prob, sol), TIGHT8)
     report = check_cr(program, func.inputs, analyzed.psets)
@@ -208,7 +208,7 @@ def test_enumeration_budget_exceeded_incomplete():
         "  ret r\n"
     )
     analyzed = analyze(func, TIGHT8)
-    prob = build_problem(analyzed.function, analyzed.pairs, [], TIGHT8, mode=Mode.NONE)
+    prob = build_problem(analyzed)
     sol = solve_optimal(prob, time_budget=30).solution
     program = encode(func, to_schedule(prob, sol), TIGHT8)
     report = check_psc(program, func.inputs)
