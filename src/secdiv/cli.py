@@ -120,7 +120,6 @@ def cmd_compile(args) -> int:
         "objective": _frac_str(result.solution.objective),
         "baseline_objective": _frac_str(baseline_obj) if baseline_obj is not None else None,
         "overhead_percent": round(overhead, 2) if overhead is not None else None,
-        "seed": args.seed,
         "notes": analyzed.notes + [LDST_NOTE],
     }
     _write_json(out / "compile.json", payload)
@@ -455,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--profile", choices=sorted(PROFILES), default="tight8")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget-secs", type=float, default=600.0)
         p.add_argument("--out", default="out")
         p.add_argument("--balance", choices=["ebb", "cbb"], default="ebb")
@@ -473,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["tsc", "psc", "none", "naive"], default="none")
     p.add_argument("--variants", type=_at_least(1), default=20)
     p.add_argument("--gap", type=_at_least(0), default=0, help="optimality gap in percent")
-    p.add_argument("--dthresh", type=int, default=1)
+    p.add_argument("--dthresh", type=_at_least(1), default=1)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_diversify)
 

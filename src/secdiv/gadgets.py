@@ -50,17 +50,15 @@ def extract_gadgets(program: MachineProgram, k: int = DEFAULT_MAX_LEN) -> set[Ga
     return gadgets
 
 
-def _address_index(gadgets: set[Gadget]) -> dict[int, set[tuple[int, ...]]]:
-    index: dict[int, set[tuple[int, ...]]] = {}
-    for g in gadgets:
-        index.setdefault(g.start, set()).add(g.normalized)
-    return index
+def _address_index(gadgets: set[Gadget]) -> dict[int, tuple[int, ...]]:
+    # a suffix stops at the first terminator, so its start fixes the gadget
+    return {g.start: g.normalized for g in gadgets}
 
 
-def _shared_fraction(gadgets: set[Gadget], index: dict[int, set[tuple[int, ...]]]) -> Fraction:
+def _shared_fraction(gadgets: set[Gadget], index: dict[int, tuple[int, ...]]) -> Fraction:
     if not gadgets:
         return Fraction(0)
-    shared = sum(1 for g in gadgets if g.normalized in index.get(g.start, ()))
+    shared = sum(1 for g in gadgets if index.get(g.start) == g.normalized)
     return Fraction(shared, len(gadgets))
 
 

@@ -1,12 +1,12 @@
 """Security analysis: policy type inference, secret-path extraction,
 branch balancing, masking-order repair, and leak-pair generation.
 
-The inference tracks, per value, which secret and random inputs it may
-depend on and which randoms dominate it (mask it to a uniform value).
-Values built purely from XORs additionally carry their exact parity set,
-which is what makes mask cancellation ((sec ^ mask) ^ mask = sec) visible.
-Anything that passes through a non-linear op (ADD/SUB/AND/OR) becomes
-opaque and is treated conservatively.
+The inference types each value as the exact XOR of a set of atoms.  An
+atom is an input, or the result of a non-linear op (ADD/SUB/AND/OR) or
+of a load whose stores disagree, and it records which secret and random
+inputs it may depend on and which randoms dominate it (mask it to a
+uniform value).  XOR takes the symmetric difference of the atom sets, so
+equal atoms cancel in any order: (sec ^ mask) ^ mask = sec.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .machine import MachineProfile, TIGHT8
 from .mir import (
@@ -41,93 +41,74 @@ class Mode(Enum):
 
 
 @dataclass(frozen=True)
+class Atom:
+    # an input's name, or the index of the op that defines the value
+    key: Union[str, int]
+    # a subset of random_support
+    dominant_randoms: frozenset[str]
+    secret_support: frozenset[str]
+    random_support: frozenset[str]
+
+
+@dataclass(frozen=True)
 class InferredType:
     label: SecurityLabel
-    dominant_randoms: frozenset[str] = frozenset()
-    secret_support: frozenset[str] = frozenset()
-    random_support: frozenset[str] = frozenset()
-    # exact xor-parity set over input names (publics included); None once
-    # the value has passed through a non-linear op
-    parity: Optional[frozenset[str]] = None
+    dominant_randoms: frozenset[str]
+    secret_support: frozenset[str]
+    random_support: frozenset[str]
+    # the value is the XOR of these atoms
+    atoms: frozenset[Atom]
 
 
-def _labels_of(func: FunctionIR) -> dict[str, SecurityLabel]:
-    return {name: label for name, label in func.inputs}
-
-
-def _labeled(
-    dominant: frozenset[str],
-    secrets: frozenset[str],
-    randoms: frozenset[str],
-    parity: Optional[frozenset[str]] = None,
-) -> InferredType:
-    """The label rule: random when some random dominates the value, else
-    secret when it may depend on a secret, else public."""
+def _typed(atoms: frozenset[Atom]) -> InferredType:
+    """The type of the XOR of `atoms`.  A random dominates it when it
+    dominates one atom and no other atom depends on it.  The label rule:
+    random when some random dominates the value, else secret when it may
+    depend on a secret, else public."""
+    secrets = randoms = shared = dominant = frozenset()
+    for atom in atoms:
+        shared |= randoms & atom.random_support
+        randoms |= atom.random_support
+        secrets |= atom.secret_support
+        dominant |= atom.dominant_randoms
+    dominant -= shared
     if dominant:
         label = SecurityLabel.RANDOM
     elif secrets:
         label = SecurityLabel.SECRET
     else:
         label = SecurityLabel.PUBLIC
-    return InferredType(
-        label=label,
-        dominant_randoms=dominant,
-        secret_support=secrets,
-        random_support=randoms,
-        parity=parity,
-    )
+    return InferredType(label, dominant, secrets, randoms, atoms)
 
 
-def _from_parity(parity: frozenset[str], labels: dict[str, SecurityLabel]) -> InferredType:
-    secrets = frozenset(n for n in parity if labels.get(n) is SecurityLabel.SECRET)
-    randoms = frozenset(n for n in parity if labels.get(n) is SecurityLabel.RANDOM)
-    return _labeled(randoms, secrets, randoms, parity)
+CONST_TYPE = _typed(frozenset())
 
 
-CONST_TYPE = InferredType(label=SecurityLabel.PUBLIC, parity=frozenset())
+def _atom_type(key, dominant, secrets, randoms) -> InferredType:
+    """The type of a value that is one atom."""
+    return _typed(frozenset({Atom(key, dominant, secrets, randoms)}))
 
 
 def input_type(name: str, label: SecurityLabel) -> InferredType:
+    own, none = frozenset({name}), frozenset()
     if label is SecurityLabel.RANDOM:
-        return InferredType(
-            label=label,
-            dominant_randoms=frozenset({name}),
-            random_support=frozenset({name}),
-            parity=frozenset({name}),
-        )
-    if label is SecurityLabel.SECRET:
-        return InferredType(label=label, secret_support=frozenset({name}), parity=frozenset({name}))
-    return InferredType(label=label, parity=frozenset({name}))
+        return _atom_type(name, own, none, own)
+    return _atom_type(name, none, own if label is SecurityLabel.SECRET else none, none)
 
 
-def xor_type(a: InferredType, b: InferredType, labels: dict[str, SecurityLabel]) -> InferredType:
-    """Type of a ^ b; exact on parity values, rule-based otherwise."""
-    if a.parity is not None and b.parity is not None:
-        return _from_parity(a.parity ^ b.parity, labels)
-    dominant = frozenset(
-        {r for r in a.dominant_randoms if r not in b.random_support}
-        | {r for r in b.dominant_randoms if r not in a.random_support}
-    )
-    return _labeled(
-        dominant, a.secret_support | b.secret_support, a.random_support | b.random_support
-    )
+def xor_type(a: InferredType, b: InferredType) -> InferredType:
+    """Type of a ^ b."""
+    return _typed(a.atoms ^ b.atoms)
 
 
-def _nonlinear_type(a: InferredType, b: InferredType) -> InferredType:
-    # no random dominates a value that passed through a non-linear op
-    return _labeled(
-        frozenset(), a.secret_support | b.secret_support, a.random_support | b.random_support
-    )
-
-
-def _join(types: list[InferredType], labels: dict[str, SecurityLabel]) -> InferredType:
-    """Merge the possible types of a path-dependent value (loads)."""
-    if len(types) == 1:
+def _join(types: list[InferredType], key: int) -> InferredType:
+    """Merge the possible types of a path-dependent value (the load at op
+    `key`): their common type, or a fresh atom that only the randoms
+    dominating every candidate dominate."""
+    if len(set(types)) == 1:
         return types[0]
-    parities = {t.parity for t in types}
-    if len(parities) == 1 and None not in parities:
-        return _from_parity(next(iter(parities)), labels)
-    return _labeled(
+    return _atom_type(
+        key,
         frozenset.intersection(*(t.dominant_randoms for t in types)),
         frozenset().union(*(t.secret_support for t in types)),
         frozenset().union(*(t.random_support for t in types)),
@@ -148,7 +129,6 @@ def infer_types(func: FunctionIR) -> dict[str, InferredType]:
     so both facts are complete at a block's entry once the blocks before
     it are walked.
     """
-    labels = _labels_of(func)
     types: dict[str, InferredType] = {
         name: input_type(name, label) for name, label in func.inputs
     }
@@ -178,16 +158,23 @@ def infer_types(func: FunctionIR) -> dict[str, InferredType]:
             elif op.opcode in (Opcode.MOV, Opcode.COPY):
                 types[dest] = types[op.uses[0]]
             elif op.opcode is Opcode.XOR:
-                types[dest] = xor_type(types[op.uses[0]], types[op.uses[1]], labels)
+                types[dest] = xor_type(types[op.uses[0]], types[op.uses[1]])
             elif op.opcode in (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR):
-                types[dest] = _nonlinear_type(types[op.uses[0]], types[op.uses[1]])
+                # no random dominates a value that passed through a non-linear op
+                a, b = (types[u] for u in op.uses)
+                types[dest] = _atom_type(
+                    op.index,
+                    frozenset(),
+                    a.secret_support | b.secret_support,
+                    a.random_support | b.random_support,
+                )
             elif op.opcode is Opcode.LD:
                 slot = op.uses[0]
                 # never empty: a slot no store has reached is unstored
                 candidates = [types[temp] for site, temp in stores[slot] if site in ran]
                 if slot in unstored:
                     candidates.append(CONST_TYPE)
-                types[dest] = _join(candidates, labels)
+                types[dest] = _join(candidates, op.index)
             else:
                 raise IRValidationError(f"op {op.index} ({op.opcode.value}) defines a temp")
         for succ in func.successors(block.index):
@@ -219,8 +206,7 @@ def branch_condition_type(
     term = block.terminator
     if term is None or term.opcode not in (Opcode.BEQ, Opcode.BNE):
         return None
-    labels = _labels_of(func)
-    return xor_type(types[term.uses[0]], types[term.uses[1]], labels)
+    return xor_type(types[term.uses[0]], types[term.uses[1]])
 
 
 def extract_secret_path_sets(
@@ -475,23 +461,22 @@ def restore_mask_order(func: FunctionIR) -> MaskOrderResult:
     (key ^ mask) ^ pub instead without changing the result.  Chains for
     which no ordering avoids a secret intermediate are reported back.
 
-    One sweep visits the chains in order of their last op: a chain's
-    leaves are defined before that op and only its last def is read
-    outside the chain, so the types of its leaves are final when it is
-    visited.
+    Only a chain's last def is read outside the chain, and a new order
+    keeps its type, the XOR of the leaves.  So rewriting one chain changes
+    no leaf type of another, and the types inferred once order them all.
     """
-    labels = _labels_of(func)
     chains = _xor_chains(func)
     types = infer_types(func)
     changed = False
     for chain in chains:
         if not any(types[op.defs[0]].label is SecurityLabel.SECRET for op in chain):
             continue
-        order = _find_safe_order(func, chain, types, labels)
+        order = _find_safe_order(func, chain, types)
         if order is not None:
             func = _rewrite_chain(func, chain, order)
-            types = infer_types(func)
             changed = True
+    if changed:
+        types = infer_types(func)
     residual = {
         op.defs[0]
         for chain in chains
@@ -511,7 +496,7 @@ def _chain_leaves(chain: list[Operation]) -> list:
     return leaves
 
 
-def _find_safe_order(func, chain, types, labels) -> Optional[list]:
+def _find_safe_order(func, chain, types) -> Optional[list]:
     """The chain's own leaf order when every XOR prefix is non-secret,
     else the first such order among the permutations of the leaves sorted
     by definition site, taken in lexicographic order of positions.
@@ -532,7 +517,7 @@ def _find_safe_order(func, chain, types, labels) -> Optional[list]:
             return None
         if i == 0:
             return types[use]
-        acc = xor_type(acc, types[use], labels)
+        acc = xor_type(acc, types[use])
         return None if acc.label is SecurityLabel.SECRET else acc
 
     leaves = _chain_leaves(chain)
@@ -595,12 +580,11 @@ class LeakPairSets:
 def gen_leak_pairs(func: FunctionIR, types: dict[str, InferredType]) -> LeakPairSets:
     """All temp pairs whose combined transition value is secret-dependent
     under the Hamming-distance model."""
-    labels = _labels_of(func)
     names = sorted(types)
     rpairs = set()
     for i, t1 in enumerate(names):
         for t2 in names[i + 1 :]:
-            if xor_type(types[t1], types[t2], labels).label is SecurityLabel.SECRET:
+            if xor_type(types[t1], types[t2]).label is SecurityLabel.SECRET:
                 rpairs.add((t1, t2))
 
     hazards = frozenset(

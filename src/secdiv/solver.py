@@ -252,17 +252,18 @@ class _Search:
             if a in active and b in active:
                 deps.setdefault(b, []).append((a, self.lat[a]))
 
-        lb_span = {}
-        for block in prob.function.blocks:
-            lb_span[block.index] = sum(
-                self.lat[o.index] for o in block.ops if o.index in active
-            )
-        ub_span = {}
-        for block in prob.function.blocks:
-            if block.index in prob.nop_blocks:
-                ub_span[block.index] = lb_span[block.index]
-            else:
-                ub_span[block.index] = prob.horizon[block.index]
+        # placing a block's last active op fixes the block's span; a block
+        # with no active op spans 0 cycles and a NOP block its active NOPs,
+        # so the balance bounds are exact once the last block closes
+        lb_span, ub_span = {}, {}
+        closing = set()
+        for b, block_ops in enumerate(self.ops_by_block):
+            actives = [o.index for o in block_ops if o.index in active]
+            lb_span[b] = sum(self.lat[i] for i in actives)
+            if actives:
+                closing.add(actives[-1])
+            fixed = not actives or b in prob.nop_blocks
+            ub_span[b] = lb_span[b] if fixed else prob.horizon[b]
 
         if not self._balance_bounds_ok(lb_span, ub_span):
             self._fail("balance")
@@ -273,13 +274,6 @@ class _Search:
         if not self._objective_bound_ok(objective):
             self._fail("optimality-gap")
             return
-
-        # placing a block's last active op fixes the block's span
-        closing = set()
-        for block_ops in self.ops_by_block:
-            actives = [o.index for o in block_ops if o.index in active]
-            if actives:
-                closing.add(actives[-1])
 
         state = _ScheduleState(
             active=active,
@@ -382,14 +376,6 @@ class _Search:
 
     def _enter_allocation(self, state: "_ScheduleState") -> Iterator[Solution]:
         prob = self.prob
-        spans = {
-            b.index: state.block_end.get(b.index, 0) for b in prob.function.blocks
-        }
-        for pset in prob.psets:
-            costs = {path_cost(prob, p, spans) for p in pset.paths}
-            if len(costs) > 1:
-                self._fail("balance")
-                return
         model = build_value_model(prob, state.active, state.cycle, state.roots)
         order = sorted(
             model.values,

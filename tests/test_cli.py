@@ -291,7 +291,9 @@ def test_gadgets_command(tmp_path, capsys):
     assert payload["pairs"] == 30
 
 
-@pytest.mark.parametrize("option, value", [("--gap", -10), ("--variants", 0), ("--variants", -3)])
+@pytest.mark.parametrize(
+    "option, value", [("--gap", -10), ("--variants", 0), ("--variants", -3), ("--dthresh", 0)]
+)
 def test_diversify_rejects_out_of_range_numbers(tmp_path, capsys, option, value):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

@@ -55,6 +55,7 @@ def test_two_rets_two_families():
     gads = extract_gadgets(program)
     ends = {g.start + 4 * (len(g.words) - 1) for g in gads}
     assert len(ends) == 2
+    assert len({g.start for g in gads}) == len(gads)  # a start fixes its gadget
 
 
 def test_gadget_does_not_cross_control_transfer():

@@ -68,6 +68,27 @@ def test_solver_output_is_checker_clean():
         assert check_solution(result.solution, prob) == []
 
 
+def test_secret_arm_of_optional_copies_balances():
+    # block 1 holds only an optional copy: when the copy is off, the block
+    # spans 0 cycles, and the balance check counts it so.  That cuts every
+    # short NOP prefix before its cycles are placed: 63 nodes, against 125
+    # with the block's span left open up to its horizon
+    func = parse_function(
+        "func f (k:secret, x:public)\n"
+        "block 0\n  z = li 0\n  bne k, z, 2\n"
+        "block 1\n  opt c = copy x\n"
+        "block 2\n  ret x\n"
+    )
+    prob = build_problem(analyze(func, TIGHT8, mode=Mode.TSC))
+    result = solve_optimal(prob, time_budget=30)
+    assert (result.status, result.nodes) == (SolveStatus.OPTIMAL, 63)
+    assert check_solution(result.solution, prob) == []
+    pool = diversify(prob, result.solution, n=20, gap=Fraction(1, 2), time_budget=30, seed=0)
+    assert len(pool.solutions) > 1
+    for sol in pool.solutions:
+        assert check_solution(sol, pool.problem) == []
+
+
 def test_unsat_names_a_family():
     # two stores whose data XOR is the secret and one load back: every
     # bus order puts the hazardous pair adjacent
