@@ -7,7 +7,8 @@ transformed IR (``transformed.mir``), the analysis dump, a deterministic
 and reports are byte-identical across reruns with the same seed.
 
 Exit codes: 0 success, 2 usage error (an out-of-range option too) or
-parse error (of the IR or of an encoded variant), 3 unsatisfiable
+parse error (of the IR, of an encoded variant or of a pool's
+``manifest.json``), 3 unsatisfiable
 model, or one infeasible by construction (too many inputs, slots or
 live values), 4 solver timeout with an incumbent, 5 oracle failure.
 tsc balancing always succeeds: it pads every secret path that costs
@@ -197,8 +198,26 @@ def cmd_diversify(args) -> int:
     return EXIT_OK
 
 
+class PoolError(Exception):
+    """A pool directory whose manifest cannot be read."""
+
+
+# every field that verify or gadgets reads
+_MANIFEST_FIELDS = ("function", "mode", "profile", "seed", "gap_percent", "produced")
+
+
 def _load_pool(pool_dir: Path) -> tuple[dict, list[MachineProgram]]:
-    manifest = json.loads((pool_dir / "manifest.json").read_text())
+    try:
+        manifest = json.loads((pool_dir / "manifest.json").read_text())
+    except json.JSONDecodeError as exc:
+        raise PoolError(f"pool {pool_dir}: manifest.json is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise PoolError(f"pool {pool_dir}: manifest.json is not a JSON object")
+    missing = [f for f in _MANIFEST_FIELDS if f not in manifest]
+    if missing:
+        raise PoolError(f"pool {pool_dir}: manifest.json lacks {', '.join(missing)}")
+    if manifest["profile"] not in PROFILES:
+        raise PoolError(f"pool {pool_dir}: unknown profile {manifest['profile']!r}")
     programs = []
     for i in range(manifest["produced"]):
         data = (pool_dir / f"variant_{i:03d}.bin").read_bytes()
@@ -242,12 +261,16 @@ def cmd_verify(args) -> int:
                 failures += 1
         if check_cr:
             report = verify.check_cr(program, policy, analyzed.psets)
-            verdict = "secure" if report.secure else "insecure"
-            lines.append(f"{tag}\tcr\t{verdict}")
-            if not report.secure:
-                cr_violations += 1
-                if mode == "tsc":
-                    failures += 1
+            if report.incomplete:
+                incomplete = True
+                lines.append(f"{tag}\tcr\tincomplete\t{report.reason}")
+            else:
+                verdict = "secure" if report.secure else "insecure"
+                lines.append(f"{tag}\tcr\t{verdict}")
+                if not report.secure:
+                    cr_violations += 1
+                    if mode == "tsc":
+                        failures += 1
         if check_psc:
             report = verify.check_psc(program, policy)
             if report.incomplete:
@@ -483,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gadgets", help="gadget-overlap histogram for a pool")
     p.add_argument("--pool", required=True)
-    p.add_argument("--k", type=int, default=gadgets.DEFAULT_MAX_LEN)
+    p.add_argument("--k", type=_at_least(1), default=gadgets.DEFAULT_MAX_LEN)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_gadgets)
 
@@ -506,7 +529,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IRError, MachineError) as exc:
+    except (IRError, MachineError, PoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:

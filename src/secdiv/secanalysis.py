@@ -506,8 +506,11 @@ def _find_safe_order(func, chain, types) -> Optional[list]:
     so the search extends prefixes depth first and drops every extension
     that fails; the remaining leaves' fate depends only on the prefix's
     type and which leaves remain, so a failed (type, remaining) state is
-    never searched twice.
+    never searched twice.  Every order ends with the whole chain, whose
+    type is the XOR of the leaves, so a secret result admits no order.
     """
+    if types[chain[-1].defs[0]].label is SecurityLabel.SECRET:
+        return None
     site = {d: op.index for op in func.all_ops() for d in op.defs}  # inputs: -1
     op_sites = sorted(op.index for op in chain)
 

@@ -90,12 +90,9 @@ class _Search:
         blocking: Optional[list[Solution]] = None,
         dthresh: int = 1,
         deadline: Optional[float] = None,
-        compact: bool = False,
-        incumbent: Optional[Solution] = None,
     ):
         self.prob = prob
         self.shuffle = shuffle
-        self.compact = compact
         self.blocking = blocking or []
         self.dthresh = dthresh
         self.deadline = deadline
@@ -110,8 +107,8 @@ class _Search:
         self.scale = math.lcm(*(b.weight.denominator for b in func.blocks))
         self.weight = [int(b.weight * self.scale) for b in func.blocks]
         self.bound = None if prob.opt_bound is None else math.floor(prob.opt_bound * self.scale)
-        self.best = incumbent
-        self.best_objective = None if incumbent is None else self._scaled(incumbent)
+        self.best: Optional[Solution] = None
+        self.best_objective: Optional[int] = None
         self.inputs = func.input_names()
         self.ops_by_block = [list(b.ops) for b in func.blocks]
         self.lat = {op.index: prob.op_lat(op) for op in prob.ops}
@@ -333,12 +330,7 @@ class _Search:
         lb = state.lb_span[block]
         prev_objective = state.objective
 
-        if self.compact:
-            # heuristic dive: issue in block order, earliest feasible cycle
-            candidates = [max(lo, state.block_end.get(block, 0))]
-        else:
-            candidates = self.value_order[("cycle", idx)]
-        for c in candidates:
+        for c in self.value_order[("cycle", idx)]:
             if c < lo or c + lat > horizon:
                 continue
             if any(c < e and s < c + lat for s, e in intervals):
@@ -548,20 +540,14 @@ def _intervals_overlap(a, b) -> bool:
 
 
 def solve_optimal(prob: CopProblem, time_budget: float = 600.0) -> SolveResult:
-    """Best solution by exhaustive branch-and-bound, or UNSAT/TIMEOUT.
+    """Best solution by one exhaustive branch-and-bound search, or
+    UNSAT/TIMEOUT.
 
-    A compact-schedule dive runs first to seed the incumbent, which lets
-    the full search prune padded schedules right away; the second pass is
-    exhaustive and owns the optimality claim.
+    The search starts with no incumbent, and each improving leaf becomes
+    the incumbent that bounds the rest.  A TIMEOUT carries the best leaf
+    found so far, if any, and `nodes` counts every node of the solve.
     """
-    deadline = time.monotonic() + time_budget
-    dive = _Search(
-        prob,
-        compact=True,
-        deadline=min(time.monotonic() + max(1.0, time_budget / 4), deadline),
-    )
-    warm = dive.run()
-    return _Search(prob, deadline=deadline, incumbent=warm.solution).run()
+    return _Search(prob, deadline=time.monotonic() + time_budget).run()
 
 
 def solve_one(

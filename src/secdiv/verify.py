@@ -13,7 +13,8 @@ with the constraint model, so these checks can veto the whole pipeline.
     randoms must be identical for all secret values.
 
 Exact enumeration at 8-bit width replaces statistical testing; there are
-no tolerances to tune.
+no tolerances to tune.  Both security checks enumerate at most
+`_HIDDEN_LIMIT` secret and random inputs and report more as incomplete.
 
 The power-leak check puts several secret values into one `run_batch`
 call, lane-major by secret (all randoms of the first secret, then of the
@@ -51,6 +52,16 @@ Policy = Sequence[tuple[str, SecurityLabel]]
 
 _EXHAUSTIVE_LIMIT = 2  # inputs; beyond this, equivalence uses samples
 _SAMPLES = 1000
+# secret and random inputs; beyond this, check_cr and check_psc report
+# their enumeration incomplete
+_HIDDEN_LIMIT = 3
+
+
+def _over_budget(hidden: int) -> str:
+    return (
+        f"{hidden} secret/random inputs "
+        f"exceed the exhaustive enumeration budget ({_HIDDEN_LIMIT})"
+    )
 
 
 def _full_grid(k: int) -> np.ndarray:
@@ -127,9 +138,13 @@ class CrReport:
     per_public: list[tuple[tuple[int, ...], int, int]]
     # per secret branch: static cycle cost of each path in its set
     path_costs: list[tuple[int, dict[tuple[int, ...], int]]]
+    incomplete: bool = False
+    reason: str = ""
 
     @property
     def secure(self) -> bool:
+        if self.incomplete:
+            return False
         paths_ok = all(
             len(set(costs.values())) <= 1 for _, costs in self.path_costs
         )
@@ -164,10 +179,16 @@ def check_cr(
     values are enumerated and the program's exact cycle count is taken
     from the simulator: the verdict requires BCET = WCET everywhere, plus
     equal static costs along every path of each secret-branch path set.
+    More than `_HIDDEN_LIMIT` secret and random inputs give an incomplete
+    report, which is not secure.
     """
     names = [n for n, _ in policy]
     public_idx = [i for i, (_, lab) in enumerate(policy) if lab is SecurityLabel.PUBLIC]
     hidden_idx = [i for i in range(len(names)) if i not in public_idx]
+    if len(hidden_idx) > _HIDDEN_LIMIT:
+        return CrReport(
+            per_public=[], path_costs=[], incomplete=True, reason=_over_budget(len(hidden_idx))
+        )
 
     # each hidden-input chunk is built once and run under every public
     # assignment, which only rewrites the public rows
@@ -228,7 +249,6 @@ class PscReport:
         return not self.leaks and not self.incomplete
 
 
-_PSC_HIDDEN_LIMIT = 3
 # Lanes per batched run_batch call; at least one secret goes in each call.
 _PSC_BATCH_LANES = 1 << 14
 # Joint (secret, value) histogram bins per call, 256 per secret: a site's
@@ -259,12 +279,8 @@ def check_psc(
     random_idx = [i for i, (_, lab) in enumerate(policy) if lab is SecurityLabel.RANDOM]
     public_idx = [i for i, (_, lab) in enumerate(policy) if lab is SecurityLabel.PUBLIC]
 
-    if len(secret_idx) + len(random_idx) > _PSC_HIDDEN_LIMIT:
-        return PscReport(
-            incomplete=True,
-            reason=f"{len(secret_idx) + len(random_idx)} secret/random inputs "
-            f"exceed the exhaustive enumeration budget ({_PSC_HIDDEN_LIMIT})",
-        )
+    if len(secret_idx) + len(random_idx) > _HIDDEN_LIMIT:
+        return PscReport(incomplete=True, reason=_over_budget(len(secret_idx) + len(random_idx)))
 
     report = PscReport()
     if not secret_idx:

@@ -21,6 +21,17 @@ def load(name: str):
     return parse_function(corpus_path(name).read_text())
 
 
+# a 4-block tsc program with one public and four secret inputs, one more
+# than the oracles enumerate
+FOUR_SECRETS = (
+    "func f (p:public, k1:secret, k2:secret, k3:secret, k4:secret)\n"
+    "block 0\n  z = li 0\n  bne k1, z, 2\n"
+    "block 1\n  a = xor k2, k3\n  st s, a\n  b 3\n"
+    "block 2\n  c = xor k3, k4\n  st s, c\n"
+    "block 3\n  ret p\n"
+)
+
+
 def corpus_naive_pool(name: str, n: int, seed: int = 0):
     """The naive pool of corpus function `name`, grown from the base that
     `secdiv diversify --mode naive` uses: the optimum in the mode

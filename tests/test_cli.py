@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import corpus_path
+from conftest import FOUR_SECRETS, corpus_path
 from secdiv import cli
 from secdiv.cli import main
 
@@ -252,6 +252,55 @@ def test_verify_rejects_malformed_variant(tmp_path, capsys, damage):
     assert not (pool / "verify.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "gadgets"])
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        ("not json", "manifest.json is not JSON: "),
+        ("no produced", "manifest.json lacks produced"),
+        ("unknown profile", "unknown profile 'huge64'"),
+    ],
+)
+def test_bad_manifest_exits_2(tmp_path, capsys, command, damage, message):
+    out = tmp_path / "out"
+    assert run_cli("diversify", corpus_path("minimal"), "--out", out, "--variants", "2") == 0
+    pool = out / "minimal-none-g0"
+    path = pool / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if damage == "not json":
+        path.write_text(path.read_text()[:-3])
+    elif damage == "no produced":
+        del manifest["produced"]
+        path.write_text(json.dumps(manifest))
+    else:
+        manifest["profile"] = "huge64"
+        path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    args = ("verify", corpus_path("minimal")) if command == "verify" else ("gadgets",)
+    assert run_cli(*args, "--pool", pool) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: pool {pool}: {message}") and err.count("\n") == 1
+    assert not (pool / "verify.json").exists() and not (pool / "gadgets.json").exists()
+
+
+def test_verify_reports_cr_beyond_the_budget_incomplete(tmp_path, capsys):
+    src = tmp_path / "four.mir"
+    src.write_text(FOUR_SECRETS)
+    out = tmp_path / "out"
+    assert run_cli("diversify", src, "--mode", "tsc", "--out", out, "--variants", "2") == 0
+    pool = out / "f-tsc-g0"
+    assert run_cli("verify", src, "--pool", pool) == 0
+    reason = "4 secret/random inputs exceed the exhaustive enumeration budget (3)"
+    lines = (pool / "verify.txt").read_text().splitlines()
+    assert [l for l in lines if "\tcr\t" in l] == [
+        f"variant_00{i}\tcr\tincomplete\t{reason}" for i in range(2)
+    ]
+    verdicts = json.loads((pool / "verify.json").read_text())
+    assert verdicts["incomplete"] is True
+    assert (verdicts["failures"], verdicts["cr_violation_rate"]) == (0, 0)
+    assert "enumeration incomplete" in capsys.readouterr().err
+
+
 def test_compile_balances_nested_secret_branches(tmp_path, capsys):
     # the 4-block shape {0: (1, 2), 1: (2, 3)} of dag_edges in
     # test_secanalysis.py, branching on a secret: block 1 falls through a
@@ -289,6 +338,19 @@ def test_gadgets_command(tmp_path, capsys):
     assert "pct_zero" in captured
     payload = json.loads((out / "masked_xor-psc-g10" / "gadgets.json").read_text())
     assert payload["pairs"] == 30
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_gadgets_rejects_k_below_1(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert run_cli("diversify", corpus_path("minimal"), "--out", out, "--variants", "2") == 0
+    pool = out / "minimal-none-g0"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gadgets", "--pool", pool, "--k", value)
+    assert exc.value.code == 2
+    assert "argument --k: must be at least 1" in capsys.readouterr().err
+    assert not (pool / "gadgets.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -71,7 +71,7 @@ def test_solver_output_is_checker_clean():
 def test_secret_arm_of_optional_copies_balances():
     # block 1 holds only an optional copy: when the copy is off, the block
     # spans 0 cycles, and the balance check counts it so.  That cuts every
-    # short NOP prefix before its cycles are placed: 63 nodes, against 125
+    # short NOP prefix before its cycles are placed: 73 nodes, against 504
     # with the block's span left open up to its horizon
     func = parse_function(
         "func f (k:secret, x:public)\n"
@@ -81,7 +81,7 @@ def test_secret_arm_of_optional_copies_balances():
     )
     prob = build_problem(analyze(func, TIGHT8, mode=Mode.TSC))
     result = solve_optimal(prob, time_budget=30)
-    assert (result.status, result.nodes) == (SolveStatus.OPTIMAL, 63)
+    assert (result.status, result.nodes) == (SolveStatus.OPTIMAL, 73)
     assert check_solution(result.solution, prob) == []
     pool = diversify(prob, result.solution, n=20, gap=Fraction(1, 2), time_budget=30, seed=0)
     assert len(pool.solutions) > 1
@@ -111,16 +111,17 @@ def test_unsat_names_a_family():
 
 def test_zero_budget_times_out_at_first_deadline_check():
     # share_compare's psc model is unsatisfiable after more than a million
-    # nodes, so neither the dive nor the full search ends on its own; both
-    # stop at node 512, where _tick first reads the clock
+    # nodes, so the search does not end on its own; it stops at node 512,
+    # where _tick first reads the clock
     result = solve_optimal(_problem("share_compare", Mode.PSC), time_budget=0)
     assert result.status is SolveStatus.TIMEOUT
     assert result.solution is None
     assert result.nodes == 512
 
 
-def test_zero_budget_keeps_the_dive_incumbent():
-    # the first deadline check comes at node 512, which this search passes
+def test_zero_budget_keeps_the_first_incumbent():
+    # the first deadline check comes at node 512; this search finds its
+    # first leaf before it, at node 438
     prob = _problem("two_branches", Mode.TSC)
     result = solve_optimal(prob, time_budget=0)
     assert result.status is SolveStatus.TIMEOUT
@@ -327,19 +328,20 @@ def _digest(solutions) -> str:
 # gives the same rows.  A bound floored to an int lay below the
 # fractional optimum at gap 0, which left those pools with the optimum
 # alone.  The long_arm tsc row was pinned again when balancing gave it one
-# NOP block instead of two.
+# NOP block instead of two, and every optimum's nodes when solve_optimal
+# became one search whose count covers the whole solve.
 _FRACTIONAL_GOLDEN = {
-    ("two_branches", "tsc"): ("optimal", 1002, "1525/36", "a5f56186fa59cb7f",
+    ("two_branches", "tsc"): ("optimal", 1033, "1525/36", "a5f56186fa59cb7f",
                               ("complete", 6, "b9d358d83bca3351"), ("complete", 6, "1060605120070306"), 253),
-    ("two_branches", "none"): ("optimal", 1, "239/12", "5b7b2b781dd10661",
+    ("two_branches", "none"): ("optimal", 22, "239/12", "5b7b2b781dd10661",
                                ("complete", 6, "60e2c80ecda96150"), ("complete", 6, "83636e7e843cee9a"), 27),
-    ("long_arm", "tsc"): ("optimal", 171, "1025/36", "0d0b9e6da2ab8187",
+    ("long_arm", "tsc"): ("optimal", 203, "1025/36", "0d0b9e6da2ab8187",
                           ("complete", 6, "8bb053e900ddc659"), ("complete", 6, "7b98a249baceb305"), 208),
-    ("long_arm", "none"): ("optimal", 1, "62/3", "faf28f09fa49a5fb",
+    ("long_arm", "none"): ("optimal", 22, "62/3", "faf28f09fa49a5fb",
                            ("complete", 6, "4df6ee96d2f0a0c7"), ("complete", 6, "fd4d353fad99e09c"), 41),
-    ("check_bit", "tsc"): ("optimal", 78, "74/3", "afa05da1ac3bcf47",
+    ("check_bit", "tsc"): ("optimal", 97, "74/3", "afa05da1ac3bcf47",
                            ("complete", 6, "d7ee18177bab034f"), ("complete", 6, "9da0b831314c147d"), 73),
-    ("check_bit", "none"): ("optimal", 1, "59/4", "601fa9676cb94481",
+    ("check_bit", "none"): ("optimal", 15, "59/4", "601fa9676cb94481",
                             ("complete", 6, "0845628de506999f"), ("complete", 6, "e6e0a50e35f4e6d4"), 18),
 }
 

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-from conftest import corpus_naive_pool, load
+from conftest import FOUR_SECRETS, corpus_naive_pool, load
 from scalar_machine import run
 from secdiv.copmodel import Mode, build_problem, to_schedule
 from secdiv.machine import TIGHT8, Instr, MachineProgram, Schedule, encode, run_batch
@@ -223,6 +224,19 @@ def test_psc_agrees_with_typing_on_corpus():
     analyzed, prob, sol, program = _compile("masked_xor", Mode.PSC)
     report = check_psc(program, analyzed.function.inputs)
     assert report.secure  # mk and t are RANDOM-typed and the oracle agrees
+
+
+def test_cr_budget_exceeded_incomplete():
+    analyzed = analyze(parse_function(FOUR_SECRETS), TIGHT8, mode=Mode.TSC)
+    prob = build_problem(analyzed)
+    sol = solve_optimal(prob, time_budget=30).solution
+    program = encode(analyzed.function, to_schedule(prob, sol), TIGHT8)
+    start = time.process_time()
+    report = check_cr(program, analyzed.function.inputs, analyzed.psets)
+    assert time.process_time() - start < 1.0
+    assert report.incomplete
+    assert not report.secure
+    assert report.reason == "4 secret/random inputs exceed the exhaustive enumeration budget (3)"
 
 
 def test_naive_pool_produces_cr_violations():
