@@ -7,8 +7,8 @@ transformed IR (``transformed.mir``), the analysis dump, a deterministic
 and reports are byte-identical across reruns with the same seed.
 
 Exit codes: 0 success, 2 usage error (an out-of-range option too) or
-parse error (of the IR, of an encoded variant or of a pool's
-``manifest.json``), 3 unsatisfiable
+parse error (of the IR, of an encoded variant, of a pool's
+``manifest.json``, or of a JSON file that ``report`` reads), 3 unsatisfiable
 model, or one infeasible by construction (too many inputs, slots or
 live values), 4 solver timeout with an incumbent, 5 oracle failure.
 tsc balancing always succeeds: it pads every secret path that costs
@@ -199,7 +199,15 @@ def cmd_diversify(args) -> int:
 
 
 class PoolError(Exception):
-    """A pool directory whose manifest cannot be read."""
+    """A pool directory whose manifest cannot be read, or a run directory
+    file that is not JSON."""
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError:
+        raise PoolError(f"{path} is not JSON") from None
 
 
 # every field that verify or gadgets reads
@@ -218,6 +226,12 @@ def _load_pool(pool_dir: Path) -> tuple[dict, list[MachineProgram]]:
         raise PoolError(f"pool {pool_dir}: manifest.json lacks {', '.join(missing)}")
     if manifest["profile"] not in PROFILES:
         raise PoolError(f"pool {pool_dir}: unknown profile {manifest['profile']!r}")
+    for name in ("produced", "seed"):
+        value = manifest[name]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise PoolError(
+                f"pool {pool_dir}: manifest.json has {name} {value!r}, not a non-negative integer"
+            )
     programs = []
     for i in range(manifest["produced"]):
         data = (pool_dir / f"variant_{i:03d}.bin").read_bytes()
@@ -371,7 +385,7 @@ def cmd_report(args) -> int:
     for d in run_dirs:
         compile_json = d / "compile.json"
         if compile_json.exists():
-            c = json.loads(compile_json.read_text())
+            c = _read_json(compile_json)
             overhead_rows.append(
                 [
                     c["function"],
@@ -384,7 +398,7 @@ def cmd_report(args) -> int:
             )
         manifest_json = d / "manifest.json"
         if manifest_json.exists():
-            m = json.loads(manifest_json.read_text())
+            m = _read_json(manifest_json)
             row = [
                 m["function"],
                 m["mode"],
@@ -398,7 +412,7 @@ def cmd_report(args) -> int:
             pool_rows.append(row)
             gadgets_json = d / "gadgets.json"
             if gadgets_json.exists():
-                g = json.loads(gadgets_json.read_text())
+                g = _read_json(gadgets_json)
                 total = g["pairs"] or 1
                 gadget_rows.append(
                     [
@@ -413,7 +427,7 @@ def cmd_report(args) -> int:
                 )
             verify_json = d / "verify.json"
             if verify_json.exists() and m["mode"] == "naive":
-                v = json.loads(verify_json.read_text())
+                v = _read_json(verify_json)
                 breakage_rows.append(
                     [
                         v["function"],
@@ -495,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", type=_at_least(1), default=20)
     p.add_argument("--gap", type=_at_least(0), default=0, help="optimality gap in percent")
     p.add_argument("--dthresh", type=_at_least(1), default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     common(p)
     p.set_defaults(func=cmd_diversify)
 

@@ -14,20 +14,43 @@ with the constraint model, so these checks can veto the whole pipeline.
 
 Exact enumeration at 8-bit width replaces statistical testing; there are
 no tolerances to tune.  Both security checks enumerate at most
-`_HIDDEN_LIMIT` secret and random inputs and report more as incomplete.
+`_HIDDEN_LIMIT` secret and random inputs byte by byte and report more as
+incomplete, except where the power-leak check can slice bits.
 
-The power-leak check puts several secret values into one `run_batch`
-call, lane-major by secret (all randoms of the first secret, then of the
-next), with up to `_PSC_BATCH_LANES` lanes and `_PSC_BATCH_BINS` joint
-(secret, value) histogram bins per call; `run_batch` returns one
-histogram row per secret, and builds the rows of a site where every lane
-sees one value without a bincount.  A secret whose randoms alone exceed
-the lane cap runs in a call of its own.  At each site, every secret's
-row is compared with the reference secret's (the first in enumeration
-order), and a site that a secret did not run counts as an all-zero row,
-so running a site more or less often is a difference like any other.
-`PscReport` holds the sites that some lane ran and, per leaking site,
-the reference secret and the first secret whose row differs.
+Bit-sliced power-leak check.  A program is bit-local when no value
+derived from a secret or random input reaches an ADD, a SUB or a branch
+condition; a forward taint pass over the blocks decides it (branches only
+go forward, so one pass in block order sees every predecessor first).
+In a bit-local program every lane of a public probe runs the same path,
+and bit i of every value, so of every transition, is a function of bit i
+of the hidden inputs and of the probe alone.  Uniform random bytes have
+independent bits, so for one secret the transition byte is a product of
+eight independent bits, whose distribution its eight per-bit marginals
+decide.  Two secrets therefore give equal distributions exactly when
+every per-bit marginal is equal, and the marginal at bit i depends only
+on the secrets' pattern at bit i.  One `run_batch` call per probe
+evaluates all eight bits at once: each hidden input is 0x00 or 0xFF per
+lane, 2**(secrets + randoms) lanes in one group per secret pattern (the
+first secret most significant).  A site leaks when some pattern's per-bit
+set counts, or its run count, differ from pattern 0's; its witness is
+the least secret in enumeration order that shows a failing (pattern p,
+bit i) pair, the tuple of (p_j << i), which is the secret the byte-wise
+enumeration would report.  Bit-local programs take this path up to
+`_SLICED_LIMIT` hidden inputs.
+
+Byte-wise power-leak check.  Other programs put several secret values
+into one `run_batch` call, lane-major by secret (all randoms of the first
+secret, then of the next), with up to `_PSC_BATCH_LANES` lanes and
+`_PSC_BATCH_BINS` joint (secret, value) histogram bins per call;
+`run_batch` returns one histogram row per secret, and builds the rows of
+a site where every lane sees one value without a bincount.  A secret
+whose randoms alone exceed the lane cap runs in a call of its own.  At
+each site, every secret's row is compared with the reference secret's
+(the first in enumeration order), and a site that a secret did not run
+counts as an all-zero row, so running a site more or less often is a
+difference like any other.  `PscReport` holds the sites that some lane
+ran and, per leaking site, the reference secret and the first secret
+whose row differs.
 
 The oracles build their input arrays once and rewrite only the rows
 that change from one `run_batch` call to the next.
@@ -52,16 +75,16 @@ Policy = Sequence[tuple[str, SecurityLabel]]
 
 _EXHAUSTIVE_LIMIT = 2  # inputs; beyond this, equivalence uses samples
 _SAMPLES = 1000
-# secret and random inputs; beyond this, check_cr and check_psc report
-# their enumeration incomplete
+# secret and random inputs; beyond this, check_cr and the byte-wise
+# check_psc report their enumeration incomplete
 _HIDDEN_LIMIT = 3
+# secret and random inputs of the bit-sliced check_psc: at most 2**8
+# lanes and lane groups per probe, so 512 KiB of histogram per site
+_SLICED_LIMIT = 8
 
 
-def _over_budget(hidden: int) -> str:
-    return (
-        f"{hidden} secret/random inputs "
-        f"exceed the exhaustive enumeration budget ({_HIDDEN_LIMIT})"
-    )
+def _over_budget(hidden: int, kind: str = "exhaustive", limit: int = _HIDDEN_LIMIT) -> str:
+    return f"{hidden} secret/random inputs exceed the {kind} enumeration budget ({limit})"
 
 
 def _full_grid(k: int) -> np.ndarray:
@@ -271,20 +294,29 @@ def check_psc(
     not run is all zeros, and each site's row for every secret is
     compared with the reference secret's (the first in enumeration
     order).  The first secret whose row differs is the site's witness.
-    Several secret values share one `run_batch` call, one lane group per
-    secret.
+
+    A bit-local program (`_bit_local`) takes the bit-sliced path, exact
+    up to `_SLICED_LIMIT` secret and random inputs; any other program is
+    enumerated byte by byte up to `_HIDDEN_LIMIT`, several secret values
+    sharing one `run_batch` call, one lane group per secret.  Both paths
+    give the same report; beyond its limit a path reports incomplete.
     """
     names = [n for n, _ in policy]
     secret_idx = [i for i, (_, lab) in enumerate(policy) if lab is SecurityLabel.SECRET]
     random_idx = [i for i, (_, lab) in enumerate(policy) if lab is SecurityLabel.RANDOM]
     public_idx = [i for i, (_, lab) in enumerate(policy) if lab is SecurityLabel.PUBLIC]
 
-    if len(secret_idx) + len(random_idx) > _HIDDEN_LIMIT:
-        return PscReport(incomplete=True, reason=_over_budget(len(secret_idx) + len(random_idx)))
+    hidden = len(secret_idx) + len(random_idx)
+    sliced = _bit_local(program, secret_idx + random_idx)
+    kind, limit = ("bit-sliced", _SLICED_LIMIT) if sliced else ("exhaustive", _HIDDEN_LIMIT)
+    if hidden > limit:
+        return PscReport(incomplete=True, reason=_over_budget(hidden, kind, limit))
 
     report = PscReport()
     if not secret_idx:
         return report  # nothing to compare across
+    if sliced:
+        return _sliced_psc(program, len(names), secret_idx, random_idx, public_idx, public_probes)
 
     random_grid = _full_grid(len(random_idx))
     per_secret = random_grid.shape[1]
@@ -315,4 +347,118 @@ def check_psc(
                 if differs.any():
                     witness = tuple(int(v) for v in chunk[:, differs.argmax()])
                     report.leaks[site] = (ref_secret, witness)
+    return report
+
+
+def _bit_local(program: MachineProgram, hidden: Sequence[int]) -> bool:
+    """Whether no value derived from the `hidden` input registers reaches
+    an ADD, a SUB or a branch condition.
+
+    A forward taint pass over the blocks in index order, which sees every
+    predecessor of a block first because every branch goes to a later
+    block (`run_batch` rejects any other).  A block starts from the union
+    of the registers and memory slots that its predecessors leave tainted;
+    one that no block reaches never runs and is skipped.  Like `run_batch`,
+    the pass goes on after B and stops at BEQ, BNE and RET.  An opcode that
+    `run_batch` does not run makes a program not bit-local.
+    """
+    entry: list[Optional[set]] = [None] * len(program.blocks)
+    if entry:
+        entry[0] = {("r", r) for r in hidden}
+    for index, block in enumerate(program.blocks):
+        if entry[index] is None:
+            continue
+        taint = set(entry[index])
+        successors = [index + 1]
+        for ins in block:
+            op = ins.opcode
+            if op in (Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR):
+                dst, hot = ("r", ins.a), ("r", ins.b) in taint or ("r", ins.c) in taint
+                if hot and op in (Opcode.ADD, Opcode.SUB):
+                    return False
+            elif op is Opcode.MOV:
+                dst, hot = ("r", ins.a), ("r", ins.b) in taint
+            elif op is Opcode.LI:
+                dst, hot = ("r", ins.a), False
+            elif op is Opcode.LD:
+                dst, hot = ("r", ins.a), ("s", ins.b) in taint
+            elif op is Opcode.ST:
+                dst, hot = ("s", ins.a), ("r", ins.b) in taint
+            elif op in (Opcode.BEQ, Opcode.BNE):
+                if ("r", ins.a) in taint or ("r", ins.b) in taint:
+                    return False
+                successors = [ins.c, index + 1]
+                break
+            elif op is Opcode.B:
+                successors = [ins.a]
+                continue
+            elif op is Opcode.RET:
+                successors = []
+                break
+            elif op is Opcode.NOP:
+                continue
+            else:
+                return False
+            if hot:
+                taint.add(dst)
+            else:
+                taint.discard(dst)
+        for succ in successors:
+            if succ < len(entry):
+                entry[succ] = taint | (entry[succ] or set())
+    return True
+
+
+# A (groups, 256) histogram times this matrix gives, per group, the
+# number of lanes whose value has bit i set (column i < 8) and the number
+# of lanes that ran the site (column 8).
+_BIT_COUNTS = np.array([[v >> i & 1 for i in range(8)] + [1] for v in range(256)], dtype=np.int64)
+
+
+def _sliced_psc(
+    program: MachineProgram,
+    num_inputs: int,
+    secret_idx: list[int],
+    random_idx: list[int],
+    public_idx: list[int],
+    public_probes: Sequence[int],
+) -> PscReport:
+    """`check_psc` on a bit-local program with at least one secret: one
+    `run_batch` call per probe, each hidden input 0x00 or 0xFF per lane,
+    one lane group per secret pattern, the first secret most significant.
+
+    At each site every pattern's per-bit set counts and run count are
+    compared with pattern 0's.  A secret whose pattern at some bit i
+    fails there differs from the all-zero reference; the least such
+    secret, the site's witness, is the least (p_j << i) over the failing
+    (pattern p, bit i) pairs, and for one bit the least failing pattern
+    gives the least tuple.
+    """
+    hidden = secret_idx + random_idx
+    lanes = 1 << len(hidden)
+    lane = np.arange(lanes)
+    inputs = np.empty((num_inputs, lanes), dtype=np.uint8)
+    for pos, i in enumerate(hidden):
+        inputs[i] = ((lane >> (len(hidden) - 1 - pos)) & 1) * 0xFF
+    groups = 1 << len(secret_idx)
+    patterns = inputs[secret_idx, :: lanes // groups]  # (secrets, groups)
+    reference = (0,) * len(secret_idx)
+
+    report = PscReport()
+    for public in itertools.product(public_probes, repeat=len(public_idx)):
+        for pos, i in enumerate(public_idx):
+            inputs[i] = public[pos]
+        hists = run_batch(program, inputs, groups=groups).transitions
+        report.sites.update(hists)
+        for site in sorted(hists.keys() - report.leaks.keys()):
+            counts = hists[site] @ _BIT_COUNTS
+            differs = counts != counts[0]
+            failing = differs[:, :8] | differs[:, 8:]  # a run count fails every bit
+            witnesses = [
+                tuple(int(v) & (1 << i) for v in patterns[:, failing[:, i].argmax()])
+                for i in range(8)
+                if failing[:, i].any()
+            ]
+            if witnesses:
+                report.leaks[site] = (reference, min(witnesses))
     return report

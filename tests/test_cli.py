@@ -259,6 +259,10 @@ def test_verify_rejects_malformed_variant(tmp_path, capsys, damage):
         ("not json", "manifest.json is not JSON: "),
         ("no produced", "manifest.json lacks produced"),
         ("unknown profile", "unknown profile 'huge64'"),
+        ("produced '2'", "manifest.json has produced '2', not a non-negative integer"),
+        ("produced True", "manifest.json has produced True, not a non-negative integer"),
+        ("produced -1", "manifest.json has produced -1, not a non-negative integer"),
+        ("seed '1'", "manifest.json has seed '1', not a non-negative integer"),
     ],
 )
 def test_bad_manifest_exits_2(tmp_path, capsys, command, damage, message):
@@ -272,8 +276,12 @@ def test_bad_manifest_exits_2(tmp_path, capsys, command, damage, message):
     elif damage == "no produced":
         del manifest["produced"]
         path.write_text(json.dumps(manifest))
-    else:
+    elif damage == "unknown profile":
         manifest["profile"] = "huge64"
+        path.write_text(json.dumps(manifest))
+    else:
+        field, value = damage.split()
+        manifest[field] = {"'2'": "2", "'1'": "1", "True": True, "-1": -1}[value]
         path.write_text(json.dumps(manifest))
     capsys.readouterr()
     args = ("verify", corpus_path("minimal")) if command == "verify" else ("gadgets",)
@@ -354,7 +362,8 @@ def test_gadgets_rejects_k_below_1(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize(
-    "option, value", [("--gap", -10), ("--variants", 0), ("--variants", -3), ("--dthresh", 0)]
+    "option, value",
+    [("--gap", -10), ("--variants", 0), ("--variants", -3), ("--dthresh", 0), ("--seed", -1)],
 )
 def test_diversify_rejects_out_of_range_numbers(tmp_path, capsys, option, value):
     out = tmp_path / "out"
@@ -414,6 +423,18 @@ def test_report_with_times_adds_only_the_seconds_column(tmp_path, capsys):
 def test_report_missing_dir(tmp_path, capsys):
     assert run_cli("report", "--out", tmp_path / "empty") == 2
     assert "no such output" in capsys.readouterr().err
+
+
+def test_report_rejects_a_manifest_that_is_not_json(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("diversify", corpus_path("minimal"), "--out", out, "--variants", "2") == 0
+    path = out / "minimal-none-g0" / "manifest.json"
+    path.write_text(path.read_text()[:-3])
+    capsys.readouterr()
+    assert run_cli("report", "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path} is not JSON\n"
+    assert captured.out == ""
 
 
 def test_report_deterministic(tmp_path, capsys):

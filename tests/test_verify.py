@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FOUR_SECRETS, corpus_naive_pool, load
 from scalar_machine import run
@@ -12,6 +14,7 @@ from secdiv.copmodel import Mode, build_problem, to_schedule
 from secdiv.machine import TIGHT8, Instr, MachineProgram, Schedule, encode, run_batch
 from secdiv.mir import Opcode, SecurityLabel, parse_function
 from secdiv.secanalysis import analyze
+from secdiv import verify
 from secdiv.solver import diversify, solve_optimal
 from secdiv.verify import (
     PUBLIC_PROBES,
@@ -199,23 +202,49 @@ def test_masked_chain_exhaustively_independent():
     assert report.secure
 
 
-def test_enumeration_budget_exceeded_incomplete():
-    func = parse_function(
-        "func f (a:secret, b:secret, c:random, d:random)\n"
-        "block 0\n"
-        "  x = xor a, c\n"
-        "  y = xor b, d\n"
-        "  r = xor x, y\n"
-        "  ret r\n"
-    )
+def _compile_text(text: str):
+    func = parse_function(text)
     analyzed = analyze(func, TIGHT8)
     prob = build_problem(analyzed)
     sol = solve_optimal(prob, time_budget=30).solution
-    program = encode(func, to_schedule(prob, sol), TIGHT8)
+    return func, encode(analyzed.function, to_schedule(prob, sol), TIGHT8)
+
+
+# four hidden inputs, one more than the byte-wise enumeration takes
+_FOUR_HIDDEN_XOR = (
+    "func f (a:secret, b:secret, c:random, d:random)\n"
+    "block 0\n"
+    "  x = xor a, c\n"
+    "  y = xor b, d\n"
+    "  r = xor x, y\n"
+    "  ret r\n"
+)
+
+
+def test_four_hidden_xor_program_gets_an_exact_verdict():
+    func, program = _compile_text(_FOUR_HIDDEN_XOR)
+    report = check_psc(program, func.inputs)
+    assert not report.incomplete
+    assert report.secure
+    assert report.sites == {(0, "reg", 0), (4, "reg", 1), (8, "reg", 0)}
+
+
+def test_enumeration_budget_exceeded_incomplete():
+    # the add on a secret makes the program take the byte-wise path
+    func, program = _compile_text(_FOUR_HIDDEN_XOR.replace("x = xor a, c", "x = add a, c"))
     report = check_psc(program, func.inputs)
     assert report.incomplete
     assert not report.secure
-    assert "exceed" in report.reason
+    assert report.reason == "4 secret/random inputs exceed the exhaustive enumeration budget (3)"
+
+
+def test_sliced_budget_exceeded_incomplete():
+    policy = [(f"k{i}", SecurityLabel.SECRET) for i in range(9)]
+    program = MachineProgram("tight8", 9, [[Instr(Opcode.XOR, 0, 0, 1), Instr(Opcode.RET, 0)]])
+    report = check_psc(program, policy)
+    assert report.incomplete
+    assert not report.secure
+    assert report.reason == "9 secret/random inputs exceed the bit-sliced enumeration budget (8)"
 
 
 def test_psc_agrees_with_typing_on_corpus():
@@ -345,3 +374,299 @@ def test_site_run_by_some_secrets_leaks():
     program = encode(func, to_schedule(pool.problem, pool.solutions[0]), TIGHT8)
     report = check_psc(program, func.inputs)
     assert (40, "reg", 0) in report.leaks
+
+
+# ----------------------------------------------------------------------
+# the bit-sliced path against the byte-wise one
+# ----------------------------------------------------------------------
+
+
+def _hidden_regs(policy) -> list[int]:
+    return [i for i, (_, lab) in enumerate(policy) if lab is not SecurityLabel.PUBLIC]
+
+
+def _bytewise_psc(program, policy, probes):
+    """check_psc on its byte-wise path, whatever the program."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "_bit_local", lambda *_: False)
+        return check_psc(program, policy, public_probes=probes)
+
+
+def _psc_pool(name: str, n: int):
+    analyzed = analyze(load(name), TIGHT8, mode=Mode.PSC)
+    prob = build_problem(analyzed)
+    best = solve_optimal(prob, time_budget=60).solution
+    return diversify(prob, best, n=n, gap=Fraction(1, 4), time_budget=60, seed=0)
+
+
+@pytest.mark.parametrize(
+    "name, kind, n, probes, leaking",
+    [
+        ("masked_xor", "naive", 16, PUBLIC_PROBES, 8),
+        ("masked_xor", "psc", 16, PUBLIC_PROBES, 0),
+        ("masked_xor_broken", "naive", 16, PUBLIC_PROBES, 8),
+        ("masked_xor_broken", "psc", 16, PUBLIC_PROBES, 0),
+        # 2**24 lanes a probe byte-wise: one probe, and the naive pool up
+        # to its first leaking variant
+        ("masked_chain", "naive", 9, (0x5A,), 1),
+        ("masked_chain", "psc", 4, (0x5A,), 0),
+    ],
+)
+def test_sliced_psc_matches_bytewise_on_pools(name, kind, n, probes, leaking):
+    pool = corpus_naive_pool(name, n) if kind == "naive" else _psc_pool(name, n)
+    func = pool.problem.function
+    assert len(pool.solutions) == n
+    leaks = 0
+    for sol in pool.solutions:
+        program = encode(func, to_schedule(pool.problem, sol), TIGHT8)
+        assert verify._bit_local(program, _hidden_regs(func.inputs))
+        fast = check_psc(program, func.inputs, public_probes=probes)
+        slow = _bytewise_psc(program, func.inputs, probes)
+        assert not fast.incomplete and not slow.incomplete
+        assert (fast.sites, fast.leaks) == (slow.sites, slow.leaks)
+        leaks += bool(fast.leaks)
+    assert leaks == leaking
+
+
+_CONSTANTS = (0x00, 0xFF, 0x5A, 0x0F)
+
+
+@st.composite
+def _instructions(draw, size: int) -> list[Instr]:
+    """Bitwise instructions that write r1-r6 and slots 0-1 and read any
+    register: r0 holds the public input, r7 a constant."""
+    body = []
+    for _ in range(draw(st.integers(0, size))):
+        op = draw(st.sampled_from(["xor", "and", "or", "mov", "li", "ld", "st", "nop"]))
+        a, b, c = draw(st.integers(1, 6)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        slot = draw(st.integers(0, 1))
+        body.append({
+            "xor": Instr(Opcode.XOR, a, b, c),
+            "and": Instr(Opcode.AND, a, b, c),
+            "or": Instr(Opcode.OR, a, b, c),
+            "mov": Instr(Opcode.MOV, a, b),
+            "li": Instr(Opcode.LI, a, draw(st.sampled_from(_CONSTANTS))),
+            "ld": Instr(Opcode.LD, a, slot),
+            "st": Instr(Opcode.ST, slot, b),
+            "nop": Instr(Opcode.NOP),
+        }[op])
+    return body
+
+
+@st.composite
+def _bitwise_programs(draw, hidden: tuple[int, int], max_randoms: int = 3, max_secrets: int = 6):
+    """(program, policy): one public input, then `hidden` secret and
+    random inputs in any order, with 1 to `max_secrets` secrets and at
+    most `max_randoms` randoms; one block, or a diamond whose branch
+    compares the public input with a constant."""
+    count = draw(st.integers(*hidden))
+    randoms = draw(st.integers(max(0, count - max_secrets), min(max_randoms, count - 1)))
+    labels = draw(st.permutations(
+        [SecurityLabel.SECRET] * (count - randoms) + [SecurityLabel.RANDOM] * randoms
+    ))
+    policy = [("p", SecurityLabel.PUBLIC)] + [(f"h{i}", lab) for i, lab in enumerate(labels)]
+    head = [Instr(Opcode.LI, 7, draw(st.sampled_from(_CONSTANTS)))]
+    ret = Instr(Opcode.RET, draw(st.integers(0, 7)))
+    if draw(st.booleans()):
+        blocks = [head + draw(_instructions(8)) + [ret]]
+    else:
+        branch = Instr(draw(st.sampled_from([Opcode.BEQ, Opcode.BNE])), 0, 7, 2)
+        blocks = [
+            head + draw(_instructions(4)) + [branch],
+            draw(_instructions(4)) + [Instr(Opcode.B, 3)],
+            draw(_instructions(4)),
+            draw(_instructions(4)) + [ret],
+        ]
+    return MachineProgram("tight8", len(policy), blocks), policy
+
+
+# three secrets without a random input are 2**24 secrets of one lane
+# each, 65,536 run_batch calls a probe byte-wise: too slow to compare
+@settings(max_examples=25, deadline=None)
+@given(_bitwise_programs(hidden=(1, 3), max_secrets=2), st.sampled_from(PUBLIC_PROBES))
+def test_sliced_psc_matches_bytewise_on_generated_programs(generated, probe):
+    program, policy = generated
+    assert verify._bit_local(program, _hidden_regs(policy))
+    fast = check_psc(program, policy, public_probes=(probe,))
+    slow = _bytewise_psc(program, policy, (probe,))
+    assert (fast.sites, fast.leaks) == (slow.sites, slow.leaks)
+
+
+def _replay(program, policy, secrets, public) -> dict:
+    """{site: histogram}, one row per secret in `secrets`, each over every
+    value of the random inputs, at one value of the public inputs."""
+    labels = [lab for _, lab in policy]
+    random_idx = [i for i, lab in enumerate(labels) if lab is SecurityLabel.RANDOM]
+    secret_idx = [i for i, lab in enumerate(labels) if lab is SecurityLabel.SECRET]
+    public_idx = [i for i, lab in enumerate(labels) if lab is SecurityLabel.PUBLIC]
+    grid = np.array(
+        list(itertools.product(range(256), repeat=len(random_idx))), dtype=np.uint8
+    ).T.reshape(len(random_idx), 256 ** len(random_idx))
+    per = grid.shape[1]
+    inputs = np.zeros((len(policy), len(secrets) * per), dtype=np.uint8)
+    for pos, i in enumerate(public_idx):
+        inputs[i] = public[pos]
+    for pos, i in enumerate(secret_idx):
+        inputs[i] = np.repeat([secret[pos] for secret in secrets], per)
+    for pos, i in enumerate(random_idx):
+        inputs[i] = np.tile(grid[pos], len(secrets))
+    return run_batch(program, inputs, groups=len(secrets)).transitions
+
+
+@settings(max_examples=12, deadline=None)
+@given(_bitwise_programs(hidden=(4, 6), max_randoms=2), st.integers(0, 2**32 - 1))
+def test_sliced_psc_verdicts_replay_beyond_the_bytewise_budget(generated, seed):
+    """Each witness's rows differ from the reference secret's at its
+    site under some probe, and the rows of a seeded sample of secrets
+    equal the reference's at every other site under every probe."""
+    program, policy = generated
+    report = check_psc(program, policy)
+    assert not report.incomplete
+    secrets = sum(lab is SecurityLabel.SECRET for _, lab in policy)
+    reference = (0,) * secrets
+    witnesses = sorted({witness for _, witness in report.leaks.values()})
+    rng = np.random.default_rng(seed)
+    sample = [tuple(int(v) for v in rng.integers(0, 256, secrets)) for _ in range(4)]
+    replayed = [reference, *witnesses, *sample]
+    sites, differs = set(), set()
+    for probe in PUBLIC_PROBES:
+        hists = _replay(program, policy, replayed, (probe,))
+        sites.update(hists)
+        for site, hist in hists.items():
+            for row, secret in zip(hist, replayed):
+                if (row != hist[0]).any():
+                    differs.add((site, secret))
+    assert sites == report.sites
+    for site, (ref, witness) in report.leaks.items():
+        assert ref == reference and (site, witness) in differs
+    assert all(site in report.leaks for site, _ in differs)
+
+
+def _four_hidden_xor():
+    """The 4-hidden XOR program and its policy: bit-local and secure."""
+    func, program = _compile_text(_FOUR_HIDDEN_XOR)
+    assert verify._bit_local(program, _hidden_regs(func.inputs))
+    assert check_psc(program, func.inputs).secure
+    return program, func.inputs
+
+
+def test_add_on_a_secret_sends_a_program_to_the_bytewise_path():
+    program, policy = _four_hidden_xor()
+    (block,) = program.blocks
+    program.blocks = [[Instr(Opcode.ADD, 7, 0, 0)] + block]  # r0 holds secret a
+    assert not verify._bit_local(program, _hidden_regs(policy))
+    report = check_psc(program, policy)
+    assert report.incomplete and "exhaustive" in report.reason
+
+
+def test_branch_on_a_masked_value_sends_a_program_to_the_bytewise_path():
+    program, policy = _four_hidden_xor()
+    (block,) = program.blocks
+    # r7 = a ^ c is masked; whichever way the branch goes, block 1 runs
+    program.blocks = [
+        [Instr(Opcode.XOR, 7, 0, 2), Instr(Opcode.LI, 6, 0), Instr(Opcode.BNE, 7, 6, 1)],
+        block,
+    ]
+    assert not verify._bit_local(program, _hidden_regs(policy))
+    report = check_psc(program, policy)
+    assert report.incomplete and "exhaustive" in report.reason
+
+
+@settings(max_examples=20, deadline=None)
+@given(_bitwise_programs(hidden=(4, 6)), st.data())
+def test_mutated_generated_programs_take_the_bytewise_path(generated, data):
+    """An ADD on a secret, or a branch on a masked secret, put before the
+    first word that may overwrite the secret's input register."""
+    program, policy = generated
+    labels = [lab for _, lab in policy]
+    secrets = [i for i, lab in enumerate(labels) if lab is SecurityLabel.SECRET]
+    secret = data.draw(st.sampled_from(secrets))
+    # a random input masks the secret; without one, the public input does
+    mask = labels.index(SecurityLabel.RANDOM) if SecurityLabel.RANDOM in labels else 0
+    head = program.blocks[0]
+    if data.draw(st.booleans()) or len(program.blocks) == 1:
+        head.insert(1, Instr(Opcode.ADD, 6, secret, 0))
+    else:  # r7, which no other word writes, becomes the masked secret
+        head.insert(1, Instr(Opcode.XOR, 7, secret, mask))
+        head[-1] = Instr(head[-1].opcode, 7, 0, 2)
+    assert not verify._bit_local(program, _hidden_regs(policy))
+    report = check_psc(program, policy)
+    assert report.incomplete and "exhaustive" in report.reason
+
+
+def _taint_case(*blocks) -> bool:
+    """_bit_local with r1 secret: r0 public, r7 a constant."""
+    return verify._bit_local(MachineProgram("tight8", 2, [list(b) for b in blocks]), [1])
+
+
+def test_taint_follows_memory_overwrites_and_joins():
+    LI, MOV, ADD, RET = Opcode.LI, Opcode.MOV, Opcode.ADD, Opcode.RET
+    add_r5 = Instr(ADD, 6, 5, 5)
+    # through a memory slot
+    assert not _taint_case([Instr(Opcode.ST, 0, 1), Instr(Opcode.LD, 5, 0), add_r5, Instr(RET, 6)])
+    # an overwrite with a constant clears the taint
+    assert _taint_case([Instr(MOV, 5, 1), Instr(LI, 5, 3), add_r5, Instr(RET, 6)])
+    # a join takes the union of its predecessors
+    diamond = [
+        [Instr(LI, 7, 0), Instr(Opcode.BNE, 0, 7, 2)],
+        [Instr(MOV, 5, 1), Instr(Opcode.B, 3)],
+        [Instr(LI, 5, 0)],
+        [add_r5, Instr(RET, 6)],
+    ]
+    assert not _taint_case(*diamond)
+    diamond[1][0] = Instr(LI, 5, 1)
+    assert _taint_case(*diamond)
+    # a block that nothing reaches never runs; words after b still do
+    assert _taint_case([Instr(Opcode.B, 2)], [Instr(ADD, 6, 1, 1)], [Instr(RET, 0)])
+    assert not _taint_case([Instr(Opcode.B, 1), Instr(ADD, 6, 1, 1)], [Instr(RET, 0)])
+    # a branch on public values alone is bit-local, one on the secret not
+    assert _taint_case([Instr(LI, 7, 0), Instr(Opcode.BEQ, 0, 7, 1)], [Instr(RET, 1)])
+    assert not _taint_case([Instr(LI, 7, 0), Instr(Opcode.BEQ, 1, 7, 1)], [Instr(RET, 1)])
+
+
+# ----------------------------------------------------------------------
+# a 2-share ISW masked AND (not in the corpus: its psc search times out)
+# ----------------------------------------------------------------------
+
+
+MASKED_AND = (
+    "func masked_and (pub:public, a:secret, b:secret, ma:random, mb:random, r:random)\n"
+    "block 0\n"
+    "  a0 = xor a, ma\n"
+    "  b0 = xor b, mb\n"
+    "  p00 = and a0, b0\n"
+    "  p01 = and a0, mb\n"
+    "  p10 = and ma, b0\n"
+    "  p11 = and ma, mb\n"
+    "  t = xor r, p01\n"
+    "  u = xor t, p10\n"
+    "  c0 = xor p00, r\n"
+    "  c1 = xor p11, u\n"
+    "  o = xor c1, pub\n"
+    "  ret o\n"
+)
+
+
+def _masked_and(text: str):
+    func = parse_function(text)
+    analyzed = analyze(func, TIGHT8, mode=Mode.NONE)
+    prob = build_problem(analyzed)
+    sol = solve_optimal(prob, time_budget=60).solution
+    return encode(analyzed.function, to_schedule(prob, sol), TIGHT8), func.inputs
+
+
+def test_masked_and_gets_a_secure_verdict():
+    program, policy = _masked_and(MASKED_AND)
+    start = time.process_time()
+    report = check_psc(program, policy)
+    assert time.process_time() - start < 1.0
+    assert not report.incomplete
+    assert report.secure
+    assert len(report.sites) == 11
+
+
+def test_masked_and_without_its_refresh_leaks():
+    program, policy = _masked_and(MASKED_AND.replace("t = xor r, p01", "t = mov p01"))
+    report = check_psc(program, policy)
+    assert not report.incomplete
+    assert report.leaks == {(40, "reg", 0): ((0, 0), (1, 1))}
