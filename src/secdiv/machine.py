@@ -347,26 +347,29 @@ class _Decoded:
         self.key_base = np.empty(n, dtype=np.intp)  # each lane's first bin
 
 
-@functools.lru_cache(maxsize=1)
-def _decode(encoded: bytes) -> _Decoded:
-    """Decode an encoded program for `run_batch`, once per program.
+_JUMPS = (Opcode.B, Opcode.BEQ, Opcode.BNE)
 
-    Only the registers some instruction names get a row, in index order,
-    then the memory slots some LD/ST names, then the bus as the last row;
-    a location no instruction names is never read or written.  An
-    operand outside the profile, or a branch to a block that is not a
-    later block of the program, is a MachineError.  The result is kept
-    for the next call with the same program.
-    """
-    program = MachineProgram.from_bytes(encoded)
+
+def check_program(program: MachineProgram) -> dict[str, set[int]]:
+    """The registers ("r"), memory slots ("s") and other operands ("-")
+    that the words of `program` name.  A register or slot operand outside
+    the profile, or a branch to a block that is not a later block of the
+    program, is a MachineError, whether or not the word would run:
+    `run_batch` runs no such program, and so every run ends."""
     profile = PROFILES[program.profile_name]
-    flat = program.flat()
-    roles = [_ROLES.get(ins.opcode, "---") for ins in flat]
     named: dict[str, set[int]] = {"r": set(), "s": set(), "-": set()}
-    for ins, (ra, rb, rc) in zip(flat, roles):
-        named[ra].add(ins.a)
-        named[rb].add(ins.b)
-        named[rc].add(ins.c)
+    backward = None  # the first branch that does not go to a later block
+    for index, block in enumerate(program.blocks):
+        for ins in block:
+            op = ins.opcode
+            ra, rb, rc = _ROLES.get(op, "---")
+            named[ra].add(ins.a)
+            named[rb].add(ins.b)
+            named[rc].add(ins.c)
+            if op in _JUMPS and backward is None:
+                target = ins.a if op is Opcode.B else ins.c
+                if not index < target < len(program.blocks):
+                    backward = (index, target)
     for role, what, limit in (
         ("r", "register", profile.num_registers),
         ("s", "memory slot", profile.mem_slots),
@@ -376,6 +379,26 @@ def _decode(encoded: bytes) -> _Decoded:
                 f"{what} operand {max(named[role])} out of range for profile "
                 f"{profile.name} ({limit} {what}s)"
             )
+    if backward is not None:
+        raise MachineError(
+            "block {} branches to block {}, not to a later block".format(*backward)
+        )
+    return named
+
+
+@functools.lru_cache(maxsize=1)
+def _decode(encoded: bytes) -> _Decoded:
+    """Decode an encoded program for `run_batch`, once per program, after
+    `check_program`.
+
+    Only the registers some instruction names get a row, in index order,
+    then the memory slots some LD/ST names, then the bus as the last row;
+    a location no instruction names is never read or written.  The result
+    is kept for the next call with the same program.
+    """
+    program = MachineProgram.from_bytes(encoded)
+    profile = PROFILES[program.profile_name]
+    named = check_program(program)
     registers = sorted(named["r"])
     row = {("r", r): i for i, r in enumerate(registers)}
     row.update({("s", s): len(row) + i for i, s in enumerate(sorted(named["s"]))})
@@ -383,15 +406,10 @@ def _decode(encoded: bytes) -> _Decoded:
     row.update({("-", v): v for v in named["-"]})  # immediates and blocks stay
 
     code, pos = [], 0
-    for index, block in enumerate(program.blocks):
+    for block in program.blocks:
         decoded = []
         for ins in block:
-            target = {Opcode.B: ins.a, Opcode.BEQ: ins.c, Opcode.BNE: ins.c}.get(ins.opcode)
-            if target is not None and not index < target < len(program.blocks):
-                raise MachineError(
-                    f"block {index} branches to block {target}, not to a later block"
-                )
-            ra, rb, rc = roles[pos]
+            ra, rb, rc = _ROLES.get(ins.opcode, "---")
             decoded.append((
                 ins.opcode, profile.latency[ins.opcode],
                 row[ra, ins.a], row[rb, ins.b], row[rc, ins.c], _ALU.get(ins.opcode),

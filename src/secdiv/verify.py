@@ -1,29 +1,58 @@
 """Independent verification oracles.
 
-Everything here works on encoded machine programs and exhaustive (or
-seeded-sample) input enumeration through the simulator; nothing is shared
-with the constraint model, so these checks can veto the whole pipeline.
+Everything here works on encoded machine programs, either through the
+simulator or from the encoded words alone; nothing is shared with the
+analysis, the constraint model or the solver, so these checks can veto
+the whole pipeline.
 
   * functional equivalence of two programs,
   * constant-resource checking: best- and worst-case cycle counts must
-    coincide for every tested public input, with secrets and randoms
-    enumerated exhaustively,
+    coincide for every public input, proved statically,
   * first-order power-leak checking: at every register write and memory
     bus update, the distribution of the transition value over uniform
     randoms must be identical for all secret values.
 
 Exact enumeration at 8-bit width replaces statistical testing; there are
-no tolerances to tune.  Both security checks enumerate at most
-`_HIDDEN_LIMIT` secret and random inputs byte by byte and report more as
-incomplete, except where the power-leak check can slice bits.
+no tolerances to tune.  The byte-wise power-leak check enumerates at most
+`_HIDDEN_LIMIT` secret and random inputs and reports more as incomplete;
+the bit-sliced one takes up to `_SLICED_LIMIT`.
 
-Bit-sliced power-leak check.  A program is bit-local when no value
-derived from a secret or random input reaches an ADD, a SUB or a branch
-condition; a forward taint pass over the blocks decides it (branches only
-go forward, so one pass in block order sees every predecessor first).
-In a bit-local program every lane of a public probe runs the same path,
-and bit i of every value, so of every transition, is a function of bit i
-of the hidden inputs and of the probe alone.  Uniform random bytes have
+Taint.  One forward pass over the blocks (`_taint`) tracks which
+registers and memory slots may hold a value derived from a secret or
+random input (hidden for short).  Branches only go forward, so one pass
+in block order sees every predecessor of a block first; a block starts
+from the union of what its predecessors leave tainted.  XOR or SUB of a
+register with itself gives 0 and clears the taint.  A BEQ or BNE that
+tests a tainted value is a hidden branch.  Its region is the set of
+blocks it reaches before its immediate post-dominator, and every register
+or slot that a block of the region writes is tainted whatever the value
+written: which arm wrote it depends on a hidden value (an implicit flow,
+as in Denning and Denning, "Certification of programs for secure
+information flow", CACM 1977).
+
+Constant resource, a static proof.  MiniRISC cycles depend on the path
+alone.  For each hidden branch, a min/max DP over the region adds up
+`static_path_cost` terms (block latencies, and the taken-branch overhead
+on every taken edge) from the branch block to its post-dominator, or to
+every RET when the arms never rejoin; it is O(edges) a branch, with no
+path enumeration.  The program is constant-resource when every region
+costs the same on every path (branch balancing, as in Agat, "Transforming
+out timing leaks", POPL 2000).  Soundness sketch: an untainted value is
+the same for every hidden input under one public assignment, implicit
+flows included, so two runs with equal publics take the same branches
+until a hidden one; both then leave its region at the post-dominator, or
+end inside it, after the region's one cost, and agree again on every
+untainted value there.  So the path outside hidden regions follows the
+publics, each region adds a fixed count, and BCET = WCET holds for every
+public value, not only for probes.  The check is conservative: a region
+whose paths differ in cost is insecure even when a hidden value can only
+take some of them.
+
+Bit-sliced power-leak check.  A program is bit-local when no tainted
+value reaches an ADD, a SUB or a branch condition.  In a bit-local
+program every lane of a public probe runs the same path, and bit i of
+every value, so of every transition, is a function of bit i of the
+hidden inputs and of the probe alone.  Uniform random bytes have
 independent bits, so for one secret the transition byte is a product of
 eight independent bits, whose distribution its eight per-bit marginals
 decide.  Two secrets therefore give equal distributions exactly when
@@ -60,30 +89,39 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .machine import PROFILES, MachineProgram, Opcode, run_batch
+from .machine import (
+    PROFILES,
+    Instr,
+    MachineError,
+    MachineProgram,
+    Opcode,
+    check_program,
+    run_batch,
+)
 from .mir import SecurityLabel
 
-# Fixed public probe values used when enumerating; callers may extend.
+# Fixed public probe values at which check_psc enumerates; callers may extend.
 PUBLIC_PROBES = (0x00, 0xFF, 0x5A)
 
 Policy = Sequence[tuple[str, SecurityLabel]]
 
 _EXHAUSTIVE_LIMIT = 2  # inputs; beyond this, equivalence uses samples
 _SAMPLES = 1000
-# secret and random inputs; beyond this, check_cr and the byte-wise
-# check_psc report their enumeration incomplete
+# secret and random inputs; beyond this, the byte-wise check_psc reports
+# its enumeration incomplete
 _HIDDEN_LIMIT = 3
 # secret and random inputs of the bit-sliced check_psc: at most 2**8
 # lanes and lane groups per probe, so 512 KiB of histogram per site
 _SLICED_LIMIT = 8
 
 
-def _over_budget(hidden: int, kind: str = "exhaustive", limit: int = _HIDDEN_LIMIT) -> str:
+def _over_budget(hidden: int, kind: str, limit: int) -> str:
     return f"{hidden} secret/random inputs exceed the {kind} enumeration budget ({limit})"
 
 
@@ -145,8 +183,8 @@ def _equivalence_reference(code: bytes, seed: int) -> tuple[np.ndarray, np.ndarr
     if k <= _EXHAUSTIVE_LIMIT:
         inputs = _full_grid(k)
     else:
-        rng = np.random.default_rng(seed)
-        inputs = rng.integers(0, 256, size=(k, _SAMPLES), dtype=np.uint8)
+        sample = random.Random(seed).randbytes(k * _SAMPLES)
+        inputs = np.frombuffer(sample, dtype=np.uint8).reshape(k, _SAMPLES)
     return inputs, run_batch(program, inputs, collect_transitions=False).returns
 
 
@@ -157,85 +195,197 @@ def _equivalence_reference(code: bytes, seed: int) -> tuple[np.ndarray, np.ndarr
 
 @dataclass
 class CrReport:
-    # one row per tested public assignment: (assignment, bcet, wcet)
-    per_public: list[tuple[tuple[int, ...], int, int]]
-    # per secret branch: static cycle cost of each path in its set
-    path_costs: list[tuple[int, dict[tuple[int, ...], int]]]
-    incomplete: bool = False
-    reason: str = ""
+    # per hidden branch, in block order: (branch block, fewest cycles,
+    # most cycles) from entering the branch block to its post-dominator
+    regions: list[tuple[int, int, int]]
 
     @property
     def secure(self) -> bool:
-        if self.incomplete:
-            return False
-        paths_ok = all(
-            len(set(costs.values())) <= 1 for _, costs in self.path_costs
-        )
-        timing_ok = all(bcet == wcet for _, bcet, wcet in self.per_public)
-        return paths_ok and timing_ok
+        return all(fewest == most for _, fewest, most in self.regions)
 
 
 def static_path_cost(program: MachineProgram, path: Sequence[int]) -> int:
     """Cycle cost of a block path read off the encoded words: each
     block's latencies, plus the taken-branch overhead on every edge that
-    leaves a block through its branch."""
-    profile = PROFILES[program.profile_name]
-    total = 0
-    for i, b in enumerate(path):
-        block = program.blocks[b]
-        total += sum(profile.lat(ins.opcode) for ins in block)
-        if i + 1 < len(path):
-            if block and block[-1].opcode in (Opcode.BEQ, Opcode.BNE):
-                if block[-1].c == path[i + 1] and path[i + 1] != b + 1:
-                    total += profile.taken_branch_overhead
+    leaves a block through its branch (a branch to the next block also
+    falls through to it, at no overhead)."""
+    flow = _flow(program)
+    total = sum(flow[b].cycles for b in path)
+    for b, succ in zip(path, path[1:]):
+        total += min(extra for target, extra in flow[b].edges if target == succ)
     return total
 
 
-def check_cr(
-    program: MachineProgram,
-    policy: Policy,
-    psets: Iterable = (),
-) -> CrReport:
-    """Exhaustive best-/worst-case execution time comparison.
+def check_cr(program: MachineProgram, policy: Policy) -> CrReport:
+    """Static best-/worst-case execution time comparison.
 
-    For every assignment of the public inputs, all secret and random
-    values are enumerated and the program's exact cycle count is taken
-    from the simulator: the verdict requires BCET = WCET everywhere, plus
-    equal static costs along every path of each secret-branch path set.
-    More than `_HIDDEN_LIMIT` secret and random inputs give an incomplete
-    report, which is not secure.
+    The taint pass finds the hidden branches, and a min/max DP of
+    `static_path_cost` terms gives each one's fewest and most cycles to
+    its post-dominator (see the module docstring).  The verdict, equal
+    counts in every region, holds for every public and hidden value.
     """
-    names = [n for n, _ in policy]
-    public_idx = [i for i, (_, lab) in enumerate(policy) if lab is SecurityLabel.PUBLIC]
-    hidden_idx = [i for i in range(len(names)) if i not in public_idx]
-    if len(hidden_idx) > _HIDDEN_LIMIT:
-        return CrReport(
-            per_public=[], path_costs=[], incomplete=True, reason=_over_budget(len(hidden_idx))
-        )
+    hidden = [i for i, (_, lab) in enumerate(policy) if lab is not SecurityLabel.PUBLIC]
+    return CrReport(regions=_taint(program, hidden)[1])
 
-    # each hidden-input chunk is built once and run under every public
-    # assignment, which only rewrites the public rows
-    assignments = list(itertools.product(PUBLIC_PROBES, repeat=len(public_idx)))
-    bcet: dict[tuple[int, ...], int] = {}
-    wcet: dict[tuple[int, ...], int] = {}
-    for chunk in _hidden_chunks(len(hidden_idx)):
-        inputs = np.empty((len(names), chunk.shape[1]), dtype=np.uint8)
-        for pos, i in enumerate(hidden_idx):
-            inputs[i] = chunk[pos]
-        for assignment in assignments:
-            for pos, i in enumerate(public_idx):
-                inputs[i] = assignment[pos]
-            cycles = run_batch(program, inputs, collect_transitions=False).cycles
-            lo, hi = int(cycles.min()), int(cycles.max())
-            bcet[assignment] = min(bcet.get(assignment, lo), lo)
-            wcet[assignment] = max(wcet.get(assignment, hi), hi)
-    per_public = [(assignment, bcet[assignment], wcet[assignment]) for assignment in assignments]
 
-    path_costs = []
-    for pset in psets:
-        costs = {p: static_path_cost(program, p) for p in pset.paths}
-        path_costs.append((pset.branch_block, costs))
-    return CrReport(per_public=per_public, path_costs=path_costs)
+# ----------------------------------------------------------------------
+# control flow and taint
+# ----------------------------------------------------------------------
+
+
+class _Block(NamedTuple):
+    words: list[Instr]  # the words that run
+    cycles: int  # their latencies
+    edges: list[tuple[int, int]]  # (successor, extra cycles on that edge)
+
+
+Flow = list[_Block]
+
+_ALU_OPS = (Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR)
+_SLOT = 256  # taint key of memory slot s: _SLOT + s; of register r: r
+
+
+def _flow(program: MachineProgram) -> Flow:
+    """The control flow `run_batch` follows: a block runs its words up to
+    the first BEQ, BNE or RET; a B sets the successor and the words after
+    it still run; a BEQ or BNE goes to its target, taking the profile's
+    overhead, or falls through; RET ends the run.  A successor past the
+    last block stands for falling off the program's end.  A program that
+    `run_batch` would reject (`check_program`) is a MachineError here too,
+    so every edge goes to a later block."""
+    check_program(program)
+    profile = PROFILES[program.profile_name]
+    latency, overhead = profile.latency, profile.taken_branch_overhead
+    flow: Flow = []
+    for index, block in enumerate(program.blocks):
+        edges = [(index + 1, 0)]
+        cycles = 0
+        for end, ins in enumerate(block, 1):
+            op = ins.opcode
+            cycles += latency[op]
+            if op is Opcode.B:
+                edges = [(ins.a, 0)]
+            elif op in (Opcode.BEQ, Opcode.BNE):
+                edges = [(ins.c, overhead), (index + 1, 0)]
+                break
+            elif op is Opcode.RET:
+                edges = []
+                break
+        else:
+            end = len(block)
+        flow.append(_Block(block[:end], cycles, edges))
+    return flow
+
+
+def _post_dominators(flow: Flow) -> list[int]:
+    """Each block's immediate post-dominator, len(flow) standing for the
+    exit.  Every edge goes to a later block, so one backward pass in block
+    order settles a block from its successors: its post-dominator is where
+    their post-dominator chains meet."""
+    exit_ = len(flow)
+    ipdom = [exit_] * (exit_ + 1)
+    for v in range(exit_ - 1, -1, -1):
+        succs = sorted({min(s, exit_) for s, _ in flow[v].edges})
+        if not succs:
+            continue  # RET: the exit
+        meet = succs[0]
+        for s in succs[1:]:
+            while meet != s:
+                if meet < s:
+                    meet = ipdom[meet]
+                else:
+                    s = ipdom[s]
+        ipdom[v] = meet
+    return ipdom
+
+
+def _region(flow: Flow, branch: int, join: int) -> tuple[list[int], int, int]:
+    """The blocks that `branch` reaches before `join`, and the fewest and
+    most cycles from entering `branch` to entering `join`, or to the end
+    of a run that leaves the region through a RET or the program's end.
+    A min/max DP in block order, which is topological."""
+    fewest, most = {branch: 0}, {branch: 0}
+    ends: list[tuple[int, int]] = []
+    region = []
+    for v in range(branch, join):
+        if v not in fewest:
+            continue
+        if v != branch:
+            region.append(v)
+        _, cycles, edges = flow[v]
+        lo, hi = fewest[v] + cycles, most[v] + cycles
+        if not edges:
+            ends.append((lo, hi))
+        for s, extra in edges:
+            if s < join:
+                fewest[s] = min(fewest.get(s, lo + extra), lo + extra)
+                most[s] = max(most.get(s, hi + extra), hi + extra)
+            else:
+                ends.append((lo + extra, hi + extra))
+    return region, min(lo for lo, _ in ends), max(hi for _, hi in ends)
+
+
+def _taint(program: MachineProgram, hidden: Sequence[int]) -> tuple[bool, list[tuple[int, int, int]]]:
+    """The forward taint pass of the module docstring, from the `hidden`
+    input registers: whether a tainted value reaches an ADD or a SUB, and
+    per hidden branch in block order (branch block, fewest cycles, most
+    cycles) of its region.
+
+    A block that no block reaches never runs and is skipped.  A word that
+    `run_batch` does not run, in a block the pass reaches, is a
+    MachineError, as it is when a lane runs it.
+    """
+    flow = _flow(program)
+    n = len(flow)
+    entry: list[Optional[set[int]]] = [None] * n
+    if n:
+        entry[0] = set(hidden)
+    implicit = [False] * n  # in the region of a hidden branch
+    ipdom: Optional[list[int]] = None
+    arithmetic = False
+    regions = []
+    for index, (words, _, edges) in enumerate(flow):
+        taint = entry[index]
+        if taint is None:
+            continue
+        for ins in words:
+            op = ins.opcode
+            if op in _ALU_OPS:
+                dst = ins.a
+                hot = ins.b in taint or ins.c in taint
+                if hot and ins.b == ins.c and op in (Opcode.XOR, Opcode.SUB):
+                    hot = False  # x ^ x and x - x are 0
+                elif hot and op in (Opcode.ADD, Opcode.SUB):
+                    arithmetic = True
+            elif op is Opcode.MOV:
+                dst, hot = ins.a, ins.b in taint
+            elif op is Opcode.LI:
+                dst, hot = ins.a, False
+            elif op is Opcode.LD:
+                dst, hot = ins.a, _SLOT + ins.b in taint
+            elif op is Opcode.ST:
+                dst, hot = _SLOT + ins.a, ins.b in taint
+            elif op in (Opcode.BEQ, Opcode.BNE):
+                if ins.a in taint or ins.b in taint:
+                    if ipdom is None:
+                        ipdom = _post_dominators(flow)
+                    region, fewest, most = _region(flow, index, ipdom[index])
+                    for v in region:
+                        implicit[v] = True
+                    regions.append((index, fewest, most))
+                continue
+            elif op in (Opcode.B, Opcode.RET, Opcode.NOP):
+                continue
+            else:
+                raise MachineError(f"invalid opcode {op} in block {index}")
+            if hot or implicit[index]:
+                taint.add(dst)
+            else:
+                taint.discard(dst)
+        for succ, _ in edges:
+            if succ < n:
+                entry[succ] = taint | (entry[succ] or set())
+    return arithmetic, regions
 
 
 def _hidden_chunks(k: int, max_lanes: int = 1 << 16):
@@ -352,61 +502,9 @@ def check_psc(
 
 def _bit_local(program: MachineProgram, hidden: Sequence[int]) -> bool:
     """Whether no value derived from the `hidden` input registers reaches
-    an ADD, a SUB or a branch condition.
-
-    A forward taint pass over the blocks in index order, which sees every
-    predecessor of a block first because every branch goes to a later
-    block (`run_batch` rejects any other).  A block starts from the union
-    of the registers and memory slots that its predecessors leave tainted;
-    one that no block reaches never runs and is skipped.  Like `run_batch`,
-    the pass goes on after B and stops at BEQ, BNE and RET.  An opcode that
-    `run_batch` does not run makes a program not bit-local.
-    """
-    entry: list[Optional[set]] = [None] * len(program.blocks)
-    if entry:
-        entry[0] = {("r", r) for r in hidden}
-    for index, block in enumerate(program.blocks):
-        if entry[index] is None:
-            continue
-        taint = set(entry[index])
-        successors = [index + 1]
-        for ins in block:
-            op = ins.opcode
-            if op in (Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR):
-                dst, hot = ("r", ins.a), ("r", ins.b) in taint or ("r", ins.c) in taint
-                if hot and op in (Opcode.ADD, Opcode.SUB):
-                    return False
-            elif op is Opcode.MOV:
-                dst, hot = ("r", ins.a), ("r", ins.b) in taint
-            elif op is Opcode.LI:
-                dst, hot = ("r", ins.a), False
-            elif op is Opcode.LD:
-                dst, hot = ("r", ins.a), ("s", ins.b) in taint
-            elif op is Opcode.ST:
-                dst, hot = ("s", ins.a), ("r", ins.b) in taint
-            elif op in (Opcode.BEQ, Opcode.BNE):
-                if ("r", ins.a) in taint or ("r", ins.b) in taint:
-                    return False
-                successors = [ins.c, index + 1]
-                break
-            elif op is Opcode.B:
-                successors = [ins.a]
-                continue
-            elif op is Opcode.RET:
-                successors = []
-                break
-            elif op is Opcode.NOP:
-                continue
-            else:
-                return False
-            if hot:
-                taint.add(dst)
-            else:
-                taint.discard(dst)
-        for succ in successors:
-            if succ < len(entry):
-                entry[succ] = taint | (entry[succ] or set())
-    return True
+    an ADD, a SUB or a branch condition (`_taint`)."""
+    arithmetic, regions = _taint(program, hidden)
+    return not arithmetic and not regions
 
 
 # A (groups, 256) histogram times this matrix gives, per group, the

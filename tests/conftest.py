@@ -22,13 +22,24 @@ def load(name: str):
 
 
 # a 4-block tsc program with one public and four secret inputs, one more
-# than the oracles enumerate
+# than the byte-wise power-leak check enumerates
 FOUR_SECRETS = (
     "func f (p:public, k1:secret, k2:secret, k3:secret, k4:secret)\n"
     "block 0\n  z = li 0\n  bne k1, z, 2\n"
     "block 1\n  a = xor k2, k3\n  st s, a\n  b 3\n"
     "block 2\n  c = xor k3, k4\n  st s, c\n"
     "block 3\n  ret p\n"
+)
+
+# a program whose branch on r tests a value that only the secret branch
+# before it decides, an implicit flow through the slot res
+IMPLICIT = (
+    "func implicit (pub:public, key:secret)\n"
+    "block 0\n  t0 = li 0\n  st res, t0\n  bne pub, key, 2\n"
+    "block 1\n  t1 = li 1\n  st res, t1\n"
+    "block 2\n  r = ld res\n  z = li 0\n  bne r, z, 4\n"
+    "block 3\n  a = add pub, pub\n  st res, a\n"
+    "block 4\n  q = ld res\n  ret q\n"
 )
 
 

@@ -13,6 +13,7 @@ from math import floor
 
 from bruteforce import brute_optimal
 from conftest import all_corpus_names, corpus_naive_pool, corpus_path, load
+from cr_reference import constant_resource, cycle_bounds
 from gadget_overlap import mean_srate
 from secdiv import gadgets as gadgets_mod
 from secdiv import solver as solver_mod
@@ -136,11 +137,13 @@ def test_criterion_2_cr_end_to_end():
     for name in ("check_bit", "share_compare"):
         analyzed, pool, programs = pool_for(name, Mode.TSC)
         policy = analyzed.function.inputs
-        assert len(verify_mod.PUBLIC_PROBES) >= 3
         for program in programs:
-            report = verify_mod.check_cr(program, policy, analyzed.psets)
+            report = verify_mod.check_cr(program, policy)
             assert report.secure, f"{name}: variant fails BCET=WCET"
-            for _, bcet, wcet in report.per_public:
+            # every value of the public input, every value of the secrets
+            bounds = cycle_bounds(program, policy)
+            assert len(bounds) == 256
+            for bcet, wcet in bounds.values():
                 assert bcet == wcet
             tested += 1
     conclude(2, "constant-resource end to end", tested > 0, f"{tested} variants secure")
@@ -197,13 +200,12 @@ def test_criterion_4_psc_end_to_end():
 def test_criterion_5_naive_breakage():
     started = time.monotonic()
     pool_cb, programs_cb = naive_pool("check_bit")
-    analyzed_cb = analyze(pool_cb.problem.function, TIGHT8)
+    policy_cb = pool_cb.problem.function.inputs
     cr_bad = 0
     for program in programs_cb:
-        report = verify_mod.check_cr(
-            program, pool_cb.problem.function.inputs, analyzed_cb.psets
-        )
-        cr_bad += not report.secure
+        secure = verify_mod.check_cr(program, policy_cb).secure
+        assert secure == constant_resource(program, policy_cb)
+        cr_bad += not secure
     cr_rate = cr_bad / len(programs_cb)
 
     pool_mx, programs_mx = naive_pool("masked_xor")

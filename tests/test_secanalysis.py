@@ -719,7 +719,7 @@ def _pipeline_ok(func: FunctionIR, balance: str) -> bool:
     assert result.status is SolveStatus.OPTIMAL
     assert check_solution(result.solution, prob) == []
     program = encode(prob.function, to_schedule(prob, result.solution), TIGHT8)
-    return check_cr(program, analyzed.function.inputs, analyzed.psets).secure
+    return check_cr(program, analyzed.function.inputs).secure
 
 
 # The 3-4-block shapes include {0: (1, 3), 1: (2, 3), 2: (3,)}, on which

@@ -1,17 +1,29 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import FOUR_SECRETS, corpus_naive_pool, load
+from conftest import FOUR_SECRETS, IMPLICIT, corpus_naive_pool, load
+from cr_reference import constant_resource, cycle_bounds
 from scalar_machine import run
+from test_secanalysis import _all_dag_edges, _secret_graph
 from secdiv.copmodel import Mode, build_problem, to_schedule
-from secdiv.machine import TIGHT8, Instr, MachineProgram, Schedule, encode, run_batch
+from secdiv.machine import (
+    TIGHT8,
+    Instr,
+    MachineError,
+    MachineProgram,
+    Schedule,
+    encode,
+    run_batch,
+)
 from secdiv.mir import Opcode, SecurityLabel, parse_function
 from secdiv.secanalysis import analyze
 from secdiv import verify
@@ -97,12 +109,18 @@ def test_input_arity_mismatch_rejected():
 # ----------------------------------------------------------------------
 
 
+def _branch_blocks(analyzed) -> list[int]:
+    return [pset.branch_block for pset in analyzed.psets]
+
+
 def test_tsc_variant_constant_resource():
     analyzed, _, _, program = _compile("check_bit", Mode.TSC)
-    report = check_cr(program, analyzed.function.inputs, analyzed.psets)
+    report = check_cr(program, analyzed.function.inputs)
     assert report.secure
-    assert len(report.per_public) == len(PUBLIC_PROBES)
-    for _, bcet, wcet in report.per_public:
+    assert [block for block, _, _ in report.regions] == _branch_blocks(analyzed)
+    bounds = cycle_bounds(program, analyzed.function.inputs)
+    assert len(bounds) == 256
+    for bcet, wcet in bounds.values():
         assert bcet == wcet
 
 
@@ -112,10 +130,14 @@ def test_unbalanced_original_flagged():
     prob = build_problem(analyzed)
     sol = solve_optimal(prob, time_budget=30).solution
     program = encode(analyzed.function, to_schedule(prob, sol), TIGHT8)
-    report = check_cr(program, func.inputs, analyzed.psets)
+    report = check_cr(program, func.inputs)
     assert not report.secure
-    (_, costs), = report.path_costs
-    assert len(set(costs.values())) == 2  # the taken arm runs longer
+    ((block, fewest, most),) = report.regions
+    assert block == analyzed.psets[0].branch_block
+    assert most > fewest  # the taken arm runs longer
+    # every public value lets the secret take both arms
+    bounds = cycle_bounds(program, func.inputs)
+    assert {wcet - bcet for bcet, wcet in bounds.values()} == {most - fewest}
 
 
 def test_hidden_chunks_respect_max_lanes():
@@ -137,9 +159,28 @@ def test_hidden_chunks_cover_grid_in_order():
 def test_straightline_trivially_secure():
     _, _, _, program = _compile("straightline", Mode.NONE)
     func = load("straightline")
-    report = check_cr(program, func.inputs, [])
+    report = check_cr(program, func.inputs)
     assert report.secure
-    assert report.path_costs == []
+    assert report.regions == []
+    # no hidden input: each of the 256 x 3 public assignments is one lane
+    assert len(cycle_bounds(program, func.inputs)) == 768
+    assert constant_resource(program, func.inputs)
+
+
+@pytest.mark.parametrize(
+    "blocks, match",
+    [
+        # a hidden branch back to its own block
+        ([[Instr(Opcode.LI, 7, 0), Instr(Opcode.BNE, 1, 7, 0)], [Instr(Opcode.RET, 0)]],
+         "block 0 branches to block 0"),
+        ([[Instr(Opcode.RET, 0)], [Instr(Opcode.MOV, 8, 1)]], "register operand 8"),
+        ([[Instr(Opcode.COPY, 2, 1), Instr(Opcode.RET, 2)]], "invalid opcode"),
+    ],
+)
+def test_cr_rejects_what_the_machine_does_not_run(blocks, match):
+    policy = [("pub", SecurityLabel.PUBLIC), ("key", SecurityLabel.SECRET)]
+    with pytest.raises(MachineError, match=match):
+        check_cr(MachineProgram("tight8", 2, blocks), policy)
 
 
 def test_static_path_cost_matches_simulator():
@@ -255,26 +296,32 @@ def test_psc_agrees_with_typing_on_corpus():
     assert report.secure  # mk and t are RANDOM-typed and the oracle agrees
 
 
-def test_cr_budget_exceeded_incomplete():
+def test_four_secrets_get_an_exact_cr_verdict():
     analyzed = analyze(parse_function(FOUR_SECRETS), TIGHT8, mode=Mode.TSC)
     prob = build_problem(analyzed)
     sol = solve_optimal(prob, time_budget=30).solution
     program = encode(analyzed.function, to_schedule(prob, sol), TIGHT8)
     start = time.process_time()
-    report = check_cr(program, analyzed.function.inputs, analyzed.psets)
+    report = check_cr(program, analyzed.function.inputs)
     assert time.process_time() - start < 1.0
-    assert report.incomplete
-    assert not report.secure
-    assert report.reason == "4 secret/random inputs exceed the exhaustive enumeration budget (3)"
+    assert report.secure
+    assert [block for block, _, _ in report.regions] == _branch_blocks(analyzed) == [0]
+    # the unbalanced build is insecure
+    unbalanced = analyze(parse_function(FOUR_SECRETS), TIGHT8)
+    prob = build_problem(unbalanced)
+    sol = solve_optimal(prob, time_budget=30).solution
+    program = encode(unbalanced.function, to_schedule(prob, sol), TIGHT8)
+    assert not check_cr(program, unbalanced.function.inputs).secure
 
 
 def test_naive_pool_produces_cr_violations():
     pool = corpus_naive_pool("check_bit", 25, seed=0)
-    analyzed = analyze(pool.problem.function, TIGHT8)
+    policy = pool.problem.function.inputs
     bad = 0
     for sol in pool.solutions:
         program = encode(pool.problem.function, to_schedule(pool.problem, sol), TIGHT8)
-        report = check_cr(program, pool.problem.function.inputs, analyzed.psets)
+        report = check_cr(program, policy)
+        assert report.secure == constant_resource(program, policy)
         bad += not report.secure
     assert bad > 0
 
@@ -619,6 +666,9 @@ def test_taint_follows_memory_overwrites_and_joins():
     # a block that nothing reaches never runs; words after b still do
     assert _taint_case([Instr(Opcode.B, 2)], [Instr(ADD, 6, 1, 1)], [Instr(RET, 0)])
     assert not _taint_case([Instr(Opcode.B, 1), Instr(ADD, 6, 1, 1)], [Instr(RET, 0)])
+    # x ^ x and x - x are 0 whatever x holds
+    for op in (Opcode.XOR, Opcode.SUB):
+        assert _taint_case([Instr(op, 5, 1, 1), add_r5, Instr(RET, 6)])
     # a branch on public values alone is bit-local, one on the secret not
     assert _taint_case([Instr(LI, 7, 0), Instr(Opcode.BEQ, 0, 7, 1)], [Instr(RET, 1)])
     assert not _taint_case([Instr(LI, 7, 0), Instr(Opcode.BEQ, 1, 7, 1)], [Instr(RET, 1)])
@@ -670,3 +720,222 @@ def test_masked_and_without_its_refresh_leaks():
     report = check_psc(program, policy)
     assert not report.incomplete
     assert report.leaks == {(40, "reg", 0): ((0, 0), (1, 1))}
+
+
+# ----------------------------------------------------------------------
+# constant resource: the static proof against enumeration
+# ----------------------------------------------------------------------
+
+
+def _tainted_blocks(report) -> set[int]:
+    return {block for block, _, _ in report.regions}
+
+
+@pytest.mark.parametrize("mode", ["none", "tsc", "naive"])
+@pytest.mark.parametrize(
+    "name", ["check_bit", "long_arm", "modexp_step", "share_compare", "two_branches"]
+)
+def test_static_cr_matches_enumeration_on_corpus(name, mode):
+    """Variant 1 of a two-variant pool: the verdict over every public
+    value, and the hidden branches the analysis finds."""
+    if mode == "naive":
+        pool = corpus_naive_pool(name, 2)
+    else:
+        analyzed = analyze(load(name), TIGHT8, mode=Mode(mode))
+        prob = build_problem(analyzed)
+        best = solve_optimal(prob, time_budget=60).solution
+        pool = diversify(prob, best, n=2, gap=Fraction(1, 4), time_budget=60, seed=0)
+    func = pool.problem.function
+    program = encode(func, to_schedule(pool.problem, pool.solutions[-1]), TIGHT8)
+    report = check_cr(program, func.inputs)
+    assert report.secure == constant_resource(program, func.inputs)
+    assert _tainted_blocks(report) == set(_branch_blocks(analyze(func, TIGHT8)))
+    if mode == "tsc":
+        assert report.secure
+
+
+def test_static_cr_on_every_small_secret_graph():
+    """Every `dag_edges` shape of 3-5 blocks, each branch `beq x, y` on
+    the secret y, built unbalanced and balanced.
+
+    The static proof is sound: a secure verdict holds for every public
+    value.  It is also conservative.  Here every branch tests the same
+    condition, so some paths of a region never run, and a few unbalanced
+    builds run in constant time only because the paths that do run
+    happen to cost the same; the proof calls those insecure."""
+    for n in (3, 4, 5):
+        for edges in _all_dag_edges(n):
+            for mode in (Mode.NONE, Mode.TSC):
+                analyzed = analyze(_secret_graph(edges, n), TIGHT8, mode=mode)
+                prob = build_problem(analyzed)
+                sol = solve_optimal(prob, time_budget=20).solution
+                program = encode(prob.function, to_schedule(prob, sol), TIGHT8)
+                report = check_cr(program, prob.function.inputs)
+                enumerated = constant_resource(program, prob.function.inputs)
+                assert enumerated or not report.secure, (edges, mode)
+                if mode is Mode.TSC:
+                    assert report.secure and enumerated, edges
+                assert _tainted_blocks(report) >= set(_branch_blocks(analyze(prob.function)))
+
+
+@st.composite
+def _bit_test_functions(draw):
+    """MIR text of a function on a `dag_edges` shape of 3-5 blocks, with
+    a public input p and one or two secret or random inputs.
+
+    Every branch tests its own bit of one input, the branches on p before
+    the others.  So under every value of p, every path of a hidden
+    branch's region runs for some hidden value, and the enumeration sees
+    every cost the static proof sees.  Blocks start with 0-2 ops of one or
+    two cycles."""
+    n = draw(st.integers(3, 5))
+    edges = draw(st.sampled_from(_all_dag_edges(n)))
+    labels = draw(st.lists(st.sampled_from([SecurityLabel.SECRET, SecurityLabel.RANDOM]),
+                           min_size=1, max_size=2))
+    hidden = [f"h{j}" for j in range(len(labels))]
+    branches = [i for i in range(n) if len(edges.get(i, ())) == 2]
+    on_public = draw(st.integers(0, len(branches)))
+    params = ", ".join(["p:public"] + [f"{h}:{lab.value}" for h, lab in zip(hidden, labels)])
+    lines = [f"func g ({params})"]
+    for i in range(n):
+        lines += [f"block {i}"] + (["  z = li 0"] if i == 0 else [])
+        for k in range(draw(st.integers(0, 2))):
+            lines.append(draw(st.sampled_from([f"  a{i}_{k} = add p, p", "  st o, p"])))
+        succ = edges.get(i, ())
+        if not succ:
+            lines.append("  ret p")
+        elif len(succ) == 2:
+            tested = "p" if branches.index(i) < on_public else draw(st.sampled_from(hidden))
+            lines += [f"  m{i} = li {1 << i}", f"  c{i} = and {tested}, m{i}",
+                      f"  beq c{i}, z, {succ[1]}"]
+        elif succ[0] != i + 1:
+            lines.append(f"  b {succ[0]}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=15, deadline=None)
+@given(_bit_test_functions(), st.sampled_from([Mode.NONE, Mode.TSC]))
+def test_static_cr_matches_enumeration_on_generated_programs(text, mode):
+    analyzed = analyze(parse_function(text), TIGHT8, mode=mode)
+    prob = build_problem(analyzed)
+    sol = solve_optimal(prob, time_budget=20).solution
+    program = encode(prob.function, to_schedule(prob, sol), TIGHT8)
+    policy = prob.function.inputs
+    report = check_cr(program, policy)
+    assert report.secure == constant_resource(program, policy)
+    assert _tainted_blocks(report) >= set(_branch_blocks(analyze(prob.function)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_bitwise_programs(hidden=(1, 2)))
+def test_public_branches_keep_generated_programs_constant_resource(generated):
+    program, policy = generated
+    report = check_cr(program, policy)
+    assert report.regions == [] and report.secure
+    assert constant_resource(program, policy)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_bitwise_programs(hidden=(1, 1)), st.data())
+def test_retargeting_an_unbalanced_public_branch_flips_the_verdict(generated, data):
+    """The diamond's branch compares the public r0 with the constant in
+    r7; loading r7 from the secret instead makes it a hidden branch."""
+    program, policy = generated
+    assume(len(program.blocks) == 4)
+    taken, fallthrough = (static_path_cost(program, path) for path in ((0, 2, 3), (0, 1, 3)))
+    assume(taken != fallthrough)
+    assert check_cr(program, policy).secure and constant_resource(program, policy)
+    labels = [lab for _, lab in policy]
+    secret = data.draw(st.sampled_from(
+        [i for i, lab in enumerate(labels) if lab is SecurityLabel.SECRET]
+    ))
+    head = program.blocks[0]
+    head[0] = Instr(Opcode.MOV, 7, secret)  # was li r7; r1-r6 are written later
+    report = check_cr(program, policy)
+    assert not report.secure
+    ((block, fewest, most),) = report.regions
+    assert block == 0 and most - fewest == abs(taken - fallthrough)
+    assert not constant_resource(program, policy)
+
+
+def branch_on(func, temp: str) -> int:
+    """The block whose branch tests `temp`."""
+    (block,) = [b.index for b in func.blocks if b.terminator and temp in b.terminator.uses]
+    return block
+
+
+@pytest.mark.parametrize("mode", [Mode.NONE, Mode.TSC])
+def test_implicit_flow_through_memory_is_a_hidden_branch(mode):
+    analyzed = analyze(parse_function(IMPLICIT), TIGHT8, mode=mode)
+    prob = build_problem(analyzed)
+    sol = solve_optimal(prob, time_budget=30).solution
+    program = encode(prob.function, to_schedule(prob, sol), TIGHT8)
+    report = check_cr(program, prob.function.inputs)
+    assert not report.secure
+    regions = {block: (fewest, most) for block, fewest, most in report.regions}
+    fewest, most = regions[branch_on(prob.function, "r")]
+    assert most > fewest
+    # unbalanced, the key branch's arms differ by as much as the r branch's
+    # and in the other direction, so the paths that run cost the same
+    if mode is Mode.TSC:
+        assert not constant_resource(program, prob.function.inputs)
+
+
+# the secret branch in block 1 runs only when pub = 7
+GATE = (
+    "func gate (pub:public, key:secret)\n"
+    "block 0\n  z = li 0\n  st out, z\n  t = li 7\n  bne pub, t, 3\n"
+    "block 1\n  bne key, z, 3\n"
+    "block 2\n  a = add pub, pub\n  st out, a\n"
+    "block 3\n  r = ld out\n  ret r\n"
+)
+
+
+def test_secret_branch_behind_a_public_value_is_flagged():
+    """The enumeration sees the leak at pub = 7 and at no probe; the
+    static proof needs no public value to see it."""
+    analyzed = analyze(parse_function(GATE), TIGHT8)
+    prob = build_problem(analyzed)
+    sol = solve_optimal(prob, time_budget=30).solution
+    program = encode(prob.function, to_schedule(prob, sol), TIGHT8)
+    policy = prob.function.inputs
+    report = check_cr(program, policy)
+    ((block, fewest, most),) = report.regions
+    assert block == branch_on(prob.function, "key") and most > fewest
+    bounds = cycle_bounds(program, policy)
+    assert [pub for (pub,), (bcet, wcet) in bounds.items() if bcet != wcet] == [7]
+    assert constant_resource(program, policy, swept=None)
+
+
+def test_implicit_flow_through_a_register_is_a_hidden_branch():
+    """Both arms of the secret branch load r2, at the same cost; the later
+    branch on r2 then runs one cycle longer when it is taken."""
+    LI, B, BNE = Opcode.LI, Opcode.B, Opcode.BNE
+    program = MachineProgram("tight8", 2, [
+        [Instr(LI, 7, 0), Instr(BNE, 1, 7, 2)],  # r1 holds the secret
+        [Instr(LI, 2, 1), Instr(B, 3)],
+        [Instr(LI, 2, 2), Instr(Opcode.NOP)],
+        [Instr(LI, 3, 1), Instr(BNE, 2, 3, 5)],
+        [Instr(Opcode.ADD, 4, 0, 0)],
+        [Instr(Opcode.RET, 0)],
+    ])
+    policy = [("pub", SecurityLabel.PUBLIC), ("key", SecurityLabel.SECRET)]
+    report = check_cr(program, policy)
+    assert report.regions == [(0, 6, 6), (3, 3, 4)]
+    assert not report.secure
+    assert not constant_resource(program, policy)
+
+
+def test_verify_imports_only_the_machine_and_the_ir():
+    """The oracles stay a proof of their own: nothing from the analysis,
+    the model or the solver."""
+    tree = ast.parse((Path(verify.__file__)).read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("secdiv"):
+            package.add(node.module)
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.startswith("secdiv"))
+    assert package == {"machine", "mir"}
