@@ -5,14 +5,15 @@ bytes) laid out from address 0, so the address of the i-th word of the
 program is 4*i.  The vectorized interpreter `run_batch` is the ground
 truth for every oracle: it runs many input lanes at once and reports
 functional results, cycle counts, and the register/memory-bus value
-transitions that the Hamming-distance leakage model observes.  It
+transitions that the Hamming-distance leakage model observes, lane by
+lane: branches only go forward, so a lane runs each site at most once.  It
 decodes a program once, not once per call, into instructions that name
 compact state rows: one per register and memory slot the program names,
 then the bus, so an unnamed location costs nothing.  A register or slot
 operand beyond the profile, or a branch to a block that is not a later
 one, is a MachineError at decode time, whether or not the instruction
-runs.  The decoded program keeps its lane buffers (state, temporaries,
-histogram bins) across calls, so repeated calls on one program allocate
+runs.  The decoded program keeps its lane buffers (state and
+temporaries) across calls, so repeated calls on one program allocate
 no large array besides the ones they return.  The tests check
 `run_batch` lane by lane against a scalar reference interpreter
 (`tests/scalar_machine.py`).
@@ -287,8 +288,8 @@ def _lower_copy(func: FunctionIR, schedule: Schedule, op, reg_of, impl: Opcode, 
 class BatchResult:
     returns: np.ndarray
     cycles: np.ndarray
-    # site -> transition-value histogram of shape (groups, 256); row g
-    # counts the lanes of group g that executed the site, by value
+    # site -> the transition value each lane wrote there, int16 over the
+    # lanes, -1 for a lane that did not run the site
     transitions: dict[tuple[int, str, int], np.ndarray]
 
 
@@ -343,8 +344,6 @@ class _Decoded:
         self.value = np.empty(n, dtype=np.uint8)  # an ALU result
         self.delta = np.empty(n, dtype=np.uint8)  # a transition value
         self.mask = np.empty(n, dtype=bool)  # a branch condition
-        self.keys = np.empty(n, dtype=np.intp)  # histogram bins
-        self.key_base = np.empty(n, dtype=np.intp)  # each lane's first bin
 
 
 _JUMPS = (Opcode.B, Opcode.BEQ, Opcode.BNE)
@@ -425,16 +424,15 @@ def run_batch(
     program: MachineProgram,
     inputs: np.ndarray,
     collect_transitions: bool = True,
-    groups: int = 1,
 ) -> BatchResult:
     """Run the program over many input lanes at once.
 
     `inputs` has shape (num_inputs, n); lane j runs on the input vector
     inputs[:, j], as if it ran alone.  Branching partitions the lanes, so
     the cost is proportional to the number of executed paths, not lanes.
-    The lanes form `groups` equal contiguous runs, and every transition
-    histogram has one row per run, so one call can stand for several
-    independent experiments.
+    With `collect_transitions`, every site that some lane ran maps to the
+    transition value of each lane there, -1 for the lanes that did not
+    run it; grouping the lanes is the caller's business.
 
     The program is decoded once per program, not per call (`_decode`,
     kept for the next call on the same program): the state holds a row
@@ -445,20 +443,15 @@ def run_batch(
     outside its memory slots, or a branch that does not go to a later
     block raises MachineError before anything runs, so every run ends.
 
-    The root state, ALU results, transition values, branch conditions and
-    histogram bins live in lane buffers that the decoded program keeps
-    across calls, grown to the largest lane count seen; the returned
-    arrays are new on every call.  Cycles are summed per work item in a
-    Python int that travels with the lanes across branches and is written
-    once at RET.  A site where every lane sees the same transition value
-    gets its histogram without a bincount.
+    The root state, ALU results, transition values and branch conditions
+    live in lane buffers that the decoded program keeps across calls,
+    grown to the largest lane count seen; the returned arrays are new on
+    every call.  Cycles are summed per work item in a Python int that
+    travels with the lanes across branches and is written once at RET.
     """
     if inputs.shape[0] != program.num_inputs:
         raise MachineError(f"expected {program.num_inputs} input rows")
     n = inputs.shape[1]
-    if groups < 1 or n % groups:
-        raise MachineError(f"{n} lanes do not split into {groups} equal groups")
-    per_group = n // groups
     decoded = _decode(program.to_bytes())
     decoded.reserve(n)
     code, nrows = decoded.code, decoded.nrows
@@ -470,27 +463,19 @@ def run_batch(
         state0[row] = inputs[r]
     state0[len(decoded.input_regs) :].fill(0)
     bus = nrows - 1
-    if groups > 1 and collect_transitions:
-        # the every-lane item's first histogram bin per lane, 256 per group
-        every_key_base = decoded.key_base[:n]
-        every_key_base.reshape(groups, per_group)[:] = np.arange(0, 256 * groups, 256)[:, None]
 
     returns = np.zeros(n, dtype=np.uint8)
     cycles = np.zeros(n, dtype=np.int64)
     transitions: dict[tuple[int, str, int], np.ndarray] = {}
 
     def record(site: tuple[int, str, int], values: np.ndarray) -> None:
-        if values.min() == values.max():
-            hist = np.zeros((groups, 256), dtype=np.int64)
-            hist[:, values[0]] = group_lanes
-        else:
-            if groups == 1:
-                keys[:] = values
-            else:
-                np.add(key_base, values, out=keys)
-            hist = np.bincount(keys, minlength=groups * 256).reshape(groups, 256)
-        acc = transitions.get(site)
-        transitions[site] = hist if acc is None else acc + hist
+        if lanes is None:  # every lane, so no other item runs the site
+            transitions[site] = values.astype(np.int16)
+            return
+        seen = transitions.get(site)
+        if seen is None:
+            seen = transitions[site] = np.full(n, -1, dtype=np.int16)
+        seen[lanes] = values
 
     # worklist of (block, lane indices, state, cycles so far); lane indices
     # stay sorted, and None stands for every lane
@@ -502,20 +487,7 @@ def run_batch(
             raise MachineError("fell off program end")
         # this item's slices of the lane buffers
         m = state.shape[1]
-        value, delta, mask, keys = (
-            decoded.value[:m], decoded.delta[:m], decoded.mask[:m], decoded.keys[:m]
-        )
-        # read by record(): lanes per group, and each lane's first bin
-        if groups == 1:
-            group_lanes = m
-        elif collect_transitions:
-            if lanes is None:
-                group_lanes = per_group
-                key_base = every_key_base
-            else:
-                lane_group = lanes // per_group
-                key_base = lane_group * 256
-                group_lanes = np.bincount(lane_group, minlength=groups)
+        value, delta, mask = decoded.value[:m], decoded.delta[:m], decoded.mask[:m]
         next_block = block + 1
         for op, lat, a, b, c, fn, reg_site, bus_site in code[block]:
             spent += lat

@@ -59,27 +59,27 @@ decide.  Two secrets therefore give equal distributions exactly when
 every per-bit marginal is equal, and the marginal at bit i depends only
 on the secrets' pattern at bit i.  One `run_batch` call per probe
 evaluates all eight bits at once: each hidden input is 0x00 or 0xFF per
-lane, 2**(secrets + randoms) lanes in one group per secret pattern (the
-first secret most significant).  A site leaks when some pattern's per-bit
-set counts, or its run count, differ from pattern 0's; its witness is
-the least secret in enumeration order that shows a failing (pattern p,
-bit i) pair, the tuple of (p_j << i), which is the secret the byte-wise
-enumeration would report.  Bit-local programs take this path up to
-`_SLICED_LIMIT` hidden inputs.
+lane, 2**(secrets + randoms) lanes, a run of lanes per secret pattern
+(the first secret most significant).  From the per-lane transition
+values that `run_batch` returns, each pattern's lanes give per-bit set
+counts and a run count.  A site leaks when some pattern's counts differ
+from pattern 0's; its witness is the least secret in enumeration order
+that shows a failing (pattern p, bit i) pair, the tuple of (p_j << i),
+which is the secret the byte-wise enumeration would report.  Bit-local
+programs take this path up to `_SLICED_LIMIT` hidden inputs.
 
 Byte-wise power-leak check.  Other programs put several secret values
 into one `run_batch` call, lane-major by secret (all randoms of the first
-secret, then of the next), with up to `_PSC_BATCH_LANES` lanes and
-`_PSC_BATCH_BINS` joint (secret, value) histogram bins per call;
-`run_batch` returns one histogram row per secret, and builds the rows of
-a site where every lane sees one value without a bincount.  A secret
-whose randoms alone exceed the lane cap runs in a call of its own.  At
-each site, every secret's row is compared with the reference secret's
-(the first in enumeration order), and a site that a secret did not run
-counts as an all-zero row, so running a site more or less often is a
-difference like any other.  `PscReport` holds the sites that some lane
-ran and, per leaking site, the reference secret and the first secret
-whose row differs.
+secret, then of the next), with up to `_PSC_BATCH_LANES` lanes per call;
+a secret whose randoms alone exceed the cap runs in a call of its own.
+At each site, a secret's row is its lanes' transition values, sorted,
+with -1 for a lane that did not run the site.  Two secrets have equal
+histograms exactly when their sorted rows are equal, counting the lanes
+that skipped the site, so running a site more or less often is a
+difference like any other.  Every secret's row is compared with the
+reference secret's (the first in enumeration order).  `PscReport` holds
+the sites that some lane ran and, per leaking site, the reference secret
+and the first secret whose row differs.
 
 The oracles build their input arrays once and rewrite only the rows
 that change from one `run_batch` call to the next.
@@ -117,7 +117,7 @@ _SAMPLES = 1000
 # its enumeration incomplete
 _HIDDEN_LIMIT = 3
 # secret and random inputs of the bit-sliced check_psc: at most 2**8
-# lanes and lane groups per probe, so 512 KiB of histogram per site
+# lanes per probe
 _SLICED_LIMIT = 8
 
 
@@ -424,10 +424,6 @@ class PscReport:
 
 # Lanes per batched run_batch call; at least one secret goes in each call.
 _PSC_BATCH_LANES = 1 << 14
-# Joint (secret, value) histogram bins per call, 256 per secret: a site's
-# histogram takes 8 bytes a bin, so 512 KiB.  Secrets with 256 or more
-# randoms each reach the lane cap first.
-_PSC_BATCH_BINS = 1 << 16
 
 
 def check_psc(
@@ -440,15 +436,17 @@ def check_psc(
     For every leak site the full distribution of transition values over
     uniform randoms is compared across all secret values (publics fixed
     at the probe set).  Any difference in distribution, or in how often a
-    site executes, is a leak: a secret's histogram row at a site it did
-    not run is all zeros, and each site's row for every secret is
-    compared with the reference secret's (the first in enumeration
-    order).  The first secret whose row differs is the site's witness.
+    site executes, is a leak.  `run_batch` gives each lane's transition
+    value at each site, and this function groups the lanes by secret:
+    each secret's sorted row of values, -1 for a lane that did not run
+    the site, is compared with the reference secret's (the first in
+    enumeration order).  The first secret whose row differs is the site's
+    witness.
 
     A bit-local program (`_bit_local`) takes the bit-sliced path, exact
     up to `_SLICED_LIMIT` secret and random inputs; any other program is
     enumerated byte by byte up to `_HIDDEN_LIMIT`, several secret values
-    sharing one `run_batch` call, one lane group per secret.  Both paths
+    sharing one `run_batch` call, a run of lanes per secret.  Both paths
     give the same report; beyond its limit a path reports incomplete.
     """
     names = [n for n, _ in policy]
@@ -470,14 +468,14 @@ def check_psc(
 
     random_grid = _full_grid(len(random_idx))
     per_secret = random_grid.shape[1]
-    secrets_per_call = max(1, min(_PSC_BATCH_LANES // per_secret, _PSC_BATCH_BINS // 256))
+    secrets_per_call = max(1, _PSC_BATCH_LANES // per_secret)
 
     # one input block for every call: the random rows are tiled once, the
     # public rows rewritten per probe and the secret rows per call
     block = np.empty((len(names), secrets_per_call, per_secret), dtype=np.uint8)
     for pos, i in enumerate(random_idx):
         block[i] = random_grid[pos]
-    zero = np.zeros((1, 256), dtype=np.int64)  # the row of a site not run
+    absent = np.full(per_secret, -1, dtype=np.int16)  # the row of a site not run
     for public in itertools.product(public_probes, repeat=len(public_idx)):
         for pos, i in enumerate(public_idx):
             block[i] = public[pos]
@@ -487,13 +485,18 @@ def check_psc(
             for pos, i in enumerate(secret_idx):
                 block[i, :batch] = chunk[pos][:, None]
             inputs = block[:, :batch].reshape(len(names), batch * per_secret)
-            hists = run_batch(program, inputs, groups=batch).transitions
-            report.sites.update(hists)
+            values = run_batch(program, inputs).transitions
+            report.sites.update(values)
             if reference is None:
                 ref_secret = tuple(int(v) for v in chunk[:, 0])
-                reference = {site: hist[:1] for site, hist in hists.items()}
-            for site in sorted((hists.keys() | reference.keys()) - report.leaks.keys()):
-                differs = (hists.get(site, zero) != reference.get(site, zero)).any(axis=1)
+                reference = {site: np.sort(v[:per_secret]) for site, v in values.items()}
+            for site in sorted((values.keys() | reference.keys()) - report.leaks.keys()):
+                rows = absent
+                if site in values:
+                    # a row per secret, sorted: equal rows are equal histograms
+                    rows = values[site].reshape(batch, per_secret)
+                    rows.sort()
+                differs = (rows != reference.get(site, absent)).any(axis=-1)
                 if differs.any():
                     witness = tuple(int(v) for v in chunk[:, differs.argmax()])
                     report.leaks[site] = (ref_secret, witness)
@@ -507,12 +510,6 @@ def _bit_local(program: MachineProgram, hidden: Sequence[int]) -> bool:
     return not arithmetic and not regions
 
 
-# A (groups, 256) histogram times this matrix gives, per group, the
-# number of lanes whose value has bit i set (column i < 8) and the number
-# of lanes that ran the site (column 8).
-_BIT_COUNTS = np.array([[v >> i & 1 for i in range(8)] + [1] for v in range(256)], dtype=np.int64)
-
-
 def _sliced_psc(
     program: MachineProgram,
     num_inputs: int,
@@ -523,14 +520,14 @@ def _sliced_psc(
 ) -> PscReport:
     """`check_psc` on a bit-local program with at least one secret: one
     `run_batch` call per probe, each hidden input 0x00 or 0xFF per lane,
-    one lane group per secret pattern, the first secret most significant.
+    a run of lanes per secret pattern, the first secret most significant.
 
-    At each site every pattern's per-bit set counts and run count are
-    compared with pattern 0's.  A secret whose pattern at some bit i
-    fails there differs from the all-zero reference; the least such
-    secret, the site's witness, is the least (p_j << i) over the failing
-    (pattern p, bit i) pairs, and for one bit the least failing pattern
-    gives the least tuple.
+    At each site every pattern's per-bit set counts and run count, taken
+    from its lanes' transition values, are compared with pattern 0's.  A
+    secret whose pattern at some bit i fails there differs from the
+    all-zero reference; the least such secret, the site's witness, is the
+    least (p_j << i) over the failing (pattern p, bit i) pairs, and for
+    one bit the least failing pattern gives the least tuple.
     """
     hidden = secret_idx + random_idx
     lanes = 1 << len(hidden)
@@ -546,10 +543,15 @@ def _sliced_psc(
     for public in itertools.product(public_probes, repeat=len(public_idx)):
         for pos, i in enumerate(public_idx):
             inputs[i] = public[pos]
-        hists = run_batch(program, inputs, groups=groups).transitions
-        report.sites.update(hists)
-        for site in sorted(hists.keys() - report.leaks.keys()):
-            counts = hists[site] @ _BIT_COUNTS
+        values = run_batch(program, inputs).transitions
+        report.sites.update(values)
+        for site in sorted(values.keys() - report.leaks.keys()):
+            rows = values[site].reshape(groups, -1)  # a row per pattern
+            ran = rows >= 0
+            # per pattern: the lanes whose value has bit i set (column i <
+            # 8), and the lanes that ran the site (column 8)
+            bits = (np.where(ran, rows, 0)[:, :, None] >> np.arange(8)) & 1
+            counts = np.column_stack([bits.sum(axis=1), ran.sum(axis=1)])
             differs = counts != counts[0]
             failing = differs[:, :8] | differs[:, 8:]  # a run count fails every bit
             witnesses = [

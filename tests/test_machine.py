@@ -265,17 +265,28 @@ def _seeded_lanes(num_inputs: int, n: int, seed: int) -> np.ndarray:
     return lanes
 
 
-def _scalar_totals(program, lanes: np.ndarray):
-    """Per-lane return values and cycles, and per-site transition
-    histograms summed over the lanes, all from the scalar interpreter."""
-    returns, cycles, totals = [], [], {}
-    for j in range(lanes.shape[1]):
+def _scalar_lanes(program, lanes: np.ndarray):
+    """Per-lane return values and cycles, and per site the transition
+    value of each lane there (-1 where a lane did not run the site), all
+    from the scalar interpreter."""
+    n = lanes.shape[1]
+    returns, cycles, values = [], [], {}
+    for j in range(n):
         trace = run(program, [int(v) for v in lanes[:, j]])
         returns.append(trace.return_value)
         cycles.append(trace.total_cycles)
         for site, value in hd_leak_points(trace):
-            totals.setdefault(site, np.zeros(256, dtype=np.int64))[value] += 1
-    return returns, cycles, totals
+            row = values.setdefault(site, [-1] * n)
+            assert row[j] == -1  # a lane runs a site at most once
+            row[j] = value
+    return returns, cycles, values
+
+
+def _assert_lane_values(batch, values: dict) -> None:
+    assert batch.transitions.keys() == values.keys()
+    for site, row in batch.transitions.items():
+        assert row.dtype == np.int16
+        assert row.tolist() == values[site]
 
 
 @pytest.mark.parametrize(
@@ -288,33 +299,11 @@ def _scalar_totals(program, lanes: np.ndarray):
 )
 def test_run_batch_many_lanes_agrees_with_scalar(program, lanes):
     program = program()
-    returns, cycles, totals = _scalar_totals(program, lanes)
+    returns, cycles, values = _scalar_lanes(program, lanes)
     batch = run_batch(program, lanes)
     assert batch.returns.tolist() == returns
     assert batch.cycles.tolist() == cycles
-    assert batch.transitions.keys() == totals.keys()
-    for site, hist in batch.transitions.items():
-        assert hist.shape == (1, 256)
-        assert int(hist.sum()) == int(totals[site].sum())  # lanes at the site
-        assert hist[0].tolist() == totals[site].tolist()
-
-
-@pytest.mark.parametrize("program", [_check_bit_program, _modexp_step_program])
-def test_run_batch_groups_match_separate_runs(program):
-    program = program()
-    lanes = _seeded_lanes(program.num_inputs, 300, seed=3)
-    grouped = run_batch(program, lanes, groups=3)
-    for g in range(3):
-        alone = run_batch(program, lanes[:, 100 * g : 100 * (g + 1)])
-        for site, hist in grouped.transitions.items():
-            expected = alone.transitions.get(site, np.zeros((1, 256), dtype=np.int64))
-            assert hist[g].tolist() == expected[0].tolist()
-        assert set(alone.transitions) <= set(grouped.transitions)
-
-
-def test_run_batch_rejects_unequal_groups():
-    with pytest.raises(MachineError, match="equal groups"):
-        run_batch(_check_bit_program(), np.zeros((2, 10), dtype=np.uint8), groups=3)
+    _assert_lane_values(batch, values)
 
 
 def _sparse_program() -> MachineProgram:
@@ -345,31 +334,38 @@ def _sparse_program() -> MachineProgram:
     )
 
 
-@pytest.mark.parametrize("groups", [1, 3])
-def test_run_batch_compact_rows_agree_with_scalar(groups):
+@pytest.mark.parametrize("calls", [1, 3])
+def test_run_batch_compact_rows_agree_with_scalar(calls):
+    """The 300 lanes run in `calls` calls over consecutive runs of lanes;
+    joined up, their per-lane values are the scalar interpreter's, with
+    -1 for the lanes of each arm at the sites of the other."""
     program = _sparse_program()
     lanes = np.random.default_rng(4).integers(0, 256, size=(3, 300), dtype=np.uint8)
     lanes[2, ::3] = lanes[0, ::3]  # r0 == r2, so the branch splits the lanes
-    batch = run_batch(program, lanes, groups=groups)
-    returns, cycles, totals = _scalar_totals(program, lanes)
-    assert batch.returns.tolist() == returns
-    assert batch.cycles.tolist() == cycles
+    returns, cycles, values = _scalar_lanes(program, lanes)
     assert len(set(cycles)) == 2  # both paths ran
-    plain = run_batch(program, lanes, collect_transitions=False, groups=groups)
-    assert plain.returns.tolist() == returns
-    assert plain.cycles.tolist() == cycles
-    assert plain.transitions == {}
-    assert batch.transitions.keys() == totals.keys()
-    assert {(kind, index) for _, kind, index in totals} == {
+    assert {(kind, index) for _, kind, index in values} == {
         ("reg", 3), ("reg", 4), ("reg", 5), ("reg", 6), ("reg", 7), ("bus", 0)
     }
-    width = 300 // groups
-    for g in range(groups):
-        _, _, expected = _scalar_totals(program, lanes[:, width * g : width * (g + 1)])
-        for site, hist in batch.transitions.items():
-            assert hist.shape == (groups, 256)
-            want = expected.get(site, np.zeros(256, dtype=np.int64))
-            assert hist[g].tolist() == want.tolist()
+    # the words of blocks 1 and 2, each run by one arm's lanes
+    assert {site for site, row in values.items() if -1 in row} == {
+        (24, "reg", 4), (28, "bus", 0), (28, "reg", 6), (32, "reg", 4),
+        (40, "reg", 7), (44, "bus", 0),
+    }
+    width = 300 // calls
+    joined: dict = {}
+    for k in range(calls):
+        part = lanes[:, width * k : width * (k + 1)]
+        batch = run_batch(program, part)
+        plain = run_batch(program, part, collect_transitions=False)
+        assert plain.transitions == {}
+        for result in (batch, plain):
+            assert result.returns.tolist() == returns[width * k : width * (k + 1)]
+            assert result.cycles.tolist() == cycles[width * k : width * (k + 1)]
+        for site in batch.transitions.keys() | joined.keys():
+            row = batch.transitions.get(site, np.full(width, -1, dtype=np.int16))
+            joined[site] = joined.get(site, [-1] * (width * k)) + row.tolist()
+    assert joined == values
 
 
 @pytest.mark.parametrize(
@@ -426,45 +422,34 @@ def _masked_xor_program():
 )
 def test_run_batch_repeated_calls_keep_results_apart(program):
     """One program, called again and again on lane counts that grow and
-    shrink, with and without groups and transitions: every call agrees
-    with the scalar interpreter, and no later call changes an array an
-    earlier call returned."""
+    shrink, with and without transitions: every call agrees with the
+    scalar interpreter, and no later call changes an array an earlier
+    call returned."""
     program = program()
     calls = [
-        (240, 1, True), (60, 3, True), (480, 4, True), (480, 4, False),
-        (120, 2, True), (480, 4, True), (30, 1, True), (480, 1, False),
+        (240, True), (60, True), (480, True), (480, False),
+        (120, True), (480, True), (30, True), (480, False),
     ]
     kept = []
-    for seed, (n, groups, collect) in enumerate(calls):
+    for seed, (n, collect) in enumerate(calls):
         lanes = np.random.default_rng(seed).integers(
             0, 256, size=(program.num_inputs, n), dtype=np.uint8
         )
         lanes[:, ::3] = lanes[0, ::3]  # equal inputs, so branches split the lanes
-        batch = run_batch(program, lanes, collect_transitions=collect, groups=groups)
-        returns, cycles, _ = _scalar_totals(program, lanes)
+        batch = run_batch(program, lanes, collect_transitions=collect)
+        returns, cycles, values = _scalar_lanes(program, lanes)
         assert batch.returns.tolist() == returns
         assert batch.cycles.tolist() == cycles
-        width = n // groups
-        expected = [
-            _scalar_totals(program, lanes[:, width * g : width * (g + 1)])[2]
-            for g in range(groups)
-        ] if collect else []
-        sites = set().union(*expected)
-        assert batch.transitions.keys() == sites
-        for site, hist in batch.transitions.items():
-            assert hist.shape == (groups, 256)
-            for g in range(groups):
-                want = expected[g].get(site, np.zeros(256, dtype=np.int64))
-                assert hist[g].tolist() == want.tolist()
+        _assert_lane_values(batch, values if collect else {})
         snapshot = (
             batch.returns.copy(),
             batch.cycles.copy(),
-            {site: hist.copy() for site, hist in batch.transitions.items()},
+            {site: row.copy() for site, row in batch.transitions.items()},
         )
         kept.append((batch, snapshot))
     for batch, (returns, cycles, transitions) in kept:
         assert np.array_equal(batch.returns, returns)
         assert np.array_equal(batch.cycles, cycles)
         assert batch.transitions.keys() == transitions.keys()
-        for site, hist in transitions.items():
-            assert np.array_equal(batch.transitions[site], hist)
+        for site, row in transitions.items():
+            assert np.array_equal(batch.transitions[site], row)
