@@ -200,30 +200,39 @@ def cmd_diversify(args) -> int:
 
 class PoolError(Exception):
     """A pool directory whose manifest cannot be read, or a run directory
-    file that is not JSON."""
+    file that is not a JSON object with the fields that are read."""
 
 
-def _read_json(path: Path):
+def _read_object(path: Path, fields: tuple[str, ...], pool: Optional[Path] = None) -> dict:
+    """The JSON object in `path`, which must have every one of `fields`.
+    Anything else is a PoolError naming the file by its path, or, for the
+    manifest of a `pool`, by the pool, with the decoder's reason."""
+    where = f"pool {pool}: {path.name}" if pool else str(path)
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError:
-        raise PoolError(f"{path} is not JSON") from None
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise PoolError(f"{where} is not JSON" + (f": {exc}" if pool else "")) from None
+    if not isinstance(payload, dict):
+        raise PoolError(f"{where} is not a JSON object")
+    missing = [f for f in fields if f not in payload]
+    if missing:
+        raise PoolError(f"{where} lacks {', '.join(missing)}")
+    return payload
 
 
-# every field that verify or gadgets reads
+# every field that verify or gadgets reads from a manifest
 _MANIFEST_FIELDS = ("function", "mode", "profile", "seed", "gap_percent", "produced")
+# every field that report reads, per run directory file
+_REPORT_FIELDS = {
+    "compile.json": ("function", "profile", "mode", "objective"),
+    "manifest.json": ("function", "mode", "gap_percent", "requested", "produced", "reason"),
+    "gadgets.json": ("pairs", "zero", "low", "high"),
+    "verify.json": ("function", "variants"),
+}
 
 
 def _load_pool(pool_dir: Path) -> tuple[dict, list[MachineProgram]]:
-    try:
-        manifest = json.loads((pool_dir / "manifest.json").read_text())
-    except json.JSONDecodeError as exc:
-        raise PoolError(f"pool {pool_dir}: manifest.json is not JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise PoolError(f"pool {pool_dir}: manifest.json is not a JSON object")
-    missing = [f for f in _MANIFEST_FIELDS if f not in manifest]
-    if missing:
-        raise PoolError(f"pool {pool_dir}: manifest.json lacks {', '.join(missing)}")
+    manifest = _read_object(pool_dir / "manifest.json", _MANIFEST_FIELDS, pool=pool_dir)
     if manifest["profile"] not in PROFILES:
         raise PoolError(f"pool {pool_dir}: unknown profile {manifest['profile']!r}")
     for name in ("produced", "seed"):
@@ -260,34 +269,36 @@ def cmd_verify(args) -> int:
     cr_violations = 0
     psc_violations = 0
     mode = manifest["mode"]
-    # a pool gets cr lines when some variant has a hidden branch
-    cr_reports = [verify.check_cr(program, policy) for program in programs]
-    check_cr = any(report.regions for report in cr_reports)
     check_psc = any(label is SecurityLabel.RANDOM for _, label in policy)
-
+    # every check of one variant before the next, so each is decoded once
+    reports = []
     for i, program in enumerate(programs):
+        eq = verify.check_equivalence(programs[0], program, seed=manifest["seed"]) if i else None
+        cr = verify.check_cr(program, policy)
+        psc = verify.check_psc(program, policy) if check_psc else None
+        reports.append((eq, cr, psc))
+    # a pool gets cr lines when some variant has a hidden branch
+    check_cr = any(cr.regions for _, cr, _ in reports)
+
+    for i, (eq, cr, psc) in enumerate(reports):
         tag = f"variant_{i:03d}"
-        if i > 0:
-            eq = verify.check_equivalence(programs[0], program, seed=manifest["seed"])
+        if eq is not None:
             lines.extend(f"{tag}\tequivalence\t{l}" for l in eq.lines())
             if not eq.ok:
                 failures += 1
         if check_cr:
-            secure = cr_reports[i].secure
-            lines.append(f"{tag}\tcr\t{'secure' if secure else 'insecure'}")
-            if not secure:
+            lines.append(f"{tag}\tcr\t{'secure' if cr.secure else 'insecure'}")
+            if not cr.secure:
                 cr_violations += 1
                 if mode == "tsc":
                     failures += 1
-        if check_psc:
-            report = verify.check_psc(program, policy)
-            if report.incomplete:
+        if psc is not None:
+            if psc.incomplete:
                 incomplete = True
-                lines.append(f"{tag}\tpsc\tincomplete\t{report.reason}")
+                lines.append(f"{tag}\tpsc\tincomplete\t{psc.reason}")
             else:
-                verdict = "secure" if report.secure else "insecure"
-                lines.append(f"{tag}\tpsc\t{verdict}")
-                if not report.secure:
+                lines.append(f"{tag}\tpsc\t{'secure' if psc.secure else 'insecure'}")
+                if not psc.secure:
                     psc_violations += 1
                     if mode == "psc":
                         failures += 1
@@ -379,7 +390,7 @@ def cmd_report(args) -> int:
     for d in run_dirs:
         compile_json = d / "compile.json"
         if compile_json.exists():
-            c = _read_json(compile_json)
+            c = _read_report_file(compile_json)
             overhead_rows.append(
                 [
                     c["function"],
@@ -392,7 +403,7 @@ def cmd_report(args) -> int:
             )
         manifest_json = d / "manifest.json"
         if manifest_json.exists():
-            m = _read_json(manifest_json)
+            m = _read_report_file(manifest_json)
             row = [
                 m["function"],
                 m["mode"],
@@ -406,7 +417,7 @@ def cmd_report(args) -> int:
             pool_rows.append(row)
             gadgets_json = d / "gadgets.json"
             if gadgets_json.exists():
-                g = _read_json(gadgets_json)
+                g = _read_report_file(gadgets_json)
                 total = g["pairs"] or 1
                 gadget_rows.append(
                     [
@@ -421,7 +432,7 @@ def cmd_report(args) -> int:
                 )
             verify_json = d / "verify.json"
             if verify_json.exists() and m["mode"] == "naive":
-                v = _read_json(verify_json)
+                v = _read_report_file(verify_json)
                 breakage_rows.append(
                     [
                         v["function"],
@@ -447,6 +458,10 @@ def cmd_report(args) -> int:
             print(LDST_NOTE if title == "security overhead" else "", end="")
             print()
     return EXIT_OK
+
+
+def _read_report_file(path: Path) -> dict:
+    return _read_object(path, _REPORT_FIELDS[path.name])
 
 
 def _pct(rate) -> str:

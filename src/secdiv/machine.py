@@ -6,17 +6,21 @@ program is 4*i.  The vectorized interpreter `run_batch` is the ground
 truth for every oracle: it runs many input lanes at once and reports
 functional results, cycle counts, and the register/memory-bus value
 transitions that the Hamming-distance leakage model observes, lane by
-lane: branches only go forward, so a lane runs each site at most once.  It
-decodes a program once, not once per call, into instructions that name
-compact state rows: one per register and memory slot the program names,
-then the bus, so an unnamed location costs nothing.  A register or slot
-operand beyond the profile, or a branch to a block that is not a later
-one, is a MachineError at decode time, whether or not the instruction
-runs.  The decoded program keeps its lane buffers (state and
-temporaries) across calls, so repeated calls on one program allocate
-no large array besides the ones they return.  The tests check
-`run_batch` lane by lane against a scalar reference interpreter
-(`tests/scalar_machine.py`).
+lane: branches only go forward, so a lane runs each site at most once.
+
+Control flow is decoded in one place, `_decode` (reached through
+`decode`), once per program: per block, the words that run, renamed to
+compact state rows (one per register and memory slot the program names,
+then the bus, so an unnamed location costs nothing), their cycles, and
+the edges to the successors with the cycles each adds.  `run_batch` runs
+these blocks, and `verify` reads the same ones for its taint pass and its
+static constant-resource proof.  A register or slot operand beyond the
+profile, or a branch to a block that is not a later one, is a
+MachineError at decode time, whether or not the instruction runs.  The
+decoded program keeps its lane buffers (state and temporaries) across
+calls, so repeated calls on one program allocate no large array besides
+the ones they return.  The tests check `run_batch` lane by lane against
+a scalar reference interpreter (`tests/scalar_machine.py`).
 
 Cost model: ALU/MOV/LI/NOP take 1 cycle, LD/ST take 2, the unconditional
 branch takes 3, a conditional branch takes 1 plus a 2-cycle overhead when
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -317,21 +321,34 @@ _ROLES = {
 }
 
 
+class _Block(NamedTuple):
+    words: list[tuple]  # the words that run, B and NOP left out
+    cycles: int  # the latencies of the words that run
+    edges: list[tuple[int, int]]  # (successor, extra cycles on that edge)
+
+
 @dataclass
 class _Decoded:
-    """A program renamed to compact state rows, and the lane buffers that
-    every `run_batch` call on it reuses.
+    """A program decoded once: its control flow, renamed to compact state
+    rows, and the lane buffers that every `run_batch` call on it reuses.
 
-    `code` holds, per block, the instructions as (opcode, latency, a, b,
-    c, ALU ufunc, register site, bus site) with register and slot
-    operands replaced by their rows; `input_regs` the input registers that
-    have a row (their rows come first, in the same order); `nrows` the
-    number of rows.  The buffers grow to the largest lane count seen and
-    hold nothing from one call to the next, but two calls on one program
-    must not run at the same time.
+    `blocks` holds a `_Block` per block.  Its words are the ones that run,
+    up to the first BEQ, BNE or RET, as (opcode, a, b, c, ALU ufunc,
+    register site, bus site) with register and slot operands replaced by
+    their rows.  Its cycles are their latencies, B and NOP included.  Its
+    edges go to the target of a BEQ or BNE, with the profile's taken-branch
+    overhead, and to the next block; to the target of the last B; or
+    nowhere after a RET; otherwise to the next block.  A successor past the
+    last block stands for falling off the program's end.  `run_batch` runs
+    these blocks and `verify` proves its constant-resource and taint
+    results on them.  `input_regs` lists the input registers that have a
+    row (their rows come first, in the same order); `nrows` the number of
+    rows.  The buffers grow to the largest lane count seen and hold nothing
+    from one call to the next, but two calls on one program must not run
+    at the same time.
     """
 
-    code: list[list[tuple]]
+    blocks: list[_Block]
     input_regs: list[int]
     nrows: int
     lanes: int = 0
@@ -349,12 +366,20 @@ class _Decoded:
 _JUMPS = (Opcode.B, Opcode.BEQ, Opcode.BNE)
 
 
-def check_program(program: MachineProgram) -> dict[str, set[int]]:
-    """The registers ("r"), memory slots ("s") and other operands ("-")
-    that the words of `program` name.  A register or slot operand outside
-    the profile, or a branch to a block that is not a later block of the
-    program, is a MachineError, whether or not the word would run:
-    `run_batch` runs no such program, and so every run ends."""
+@functools.lru_cache(maxsize=1)
+def _decode(encoded: bytes) -> _Decoded:
+    """Decode an encoded program, once per program: the one place that
+    states MiniRISC control flow.
+
+    Only the registers some word names get a row, in index order, then
+    the memory slots some LD/ST names, then the bus as the last row; a
+    location no word names is never read or written.  A register or slot
+    operand outside the profile, or a branch to a block that is not a
+    later block, is a MachineError, whether or not the word would run, so
+    every run ends.  The result is kept for the next call with the same
+    program.
+    """
+    program = MachineProgram.from_bytes(encoded)
     profile = PROFILES[program.profile_name]
     named: dict[str, set[int]] = {"r": set(), "s": set(), "-": set()}
     backward = None  # the first branch that does not go to a later block
@@ -382,42 +407,41 @@ def check_program(program: MachineProgram) -> dict[str, set[int]]:
         raise MachineError(
             "block {} branches to block {}, not to a later block".format(*backward)
         )
-    return named
-
-
-@functools.lru_cache(maxsize=1)
-def _decode(encoded: bytes) -> _Decoded:
-    """Decode an encoded program for `run_batch`, once per program, after
-    `check_program`.
-
-    Only the registers some instruction names get a row, in index order,
-    then the memory slots some LD/ST names, then the bus as the last row;
-    a location no instruction names is never read or written.  The result
-    is kept for the next call with the same program.
-    """
-    program = MachineProgram.from_bytes(encoded)
-    profile = PROFILES[program.profile_name]
-    named = check_program(program)
     registers = sorted(named["r"])
     row = {("r", r): i for i, r in enumerate(registers)}
     row.update({("s", s): len(row) + i for i, s in enumerate(sorted(named["s"]))})
     nrows = len(row) + 1
     row.update({("-", v): v for v in named["-"]})  # immediates and blocks stay
 
-    code, pos = [], 0
-    for block in program.blocks:
-        decoded = []
-        for ins in block:
-            ra, rb, rc = _ROLES.get(ins.opcode, "---")
-            decoded.append((
-                ins.opcode, profile.latency[ins.opcode],
-                row[ra, ins.a], row[rb, ins.b], row[rc, ins.c], _ALU.get(ins.opcode),
-                (4 * pos, "reg", ins.a), (4 * pos, "bus", 0),
-            ))
-            pos += 1
-        code.append(decoded)
+    blocks, start = [], 0
+    for index, block in enumerate(program.blocks):
+        words, cycles, edges = [], 0, [(index + 1, 0)]
+        for address, ins in enumerate(block, start):
+            op = ins.opcode
+            cycles += profile.latency[op]
+            if op is Opcode.B:
+                edges = [(ins.a, 0)]
+            elif op is not Opcode.NOP:
+                ra, rb, rc = _ROLES.get(op, "---")
+                words.append((
+                    op, row[ra, ins.a], row[rb, ins.b], row[rc, ins.c], _ALU.get(op),
+                    (4 * address, "reg", ins.a), (4 * address, "bus", 0),
+                ))
+                if op is Opcode.RET:
+                    edges = []
+                    break
+                if op in (Opcode.BEQ, Opcode.BNE):
+                    edges = [(ins.c, profile.taken_branch_overhead), (index + 1, 0)]
+                    break
+        blocks.append(_Block(words, cycles, edges))
+        start += len(block)
     input_regs = [r for r in registers if r < program.num_inputs]
-    return _Decoded(code, input_regs, nrows)
+    return _Decoded(blocks, input_regs, nrows)
+
+
+def decode(program: MachineProgram) -> _Decoded:
+    """`program` as `run_batch` runs it (`_decode`)."""
+    return _decode(program.to_bytes())
 
 
 def run_batch(
@@ -434,14 +458,17 @@ def run_batch(
     transition value of each lane there, -1 for the lanes that did not
     run it; grouping the lanes is the caller's business.
 
-    The program is decoded once per program, not per call (`_decode`,
-    kept for the next call on the same program): the state holds a row
-    only for each register and memory slot that an instruction names,
-    plus the bus, so a branch split copies no more rows than the program
-    uses; transition sites keep the architectural register index.  A
-    register operand outside the profile's registers, a slot operand
-    outside its memory slots, or a branch that does not go to a later
-    block raises MachineError before anything runs, so every run ends.
+    The program is decoded once per program, not per call (`decode`,
+    kept for the next call on the same program), and the decoded blocks
+    are the whole of its control flow: a work item adds its block's
+    cycles, runs the block's words and follows its edges.  The state
+    holds a row only for each register and memory slot that a word
+    names, plus the bus, so a branch split copies no more rows than the
+    program uses; transition sites keep the architectural register
+    index.  A register operand outside the profile's registers, a slot
+    operand outside its memory slots, or a branch that does not go to a
+    later block raises MachineError before anything runs, so every run
+    ends.
 
     The root state, ALU results, transition values and branch conditions
     live in lane buffers that the decoded program keeps across calls,
@@ -452,10 +479,9 @@ def run_batch(
     if inputs.shape[0] != program.num_inputs:
         raise MachineError(f"expected {program.num_inputs} input rows")
     n = inputs.shape[1]
-    decoded = _decode(program.to_bytes())
+    decoded = decode(program)
     decoded.reserve(n)
-    code, nrows = decoded.code, decoded.nrows
-    overhead = PROFILES[program.profile_name].taken_branch_overhead
+    blocks, nrows = decoded.blocks, decoded.nrows
 
     # machine state, one column per lane: the rows of _decode
     state0 = decoded.state[: nrows * n].reshape(nrows, n)
@@ -482,15 +508,15 @@ def run_batch(
     work = [(0, None, state0, 0)] if n else []
     while work:
         block, lanes, state, spent = work.pop()
-        rows = list(state)
-        if block >= len(code):
+        if block >= len(blocks):
             raise MachineError("fell off program end")
+        words, block_cycles, edges = blocks[block]
+        spent += block_cycles
+        rows = list(state)
         # this item's slices of the lane buffers
         m = state.shape[1]
         value, delta, mask = decoded.value[:m], decoded.delta[:m], decoded.mask[:m]
-        next_block = block + 1
-        for op, lat, a, b, c, fn, reg_site, bus_site in code[block]:
-            spent += lat
+        for op, a, b, c, fn, reg_site, bus_site in words:
             if fn is not None:
                 if collect_transitions:
                     fn(rows[b], rows[c], out=value)
@@ -517,26 +543,23 @@ def run_batch(
                     record(bus_site, np.bitwise_xor(rows[bus], rows[b], out=delta))
                 rows[bus][:] = rows[b]
                 rows[a][:] = rows[b]
-            elif op is Opcode.NOP:
-                pass
-            elif op is Opcode.B:
-                next_block = a
             elif op in (Opcode.BEQ, Opcode.BNE):
+                (target, extra), (fall, _) = edges
                 taken_mask = (np.equal if op is Opcode.BEQ else np.not_equal)(
                     rows[a], rows[b], out=mask
                 )
-                taken = spent + overhead
+                taken = spent + extra
                 if taken_mask.all():
-                    work.append((c, lanes, state, taken))
+                    work.append((target, lanes, state, taken))
                 elif not taken_mask.any():
-                    work.append((block + 1, lanes, state, spent))
+                    work.append((fall, lanes, state, spent))
                 else:
-                    for idx, target, cost in (
-                        (np.nonzero(taken_mask)[0], c, taken),
-                        (np.nonzero(~taken_mask)[0], block + 1, spent),
+                    for idx, succ, cost in (
+                        (np.nonzero(taken_mask)[0], target, taken),
+                        (np.nonzero(~taken_mask)[0], fall, spent),
                     ):
                         sub = idx if lanes is None else lanes[idx]
-                        work.append((target, sub, np.take(state, idx, axis=1), cost))
+                        work.append((succ, sub, np.take(state, idx, axis=1), cost))
                 break
             elif op is Opcode.RET:
                 if lanes is None:
@@ -549,6 +572,7 @@ def run_batch(
             else:
                 raise MachineError(f"invalid opcode {op}")
         else:
-            work.append((next_block, lanes, state, spent))
+            (succ, _), = edges
+            work.append((succ, lanes, state, spent))
 
     return BatchResult(returns=returns, cycles=cycles, transitions=transitions)

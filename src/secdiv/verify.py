@@ -17,36 +17,42 @@ no tolerances to tune.  The byte-wise power-leak check enumerates at most
 `_HIDDEN_LIMIT` secret and random inputs and reports more as incomplete;
 the bit-sliced one takes up to `_SLICED_LIMIT`.
 
-Taint.  One forward pass over the blocks (`_taint`) tracks which
-registers and memory slots may hold a value derived from a secret or
-random input (hidden for short).  Branches only go forward, so one pass
-in block order sees every predecessor of a block first; a block starts
-from the union of what its predecessors leave tainted.  XOR or SUB of a
-register with itself gives 0 and clears the taint.  A BEQ or BNE that
-tests a tainted value is a hidden branch.  Its region is the set of
-blocks it reaches before its immediate post-dominator, and every register
-or slot that a block of the region writes is tainted whatever the value
-written: which arm wrote it depends on a hidden value (an implicit flow,
-as in Denning and Denning, "Certification of programs for secure
-information flow", CACM 1977).
+Control flow is not decoded here: the taint pass and the
+constant-resource proof read the blocks that `machine.decode` gives and
+`run_batch` runs, so the words, cycles and edges they reason about are
+the ones that run.
+
+Taint.  One forward pass over the decoded blocks (`_taint`) tracks which
+state rows, registers and memory slots, may hold a value derived from a
+secret or random input (hidden for short).  Branches only go forward, so
+one pass in block order sees every predecessor of a block first; a block
+starts from the union of what its predecessors leave tainted.  XOR or
+SUB of a register with itself gives 0 and clears the taint.  A BEQ or
+BNE that tests a tainted value is a hidden branch.  Its region is the
+set of blocks it reaches before its immediate post-dominator, and every
+register or slot that a block of the region writes is tainted whatever
+the value written: which arm wrote it depends on a hidden value (an
+implicit flow, as in Denning and Denning, "Certification of programs for
+secure information flow", CACM 1977).
 
 Constant resource, a static proof.  MiniRISC cycles depend on the path
-alone.  For each hidden branch, a min/max DP over the region adds up
-`static_path_cost` terms (block latencies, and the taken-branch overhead
-on every taken edge) from the branch block to its post-dominator, or to
-every RET when the arms never rejoin; it is O(edges) a branch, with no
-path enumeration.  The program is constant-resource when every region
-costs the same on every path (branch balancing, as in Agat, "Transforming
-out timing leaks", POPL 2000).  Soundness sketch: an untainted value is
-the same for every hidden input under one public assignment, implicit
-flows included, so two runs with equal publics take the same branches
-until a hidden one; both then leave its region at the post-dominator, or
-end inside it, after the region's one cost, and agree again on every
-untainted value there.  So the path outside hidden regions follows the
-publics, each region adds a fixed count, and BCET = WCET holds for every
-public value, not only for probes.  The check is conservative: a region
-whose paths differ in cost is insecure even when a hidden value can only
-take some of them.
+of edges alone.  For each hidden branch, a min/max DP over the region's
+edges adds up the terms of `static_path_cost` (block cycles, and the
+extra cycles of each edge: the taken-branch overhead on a taken branch,
+also one to the next block) from the branch block to its post-dominator,
+or to every RET when the arms never rejoin; it is O(edges) a branch,
+with no path enumeration.  The program is constant-resource when every
+region costs the same on every path (branch balancing, as in Agat,
+"Transforming out timing leaks", POPL 2000).  Soundness sketch: an
+untainted value is the same for every hidden input under one public
+assignment, implicit flows included, so two runs with equal publics take
+the same branches until a hidden one; both then leave its region at the
+post-dominator, or end inside it, after the region's one cost, and agree
+again on every untainted value there.  So the path outside hidden
+regions follows the publics, each region adds a fixed count, and BCET =
+WCET holds for every public value, not only for probes.  The check is
+conservative: a region whose paths differ in cost is insecure even when
+a hidden value can only take some of them.
 
 Bit-sliced power-leak check.  A program is bit-local when no tainted
 value reaches an ADD, a SUB or a branch condition.  In a bit-local
@@ -91,19 +97,11 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .machine import (
-    PROFILES,
-    Instr,
-    MachineError,
-    MachineProgram,
-    Opcode,
-    check_program,
-    run_batch,
-)
+from .machine import MachineError, MachineProgram, Opcode, decode, run_batch
 from .mir import SecurityLabel
 
 # Fixed public probe values at which check_psc enumerates; callers may extend.
@@ -205,14 +203,15 @@ class CrReport:
 
 
 def static_path_cost(program: MachineProgram, path: Sequence[int]) -> int:
-    """Cycle cost of a block path read off the encoded words: each
-    block's latencies, plus the taken-branch overhead on every edge that
-    leaves a block through its branch (a branch to the next block also
-    falls through to it, at no overhead)."""
-    flow = _flow(program)
-    total = sum(flow[b].cycles for b in path)
+    """Cycle cost of a block path in the decoded program (`decode`): each
+    block's cycles, plus the extra cycles of the edge taken out of it, the
+    taken-branch overhead on a branch's taken edge.  A step from a branch
+    block to the next block counts as the fall-through, at no overhead,
+    also where the branch targets that block."""
+    blocks = decode(program).blocks
+    total = sum(blocks[b].cycles for b in path)
     for b, succ in zip(path, path[1:]):
-        total += min(extra for target, extra in flow[b].edges if target == succ)
+        total += min(extra for target, extra in blocks[b].edges if target == succ)
     return total
 
 
@@ -229,63 +228,19 @@ def check_cr(program: MachineProgram, policy: Policy) -> CrReport:
 
 
 # ----------------------------------------------------------------------
-# control flow and taint
+# taint
 # ----------------------------------------------------------------------
 
 
-class _Block(NamedTuple):
-    words: list[Instr]  # the words that run
-    cycles: int  # their latencies
-    edges: list[tuple[int, int]]  # (successor, extra cycles on that edge)
-
-
-Flow = list[_Block]
-
-_ALU_OPS = (Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR)
-_SLOT = 256  # taint key of memory slot s: _SLOT + s; of register r: r
-
-
-def _flow(program: MachineProgram) -> Flow:
-    """The control flow `run_batch` follows: a block runs its words up to
-    the first BEQ, BNE or RET; a B sets the successor and the words after
-    it still run; a BEQ or BNE goes to its target, taking the profile's
-    overhead, or falls through; RET ends the run.  A successor past the
-    last block stands for falling off the program's end.  A program that
-    `run_batch` would reject (`check_program`) is a MachineError here too,
-    so every edge goes to a later block."""
-    check_program(program)
-    profile = PROFILES[program.profile_name]
-    latency, overhead = profile.latency, profile.taken_branch_overhead
-    flow: Flow = []
-    for index, block in enumerate(program.blocks):
-        edges = [(index + 1, 0)]
-        cycles = 0
-        for end, ins in enumerate(block, 1):
-            op = ins.opcode
-            cycles += latency[op]
-            if op is Opcode.B:
-                edges = [(ins.a, 0)]
-            elif op in (Opcode.BEQ, Opcode.BNE):
-                edges = [(ins.c, overhead), (index + 1, 0)]
-                break
-            elif op is Opcode.RET:
-                edges = []
-                break
-        else:
-            end = len(block)
-        flow.append(_Block(block[:end], cycles, edges))
-    return flow
-
-
-def _post_dominators(flow: Flow) -> list[int]:
-    """Each block's immediate post-dominator, len(flow) standing for the
-    exit.  Every edge goes to a later block, so one backward pass in block
-    order settles a block from its successors: its post-dominator is where
-    their post-dominator chains meet."""
-    exit_ = len(flow)
+def _post_dominators(blocks: list) -> list[int]:
+    """Each decoded block's immediate post-dominator, len(blocks) standing
+    for the exit.  Every edge goes to a later block, so one backward pass
+    in block order settles a block from its successors: its post-dominator
+    is where their post-dominator chains meet."""
+    exit_ = len(blocks)
     ipdom = [exit_] * (exit_ + 1)
     for v in range(exit_ - 1, -1, -1):
-        succs = sorted({min(s, exit_) for s, _ in flow[v].edges})
+        succs = sorted({min(s, exit_) for s, _ in blocks[v].edges})
         if not succs:
             continue  # RET: the exit
         meet = succs[0]
@@ -299,7 +254,7 @@ def _post_dominators(flow: Flow) -> list[int]:
     return ipdom
 
 
-def _region(flow: Flow, branch: int, join: int) -> tuple[list[int], int, int]:
+def _region(blocks: list, branch: int, join: int) -> tuple[list[int], int, int]:
     """The blocks that `branch` reaches before `join`, and the fewest and
     most cycles from entering `branch` to entering `join`, or to the end
     of a run that leaves the region through a RET or the program's end.
@@ -312,7 +267,7 @@ def _region(flow: Flow, branch: int, join: int) -> tuple[list[int], int, int]:
             continue
         if v != branch:
             region.append(v)
-        _, cycles, edges = flow[v]
+        _, cycles, edges = blocks[v]
         lo, hi = fewest[v] + cycles, most[v] + cycles
         if not edges:
             ends.append((lo, hi))
@@ -326,62 +281,59 @@ def _region(flow: Flow, branch: int, join: int) -> tuple[list[int], int, int]:
 
 
 def _taint(program: MachineProgram, hidden: Sequence[int]) -> tuple[bool, list[tuple[int, int, int]]]:
-    """The forward taint pass of the module docstring, from the `hidden`
-    input registers: whether a tainted value reaches an ADD or a SUB, and
-    per hidden branch in block order (branch block, fewest cycles, most
-    cycles) of its region.
+    """The forward taint pass of the module docstring over the decoded
+    blocks (`decode`), from the `hidden` input registers: whether a
+    tainted value reaches an ADD or a SUB, and per hidden branch in block
+    order (branch block, fewest cycles, most cycles) of its region.
+    Taint is a set of state rows; registers and memory slots have rows of
+    their own, and a hidden input that no word names has none.
 
     A block that no block reaches never runs and is skipped.  A word that
     `run_batch` does not run, in a block the pass reaches, is a
     MachineError, as it is when a lane runs it.
     """
-    flow = _flow(program)
-    n = len(flow)
+    decoded = decode(program)
+    blocks = decoded.blocks
+    n = len(blocks)
     entry: list[Optional[set[int]]] = [None] * n
     if n:
-        entry[0] = set(hidden)
+        entry[0] = {row for row, r in enumerate(decoded.input_regs) if r in hidden}
     implicit = [False] * n  # in the region of a hidden branch
     ipdom: Optional[list[int]] = None
     arithmetic = False
     regions = []
-    for index, (words, _, edges) in enumerate(flow):
+    for index, (words, _, edges) in enumerate(blocks):
         taint = entry[index]
         if taint is None:
             continue
-        for ins in words:
-            op = ins.opcode
-            if op in _ALU_OPS:
-                dst = ins.a
-                hot = ins.b in taint or ins.c in taint
-                if hot and ins.b == ins.c and op in (Opcode.XOR, Opcode.SUB):
+        for op, a, b, c, fn, _, _ in words:
+            if fn is not None:
+                hot = b in taint or c in taint
+                if hot and b == c and op in (Opcode.XOR, Opcode.SUB):
                     hot = False  # x ^ x and x - x are 0
                 elif hot and op in (Opcode.ADD, Opcode.SUB):
                     arithmetic = True
-            elif op is Opcode.MOV:
-                dst, hot = ins.a, ins.b in taint
+            elif op in (Opcode.MOV, Opcode.LD, Opcode.ST):
+                hot = b in taint  # row b is copied to row a
             elif op is Opcode.LI:
-                dst, hot = ins.a, False
-            elif op is Opcode.LD:
-                dst, hot = ins.a, _SLOT + ins.b in taint
-            elif op is Opcode.ST:
-                dst, hot = _SLOT + ins.a, ins.b in taint
+                hot = False
             elif op in (Opcode.BEQ, Opcode.BNE):
-                if ins.a in taint or ins.b in taint:
+                if a in taint or b in taint:
                     if ipdom is None:
-                        ipdom = _post_dominators(flow)
-                    region, fewest, most = _region(flow, index, ipdom[index])
+                        ipdom = _post_dominators(blocks)
+                    region, fewest, most = _region(blocks, index, ipdom[index])
                     for v in region:
                         implicit[v] = True
                     regions.append((index, fewest, most))
                 continue
-            elif op in (Opcode.B, Opcode.RET, Opcode.NOP):
+            elif op is Opcode.RET:
                 continue
             else:
                 raise MachineError(f"invalid opcode {op} in block {index}")
             if hot or implicit[index]:
-                taint.add(dst)
+                taint.add(a)
             else:
-                taint.discard(dst)
+                taint.discard(a)
         for succ, _ in edges:
             if succ < n:
                 entry[succ] = taint | (entry[succ] or set())

@@ -496,6 +496,38 @@ def test_report_rejects_a_manifest_that_is_not_json(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("manifest.json", "[]", "is not a JSON object"),
+        ("manifest.json", '{"function": "f"}',
+         "lacks mode, gap_percent, requested, produced, reason"),
+        ("compile.json", '"text"', "is not a JSON object"),
+        ("compile.json", '{"function": "f", "mode": "none"}', "lacks profile, objective"),
+        ("gadgets.json", "[1, 2]", "is not a JSON object"),
+        ("gadgets.json", '{"pairs": 1}', "lacks zero, low, high"),
+        ("verify.json", "null", "is not a JSON object"),
+        ("verify.json", '{"variants": 2}', "lacks function"),
+    ],
+)
+def test_report_rejects_a_run_file_without_the_fields_it_reads(
+    tmp_path, capsys, name, text, message
+):
+    out = tmp_path / "out"
+    minimal = corpus_path("minimal")
+    assert run_cli("diversify", minimal, "--mode", "naive", "--out", out, "--variants", "2") == 0
+    pool = out / "minimal-naive-g0"
+    assert run_cli("verify", minimal, "--pool", pool) == 0
+    assert run_cli("gadgets", "--pool", pool) == 0
+    path = pool / name
+    path.write_text(text)
+    capsys.readouterr()
+    assert run_cli("report", "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path} {message}\n"
+    assert captured.out == ""
+
+
 def test_report_deterministic(tmp_path, capsys):
     out = tmp_path / "out"
     run_cli("compile", corpus_path("straightline"), "--out", out, "--budget-secs", "30")

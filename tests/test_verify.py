@@ -191,6 +191,49 @@ def test_static_path_cost_matches_simulator():
         assert static_path_cost(program, path) == trace.total_cycles
 
 
+@st.composite
+def _flow_programs(draw) -> MachineProgram:
+    """Programs on two inputs of 1-5 blocks.  A block has some
+    `_instructions` and ends in one of: a B to a later block with words
+    after it, which still run; a BEQ or BNE on r0 and r1 to a later block,
+    often the next one; a RET with dead words after it; or nothing, so it
+    falls through.  The last block ends in a RET."""
+    n = draw(st.integers(1, 5))
+    blocks = []
+    for index in range(n):
+        words = draw(_instructions(3))
+        end = draw(st.sampled_from(["b", "branch", "ret", "fall"] if index < n - 1 else ["ret"]))
+        if end in ("b", "branch"):
+            target = draw(st.one_of(st.just(index + 1), st.integers(index + 1, n - 1)))
+        if end == "b":
+            words += [Instr(Opcode.B, target)] + draw(_instructions(2))
+        elif end == "branch":
+            words.append(Instr(draw(st.sampled_from([Opcode.BEQ, Opcode.BNE])), 0, 1, target))
+        elif end == "ret":
+            words += [Instr(Opcode.RET, draw(st.integers(0, 7)))] + draw(_instructions(2))
+        blocks.append(words)
+    return MachineProgram("tight8", 2, blocks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_flow_programs(), st.integers(0, 2), st.integers(0, 2))
+def test_static_path_cost_matches_simulator_on_generated_programs(program, x, y):
+    trace = run(program, [x, y])
+    flat = program.flat()
+    block_of = [index for index, block in enumerate(program.blocks) for _ in block]
+    # a taken branch to the next block leaves by the same block path as its
+    # fall-through, which static_path_cost counts: without the overhead
+    to_next = sum(
+        step.cycles - TIGHT8.lat(step.opcode)
+        for step in trace.steps
+        if step.opcode in (Opcode.BEQ, Opcode.BNE)
+        and flat[step.address // 4].c == block_of[step.address // 4] + 1
+    )
+    assert static_path_cost(program, trace.path) + to_next == trace.total_cycles
+    batch = run_batch(program, np.array([[x], [y]], dtype=np.uint8), collect_transitions=False)
+    assert int(batch.cycles[0]) == trace.total_cycles
+
+
 # ----------------------------------------------------------------------
 # first-order power-leak checking
 # ----------------------------------------------------------------------
@@ -697,6 +740,10 @@ def test_taint_follows_memory_overwrites_and_joins():
     # a branch on public values alone is bit-local, one on the secret not
     assert _taint_case([Instr(LI, 7, 0), Instr(Opcode.BEQ, 0, 7, 1)], [Instr(RET, 1)])
     assert not _taint_case([Instr(LI, 7, 0), Instr(Opcode.BEQ, 1, 7, 1)], [Instr(RET, 1)])
+    # slot 0 and register 0 are different locations
+    assert _taint_case([Instr(Opcode.ST, 0, 1), Instr(ADD, 6, 0, 0), Instr(RET, 6)])
+    # a secret input that no word names taints nothing, here not r6
+    assert _taint_case([Instr(ADD, 0, 6, 6), Instr(RET, 0)])
 
 
 # ----------------------------------------------------------------------
