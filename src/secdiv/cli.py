@@ -7,10 +7,12 @@ transformed IR (``transformed.mir``), the analysis dump, a deterministic
 and reports are byte-identical across reruns with the same seed.
 
 Exit codes: 0 success, 2 usage error (an out-of-range option too) or
-parse error (of the IR, of an encoded variant, of a pool's
-``manifest.json``, or of a JSON file that ``report`` reads), 3 unsatisfiable
-model, or one infeasible by construction (too many inputs, slots or
-live values), 4 solver timeout with an incumbent, 5 oracle failure.
+parse error (of the IR; of an encoded variant, also one out of the block
+shape that ``machine.decode`` states; of a pool's ``manifest.json``; or
+of a JSON file that ``report`` reads, also a field of the wrong type), 3
+unsatisfiable model, or one infeasible by construction (too many inputs,
+slots or live values), 4 solver timeout with an incumbent, 5 oracle
+failure.
 tsc balancing always succeeds: it pads every secret path that costs
 less than its siblings.
 """
@@ -26,7 +28,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import copmodel, gadgets, solver, verify
 from .copmodel import build_problem, to_schedule
@@ -200,11 +202,23 @@ def cmd_diversify(args) -> int:
 
 class PoolError(Exception):
     """A pool directory whose manifest cannot be read, or a run directory
-    file that is not a JSON object with the fields that are read."""
+    file that is not a JSON object with the fields that are read, each of
+    the kind read."""
 
 
-def _read_object(path: Path, fields: tuple[str, ...], pool: Optional[Path] = None) -> dict:
-    """The JSON object in `path`, which must have every one of `fields`.
+class _Kind(NamedTuple):
+    what: str
+    holds: Callable[[object], bool]
+
+
+_COUNT = _Kind("a non-negative integer", lambda v: type(v) is int and v >= 0)
+# a rate may be absent, which reads as null
+_RATE = _Kind("a number or null", lambda v: v is None or type(v) in (int, float))
+
+
+def _read_object(path: Path, fields: dict, pool: Optional[Path] = None) -> dict:
+    """The JSON object in `path`, which must have every one of `fields`
+    that is not a rate, each of the kind that `fields` gives it.
     Anything else is a PoolError naming the file by its path, or, for the
     manifest of a `pool`, by the pool, with the decoder's reason."""
     where = f"pool {pool}: {path.name}" if pool else str(path)
@@ -214,33 +228,41 @@ def _read_object(path: Path, fields: tuple[str, ...], pool: Optional[Path] = Non
         raise PoolError(f"{where} is not JSON" + (f": {exc}" if pool else "")) from None
     if not isinstance(payload, dict):
         raise PoolError(f"{where} is not a JSON object")
-    missing = [f for f in fields if f not in payload]
+    missing = [f for f, kind in fields.items() if f not in payload and kind is not _RATE]
     if missing:
         raise PoolError(f"{where} lacks {', '.join(missing)}")
+    for name, kind in fields.items():
+        value = payload.get(name)
+        if kind is not None and not kind.holds(value):
+            raise PoolError(f"{where} has {name} {value!r}, not {kind.what}")
     return payload
 
 
-# every field that verify or gadgets reads from a manifest
-_MANIFEST_FIELDS = ("function", "mode", "profile", "seed", "gap_percent", "produced")
-# every field that report reads, per run directory file
-_REPORT_FIELDS = {
-    "compile.json": ("function", "profile", "mode", "objective"),
-    "manifest.json": ("function", "mode", "gap_percent", "requested", "produced", "reason"),
-    "gadgets.json": ("pairs", "zero", "low", "high"),
-    "verify.json": ("function", "variants"),
+# every field that a command reads, per file, and the kind of value it
+# must hold (None: any value): the manifest of a pool that verify or
+# gadgets reads, and each run directory file that report reads
+_FIELDS = {
+    "pool": {
+        "function": None, "mode": None, "profile": None, "seed": _COUNT,
+        "gap_percent": None, "produced": _COUNT,
+    },
+    "compile.json": {"function": None, "profile": None, "mode": None, "objective": None},
+    "manifest.json": {
+        "function": None, "mode": None, "gap_percent": None, "requested": _COUNT,
+        "produced": _COUNT, "reason": None,
+    },
+    "gadgets.json": {"pairs": _COUNT, "zero": _COUNT, "low": _COUNT, "high": _COUNT},
+    "verify.json": {
+        "function": None, "variants": _COUNT, "cr_violation_rate": _RATE,
+        "psc_violation_rate": _RATE,
+    },
 }
 
 
 def _load_pool(pool_dir: Path) -> tuple[dict, list[MachineProgram]]:
-    manifest = _read_object(pool_dir / "manifest.json", _MANIFEST_FIELDS, pool=pool_dir)
+    manifest = _read_object(pool_dir / "manifest.json", _FIELDS["pool"], pool=pool_dir)
     if manifest["profile"] not in PROFILES:
         raise PoolError(f"pool {pool_dir}: unknown profile {manifest['profile']!r}")
-    for name in ("produced", "seed"):
-        value = manifest[name]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise PoolError(
-                f"pool {pool_dir}: manifest.json has {name} {value!r}, not a non-negative integer"
-            )
     programs = []
     for i in range(manifest["produced"]):
         data = (pool_dir / f"variant_{i:03d}.bin").read_bytes()
@@ -461,7 +483,7 @@ def cmd_report(args) -> int:
 
 
 def _read_report_file(path: Path) -> dict:
-    return _read_object(path, _REPORT_FIELDS[path.name])
+    return _read_object(path, _FIELDS[path.name])
 
 
 def _pct(rate) -> str:

@@ -9,18 +9,19 @@ transitions that the Hamming-distance leakage model observes, lane by
 lane: branches only go forward, so a lane runs each site at most once.
 
 Control flow is decoded in one place, `_decode` (reached through
-`decode`), once per program: per block, the words that run, renamed to
-compact state rows (one per register and memory slot the program names,
-then the bus, so an unnamed location costs nothing), their cycles, and
-the edges to the successors with the cycles each adds.  `run_batch` runs
-these blocks, and `verify` reads the same ones for its taint pass and its
-static constant-resource proof.  A register or slot operand beyond the
-profile, or a branch to a block that is not a later one, is a
-MachineError at decode time, whether or not the instruction runs.  The
-decoded program keeps its lane buffers (state and temporaries) across
-calls, so repeated calls on one program allocate no large array besides
-the ones they return.  The tests check `run_batch` lane by lane against
-a scalar reference interpreter (`tests/scalar_machine.py`).
+`decode`), once per program: per block, its words renamed to compact
+state rows (one per register and memory slot the program names, then the
+bus, so an unnamed location costs nothing), their cycles, and the edges
+to the successors with the cycles each adds.  `run_batch` runs these
+blocks, and `verify` reads the same ones for its taint pass and its
+static constant-resource proof.  `_decode` also states the one shape a
+program may have, the one the encoder emits (every word of a block runs,
+every run ends at a RET), and rejects any other with a MachineError.  The
+decoded program keeps its lane buffers across calls, so repeated calls on
+one program allocate no large array besides the ones they return.  The
+tests check `run_batch` lane by lane against a scalar reference
+interpreter (`tests/scalar_machine.py`), which checks the same shape on
+its own.
 
 Cost model: ALU/MOV/LI/NOP take 1 cycle, LD/ST take 2, the unconditional
 branch takes 3, a conditional branch takes 1 plus a 2-cycle overhead when
@@ -36,7 +37,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .mir import FunctionIR, Opcode
+from .mir import TERMINATORS, FunctionIR, Opcode
 
 MAGIC = b"MRSC"
 
@@ -322,8 +323,8 @@ _ROLES = {
 
 
 class _Block(NamedTuple):
-    words: list[tuple]  # the words that run, B and NOP left out
-    cycles: int  # the latencies of the words that run
+    words: list[tuple]  # every word but B and NOP
+    cycles: int  # the latencies of all its words
     edges: list[tuple[int, int]]  # (successor, extra cycles on that edge)
 
 
@@ -332,20 +333,19 @@ class _Decoded:
     """A program decoded once: its control flow, renamed to compact state
     rows, and the lane buffers that every `run_batch` call on it reuses.
 
-    `blocks` holds a `_Block` per block.  Its words are the ones that run,
-    up to the first BEQ, BNE or RET, as (opcode, a, b, c, ALU ufunc,
-    register site, bus site) with register and slot operands replaced by
-    their rows.  Its cycles are their latencies, B and NOP included.  Its
-    edges go to the target of a BEQ or BNE, with the profile's taken-branch
-    overhead, and to the next block; to the target of the last B; or
-    nowhere after a RET; otherwise to the next block.  A successor past the
-    last block stands for falling off the program's end.  `run_batch` runs
-    these blocks and `verify` proves its constant-resource and taint
-    results on them.  `input_regs` lists the input registers that have a
-    row (their rows come first, in the same order); `nrows` the number of
-    rows.  The buffers grow to the largest lane count seen and hold nothing
-    from one call to the next, but two calls on one program must not run
-    at the same time.
+    `blocks` holds a `_Block` per block, all of whose words run.  Its words
+    are all but B and NOP, as (opcode, a, b, c, ALU ufunc, register site,
+    bus site) with register and slot operands replaced by their rows.  Its
+    cycles are the latencies of all its words.  Its edges come from its
+    last word: to the target of a BEQ or BNE, with the profile's
+    taken-branch overhead, and to the next block; to the target of a B;
+    nowhere after a RET; otherwise to the next block.
+    `run_batch` runs these blocks and `verify` proves its constant-resource
+    and taint results on them.  `input_regs` lists the input registers that
+    have a row (their rows come first, in the same order); `nrows` the
+    number of rows.  The buffers grow to the largest lane count seen and
+    hold nothing from one call to the next, but two calls on one program
+    must not run at the same time.
     """
 
     blocks: list[_Block]
@@ -369,31 +369,41 @@ _JUMPS = (Opcode.B, Opcode.BEQ, Opcode.BNE)
 @functools.lru_cache(maxsize=1)
 def _decode(encoded: bytes) -> _Decoded:
     """Decode an encoded program, once per program: the one place that
-    states MiniRISC control flow.
+    states MiniRISC control flow and the shape a program may have.
 
     Only the registers some word names get a row, in index order, then
     the memory slots some LD/ST names, then the bus as the last row; a
-    location no word names is never read or written.  A register or slot
-    operand outside the profile, or a branch to a block that is not a
-    later block, is a MachineError, whether or not the word would run, so
-    every run ends.  The result is kept for the next call with the same
-    program.
+    location no word names is never read or written.  A MachineError,
+    whether or not the word would run, is first a register or slot
+    operand outside the profile, then a branch to a block that is not a
+    later block, then the first B, BEQ, BNE or RET before the last word
+    of its block, COPY (no machine opcode) or last block not ending in
+    RET.  So every word runs, and every run ends at a RET.  The result is
+    kept for the next call with the same program.
     """
     program = MachineProgram.from_bytes(encoded)
     profile = PROFILES[program.profile_name]
     named: dict[str, set[int]] = {"r": set(), "s": set(), "-": set()}
     backward = None  # the first branch that does not go to a later block
+    malformed = None  # the first word out of the block shape
     for index, block in enumerate(program.blocks):
-        for ins in block:
+        for pos, ins in enumerate(block, 1):
             op = ins.opcode
-            ra, rb, rc = _ROLES.get(op, "---")
+            if op not in _ROLES:
+                malformed = malformed or f"block {index} holds {op.value}, not a machine opcode"
+                continue
+            ra, rb, rc = _ROLES[op]
             named[ra].add(ins.a)
             named[rb].add(ins.b)
             named[rc].add(ins.c)
+            if op in TERMINATORS and pos < len(block):
+                malformed = malformed or f"block {index} has words after its {op.value}"
             if op in _JUMPS and backward is None:
                 target = ins.a if op is Opcode.B else ins.c
                 if not index < target < len(program.blocks):
                     backward = (index, target)
+    if [block[-1].opcode for block in program.blocks[-1:] if block] != [Opcode.RET]:
+        malformed = malformed or "the last block does not end in ret"
     for role, what, limit in (
         ("r", "register", profile.num_registers),
         ("s", "memory slot", profile.mem_slots),
@@ -407,6 +417,8 @@ def _decode(encoded: bytes) -> _Decoded:
         raise MachineError(
             "block {} branches to block {}, not to a later block".format(*backward)
         )
+    if malformed is not None:
+        raise MachineError(malformed)
     registers = sorted(named["r"])
     row = {("r", r): i for i, r in enumerate(registers)}
     row.update({("s", s): len(row) + i for i, s in enumerate(sorted(named["s"]))})
@@ -422,17 +434,15 @@ def _decode(encoded: bytes) -> _Decoded:
             if op is Opcode.B:
                 edges = [(ins.a, 0)]
             elif op is not Opcode.NOP:
-                ra, rb, rc = _ROLES.get(op, "---")
+                ra, rb, rc = _ROLES[op]
                 words.append((
                     op, row[ra, ins.a], row[rb, ins.b], row[rc, ins.c], _ALU.get(op),
                     (4 * address, "reg", ins.a), (4 * address, "bus", 0),
                 ))
                 if op is Opcode.RET:
                     edges = []
-                    break
-                if op in (Opcode.BEQ, Opcode.BNE):
+                elif op in (Opcode.BEQ, Opcode.BNE):
                     edges = [(ins.c, profile.taken_branch_overhead), (index + 1, 0)]
-                    break
         blocks.append(_Block(words, cycles, edges))
         start += len(block)
     input_regs = [r for r in registers if r < program.num_inputs]
@@ -461,14 +471,12 @@ def run_batch(
     The program is decoded once per program, not per call (`decode`,
     kept for the next call on the same program), and the decoded blocks
     are the whole of its control flow: a work item adds its block's
-    cycles, runs the block's words and follows its edges.  The state
-    holds a row only for each register and memory slot that a word
+    cycles, runs all of the block's words and follows its edges.  The
+    state holds a row only for each register and memory slot that a word
     names, plus the bus, so a branch split copies no more rows than the
     program uses; transition sites keep the architectural register
-    index.  A register operand outside the profile's registers, a slot
-    operand outside its memory slots, or a branch that does not go to a
-    later block raises MachineError before anything runs, so every run
-    ends.
+    index.  A program that `_decode` rejects raises MachineError before
+    anything runs, so every run ends at a RET.
 
     The root state, ALU results, transition values and branch conditions
     live in lane buffers that the decoded program keeps across calls,
@@ -508,8 +516,6 @@ def run_batch(
     work = [(0, None, state0, 0)] if n else []
     while work:
         block, lanes, state, spent = work.pop()
-        if block >= len(blocks):
-            raise MachineError("fell off program end")
         words, block_cycles, edges = blocks[block]
         spent += block_cycles
         rows = list(state)
@@ -560,18 +566,13 @@ def run_batch(
                     ):
                         sub = idx if lanes is None else lanes[idx]
                         work.append((succ, sub, np.take(state, idx, axis=1), cost))
-                break
-            elif op is Opcode.RET:
-                if lanes is None:
-                    returns[:] = rows[a]
-                    cycles[:] = spent
-                else:
-                    returns[lanes] = rows[a]
-                    cycles[lanes] = spent
-                break
-            else:
-                raise MachineError(f"invalid opcode {op}")
-        else:
+            elif lanes is None:  # RET
+                returns[:] = rows[a]
+                cycles[:] = spent
+            else:  # RET
+                returns[lanes] = rows[a]
+                cycles[lanes] = spent
+        if len(edges) == 1:  # a B or a fall-through
             (succ, _), = edges
             work.append((succ, lanes, state, spent))
 

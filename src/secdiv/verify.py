@@ -19,8 +19,10 @@ the bit-sliced one takes up to `_SLICED_LIMIT`.
 
 Control flow is not decoded here: the taint pass and the
 constant-resource proof read the blocks that `machine.decode` gives and
-`run_batch` runs, so the words, cycles and edges they reason about are
-the ones that run.
+`run_batch` runs, and a program out of the shape `machine._decode` states
+is a MachineError in every check.  So the words, cycles and edges they
+reason about are the ones that run: every word of a block runs, every
+edge goes to a later block, and every run ends at a RET.
 
 Taint.  One forward pass over the decoded blocks (`_taint`) tracks which
 state rows, registers and memory slots, may hold a value derived from a
@@ -101,7 +103,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .machine import MachineError, MachineProgram, Opcode, decode, run_batch
+from .machine import MachineProgram, Opcode, decode, run_batch
 from .mir import SecurityLabel
 
 # Fixed public probe values at which check_psc enumerates; callers may extend.
@@ -234,13 +236,13 @@ def check_cr(program: MachineProgram, policy: Policy) -> CrReport:
 
 def _post_dominators(blocks: list) -> list[int]:
     """Each decoded block's immediate post-dominator, len(blocks) standing
-    for the exit.  Every edge goes to a later block, so one backward pass
-    in block order settles a block from its successors: its post-dominator
-    is where their post-dominator chains meet."""
+    for the exit after a RET.  Every edge goes to a later block, so one
+    backward pass in block order settles a block from its successors: its
+    post-dominator is where their post-dominator chains meet."""
     exit_ = len(blocks)
     ipdom = [exit_] * (exit_ + 1)
     for v in range(exit_ - 1, -1, -1):
-        succs = sorted({min(s, exit_) for s, _ in blocks[v].edges})
+        succs = sorted({s for s, _ in blocks[v].edges})
         if not succs:
             continue  # RET: the exit
         meet = succs[0]
@@ -257,8 +259,8 @@ def _post_dominators(blocks: list) -> list[int]:
 def _region(blocks: list, branch: int, join: int) -> tuple[list[int], int, int]:
     """The blocks that `branch` reaches before `join`, and the fewest and
     most cycles from entering `branch` to entering `join`, or to the end
-    of a run that leaves the region through a RET or the program's end.
-    A min/max DP in block order, which is topological."""
+    of a run that leaves the region through a RET.  A min/max DP in block
+    order, which is topological."""
     fewest, most = {branch: 0}, {branch: 0}
     ends: list[tuple[int, int]] = []
     region = []
@@ -288,16 +290,15 @@ def _taint(program: MachineProgram, hidden: Sequence[int]) -> tuple[bool, list[t
     Taint is a set of state rows; registers and memory slots have rows of
     their own, and a hidden input that no word names has none.
 
-    A block that no block reaches never runs and is skipped.  A word that
-    `run_batch` does not run, in a block the pass reaches, is a
-    MachineError, as it is when a lane runs it.
+    A block that no block reaches never runs and is skipped.  A program
+    that `decode` rejects is a MachineError, even where the word at fault
+    is in such a block.
     """
     decoded = decode(program)
     blocks = decoded.blocks
     n = len(blocks)
     entry: list[Optional[set[int]]] = [None] * n
-    if n:
-        entry[0] = {row for row, r in enumerate(decoded.input_regs) if r in hidden}
+    entry[0] = {row for row, r in enumerate(decoded.input_regs) if r in hidden}
     implicit = [False] * n  # in the region of a hidden branch
     ipdom: Optional[list[int]] = None
     arithmetic = False
@@ -317,8 +318,8 @@ def _taint(program: MachineProgram, hidden: Sequence[int]) -> tuple[bool, list[t
                 hot = b in taint  # row b is copied to row a
             elif op is Opcode.LI:
                 hot = False
-            elif op in (Opcode.BEQ, Opcode.BNE):
-                if a in taint or b in taint:
+            else:  # BEQ, BNE or RET, which write nothing
+                if op is not Opcode.RET and (a in taint or b in taint):
                     if ipdom is None:
                         ipdom = _post_dominators(blocks)
                     region, fewest, most = _region(blocks, index, ipdom[index])
@@ -326,17 +327,12 @@ def _taint(program: MachineProgram, hidden: Sequence[int]) -> tuple[bool, list[t
                         implicit[v] = True
                     regions.append((index, fewest, most))
                 continue
-            elif op is Opcode.RET:
-                continue
-            else:
-                raise MachineError(f"invalid opcode {op} in block {index}")
             if hot or implicit[index]:
                 taint.add(a)
             else:
                 taint.discard(a)
         for succ, _ in edges:
-            if succ < n:
-                entry[succ] = taint | (entry[succ] or set())
+            entry[succ] = taint | (entry[succ] or set())
     return arithmetic, regions
 
 

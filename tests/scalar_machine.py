@@ -3,7 +3,10 @@
 It runs one input vector at a time and records every step.  The tests
 use it as the reference for `secdiv.machine.run_batch`, lane by lane:
 return values, cycle counts, and the Hamming-distance transitions of
-every register write and memory-bus update.
+every register write and memory-bus update.  It rejects the block
+shapes that `run_batch` rejects, checked here on its own: a B, BEQ, BNE
+or RET before the last word of its block, a COPY, and a last block that
+does not end in RET.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from secdiv.machine import PROFILES, MachineError, MachineProfile, MachineProgram
-from secdiv.mir import VALUE_MASK, Opcode
+from secdiv.mir import TERMINATORS, VALUE_MASK, Opcode
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,7 @@ def run(
         profile = PROFILES[program.profile_name]
     if len(inputs) != program.num_inputs:
         raise MachineError(f"expected {program.num_inputs} inputs, got {len(inputs)}")
+    check_shape(program)
 
     regs = [0] * profile.num_registers
     for i, value in enumerate(inputs):
@@ -113,10 +117,8 @@ def run(
                 if taken:
                     cycles += profile.taken_branch_overhead
                     next_block = ins.c
-            elif op is Opcode.RET:
+            else:  # RET: check_shape leaves no other opcode
                 returned = regs[ins.a]
-            else:
-                raise MachineError(f"invalid opcode {op}")
             total += cycles
             steps.append(
                 Step(
@@ -135,6 +137,21 @@ def run(
                 )
             pos += 1
         block = next_block
+
+
+def check_shape(program: MachineProgram) -> None:
+    """MachineError unless every block ends at its first B, BEQ, BNE or
+    RET, no word is a COPY, and the last block ends in a RET."""
+    for index, block in enumerate(program.blocks):
+        opcodes = [ins.opcode for ins in block]
+        if Opcode.COPY in opcodes:
+            raise MachineError(f"block {index} holds a copy")
+        ends = [i for i, op in enumerate(opcodes) if op in TERMINATORS]
+        if ends and ends[0] != len(block) - 1:
+            raise MachineError(f"block {index} goes on after its {opcodes[ends[0]].value}")
+    last = [ins.opcode for block in program.blocks[-1:] for ins in block[-1:]]
+    if last != [Opcode.RET]:
+        raise MachineError("the last block does not end in a ret")
 
 
 LeakPoint = tuple[tuple[int, str, int], int]

@@ -233,7 +233,17 @@ def test_verify_rejects_empty_pool(tmp_path, capsys):
     assert not (pool / "verify.json").exists()
 
 
-@pytest.mark.parametrize("damage", ["truncated", "loops"])
+# what verify says about each damaged variant
+_VARIANT_DAMAGE = {
+    "truncated": "truncated",
+    "loops": "block 0 branches to block 0",
+    "word after ret": "block 0 has words after its ret",
+    "copy": "block 0 holds copy, not a machine opcode",
+    "falls off": "the last block does not end in ret",
+}
+
+
+@pytest.mark.parametrize("damage", list(_VARIANT_DAMAGE))
 def test_verify_rejects_malformed_variant(tmp_path, capsys, damage):
     out = tmp_path / "out"
     run_cli(
@@ -244,15 +254,25 @@ def test_verify_rejects_malformed_variant(tmp_path, capsys, damage):
     variant = pool / "variant_001.bin"
     from secdiv.machine import Instr, MachineProgram, Opcode
 
+    program = MachineProgram.from_bytes(variant.read_bytes())
+    (block,) = program.blocks  # masked_xor is one block, ending in ret
     if damage == "truncated":
         variant.write_bytes(variant.read_bytes()[:-6])
-    else:  # b 0: a lane would never leave block 0
+    elif damage == "loops":  # b 0: a lane would never leave block 0
         variant.write_bytes(MachineProgram("tight8", 3, [[Instr(Opcode.B, 0)]]).to_bytes())
+    else:
+        if damage == "word after ret":
+            block.append(Instr(Opcode.NOP))
+        elif damage == "copy":
+            block.insert(0, Instr(Opcode.COPY, 1, 0))
+        else:
+            block.pop()
+        variant.write_bytes(program.to_bytes())
     capsys.readouterr()
     assert run_cli("verify", corpus_path("masked_xor"), "--pool", pool) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert ("truncated" if damage == "truncated" else "branches to block 0") in err
+    assert _VARIANT_DAMAGE[damage] in err
     assert not (pool / "verify.json").exists()
 
 
@@ -526,6 +546,54 @@ def test_report_rejects_a_run_file_without_the_fields_it_reads(
     captured = capsys.readouterr()
     assert captured.err == f"error: {path} {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "name, field, value, message",
+    [
+        ("gadgets.json", "pairs", "3", "has pairs '3', not a non-negative integer"),
+        ("gadgets.json", "low", -1, "has low -1, not a non-negative integer"),
+        ("gadgets.json", "zero", 1.0, "has zero 1.0, not a non-negative integer"),
+        ("manifest.json", "requested", True, "has requested True, not a non-negative integer"),
+        ("verify.json", "cr_violation_rate", "0.5",
+         "has cr_violation_rate '0.5', not a number or null"),
+        ("verify.json", "psc_violation_rate", [0], "has psc_violation_rate [0], not a number or null"),
+        ("verify.json", "variants", None, "has variants None, not a non-negative integer"),
+    ],
+)
+def test_report_rejects_a_run_file_field_of_the_wrong_type(
+    tmp_path, capsys, name, field, value, message
+):
+    out = tmp_path / "out"
+    minimal = corpus_path("minimal")
+    assert run_cli("diversify", minimal, "--mode", "naive", "--out", out, "--variants", "2") == 0
+    pool = out / "minimal-naive-g0"
+    assert run_cli("verify", minimal, "--pool", pool) == 0
+    assert run_cli("gadgets", "--pool", pool) == 0
+    path = pool / name
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("report", "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path} {message}\n"
+    assert captured.out == ""
+
+
+def test_report_reads_a_verify_json_without_rates_as_null(tmp_path, capsys):
+    out = tmp_path / "out"
+    minimal = corpus_path("minimal")
+    assert run_cli("diversify", minimal, "--mode", "naive", "--out", out, "--variants", "2") == 0
+    pool = out / "minimal-naive-g0"
+    assert run_cli("verify", minimal, "--pool", pool) == 0
+    path = pool / "verify.json"
+    payload = json.loads(path.read_text())
+    del payload["cr_violation_rate"], payload["psc_violation_rate"]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("report", "--out", out, "--format", "csv") == 0
+    assert "minimal,2,-,-" in capsys.readouterr().out
 
 
 def test_report_deterministic(tmp_path, capsys):

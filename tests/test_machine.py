@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load
-from scalar_machine import hd_leak_points, run
+from conftest import all_corpus_names, load
+from scalar_machine import check_shape, hd_leak_points, run
 from secdiv.copmodel import build_problem, to_schedule
 from secdiv.machine import (
     PROFILES,
@@ -16,11 +16,12 @@ from secdiv.machine import (
     MachineError,
     MachineProgram,
     Schedule,
+    decode,
     encode,
     run_batch,
 )
 from secdiv.mir import Opcode, parse_function
-from secdiv.secanalysis import analyze
+from secdiv.secanalysis import Mode, analyze
 from secdiv.solver import solve_optimal
 
 
@@ -108,6 +109,30 @@ def test_encode_unmapped_temp_rejected(straightline):
     sched = Schedule(active={0, 1, 2, 3}, cycle={0: 0, 1: 1, 2: 2, 3: 3}, loc={"a": 0})
     with pytest.raises(MachineError, match="unmapped"):
         encode(straightline, sched, TIGHT8)
+
+
+@pytest.mark.parametrize("profile", [TIGHT8, WIDE32], ids=lambda p: p.name)
+def test_encode_emits_only_programs_that_decode(profile):
+    """Every corpus function in none, tsc (ebb and cbb) and psc: the
+    schedule the solver finds in a second encodes to a program that
+    `decode` accepts and the scalar interpreter's own shape check passes.
+    Only psc on modexp_step (no schedule in time) and share_compare (none
+    at all on tight8) may have nothing to encode."""
+    unsolved = set()
+    for name in all_corpus_names():
+        for mode, balance in [
+            (Mode.NONE, "ebb"), (Mode.TSC, "ebb"), (Mode.TSC, "cbb"), (Mode.PSC, "ebb")
+        ]:
+            analyzed = analyze(load(name), profile, mode=mode, balance=balance)
+            prob = build_problem(analyzed)
+            solution = solve_optimal(prob, time_budget=1).solution
+            if solution is None:
+                unsolved.add((name, mode))
+                continue
+            program = encode(analyzed.function, to_schedule(prob, solution), profile)
+            decode(program)
+            check_shape(program)
+    assert unsolved <= {("modexp_step", Mode.PSC), ("share_compare", Mode.PSC)}
 
 
 def test_dump_round_trip(masked_xor):
@@ -399,6 +424,26 @@ def test_run_batch_rejects_branches_that_are_not_forward(blocks, match):
     program = MachineProgram("tight8", 1, blocks)
     with pytest.raises(MachineError, match=match):
         run_batch(program, np.zeros((1, 4), dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "blocks, match",
+    [
+        # the scalar interpreter once ran the bne after the b, run_batch not
+        ([[Instr(Opcode.B, 2), Instr(Opcode.BNE, 0, 0, 1)],
+          [Instr(Opcode.LI, 0, 7), Instr(Opcode.RET, 0)], [Instr(Opcode.RET, 0)]],
+         "block 0 has words after its b"),
+        # and the li after a bne that is not taken
+        ([[Instr(Opcode.BNE, 0, 0, 1), Instr(Opcode.LI, 0, 9)], [Instr(Opcode.RET, 0)]],
+         "block 0 has words after its bne"),
+    ],
+)
+def test_run_batch_and_the_scalar_interpreter_reject_words_after_a_jump(blocks, match):
+    program = MachineProgram("tight8", 1, blocks)
+    with pytest.raises(MachineError, match=match):
+        run_batch(program, np.full((1, 1), 5, dtype=np.uint8))
+    with pytest.raises(MachineError):
+        run(program, [5])
 
 
 def test_from_bytes_rejects_truncated_and_trailing_data():

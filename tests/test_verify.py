@@ -24,7 +24,7 @@ from secdiv.machine import (
     encode,
     run_batch,
 )
-from secdiv.mir import Opcode, SecurityLabel, parse_function
+from secdiv.mir import TERMINATORS, Opcode, SecurityLabel, parse_function
 from secdiv.secanalysis import analyze
 from secdiv import verify
 from secdiv.solver import diversify, solve_optimal
@@ -167,6 +167,9 @@ def test_straightline_trivially_secure():
     assert constant_resource(program, func.inputs)
 
 
+B2 = Instr(Opcode.B, 2)  # block 0 jumps over block 1, which no lane reaches
+
+
 @pytest.mark.parametrize(
     "blocks, match",
     [
@@ -174,13 +177,37 @@ def test_straightline_trivially_secure():
         ([[Instr(Opcode.LI, 7, 0), Instr(Opcode.BNE, 1, 7, 0)], [Instr(Opcode.RET, 0)]],
          "block 0 branches to block 0"),
         ([[Instr(Opcode.RET, 0)], [Instr(Opcode.MOV, 8, 1)]], "register operand 8"),
-        ([[Instr(Opcode.COPY, 2, 1), Instr(Opcode.RET, 2)]], "invalid opcode"),
+        ([[Instr(Opcode.COPY, 2, 1), Instr(Opcode.RET, 2)]], "copy, not a machine opcode"),
+        # an operand out of range, then a branch that is not forward, come
+        # before a block out of shape
+        ([[Instr(Opcode.COPY, 2, 1)], [Instr(Opcode.MOV, 8, 1)]], "register operand 8"),
+        ([[Instr(Opcode.B, 0), Instr(Opcode.COPY, 2, 1)]], "block 0 branches to block 0"),
+        # each shape out of the one that _decode allows
+        ([[B2], [Instr(Opcode.RET, 0), Instr(Opcode.NOP)], [Instr(Opcode.RET, 0)]],
+         "block 1 has words after its ret"),
+        ([[B2], [Instr(Opcode.BNE, 0, 1, 2), Instr(Opcode.LI, 1, 5)], [Instr(Opcode.RET, 0)]],
+         "block 1 has words after its bne"),
+        ([[B2], [B2, Instr(Opcode.NOP)], [Instr(Opcode.RET, 0)]], "block 1 has words after its b"),
+        ([[B2], [Instr(Opcode.COPY, 1, 0)], [Instr(Opcode.RET, 0)]],
+         "block 1 holds copy, not a machine opcode"),
+        ([[Instr(Opcode.RET, 0)], [Instr(Opcode.LI, 1, 5)]], "the last block does not end in ret"),
+        ([[Instr(Opcode.RET, 0)], []], "the last block does not end in ret"),
+        ([], "the last block does not end in ret"),
     ],
 )
 def test_cr_rejects_what_the_machine_does_not_run(blocks, match):
+    """So do run_batch, check_psc and static_path_cost, which read the
+    same decoded blocks, also where the word at fault never runs."""
+    program = MachineProgram("tight8", 2, blocks)
     policy = [("pub", SecurityLabel.PUBLIC), ("key", SecurityLabel.SECRET)]
-    with pytest.raises(MachineError, match=match):
-        check_cr(MachineProgram("tight8", 2, blocks), policy)
+    for check in (
+        lambda: check_cr(program, policy),
+        lambda: run_batch(program, np.zeros((2, 4), dtype=np.uint8)),
+        lambda: check_psc(program, policy),
+        lambda: static_path_cost(program, [0]),
+    ):
+        with pytest.raises(MachineError, match=match):
+            check()
 
 
 def test_static_path_cost_matches_simulator():
@@ -193,11 +220,10 @@ def test_static_path_cost_matches_simulator():
 
 @st.composite
 def _flow_programs(draw) -> MachineProgram:
-    """Programs on two inputs of 1-5 blocks.  A block has some
-    `_instructions` and ends in one of: a B to a later block with words
-    after it, which still run; a BEQ or BNE on r0 and r1 to a later block,
-    often the next one; a RET with dead words after it; or nothing, so it
-    falls through.  The last block ends in a RET."""
+    """Well-formed programs on two inputs of 1-5 blocks.  A block has some
+    `_instructions` and ends in one of: a B to a later block; a BEQ or BNE
+    on r0 and r1 to a later block, often the next one; a RET; or nothing,
+    so it falls through.  The last block ends in a RET."""
     n = draw(st.integers(1, 5))
     blocks = []
     for index in range(n):
@@ -206,13 +232,34 @@ def _flow_programs(draw) -> MachineProgram:
         if end in ("b", "branch"):
             target = draw(st.one_of(st.just(index + 1), st.integers(index + 1, n - 1)))
         if end == "b":
-            words += [Instr(Opcode.B, target)] + draw(_instructions(2))
+            words.append(Instr(Opcode.B, target))
         elif end == "branch":
             words.append(Instr(draw(st.sampled_from([Opcode.BEQ, Opcode.BNE])), 0, 1, target))
         elif end == "ret":
-            words += [Instr(Opcode.RET, draw(st.integers(0, 7)))] + draw(_instructions(2))
+            words.append(Instr(Opcode.RET, draw(st.integers(0, 7))))
         blocks.append(words)
     return MachineProgram("tight8", 2, blocks)
+
+
+@st.composite
+def _malformed_programs(draw) -> MachineProgram:
+    """A `_flow_programs` program put out of shape in one block, which a
+    lane may or may not reach: a word after the block's B, BEQ, BNE or
+    RET; a COPY anywhere in it; or a last block whose RET is gone, so it
+    falls off the program's end."""
+    program = draw(_flow_programs())
+    blocks = program.blocks
+    fault = draw(st.sampled_from(["after", "copy", "last"]))
+    if fault == "after":
+        ends = [i for i, block in enumerate(blocks) if block and block[-1].opcode in TERMINATORS]
+        extra = draw(st.sampled_from([Instr(Opcode.NOP), Instr(Opcode.LI, 1, 5), Instr(Opcode.RET, 0)]))
+        blocks[draw(st.sampled_from(ends))].append(extra)
+    elif fault == "copy":
+        block = blocks[draw(st.integers(0, len(blocks) - 1))]
+        block.insert(draw(st.integers(0, len(block))), Instr(Opcode.COPY, 1, 0))
+    else:
+        blocks[-1][-1:] = draw(_instructions(2))
+    return program
 
 
 @settings(max_examples=80, deadline=None)
@@ -232,6 +279,20 @@ def test_static_path_cost_matches_simulator_on_generated_programs(program, x, y)
     assert static_path_cost(program, trace.path) + to_next == trace.total_cycles
     batch = run_batch(program, np.array([[x], [y]], dtype=np.uint8), collect_transitions=False)
     assert int(batch.cycles[0]) == trace.total_cycles
+    assert int(batch.returns[0]) == trace.return_value
+
+
+@settings(max_examples=60, deadline=None)
+@given(_malformed_programs(), st.integers(0, 2), st.integers(0, 2))
+def test_programs_out_of_shape_are_rejected_by_every_reader(program, x, y):
+    policy = [("pub", SecurityLabel.PUBLIC), ("key", SecurityLabel.SECRET)]
+    for check in (
+        lambda: run_batch(program, np.array([[x], [y]], dtype=np.uint8)),
+        lambda: check_cr(program, policy),
+        lambda: run(program, [x, y]),
+    ):
+        with pytest.raises(MachineError):
+            check()
 
 
 # ----------------------------------------------------------------------
@@ -731,9 +792,10 @@ def test_taint_follows_memory_overwrites_and_joins():
     assert not _taint_case(*diamond)
     diamond[1][0] = Instr(LI, 5, 1)
     assert _taint_case(*diamond)
-    # a block that nothing reaches never runs; words after b still do
+    # a block that nothing reaches never runs; a word after b is out of shape
     assert _taint_case([Instr(Opcode.B, 2)], [Instr(ADD, 6, 1, 1)], [Instr(RET, 0)])
-    assert not _taint_case([Instr(Opcode.B, 1), Instr(ADD, 6, 1, 1)], [Instr(RET, 0)])
+    with pytest.raises(MachineError, match="block 0 has words after its b"):
+        _taint_case([Instr(Opcode.B, 1), Instr(ADD, 6, 1, 1)], [Instr(RET, 0)])
     # x ^ x and x - x are 0 whatever x holds
     for op in (Opcode.XOR, Opcode.SUB):
         assert _taint_case([Instr(op, 5, 1, 1), add_r5, Instr(RET, 6)])
