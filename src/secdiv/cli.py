@@ -6,13 +6,16 @@ transformed IR (``transformed.mir``), the analysis dump, a deterministic
 ``manifest.json``, and a ``timing.log`` kept separate so that manifests
 and reports are byte-identical across reruns with the same seed.
 
+``verify`` takes the security labels from FILE, the source function, and
+reads no file of the pool but its manifest and variants.
+
 Exit codes: 0 success, 2 usage error (an out-of-range option too) or
 parse error (of the IR; of an encoded variant, also one out of the block
-shape that ``machine.decode`` states; of a pool's ``manifest.json``; or
-of a JSON file that ``report`` reads, also a field of the wrong type), 3
-unsatisfiable model, or one infeasible by construction (too many inputs,
-slots or live values), 4 solver timeout with an incumbent, 5 oracle
-failure.
+shape that ``machine._decode`` states, or one that takes another number
+of inputs than FILE; of a pool's ``manifest.json``; or of a JSON file
+that ``report`` reads, also a field of the wrong type), 3 unsatisfiable
+model, or one infeasible by construction (too many inputs, slots or live
+values), 4 solver timeout with an incumbent, 5 oracle failure.
 tsc balancing always succeeds: it pads every secret path that costs
 less than its siblings.
 """
@@ -283,7 +286,16 @@ def cmd_verify(args) -> int:
     if not programs:
         print(f"error: pool {pool_dir} holds no variants", file=sys.stderr)
         return EXIT_USAGE
-    policy = parse_function((pool_dir / "transformed.mir").read_text()).inputs
+    # the labels of FILE fit a variant only if it takes FILE's inputs
+    policy = func.inputs
+    for i, program in enumerate(programs):
+        if program.num_inputs != len(policy):
+            print(
+                f"error: pool {pool_dir}: variant_{i:03d}.bin takes {program.num_inputs} "
+                f"inputs, {func.name} takes {len(policy)}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
 
     lines: list[str] = []
     failures = 0
@@ -292,7 +304,6 @@ def cmd_verify(args) -> int:
     psc_violations = 0
     mode = manifest["mode"]
     check_psc = any(label is SecurityLabel.RANDOM for _, label in policy)
-    # every check of one variant before the next, so each is decoded once
     reports = []
     for i, program in enumerate(programs):
         eq = verify.check_equivalence(programs[0], program, seed=manifest["seed"]) if i else None

@@ -8,17 +8,18 @@ functional results, cycle counts, and the register/memory-bus value
 transitions that the Hamming-distance leakage model observes, lane by
 lane: branches only go forward, so a lane runs each site at most once.
 
-Control flow is decoded in one place, `_decode` (reached through
-`decode`), once per program: per block, its words renamed to compact
+Control flow is decoded in one place, `_decode`, once per program: a
+`MachineProgram` is immutable and keeps what `_decode` gives as its
+`decoded` property.  Per block, that is its words renamed to compact
 state rows (one per register and memory slot the program names, then the
 bus, so an unnamed location costs nothing), their cycles, and the edges
 to the successors with the cycles each adds.  `run_batch` runs these
 blocks, and `verify` reads the same ones for its taint pass and its
 static constant-resource proof.  `_decode` also states the one shape a
 program may have, the one the encoder emits (every word of a block runs,
-every run ends at a RET), and rejects any other with a MachineError.  The
-decoded program keeps its lane buffers across calls, so repeated calls on
-one program allocate no large array besides the ones they return.  The
+every run ends at a RET), and rejects any other with a MachineError.  One
+set of lane buffers serves every `run_batch` call in the process, so
+repeated calls allocate no large array besides the ones they return.  The
 tests check `run_batch` lane by lane against a scalar reference
 interpreter (`tests/scalar_machine.py`), which checks the same shape on
 its own.
@@ -102,13 +103,23 @@ class Instr:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MachineProgram:
-    """Encoded program: one instruction list per block, base address 0."""
+    """Encoded program: one instruction tuple per block, base address 0.
+
+    Immutable (blocks given as lists become tuples), so it decodes once:
+    `decoded` is `_decode` of it, computed on first use and kept."""
 
     profile_name: str
     num_inputs: int
-    blocks: list[list[Instr]]
+    blocks: tuple[tuple[Instr, ...], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
+
+    @functools.cached_property
+    def decoded(self) -> "_Decoded":
+        return _decode(self)
 
     def flat(self) -> list[Instr]:
         return [ins for block in self.blocks for ins in block]
@@ -328,10 +339,9 @@ class _Block(NamedTuple):
     edges: list[tuple[int, int]]  # (successor, extra cycles on that edge)
 
 
-@dataclass
-class _Decoded:
+class _Decoded(NamedTuple):
     """A program decoded once: its control flow, renamed to compact state
-    rows, and the lane buffers that every `run_batch` call on it reuses.
+    rows.
 
     `blocks` holds a `_Block` per block, all of whose words run.  Its words
     are all but B and NOP, as (opcode, a, b, c, ALU ufunc, register site,
@@ -343,33 +353,28 @@ class _Decoded:
     `run_batch` runs these blocks and `verify` proves its constant-resource
     and taint results on them.  `input_regs` lists the input registers that
     have a row (their rows come first, in the same order); `nrows` the
-    number of rows.  The buffers grow to the largest lane count seen and
-    hold nothing from one call to the next, but two calls on one program
-    must not run at the same time.
+    number of rows.  It holds no lane buffers: `run_batch` keeps one set
+    for every program (`_lanes`), so two `run_batch` calls must not run at
+    the same time.
     """
 
     blocks: list[_Block]
     input_regs: list[int]
     nrows: int
-    lanes: int = 0
 
-    def reserve(self, n: int) -> None:
-        if n <= self.lanes:
-            return
-        self.lanes = n
-        self.state = np.empty(self.nrows * n, dtype=np.uint8)
-        self.value = np.empty(n, dtype=np.uint8)  # an ALU result
-        self.delta = np.empty(n, dtype=np.uint8)  # a transition value
-        self.mask = np.empty(n, dtype=bool)  # a branch condition
 
+# the lane buffers of `run_batch`, one set per process, grown to the
+# largest call seen: the rows of the root state, then per lane an ALU
+# result, a transition value and a branch condition
+_lanes = np.empty(0, dtype=np.uint8)
 
 _JUMPS = (Opcode.B, Opcode.BEQ, Opcode.BNE)
 
 
-@functools.lru_cache(maxsize=1)
-def _decode(encoded: bytes) -> _Decoded:
-    """Decode an encoded program, once per program: the one place that
-    states MiniRISC control flow and the shape a program may have.
+def _decode(program: MachineProgram) -> _Decoded:
+    """Decode a program (`MachineProgram.decoded` calls this once per
+    program): the one place that states MiniRISC control flow and the
+    shape a program may have.
 
     Only the registers some word names get a row, in index order, then
     the memory slots some LD/ST names, then the bus as the last row; a
@@ -378,10 +383,8 @@ def _decode(encoded: bytes) -> _Decoded:
     operand outside the profile, then a branch to a block that is not a
     later block, then the first B, BEQ, BNE or RET before the last word
     of its block, COPY (no machine opcode) or last block not ending in
-    RET.  So every word runs, and every run ends at a RET.  The result is
-    kept for the next call with the same program.
+    RET.  So every word runs, and every run ends at a RET.
     """
-    program = MachineProgram.from_bytes(encoded)
     profile = PROFILES[program.profile_name]
     named: dict[str, set[int]] = {"r": set(), "s": set(), "-": set()}
     backward = None  # the first branch that does not go to a later block
@@ -449,11 +452,6 @@ def _decode(encoded: bytes) -> _Decoded:
     return _Decoded(blocks, input_regs, nrows)
 
 
-def decode(program: MachineProgram) -> _Decoded:
-    """`program` as `run_batch` runs it (`_decode`)."""
-    return _decode(program.to_bytes())
-
-
 def run_batch(
     program: MachineProgram,
     inputs: np.ndarray,
@@ -468,31 +466,37 @@ def run_batch(
     transition value of each lane there, -1 for the lanes that did not
     run it; grouping the lanes is the caller's business.
 
-    The program is decoded once per program, not per call (`decode`,
-    kept for the next call on the same program), and the decoded blocks
-    are the whole of its control flow: a work item adds its block's
-    cycles, runs all of the block's words and follows its edges.  The
-    state holds a row only for each register and memory slot that a word
-    names, plus the bus, so a branch split copies no more rows than the
-    program uses; transition sites keep the architectural register
-    index.  A program that `_decode` rejects raises MachineError before
-    anything runs, so every run ends at a RET.
+    The program is decoded once per program, not per call
+    (`MachineProgram.decoded`), and the decoded blocks are the whole of
+    its control flow: a work item adds its block's cycles, runs all of
+    the block's words and follows its edges.  The state holds a row only
+    for each register and memory slot that a word names, plus the bus, so
+    a branch split copies no more rows than the program uses; transition
+    sites keep the architectural register index.  A program that
+    `_decode` rejects raises MachineError before anything runs, so every
+    run ends at a RET.
 
     The root state, ALU results, transition values and branch conditions
-    live in lane buffers that the decoded program keeps across calls,
-    grown to the largest lane count seen; the returned arrays are new on
-    every call.  Cycles are summed per work item in a Python int that
-    travels with the lanes across branches and is written once at RET.
+    live in lane buffers that every call in the process shares (`_lanes`),
+    grown to the largest call seen, so two calls must not run at the same
+    time; the returned arrays are new on every call.  Cycles are summed
+    per work item in a Python int that travels with the lanes across
+    branches and is written once at RET.
     """
+    global _lanes
     if inputs.shape[0] != program.num_inputs:
         raise MachineError(f"expected {program.num_inputs} input rows")
     n = inputs.shape[1]
-    decoded = decode(program)
-    decoded.reserve(n)
+    decoded = program.decoded
     blocks, nrows = decoded.blocks, decoded.nrows
+    if _lanes.size < (nrows + 3) * n:
+        _lanes = np.empty((nrows + 3) * n, dtype=np.uint8)
+    buffers = _lanes[: (nrows + 3) * n].reshape(nrows + 3, n)
+    values, deltas, conditions = buffers[nrows:]
+    conditions = conditions.view(bool)
 
     # machine state, one column per lane: the rows of _decode
-    state0 = decoded.state[: nrows * n].reshape(nrows, n)
+    state0 = buffers[:nrows]
     for row, r in enumerate(decoded.input_regs):
         state0[row] = inputs[r]
     state0[len(decoded.input_regs) :].fill(0)
@@ -521,7 +525,7 @@ def run_batch(
         rows = list(state)
         # this item's slices of the lane buffers
         m = state.shape[1]
-        value, delta, mask = decoded.value[:m], decoded.delta[:m], decoded.mask[:m]
+        value, delta, mask = values[:m], deltas[:m], conditions[:m]
         for op, a, b, c, fn, reg_site, bus_site in words:
             if fn is not None:
                 if collect_transitions:

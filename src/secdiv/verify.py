@@ -18,11 +18,11 @@ no tolerances to tune.  The byte-wise power-leak check enumerates at most
 the bit-sliced one takes up to `_SLICED_LIMIT`.
 
 Control flow is not decoded here: the taint pass and the
-constant-resource proof read the blocks that `machine.decode` gives and
-`run_batch` runs, and a program out of the shape `machine._decode` states
-is a MachineError in every check.  So the words, cycles and edges they
-reason about are the ones that run: every word of a block runs, every
-edge goes to a later block, and every run ends at a RET.
+constant-resource proof read the blocks of `MachineProgram.decoded`, the
+ones `run_batch` runs, and a program out of the shape `machine._decode`
+states is a MachineError in every check.  So the words, cycles and edges
+they reason about are the ones that run: every word of a block runs,
+every edge goes to a later block, and every run ends at a RET.
 
 Taint.  One forward pass over the decoded blocks (`_taint`) tracks which
 state rows, registers and memory slots, may hold a value derived from a
@@ -39,12 +39,12 @@ secure information flow", CACM 1977).
 
 Constant resource, a static proof.  MiniRISC cycles depend on the path
 of edges alone.  For each hidden branch, a min/max DP over the region's
-edges adds up the terms of `static_path_cost` (block cycles, and the
-extra cycles of each edge: the taken-branch overhead on a taken branch,
-also one to the next block) from the branch block to its post-dominator,
-or to every RET when the arms never rejoin; it is O(edges) a branch,
-with no path enumeration.  The program is constant-resource when every
-region costs the same on every path (branch balancing, as in Agat,
+edges (`_region`) adds up block cycles and the extra cycles of each
+edge (the taken-branch overhead on a taken branch, also one to the next
+block) from the branch block to its post-dominator, or to every RET
+when the arms never rejoin; it is O(edges) a branch, with no path
+enumeration.  The program is constant-resource when every region costs
+the same on every path (branch balancing, as in Agat,
 "Transforming out timing leaks", POPL 2000).  Soundness sketch: an
 untainted value is the same for every hidden input under one public
 assignment, implicit flows included, so two runs with equal publics take
@@ -95,7 +95,6 @@ that change from one `run_batch` call to the next.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -103,7 +102,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .machine import MachineProgram, Opcode, decode, run_batch
+from .machine import MachineProgram, Opcode, run_batch
 from .mir import SecurityLabel
 
 # Fixed public probe values at which check_psc enumerates; callers may extend.
@@ -157,12 +156,12 @@ def check_equivalence(
     """Compare return values on exhaustive 8-bit inputs (two inputs or
     fewer) or on seeded samples; reports the first mismatching input.
 
-    The inputs and `a`'s returns are kept for the next call with the same
-    `a` and seed, so a pool checked against its variant 0 runs that
-    variant once."""
+    The inputs and `a`'s returns are kept for the next call with an equal
+    `a` and the same seed, so a pool checked against its variant 0 runs
+    that variant once."""
     if a.num_inputs != b.num_inputs:
         raise ValueError("programs take different numbers of inputs")
-    inputs, ra = _equivalence_reference(a.to_bytes(), seed)
+    inputs, ra = _equivalence_reference(a, seed)
     rb = run_batch(b, inputs, collect_transitions=False).returns
     diff = np.nonzero(ra != rb)[0]
     if diff.size:
@@ -174,18 +173,25 @@ def check_equivalence(
     return EquivalenceReport(pairs_tested=inputs.shape[1])
 
 
-@functools.lru_cache(maxsize=1)
-def _equivalence_reference(code: bytes, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The inputs `check_equivalence` tests, and the encoded program's
-    return value on each; callers must not write to either array."""
-    program = MachineProgram.from_bytes(code)
-    k = program.num_inputs
-    if k <= _EXHAUSTIVE_LIMIT:
-        inputs = _full_grid(k)
-    else:
-        sample = random.Random(seed).randbytes(k * _SAMPLES)
-        inputs = np.frombuffer(sample, dtype=np.uint8).reshape(k, _SAMPLES)
-    return inputs, run_batch(program, inputs, collect_transitions=False).returns
+# the last `_equivalence_reference`: (program, seed, inputs, returns)
+_reference: Optional[tuple[MachineProgram, int, np.ndarray, np.ndarray]] = None
+
+
+def _equivalence_reference(program: MachineProgram, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs `check_equivalence` tests, and `program`'s return value
+    on each, kept for the next call with an equal program and the same
+    seed; callers must not write to either array."""
+    global _reference
+    if _reference is None or _reference[1] != seed or _reference[0] != program:
+        k = program.num_inputs
+        if k <= _EXHAUSTIVE_LIMIT:
+            inputs = _full_grid(k)
+        else:
+            sample = random.Random(seed).randbytes(k * _SAMPLES)
+            inputs = np.frombuffer(sample, dtype=np.uint8).reshape(k, _SAMPLES)
+        returns = run_batch(program, inputs, collect_transitions=False).returns
+        _reference = (program, seed, inputs, returns)
+    return _reference[2], _reference[3]
 
 
 # ----------------------------------------------------------------------
@@ -204,25 +210,12 @@ class CrReport:
         return all(fewest == most for _, fewest, most in self.regions)
 
 
-def static_path_cost(program: MachineProgram, path: Sequence[int]) -> int:
-    """Cycle cost of a block path in the decoded program (`decode`): each
-    block's cycles, plus the extra cycles of the edge taken out of it, the
-    taken-branch overhead on a branch's taken edge.  A step from a branch
-    block to the next block counts as the fall-through, at no overhead,
-    also where the branch targets that block."""
-    blocks = decode(program).blocks
-    total = sum(blocks[b].cycles for b in path)
-    for b, succ in zip(path, path[1:]):
-        total += min(extra for target, extra in blocks[b].edges if target == succ)
-    return total
-
-
 def check_cr(program: MachineProgram, policy: Policy) -> CrReport:
     """Static best-/worst-case execution time comparison.
 
-    The taint pass finds the hidden branches, and a min/max DP of
-    `static_path_cost` terms gives each one's fewest and most cycles to
-    its post-dominator (see the module docstring).  The verdict, equal
+    The taint pass finds the hidden branches, and a min/max DP of block
+    and edge cycles (`_region`) gives each one's fewest and most cycles
+    to its post-dominator (see the module docstring).  The verdict, equal
     counts in every region, holds for every public and hidden value.
     """
     hidden = [i for i, (_, lab) in enumerate(policy) if lab is not SecurityLabel.PUBLIC]
@@ -284,17 +277,18 @@ def _region(blocks: list, branch: int, join: int) -> tuple[list[int], int, int]:
 
 def _taint(program: MachineProgram, hidden: Sequence[int]) -> tuple[bool, list[tuple[int, int, int]]]:
     """The forward taint pass of the module docstring over the decoded
-    blocks (`decode`), from the `hidden` input registers: whether a
-    tainted value reaches an ADD or a SUB, and per hidden branch in block
-    order (branch block, fewest cycles, most cycles) of its region.
+    blocks (`MachineProgram.decoded`), from the `hidden` input registers:
+    whether a tainted value reaches an ADD or a SUB, and per hidden branch
+    in block order (branch block, fewest cycles, most cycles) of its
+    region.
     Taint is a set of state rows; registers and memory slots have rows of
     their own, and a hidden input that no word names has none.
 
     A block that no block reaches never runs and is skipped.  A program
-    that `decode` rejects is a MachineError, even where the word at fault
+    that `_decode` rejects is a MachineError, even where the word at fault
     is in such a block.
     """
-    decoded = decode(program)
+    decoded = program.decoded
     blocks = decoded.blocks
     n = len(blocks)
     entry: list[Optional[set[int]]] = [None] * n

@@ -6,12 +6,16 @@ program through `run_batch` on every value of the secret and random
 inputs and keeps the fewest and most cycles.  One public input takes all
 256 values, any other public input the probes, so the reference sees
 public values that no probe set holds.
+
+`static_path_cost` adds up the cycles of one block path from the decoded
+blocks, the terms that the DP of `verify._region` adds up over a region;
+the tests compare it with the scalar interpreter's traces.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,3 +65,16 @@ def cycle_bounds(
 def constant_resource(program: MachineProgram, policy, **kwargs) -> bool:
     """BCET = WCET under every public assignment of `cycle_bounds`."""
     return all(lo == hi for lo, hi in cycle_bounds(program, policy, **kwargs).values())
+
+
+def static_path_cost(program: MachineProgram, path: Sequence[int]) -> int:
+    """Cycle cost of a block path in `program.decoded`: each block's
+    cycles, plus the extra cycles of the edge taken out of it, the
+    taken-branch overhead on a branch's taken edge.  A step from a branch
+    block to the next block counts as the fall-through, at no overhead,
+    also where the branch targets that block."""
+    blocks = program.decoded.blocks
+    total = sum(blocks[b].cycles for b in path)
+    for b, succ in zip(path, path[1:]):
+        total += min(extra for target, extra in blocks[b].edges if target == succ)
+    return total

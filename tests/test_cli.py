@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,7 @@ def test_verify_rejects_malformed_variant(tmp_path, capsys, damage):
 
     program = MachineProgram.from_bytes(variant.read_bytes())
     (block,) = program.blocks  # masked_xor is one block, ending in ret
+    block = list(block)
     if damage == "truncated":
         variant.write_bytes(variant.read_bytes()[:-6])
     elif damage == "loops":  # b 0: a lane would never leave block 0
@@ -267,12 +269,81 @@ def test_verify_rejects_malformed_variant(tmp_path, capsys, damage):
             block.insert(0, Instr(Opcode.COPY, 1, 0))
         else:
             block.pop()
-        variant.write_bytes(program.to_bytes())
+        variant.write_bytes(replace(program, blocks=[block]).to_bytes())
     capsys.readouterr()
     assert run_cli("verify", corpus_path("masked_xor"), "--pool", pool) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert _VARIANT_DAMAGE[damage] in err
+    assert not (pool / "verify.json").exists()
+
+
+def _naive_check_bit_pool(out: Path) -> Path:
+    assert run_cli("diversify", corpus_path("check_bit"), "--mode", "naive", "--out", out,
+                   "--variants", "4", "--seed", "0") == 0
+    return out / "check_bit-naive-g0"
+
+
+@pytest.mark.parametrize("change", ["relabel", "delete"])
+def test_verify_takes_the_labels_from_file(tmp_path, capsys, change):
+    """Not from the pool's own transformed.mir: relabelling its secret
+    public, or deleting it, changes no verdict."""
+    pool = _naive_check_bit_pool(tmp_path / "out")
+    assert run_cli("verify", corpus_path("check_bit"), "--pool", pool) == 0
+    expected = [(pool / name).read_text() for name in ("verify.txt", "verify.json")]
+    assert "variant_001\tcr\tinsecure" in expected[0]
+    transformed = pool / "transformed.mir"
+    if change == "relabel":
+        text = transformed.read_text()
+        assert "key:secret" in text
+        transformed.write_text(text.replace("key:secret", "key:public"))
+    else:
+        transformed.unlink()
+    assert run_cli("verify", corpus_path("check_bit"), "--pool", pool) == 0
+    assert [(pool / name).read_text() for name in ("verify.txt", "verify.json")] == expected
+
+
+def test_verify_decodes_each_variant_once(tmp_path, monkeypatch):
+    from secdiv import machine
+
+    pool = _naive_check_bit_pool(tmp_path / "out")
+    calls = {"_decode": 0, "to_bytes": 0}
+
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(machine, "_decode", counted("_decode", machine._decode))
+    monkeypatch.setattr(machine.MachineProgram, "to_bytes",
+                        counted("to_bytes", machine.MachineProgram.to_bytes))
+    assert run_cli("verify", corpus_path("check_bit"), "--pool", pool) == 0
+    assert calls == {"_decode": 4, "to_bytes": 0}
+
+
+@pytest.mark.parametrize("differs", ["variant", "file"])
+def test_verify_rejects_a_variant_with_another_input_count(tmp_path, capsys, differs):
+    """Before any oracle runs: FILE's labels would name other registers."""
+    out = tmp_path / "out"
+    assert run_cli("diversify", corpus_path("masked_xor"), "--mode", "psc", "--out", out,
+                   "--variants", "2") == 0
+    pool = out / "masked_xor-psc-g0"
+    src = corpus_path("masked_xor")
+    from secdiv.machine import Instr, MachineProgram, Opcode
+
+    if differs == "variant":
+        rogue = MachineProgram("tight8", 2, [[Instr(Opcode.XOR, 2, 0, 1), Instr(Opcode.RET, 2)]])
+        (pool / "variant_001.bin").write_bytes(rogue.to_bytes())
+        message = f"error: pool {pool}: variant_001.bin takes 2 inputs, masked_xor takes 3\n"
+    else:
+        src = tmp_path / "masked_xor.mir"
+        src.write_text(corpus_path("masked_xor").read_text().replace(
+            "mask:random)", "mask:random, spare:public)"))
+        message = f"error: pool {pool}: variant_000.bin takes 3 inputs, masked_xor takes 4\n"
+    capsys.readouterr()
+    assert run_cli("verify", src, "--pool", pool) == 2
+    assert capsys.readouterr().err == message
     assert not (pool / "verify.json").exists()
 
 

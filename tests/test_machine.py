@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from secdiv.machine import (
     MachineError,
     MachineProgram,
     Schedule,
-    decode,
     encode,
     run_batch,
 )
@@ -115,7 +116,7 @@ def test_encode_unmapped_temp_rejected(straightline):
 def test_encode_emits_only_programs_that_decode(profile):
     """Every corpus function in none, tsc (ebb and cbb) and psc: the
     schedule the solver finds in a second encodes to a program that
-    `decode` accepts and the scalar interpreter's own shape check passes.
+    `_decode` accepts and the scalar interpreter's own shape check passes.
     Only psc on modexp_step (no schedule in time) and share_compare (none
     at all on tight8) may have nothing to encode."""
     unsolved = set()
@@ -130,7 +131,7 @@ def test_encode_emits_only_programs_that_decode(profile):
                 unsolved.add((name, mode))
                 continue
             program = encode(analyzed.function, to_schedule(prob, solution), profile)
-            decode(program)
+            program.decoded
             check_shape(program)
     assert unsolved <= {("modexp_step", Mode.PSC), ("share_compare", Mode.PSC)}
 
@@ -141,6 +142,15 @@ def test_dump_round_trip(masked_xor):
     assert again.profile_name == program.profile_name
     assert again.num_inputs == program.num_inputs
     assert again.blocks == program.blocks
+
+
+def test_program_is_frozen_and_decodes_once(masked_xor):
+    program = encode(masked_xor, _sched_masked_xor(True), TIGHT8)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        program.blocks = []
+    with pytest.raises(AttributeError):
+        program.blocks[0].append(Instr(Opcode.NOP))
+    assert program.decoded is program.decoded
 
 
 def test_run_straightline_cycle_count(straightline):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import itertools
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FOUR_SECRETS, IMPLICIT, corpus_naive_pool, load
-from cr_reference import constant_resource, cycle_bounds
+from cr_reference import constant_resource, cycle_bounds, static_path_cost
 from scalar_machine import run
 from test_secanalysis import _all_dag_edges, _secret_graph
 from secdiv.copmodel import Mode, build_problem, to_schedule
@@ -34,7 +35,6 @@ from secdiv.verify import (
     check_cr,
     check_equivalence,
     check_psc,
-    static_path_cost,
 )
 from fractions import Fraction
 
@@ -82,7 +82,7 @@ def test_mutated_opcode_detected():
     words = [list(b) for b in mutated.blocks]
     first = words[0][0]
     words[0][0] = Instr(Opcode.ADD, first.a, first.b, first.c)
-    mutated.blocks = [list(b) for b in words]
+    mutated = replace(mutated, blocks=words)
     report = check_equivalence(program, mutated)
     assert not report.ok
     witness, ra, rb = report.mismatch
@@ -248,7 +248,7 @@ def _malformed_programs(draw) -> MachineProgram:
     RET; a COPY anywhere in it; or a last block whose RET is gone, so it
     falls off the program's end."""
     program = draw(_flow_programs())
-    blocks = program.blocks
+    blocks = [list(block) for block in program.blocks]
     fault = draw(st.sampled_from(["after", "copy", "last"]))
     if fault == "after":
         ends = [i for i, block in enumerate(blocks) if block and block[-1].opcode in TERMINATORS]
@@ -259,7 +259,7 @@ def _malformed_programs(draw) -> MachineProgram:
         block.insert(draw(st.integers(0, len(block))), Instr(Opcode.COPY, 1, 0))
     else:
         blocks[-1][-1:] = draw(_instructions(2))
-    return program
+    return replace(program, blocks=blocks)
 
 
 @settings(max_examples=80, deadline=None)
@@ -729,7 +729,7 @@ def _four_hidden_xor():
 def test_add_on_a_secret_sends_a_program_to_the_bytewise_path():
     program, policy = _four_hidden_xor()
     (block,) = program.blocks
-    program.blocks = [[Instr(Opcode.ADD, 7, 0, 0)] + block]  # r0 holds secret a
+    program = replace(program, blocks=[[Instr(Opcode.ADD, 7, 0, 0), *block]])  # r0 holds secret a
     assert not verify._bit_local(program, _hidden_regs(policy))
     report = check_psc(program, policy)
     assert report.incomplete and "exhaustive" in report.reason
@@ -739,10 +739,10 @@ def test_branch_on_a_masked_value_sends_a_program_to_the_bytewise_path():
     program, policy = _four_hidden_xor()
     (block,) = program.blocks
     # r7 = a ^ c is masked; whichever way the branch goes, block 1 runs
-    program.blocks = [
+    program = replace(program, blocks=[
         [Instr(Opcode.XOR, 7, 0, 2), Instr(Opcode.LI, 6, 0), Instr(Opcode.BNE, 7, 6, 1)],
         block,
-    ]
+    ])
     assert not verify._bit_local(program, _hidden_regs(policy))
     report = check_psc(program, policy)
     assert report.incomplete and "exhaustive" in report.reason
@@ -759,12 +759,13 @@ def test_mutated_generated_programs_take_the_bytewise_path(generated, data):
     secret = data.draw(st.sampled_from(secrets))
     # a random input masks the secret; without one, the public input does
     mask = labels.index(SecurityLabel.RANDOM) if SecurityLabel.RANDOM in labels else 0
-    head = program.blocks[0]
+    head = list(program.blocks[0])
     if data.draw(st.booleans()) or len(program.blocks) == 1:
         head.insert(1, Instr(Opcode.ADD, 6, secret, 0))
     else:  # r7, which no other word writes, becomes the masked secret
         head.insert(1, Instr(Opcode.XOR, 7, secret, mask))
         head[-1] = Instr(head[-1].opcode, 7, 0, 2)
+    program = replace(program, blocks=[head, *program.blocks[1:]])
     assert not verify._bit_local(program, _hidden_regs(policy))
     report = check_psc(program, policy)
     assert report.incomplete and "exhaustive" in report.reason
@@ -985,8 +986,9 @@ def test_retargeting_an_unbalanced_public_branch_flips_the_verdict(generated, da
     secret = data.draw(st.sampled_from(
         [i for i, lab in enumerate(labels) if lab is SecurityLabel.SECRET]
     ))
-    head = program.blocks[0]
+    head = list(program.blocks[0])
     head[0] = Instr(Opcode.MOV, 7, secret)  # was li r7; r1-r6 are written later
+    program = replace(program, blocks=[head, *program.blocks[1:]])
     report = check_cr(program, policy)
     assert not report.secure
     ((block, fewest, most),) = report.regions
