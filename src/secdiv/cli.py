@@ -524,6 +524,18 @@ def _at_least(lo: int):
     return parse
 
 
+def _seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds above 0 (a NaN
+    deadline never passes, and one at or below 0 passes at once)."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
+
+
+_seconds.__name__ = "float"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secdiv",
@@ -533,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--profile", choices=sorted(PROFILES), default="tight8")
-        p.add_argument("--budget-secs", type=float, default=600.0)
+        p.add_argument("--budget-secs", type=_seconds, default=600.0)
         p.add_argument("--out", default="out")
         p.add_argument("--balance", choices=["ebb", "cbb"], default="ebb")
 

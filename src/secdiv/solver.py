@@ -11,6 +11,15 @@ it is kept incremental: fixing a block's span adds that block's term.
 Every accepted leaf is re-validated by the independent constraint checker
 before it may become an incumbent or a pool member.
 
+What depends on neither the seed nor the blocking set is built once per
+problem, in a ``_Plan``: ``diversify`` builds one for its bounded problem,
+and every search of the pool reads it.  It holds the balance rows, each
+block's span from its mandatory ops, and the roots and dependencies of
+each set of active optional copies (NOPs change neither).  The structural
+phase keeps each block's span bounds as it activates ops, so the balance
+and objective bounds are tested before the cycle phase sets anything up,
+and the cycle phase keeps each block's busy cycles in one int bitmask.
+
 The phases are generators chained with ``yield from``: the innermost one
 yields every leaf that passes the checker and the blocking distance, and
 ``_Search.run`` is their only consumer.  A first-solution search stops at
@@ -25,12 +34,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .copmodel import (
     CopProblem,
@@ -81,38 +91,26 @@ class _Timeout(Exception):
     pass
 
 
-class _Search:
-    def __init__(
-        self,
-        prob: CopProblem,
-        seed: int = 0,
-        shuffle: bool = False,
-        blocking: Optional[list[Solution]] = None,
-        dthresh: int = 1,
-        deadline: Optional[float] = None,
-    ):
-        self.prob = prob
-        self.shuffle = shuffle
-        self.blocking = blocking or []
-        self.dthresh = dthresh
-        self.deadline = deadline
-        self.rng = random.Random(f"secdiv:{seed}")
-        self.nodes = 0
-        self.fail_counts: dict[str, int] = {}
+class _Plan:
+    """What every search of one problem shares, built once per problem:
+    everything that depends on neither the seed nor the blocking set."""
 
+    def __init__(self, prob: CopProblem):
+        self.prob = prob
         func = prob.function
+        nblocks = len(func.blocks)
         # the objective in integers: block weights scaled by the LCM of
         # their denominators, and the bound and incumbent scaled alike; the
         # scaled objective is an int, so flooring the scaled bound is exact
         self.scale = math.lcm(*(b.weight.denominator for b in func.blocks))
         self.weight = [int(b.weight * self.scale) for b in func.blocks]
         self.bound = None if prob.opt_bound is None else math.floor(prob.opt_bound * self.scale)
-        self.best: Optional[Solution] = None
-        self.best_objective: Optional[int] = None
+        self.keys = tuple(prob.var_order)
         self.inputs = func.input_names()
-        self.ops_by_block = [list(b.ops) for b in func.blocks]
+        self.ops_by_block = [[op.index for op in b.ops] for b in func.blocks]
+        self.cycle_order = [idx for ops in self.ops_by_block for idx in ops]
         self.lat = {op.index: prob.op_lat(op) for op in prob.ops}
-        self.mandatory = {op.index for op in prob.ops if not op.optional}
+        self.mandatory = frozenset(op.index for op in prob.ops if not op.optional)
         self.terminators = {op.index for op in prob.ops if op.is_terminator}
         # only activations are searched: instruction alternatives and
         # operand swaps touch no constraint and no cost, so the leaf picks
@@ -123,40 +121,28 @@ class _Search:
             op.index for op in prob.ops if len(prob.alternatives[op.index]) > 1
         ]
         self.swap_vars = list(prob.swap_ops)
-
-        self.cycle_order: list[int] = []
-        for block in func.blocks:
-            for op in block.ops:
-                self.cycle_order.append(op.index)
-
-        # per-variable value orders, fixed up front for reproducibility
-        self.value_order: dict[VarKey, list] = {}
-        for idx in self.active_vars:
-            self.value_order[("active", idx)] = self._ordered([False, True])
-        for idx in self.instr_vars:
-            n = len(prob.alternatives[idx])
-            self.value_order[("instr", idx)] = self._ordered(list(range(n)))
-        for idx in self.swap_vars:
-            self.value_order[("swap", idx)] = self._ordered([False, True])
-        for idx in self.cycle_order:
-            self.value_order[("cycle", idx)] = self._ordered(list(prob.cycle_domain[idx]))
-        for name in func.temps:
-            self.value_order[("reg", name)] = self._ordered(list(prob.reg_domain[name]))
+        # the optional copies; NOPs change neither roots nor dependencies
+        self.copies = frozenset(
+            idx for idx in self.active_vars if prob.op_at[idx].opcode is not Opcode.NOP
+        )
+        # a balancing NOP may be active only after the one before it, so
+        # the active NOPs of a block always form a prefix
+        self.prev_nop = {
+            nop: prev for nops in prob.nop_blocks.values() for prev, nop in zip(nops, nops[1:])
+        }
 
         # the blocks each block reaches, itself included
         self.reach: list[set[int]] = [set() for _ in func.blocks]
-        for b in reversed(range(len(func.blocks))):
+        for b in reversed(range(nblocks)):
             self.reach[b] = {b}.union(*(self.reach[s] for s in func.successors(b)))
 
-        self.edge_const = {
-            b.index: worst_edge_overhead(prob, b.index) for b in func.blocks
-        }
+        self.edge_const = [worst_edge_overhead(prob, b) for b in range(nblocks)]
 
         # balance equalities in difference form: shared blocks cancel, so
         # the check fires as soon as the differing blocks are scheduled
         # (path_cost with zero makespans is the taken-edge overhead alone)
         self.balance_diffs: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-        no_spans = dict.fromkeys(range(len(func.blocks)), 0)
+        no_spans = dict.fromkeys(range(nblocks), 0)
         for pset in prob.psets:
             anchor, *others = pset.paths
             for other in others:
@@ -165,6 +151,105 @@ class _Search:
                 const = path_cost(prob, anchor, no_spans) - path_cost(prob, other, no_spans)
                 self.balance_diffs.append((left, right, const))
 
+        # each block's span bounds with its mandatory ops alone, which the
+        # structural phase updates as it activates ops: the lower bound is
+        # the latency sum of the active ops; the upper bound is the horizon,
+        # except that a block with no active op (lower bound 0, since every
+        # latency is at least 1) spans 0 cycles and a NOP block (span_cap
+        # None) spans its active NOPs
+        self.span_cap = [None if b in prob.nop_blocks else prob.horizon[b] for b in range(nblocks)]
+        self.lb_span = [0] * nblocks
+        for idx in self.mandatory:
+            self.lb_span[prob.op_block[idx]] += self.lat[idx]
+        self.ub_span = [
+            cap if cap is not None and lb else lb for cap, lb in zip(self.span_cap, self.lb_span)
+        ]
+        self.objective = sum(
+            w * (lb + e) for w, lb, e in zip(self.weight, self.lb_span, self.edge_const)
+        )
+        self._closures: dict[frozenset[int], tuple[dict, dict]] = {}
+
+    def closure(
+        self, copies: frozenset[int]
+    ) -> tuple[dict[str, str], dict[int, list[tuple[int, int]]]]:
+        """The roots of the temps and each op's same-block dependencies
+        (site, latency) when exactly the optional copies in `copies` are
+        active, kept for every later entry with the same copies."""
+        found = self._closures.get(copies)
+        if found is not None:
+            return found
+        prob = self.prob
+        active = self.mandatory | copies
+        roots = resolve_roots(prob, active)
+        deps: dict[int, list[tuple[int, int]]] = {}
+        for ops in self.ops_by_block:
+            for idx in ops:
+                if idx not in active:
+                    continue
+                for temp in prob.op_uses[idx]:
+                    site = prob.def_site.get(roots[temp])
+                    if site is None or site not in active:
+                        continue
+                    if prob.op_block[site] == prob.op_block[idx]:
+                        deps.setdefault(idx, []).append((site, self.lat[site]))
+        for a, b in prob.mem_deps:
+            if a in active and b in active:
+                deps.setdefault(b, []).append((a, self.lat[a]))
+        found = self._closures[copies] = (roots, deps)
+        return found
+
+    def values(self, sol: Solution) -> tuple:
+        """The solution's value vector, in the problem's variable order."""
+        if tuple(k for k, _ in sol.assignment) != self.keys:
+            raise ValueError("solutions come from different problems")
+        return tuple(v for _, v in sol.assignment)
+
+
+class _Search:
+    def __init__(
+        self,
+        plan: _Plan,
+        seed: int = 0,
+        shuffle: bool = False,
+        blocked: Sequence[tuple] = (),
+        dthresh: int = 1,
+        deadline: Optional[float] = None,
+    ):
+        self.plan = plan
+        self.prob = prob = plan.prob
+        self.shuffle = shuffle
+        # the blocking set as value vectors (_Plan.values)
+        self.blocked = blocked
+        self.dthresh = dthresh
+        self.deadline = deadline
+        self.rng = random.Random(f"secdiv:{seed}")
+        self.nodes = 0
+        self.fail_counts: dict[str, int] = {}
+        self.best: Optional[Solution] = None
+        self.best_objective: Optional[int] = None
+
+        # the structural phase's state: the active optional ops, and each
+        # block's span bounds and the objective's lower bound, updated as
+        # ops are activated
+        self.on: set[int] = set()
+        self.lb_span = list(plan.lb_span)
+        self.ub_span = list(plan.ub_span)
+        self.objective = plan.objective
+
+        # per-variable value orders, fixed up front for reproducibility
+        self.value_order: dict[VarKey, list] = {}
+        for idx in plan.active_vars:
+            self.value_order[("active", idx)] = self._ordered([False, True])
+        for idx in plan.instr_vars:
+            n = len(prob.alternatives[idx])
+            self.value_order[("instr", idx)] = self._ordered(list(range(n)))
+        for idx in plan.swap_vars:
+            self.value_order[("swap", idx)] = self._ordered([False, True])
+        for idx in plan.cycle_order:
+            self.value_order[("cycle", idx)] = self._ordered(list(prob.cycle_domain[idx]))
+        for name in prob.function.temps:
+            self.value_order[("reg", name)] = self._ordered(list(prob.reg_domain[name]))
+
     def _ordered(self, values: list) -> list:
         # shuffles in place: every caller passes a fresh list
         if self.shuffle:
@@ -172,7 +257,7 @@ class _Search:
         return values
 
     def _scaled(self, sol: Solution) -> int:
-        return int(sol.objective * self.scale)
+        return int(sol.objective * self.plan.scale)
 
     def _fail(self, family: str) -> None:
         self.fail_counts[family] = self.fail_counts.get(family, 0) + 1
@@ -187,7 +272,7 @@ class _Search:
 
     def run(self) -> SolveResult:
         try:
-            for sol in self._assign_structural(0, {}):
+            for sol in self._assign_structural(0):
                 if self.shuffle:
                     return SolveResult(status=SolveStatus.SAT, solution=sol, nodes=self.nodes)
                 objective = self._scaled(sol)
@@ -200,107 +285,89 @@ class _Search:
         family = max(self.fail_counts, key=lambda k: (self.fail_counts[k], k), default="search")
         return SolveResult(status=SolveStatus.UNSAT, failing_family=family, nodes=self.nodes)
 
-    def _assign_structural(self, k: int, chosen: dict[VarKey, object]) -> Iterator[Solution]:
+    def _assign_structural(self, k: int) -> Iterator[Solution]:
         self._tick()
-        if k == len(self.active_vars):
-            yield from self._enter_schedule(chosen)
+        plan = self.plan
+        if k == len(plan.active_vars):
+            yield from self._enter_schedule()
             return
-        idx = self.active_vars[k]
-        key = ("active", idx)
-        for value in self.value_order[key]:
-            if value and not self._nop_prefix_ok(idx, chosen):
+        idx = plan.active_vars[k]
+        for value in self.value_order[("active", idx)]:
+            if not value:
+                yield from self._assign_structural(k + 1)
                 continue
-            chosen[key] = value
-            yield from self._assign_structural(k + 1, chosen)
-            del chosen[key]
+            prev = plan.prev_nop.get(idx)
+            if prev is not None and prev not in self.on:
+                continue
+            self.on.add(idx)
+            self._shift(idx, 1)
+            yield from self._assign_structural(k + 1)
+            self._shift(idx, -1)
+            self.on.remove(idx)
 
-    def _nop_prefix_ok(self, idx: int, chosen: dict[VarKey, object]) -> bool:
-        """A balancing NOP may be active only after the one before it, so
-        the active NOPs of a block always form a prefix."""
-        block = self.prob.op_block[idx]
-        nops = self.prob.nop_blocks.get(block)
-        if not nops or idx not in nops:
-            return True
-        pos = nops.index(idx)
-        return pos == 0 or chosen.get(("active", nops[pos - 1]), False)
+    def _shift(self, idx: int, sign: int) -> None:
+        """Count optional op `idx` in (sign 1) or out of (sign -1) its
+        block's span bounds and the objective's lower bound."""
+        plan = self.plan
+        b = plan.prob.op_block[idx]
+        lat = sign * plan.lat[idx]
+        lb = self.lb_span[b] = self.lb_span[b] + lat
+        cap = plan.span_cap[b]
+        self.ub_span[b] = cap if cap is not None and lb else lb
+        self.objective += plan.weight[b] * lat
 
     # -- phase B: cycles ------------------------------------------------
 
-    def _enter_schedule(self, structural: dict[VarKey, object]) -> Iterator[Solution]:
-        prob = self.prob
-        active = set(self.mandatory)
-        for idx in self.active_vars:
-            if structural.get(("active", idx)):
-                active.add(idx)
-        roots = resolve_roots(prob, active)
-
-        deps: dict[int, list[tuple[int, int]]] = {}
-        for block_ops in self.ops_by_block:
-            for op in block_ops:
-                if op.index not in active:
-                    continue
-                for temp in prob.op_uses[op.index]:
-                    site = prob.def_site.get(roots[temp])
-                    if site is None or site not in active:
-                        continue
-                    if prob.op_block[site] == prob.op_block[op.index]:
-                        deps.setdefault(op.index, []).append((site, self.lat[site]))
-        for a, b in prob.mem_deps:
-            if a in active and b in active:
-                deps.setdefault(b, []).append((a, self.lat[a]))
-
-        # placing a block's last active op fixes the block's span; a block
-        # with no active op spans 0 cycles and a NOP block its active NOPs,
-        # so the balance bounds are exact once the last block closes
-        lb_span, ub_span = {}, {}
-        closing = set()
-        for b, block_ops in enumerate(self.ops_by_block):
-            actives = [o.index for o in block_ops if o.index in active]
-            lb_span[b] = sum(self.lat[i] for i in actives)
-            if actives:
-                closing.add(actives[-1])
-            fixed = not actives or b in prob.nop_blocks
-            ub_span[b] = lb_span[b] if fixed else prob.horizon[b]
-
-        if not self._balance_bounds_ok(lb_span, ub_span):
+    def _enter_schedule(self) -> Iterator[Solution]:
+        # placing a block's last active op fixes the block's span, so the
+        # balance bounds are exact once the last block closes; both bounds
+        # run on the structural phase's spans, before any set-up
+        if not self._balance_bounds_ok(self.lb_span, self.ub_span):
             self._fail("balance")
             return
-        objective = sum(
-            self.weight[b] * (lb_span[b] + self.edge_const[b]) for b in lb_span
-        )
-        if not self._objective_bound_ok(objective):
+        if not self._objective_bound_ok(self.objective):
             self._fail("optimality-gap")
             return
 
+        plan = self.plan
+        active = plan.mandatory | self.on
+        roots, deps = plan.closure(plan.copies & self.on)
+        closing = set()
+        for ops in plan.ops_by_block:
+            for idx in reversed(ops):
+                if idx in active:
+                    closing.add(idx)
+                    break
+        nblocks = len(plan.ops_by_block)
         state = _ScheduleState(
             active=active,
             roots=roots,
             deps=deps,
-            lb_span=lb_span,
-            ub_span=ub_span,
+            lo_span=list(self.lb_span),
+            hi_span=list(self.ub_span),
             closing=closing,
-            objective=objective,
+            objective=self.objective,
+            busy=[0] * nblocks,
+            block_end=[0] * nblocks,
         )
         yield from self._assign_cycles(0, state)
 
-    def _balance_bounds_ok(self, lb_span, ub_span, spans=None) -> bool:
-        spans = spans or {}
-        for left, right, const in self.balance_diffs:
+    def _balance_bounds_ok(self, lo_span: list[int], hi_span: list[int]) -> bool:
+        for left, right, const in self.plan.balance_diffs:
             lo = hi = const
             for b in left:
-                exact = spans.get(b)
-                lo += exact if exact is not None else lb_span[b]
-                hi += exact if exact is not None else ub_span[b]
+                lo += lo_span[b]
+                hi += hi_span[b]
             for b in right:
-                exact = spans.get(b)
-                lo -= exact if exact is not None else ub_span[b]
-                hi -= exact if exact is not None else lb_span[b]
+                lo -= hi_span[b]
+                hi -= lo_span[b]
             if lo > 0 or hi < 0:
                 return False
         return True
 
     def _objective_bound_ok(self, objective: int) -> bool:
-        if self.bound is not None and objective > self.bound:
+        bound = self.plan.bound
+        if bound is not None and objective > bound:
             return False
         if self.best_objective is not None and objective >= self.best_objective:
             return False
@@ -308,42 +375,43 @@ class _Search:
 
     def _assign_cycles(self, k: int, state: "_ScheduleState") -> Iterator[Solution]:
         self._tick()
-        prob = self.prob
-        while k < len(self.cycle_order) and self.cycle_order[k] not in state.active:
+        plan = self.plan
+        order = plan.cycle_order
+        while k < len(order) and order[k] not in state.active:
             k += 1
-        if k == len(self.cycle_order):
+        if k == len(order):
             yield from self._enter_allocation(state)
             return
-        idx = self.cycle_order[k]
-        block = prob.op_block[idx]
-        lat = self.lat[idx]
-        horizon = prob.horizon[block]
-        intervals = state.intervals.setdefault(block, [])
+        idx = order[k]
+        block = self.prob.op_block[idx]
+        lat = plan.lat[idx]
+        horizon = self.prob.horizon[block]
+        busy = state.busy[block]
+        prev_end = state.block_end[block]
         lo = 0
         for site, site_lat in state.deps.get(idx, ()):
             lo = max(lo, state.cycle[site] + site_lat)
-        if idx in self.terminators:
-            lo = max(lo, state.block_end.get(block, 0))
+        if idx in plan.terminators:
+            lo = max(lo, prev_end)
 
         last_in_block = idx in state.closing
-        weight = self.weight[block]
-        lb = state.lb_span[block]
+        weight = plan.weight[block]
+        lb = state.lo_span[block]
+        ub = state.hi_span[block]
         prev_objective = state.objective
+        ones = (1 << lat) - 1
 
         for c in self.value_order[("cycle", idx)]:
-            if c < lo or c + lat > horizon:
-                continue
-            if any(c < e and s < c + lat for s, e in intervals):
+            if c < lo or c + lat > horizon or busy >> c & ones:
                 continue
             state.cycle[idx] = c
-            intervals.append((c, c + lat))
-            prev_end = state.block_end.get(block, 0)
-            state.block_end[block] = max(prev_end, c + lat)
+            state.busy[block] = busy | ones << c
+            end = state.block_end[block] = max(prev_end, c + lat)
             ok = True
             if last_in_block:
-                state.spans[block] = state.block_end[block]
-                state.objective = prev_objective + weight * (state.block_end[block] - lb)
-                if not self._balance_bounds_ok(state.lb_span, state.ub_span, state.spans):
+                state.lo_span[block] = state.hi_span[block] = end
+                state.objective = prev_objective + weight * (end - lb)
+                if not self._balance_bounds_ok(state.lo_span, state.hi_span):
                     self._fail("balance")
                     ok = False
                 elif not self._objective_bound_ok(state.objective):
@@ -351,18 +419,17 @@ class _Search:
                     ok = False
             else:
                 # the unfinished block's span is at least its current end
-                lb_here = max(state.block_end[block], lb)
-                if not self._objective_bound_ok(prev_objective + weight * (lb_here - lb)):
+                if not self._objective_bound_ok(prev_objective + weight * (max(end, lb) - lb)):
                     self._fail("optimality-gap")
                     ok = False
             if ok:
                 yield from self._assign_cycles(k + 1, state)
             if last_in_block:
-                state.spans.pop(block, None)
+                state.lo_span[block], state.hi_span[block] = lb, ub
                 state.objective = prev_objective
-            state.block_end[block] = prev_end
-            intervals.pop()
-            del state.cycle[idx]
+        state.busy[block] = busy
+        state.block_end[block] = prev_end
+        state.cycle.pop(idx, None)
 
     # -- phase C: locations ---------------------------------------------
 
@@ -432,14 +499,14 @@ class _Search:
         if not prob.pairs.rpairs and not prob.pairs.hazard_temps:
             return True
         here = model.def_point[value]
-        inputs = self.inputs
+        inputs = self.plan.inputs
         prev = None
         prev_key = None
         for v, rv in loc.items():
             key = model.def_point[v]
             # a value whose block cannot reach this value's block is on no
             # path to it
-            if rv != r or v == value or here[0] not in self.reach[key[0]]:
+            if rv != r or v == value or here[0] not in self.plan.reach[key[0]]:
                 continue
             if key <= here and (prev_key is None or key >= prev_key):
                 prev, prev_key = v, key
@@ -464,7 +531,7 @@ class _Search:
     def _leaf(self, state, loc, model) -> Iterator[Solution]:
         prob = self.prob
         values: dict[VarKey, object] = {}
-        for idx in self.active_vars:
+        for idx in self.plan.active_vars:
             values[("active", idx)] = idx in state.active
         for op in prob.ops:
             if op.index in state.active:
@@ -487,23 +554,28 @@ class _Search:
                 if violations:
                     self._fail(violations[0].family)
                     return
-            if any(distance(sol, blocked) < self.dthresh for blocked in self.blocking):
+            if self._too_close(sol):
                 self._fail("distance")
                 continue
             yield sol
 
+    def _too_close(self, sol: Solution) -> bool:
+        """Whether `sol` lies closer than `dthresh` to a blocked solution
+        (the Hamming distance of `distance`, on value vectors)."""
+        values = [v for _, v in sol.assignment]
+        return any(sum(map(operator.ne, values, b)) < self.dthresh for b in self.blocked)
+
     def _leaf_combos(self):
         """Assignments of the free instr/swap variables: the defaults when
         optimizing, every combination (shuffled) when generating variants."""
-        if not self.shuffle or (not self.instr_vars and not self.swap_vars):
+        instr_vars, swap_vars = self.plan.instr_vars, self.plan.swap_vars
+        if not self.shuffle or (not instr_vars and not swap_vars):
             yield {
-                **{("instr", i): 0 for i in self.instr_vars},
-                **{("swap", i): False for i in self.swap_vars},
+                **{("instr", i): 0 for i in instr_vars},
+                **{("swap", i): False for i in swap_vars},
             }
             return
-        keys = [("instr", i) for i in self.instr_vars] + [
-            ("swap", i) for i in self.swap_vars
-        ]
+        keys = [("instr", i) for i in instr_vars] + [("swap", i) for i in swap_vars]
         orders = [self.value_order[k] for k in keys]
         for combo in itertools.product(*orders):
             yield dict(zip(keys, combo))
@@ -514,16 +586,18 @@ class _ScheduleState:
     active: set[int]
     roots: dict[str, str]
     deps: dict[int, list[tuple[int, int]]]
-    lb_span: dict[int, int]
-    ub_span: dict[int, int]
+    # each block's span bounds, both its span once its last op is placed
+    lo_span: list[int]
+    hi_span: list[int]
     # ops whose placement fixes their block's span
     closing: set[int]
-    # scaled objective with the spans fixed so far and lb_span elsewhere
+    # scaled objective with the spans fixed so far and lo_span elsewhere
     objective: int
+    # each block's busy cycles, bit c for cycle c (every latency is at
+    # least 1), and the latest end of its placed ops
+    busy: list[int]
+    block_end: list[int]
     cycle: dict[int, int] = field(default_factory=dict)
-    intervals: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    block_end: dict[int, int] = field(default_factory=dict)
-    spans: dict[int, int] = field(default_factory=dict)
 
 
 def _intervals_overlap(a, b) -> bool:
@@ -547,7 +621,7 @@ def solve_optimal(prob: CopProblem, time_budget: float = 600.0) -> SolveResult:
     the incumbent that bounds the rest.  A TIMEOUT carries the best leaf
     found so far, if any, and `nodes` counts every node of the solve.
     """
-    return _Search(prob, deadline=time.monotonic() + time_budget).run()
+    return _Search(_Plan(prob), deadline=time.monotonic() + time_budget).run()
 
 
 def solve_one(
@@ -558,16 +632,15 @@ def solve_one(
     seed: int = 0,
 ) -> SolveResult:
     """First feasible solution under the problem bound and blocking set."""
-    deadline = time.monotonic() + time_budget
-    search = _Search(
-        prob,
+    plan = _Plan(prob)
+    return _Search(
+        plan,
         seed=seed,
         shuffle=True,
-        blocking=blocking,
+        blocked=[plan.values(sol) for sol in blocking or ()],
         dthresh=dthresh,
-        deadline=deadline,
-    )
-    return search.run()
+        deadline=time.monotonic() + time_budget,
+    ).run()
 
 
 def distance(a: Solution, b: Solution) -> int:
@@ -591,25 +664,29 @@ def diversify(
     """Grow a pool of solutions within the optimality gap, each at least
     `dthresh` away from every other; the best solution is variant 0."""
     bounded = replace(prob, opt_bound=(1 + gap) * best.objective)
+    # every search of the pool shares one plan, and the pool's value vectors
+    plan = _Plan(bounded)
     pool = [best]
+    blocked = [plan.values(best)]
     deadline = time.monotonic() + time_budget
     reason = PoolReason.COMPLETE
     i = 0
     while len(pool) < n:
         i += 1
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
+        if time.monotonic() >= deadline:
             reason = PoolReason.TIMEOUT
             break
-        result = solve_one(
-            bounded,
-            blocking=list(pool),
-            dthresh=dthresh,
-            time_budget=remaining,
+        result = _Search(
+            plan,
             seed=seed * 100003 + i,
-        )
+            shuffle=True,
+            blocked=blocked,
+            dthresh=dthresh,
+            deadline=deadline,
+        ).run()
         if result.status is SolveStatus.SAT:
             pool.append(result.solution)
+            blocked.append(plan.values(result.solution))
         elif result.status is SolveStatus.UNSAT:
             reason = PoolReason.EXHAUSTED
             break

@@ -525,6 +525,19 @@ def test_diversify_rejects_out_of_range_numbers(tmp_path, capsys, option, value)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["compile", "diversify"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_budget_must_be_finite_and_positive(tmp_path, capsys, command, value):
+    # a NaN deadline never passes, so nan would turn the budget off
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, corpus_path("check_bit"), "--mode", "tsc", "--budget-secs", value,
+                "--out", out)
+    assert exc.value.code == 2
+    assert "argument --budget-secs: must be a finite number above 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_aggregates(tmp_path, capsys):
     out = tmp_path / "out"
     run_cli("compile", corpus_path("check_bit"), "--mode", "tsc", "--out", out,

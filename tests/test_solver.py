@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,7 +17,15 @@ from bruteforce import (
     brute_optimal,
 )
 from conftest import corpus_naive_pool, load
-from secdiv.copmodel import Mode, build_problem, check_solution, make_solution, resolve_roots
+from secdiv import solver
+from secdiv.copmodel import (
+    Mode,
+    build_problem,
+    check_solution,
+    make_solution,
+    path_cost,
+    resolve_roots,
+)
 from secdiv.machine import TIGHT8
 from secdiv.mir import parse_function
 from secdiv.secanalysis import analyze
@@ -370,3 +379,63 @@ def test_fractional_weights_search_respects_bound(name):
         for sol in pool.solutions[1:]:
             assert sol.objective <= pool.problem.opt_bound
             assert not check_solution(sol, pool.problem)
+
+
+# the tsc_pool jobs at n=8 and seed 0: the pool (reason, size, digest), and
+# the nodes of solve_one(pool.problem, blocking=pool.solutions[:k], seed=k)
+# for k = 1..7.  A search that visits its nodes in another order, or prunes
+# another set of them, changes some of these.
+_TSC_POOL_GOLDEN = {
+    ("modexp_step", 0): (("complete", 8, "5df05380d675679c"), (596, 542, 1220, 709, 505, 1115, 1428)),
+    ("two_branches", 5): (("complete", 8, "91aeaedd7f3089ba"), (321, 183, 255, 325, 87, 845, 958)),
+    ("long_arm", 5): (("complete", 8, "9201dd45b237a87f"), (149, 395, 361, 170, 187, 197, 150)),
+}
+
+
+@pytest.mark.parametrize("name, gap", sorted(_TSC_POOL_GOLDEN))
+def test_tsc_pool_jobs_reproduce_pinned_search(name, gap):
+    prob = _problem(name, Mode.TSC)
+    best = solve_optimal(prob, time_budget=60).solution
+    pool = diversify(prob, best, n=8, gap=Fraction(gap, 100), time_budget=60, seed=0)
+    nodes = tuple(
+        solve_one(pool.problem, blocking=pool.solutions[:k], seed=k, time_budget=60).nodes
+        for k in range(1, 8)
+    )
+    row = ((pool.reason.value, len(pool.solutions), _digest(pool.solutions)), nodes)
+    assert row == _TSC_POOL_GOLDEN[(name, gap)]
+
+
+def test_diversify_builds_balance_rows_once(monkeypatch):
+    prob = _problem("modexp_step", Mode.TSC)
+    best = solve_optimal(prob, time_budget=60).solution
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return path_cost(*args)
+
+    monkeypatch.setattr(solver, "path_cost", counted)
+    pool = diversify(prob, best, n=30, time_budget=60, seed=0)
+    assert len(pool.solutions) == 30
+    # two path costs per balance row (the anchor path and the other one),
+    # for the one plan that the pool's 29 searches share
+    rows = sum(len(pset.paths) - 1 for pset in prob.psets)
+    assert rows > 0
+    assert len(calls) == 2 * rows
+
+
+def test_leaf_distance_agrees_with_distance():
+    prob = _problem("check_bit", Mode.TSC)
+    best = solve_optimal(prob, time_budget=30).solution
+    pool = diversify(prob, best, n=12, gap=Fraction(1, 10), time_budget=60, seed=1)
+    plan = solver._Plan(pool.problem)
+    rng = random.Random(0)
+    for _ in range(40):
+        a, b = rng.choice(pool.solutions), rng.choice(pool.solutions)
+        d = distance(a, b)
+        for dthresh in range(max(d - 1, 1), d + 3):
+            search = solver._Search(plan, blocked=[plan.values(a)], dthresh=dthresh)
+            assert search._too_close(b) == (d < dthresh)
+    other = solve_optimal(_problem("straightline", Mode.NONE), time_budget=10).solution
+    with pytest.raises(ValueError, match="different problems"):
+        plan.values(other)
