@@ -2,23 +2,34 @@
 that produces diverse secure variants.
 
 The search runs in three phases per branch: structural decisions first
-(op activation, instruction alternative, operand swap), then issue cycles
-block by block, then a location for every live value.  The objective is
-fully determined once cycles are placed, so incumbent bounding happens
-before allocation and the allocation phase is a pure feasibility search.
-The bound is integer arithmetic on block weights scaled to integers, and
-it is kept incremental: fixing a block's span adds that block's term.
-Every accepted leaf is re-validated by the independent constraint checker
-before it may become an incumbent or a pool member.
+(which optional ops are active), then issue cycles block by block, then a
+location for every live value.  The objective is fully determined once
+cycles are placed, so incumbent bounding happens before allocation and the
+allocation phase is a pure feasibility search.  The bound is integer
+arithmetic on block weights scaled to integers, and it is kept
+incremental: fixing a block's span adds that block's term.  Every accepted
+leaf is re-validated by the independent constraint checker before it may
+become an incumbent or a pool member.
 
 What depends on neither the seed nor the blocking set is built once per
 problem, in a ``_Plan``: ``diversify`` builds one for its bounded problem,
-and every search of the pool reads it.  It holds the balance rows, each
-block's span from its mandatory ops, and the roots and dependencies of
-each set of active optional copies (NOPs change neither).  The structural
-phase keeps each block's span bounds as it activates ops, so the balance
-and objective bounds are tested before the cycle phase sets anything up,
-and the cycle phase keeps each block's busy cycles in one int bitmask.
+and every search of the pool reads it.  It holds the balance rows, the
+structural steps, each block's span from its mandatory ops, and the roots
+and dependencies of each set of active optional copies (NOPs change
+neither).
+
+The search cuts every subtree that holds no leaf, and only those, so the
+leaves and their order are those of a search without the cuts:
+
+- a balancing block's NOPs are one step, the pad's length, whose order
+  comes from the NOPs' activation values;
+- every structural node tests the balance rows and the objective on span
+  intervals that count the optional latency still undecided;
+- in the cycle phase, the open block's unplaced ops fill its free cycles
+  preemptively (each block's busy cycles are one int bitmask), and that
+  end bounds the objective, the balance rows and the horizon;
+- within one schedule entry, a vector of closed spans from which the later
+  blocks reached no schedule is skipped when it recurs.
 
 The phases are generators chained with ``yield from``: the innermost one
 yields every leaf that passes the checker and the blocking distance, and
@@ -125,11 +136,25 @@ class _Plan:
         self.copies = frozenset(
             idx for idx in self.active_vars if prob.op_at[idx].opcode is not Opcode.NOP
         )
-        # a balancing NOP may be active only after the one before it, so
-        # the active NOPs of a block always form a prefix
-        self.prev_nop = {
-            nop: prev for nops in prob.nop_blocks.values() for prev, nop in zip(nops, nops[1:])
-        }
+        # the structural phase decides one step at a time: an optional op on
+        # or off, or a pad's length (a balancing block's active NOPs always
+        # form a prefix, pinned to cycles 0, 1, ...); turning on n ops of
+        # step k adds step_lat[k][n] cycles to the span of step_block[k]
+        self.steps: list[tuple[int, ...]] = []
+        for idx in self.active_vars:
+            nops = prob.nop_blocks.get(prob.op_block[idx])
+            if nops is None:
+                self.steps.append((idx,))
+            elif idx == nops[0]:
+                self.steps.append(nops)
+        assert [idx for step in self.steps for idx in step] == self.active_vars, (
+            "each pad's NOPs are contiguous in active_vars"
+        )
+        self.step_block = [prob.op_block[step[0]] for step in self.steps]
+        self.step_lat = [
+            tuple(itertools.accumulate((self.lat[idx] for idx in step), initial=0))
+            for step in self.steps
+        ]
 
         # the blocks each block reaches, itself included
         self.reach: list[set[int]] = [set() for _ in func.blocks]
@@ -152,22 +177,29 @@ class _Plan:
                 self.balance_diffs.append((left, right, const))
 
         # each block's span bounds with its mandatory ops alone, which the
-        # structural phase updates as it activates ops: the lower bound is
-        # the latency sum of the active ops; the upper bound is the horizon,
-        # except that a block with no active op (lower bound 0, since every
-        # latency is at least 1) spans 0 cycles and a NOP block (span_cap
-        # None) spans its active NOPs
+        # structural phase updates as it decides optional ops: the lower
+        # bound is the latency sum of the active ops; `undecided` is the
+        # latency of the optional ops not yet decided
         self.span_cap = [None if b in prob.nop_blocks else prob.horizon[b] for b in range(nblocks)]
         self.lb_span = [0] * nblocks
         for idx in self.mandatory:
             self.lb_span[prob.op_block[idx]] += self.lat[idx]
-        self.ub_span = [
-            cap if cap is not None and lb else lb for cap, lb in zip(self.span_cap, self.lb_span)
-        ]
+        self.undecided = [0] * nblocks
+        for idx in self.active_vars:
+            self.undecided[prob.op_block[idx]] += self.lat[idx]
+        self.ub_span = [self.span_upper(b, self.lb_span[b], self.undecided[b]) for b in range(nblocks)]
         self.objective = sum(
             w * (lb + e) for w, lb, e in zip(self.weight, self.lb_span, self.edge_const)
         )
         self._closures: dict[frozenset[int], tuple[dict, dict]] = {}
+
+    def span_upper(self, b: int, lb: int, undecided: int) -> int:
+        """Block b's largest span when its active ops take `lb` cycles and
+        its undecided optional ops `undecided`: the horizon, except that a
+        block that can hold no op spans 0 cycles (every latency is at
+        least 1) and a pad (span_cap None) spans its NOPs."""
+        cap = self.span_cap[b]
+        return cap if cap is not None and (lb or undecided) else lb + undecided
 
     def closure(
         self, copies: frozenset[int]
@@ -206,6 +238,12 @@ class _Plan:
 
 
 class _Search:
+    """One search of a plan's problem.  Its cuts (see the module docstring)
+    live in methods that can be overridden to switch them off: the
+    pad-length steps and the bounds at every structural node in
+    `_assign_structural`, the open block's end in `_open_end`, and the
+    closed-span nogoods in `_close_block`."""
+
     def __init__(
         self,
         plan: _Plan,
@@ -224,16 +262,19 @@ class _Search:
         self.deadline = deadline
         self.rng = random.Random(f"secdiv:{seed}")
         self.nodes = 0
+        # schedules handed to the allocation phase
+        self.scheduled = 0
         self.fail_counts: dict[str, int] = {}
         self.best: Optional[Solution] = None
         self.best_objective: Optional[int] = None
 
-        # the structural phase's state: the active optional ops, and each
-        # block's span bounds and the objective's lower bound, updated as
-        # ops are activated
+        # the structural phase's state: the active optional ops, each
+        # block's span bounds and undecided optional latency, and the
+        # objective's lower bound, updated as steps are decided
         self.on: set[int] = set()
         self.lb_span = list(plan.lb_span)
         self.ub_span = list(plan.ub_span)
+        self.undecided = list(plan.undecided)
         self.objective = plan.objective
 
         # per-variable value orders, fixed up front for reproducibility
@@ -249,10 +290,16 @@ class _Search:
             self.value_order[("cycle", idx)] = self._ordered(list(prob.cycle_domain[idx]))
         for name in prob.function.temps:
             self.value_order[("reg", name)] = self._ordered(list(prob.reg_domain[name]))
+        # each step's lengths, in the order the activations' values give
+        self.lengths = [
+            _pad_lengths([self.value_order[("active", idx)] for idx in step])
+            for step in plan.steps
+        ]
 
     def _ordered(self, values: list) -> list:
-        # shuffles in place: every caller passes a fresh list
-        if self.shuffle:
+        # shuffles in place: every caller passes a fresh list; a shuffle of
+        # fewer than two values draws nothing, so it is skipped
+        if self.shuffle and len(values) > 1:
             self.rng.shuffle(values)
         return values
 
@@ -286,58 +333,51 @@ class _Search:
         return SolveResult(status=SolveStatus.UNSAT, failing_family=family, nodes=self.nodes)
 
     def _assign_structural(self, k: int) -> Iterator[Solution]:
+        """Decide step k and the steps after it.  A pad's length is one
+        choice, so each length costs one node.  Every node tests the bounds
+        on span intervals: a block's span lies between its active latency
+        and its upper bound with its undecided ops on."""
         self._tick()
-        plan = self.plan
-        if k == len(plan.active_vars):
+        if not self._bounds_ok(self.lb_span, self.ub_span, self.objective):
+            return
+        if k == len(self.plan.steps):
             yield from self._enter_schedule()
             return
-        idx = plan.active_vars[k]
-        for value in self.value_order[("active", idx)]:
-            if not value:
-                yield from self._assign_structural(k + 1)
-                continue
-            prev = plan.prev_nop.get(idx)
-            if prev is not None and prev not in self.on:
-                continue
-            self.on.add(idx)
-            self._shift(idx, 1)
+        for n in self.lengths[k]:
+            self._shift(k, n, 1)
             yield from self._assign_structural(k + 1)
-            self._shift(idx, -1)
-            self.on.remove(idx)
+            self._shift(k, n, -1)
 
-    def _shift(self, idx: int, sign: int) -> None:
-        """Count optional op `idx` in (sign 1) or out of (sign -1) its
-        block's span bounds and the objective's lower bound."""
+    def _shift(self, k: int, n: int, sign: int) -> None:
+        """Turn the first n ops of step k on (sign 1) or back off (sign -1),
+        with the step's block span bounds and the objective's lower bound."""
         plan = self.plan
-        b = plan.prob.op_block[idx]
-        lat = sign * plan.lat[idx]
-        lb = self.lb_span[b] = self.lb_span[b] + lat
-        cap = plan.span_cap[b]
-        self.ub_span[b] = cap if cap is not None and lb else lb
-        self.objective += plan.weight[b] * lat
+        ops = plan.steps[k][:n]
+        if sign > 0:
+            self.on.update(ops)
+        else:
+            self.on.difference_update(ops)
+        b = plan.step_block[k]
+        lats = plan.step_lat[k]
+        lb = self.lb_span[b] = self.lb_span[b] + sign * lats[n]
+        undecided = self.undecided[b] = self.undecided[b] - sign * lats[-1]
+        self.ub_span[b] = plan.span_upper(b, lb, undecided)
+        self.objective += sign * plan.weight[b] * lats[n]
 
     # -- phase B: cycles ------------------------------------------------
 
     def _enter_schedule(self) -> Iterator[Solution]:
-        # placing a block's last active op fixes the block's span, so the
-        # balance bounds are exact once the last block closes; both bounds
-        # run on the structural phase's spans, before any set-up
-        if not self._balance_bounds_ok(self.lb_span, self.ub_span):
-            self._fail("balance")
-            return
-        if not self._objective_bound_ok(self.objective):
-            self._fail("optimality-gap")
-            return
-
         plan = self.plan
         active = plan.mandatory | self.on
         roots, deps = plan.closure(plan.copies & self.on)
-        closing = set()
+        # each active op's later active ops in its block, with their
+        # latencies and dependencies: none for the op whose placement
+        # closes the block and fixes its span
+        later = {}
         for ops in plan.ops_by_block:
-            for idx in reversed(ops):
-                if idx in active:
-                    closing.add(idx)
-                    break
+            ops = [(idx, plan.lat[idx], deps.get(idx, ())) for idx in ops if idx in active]
+            for i, (idx, _, _) in enumerate(ops):
+                later[idx] = tuple(ops[i + 1 :])
         nblocks = len(plan.ops_by_block)
         state = _ScheduleState(
             active=active,
@@ -345,12 +385,21 @@ class _Search:
             deps=deps,
             lo_span=list(self.lb_span),
             hi_span=list(self.ub_span),
-            closing=closing,
+            later=later,
             objective=self.objective,
             busy=[0] * nblocks,
             block_end=[0] * nblocks,
         )
         yield from self._assign_cycles(0, state)
+
+    def _bounds_ok(self, lo_span: list[int], hi_span: list[int], objective: int) -> bool:
+        if not self._balance_bounds_ok(lo_span, hi_span):
+            self._fail("balance")
+            return False
+        if not self._objective_bound_ok(objective):
+            self._fail("optimality-gap")
+            return False
+        return True
 
     def _balance_bounds_ok(self, lo_span: list[int], hi_span: list[int]) -> bool:
         for left, right, const in self.plan.balance_diffs:
@@ -394,7 +443,7 @@ class _Search:
         if idx in plan.terminators:
             lo = max(lo, prev_end)
 
-        last_in_block = idx in state.closing
+        rest = state.later[idx]
         weight = plan.weight[block]
         lb = state.lo_span[block]
         ub = state.hi_span[block]
@@ -406,34 +455,84 @@ class _Search:
                 continue
             state.cycle[idx] = c
             state.busy[block] = busy | ones << c
-            end = state.block_end[block] = max(prev_end, c + lat)
-            ok = True
-            if last_in_block:
+            end = c + lat
+            if end < prev_end:
+                end = prev_end
+            state.block_end[block] = end
+            if not rest:
                 state.lo_span[block] = state.hi_span[block] = end
                 state.objective = prev_objective + weight * (end - lb)
-                if not self._balance_bounds_ok(state.lo_span, state.hi_span):
-                    self._fail("balance")
-                    ok = False
-                elif not self._objective_bound_ok(state.objective):
-                    self._fail("optimality-gap")
-                    ok = False
-            else:
-                # the unfinished block's span is at least its current end
-                if not self._objective_bound_ok(prev_objective + weight * (max(end, lb) - lb)):
-                    self._fail("optimality-gap")
-                    ok = False
-            if ok:
-                yield from self._assign_cycles(k + 1, state)
-            if last_in_block:
+                if self._bounds_ok(state.lo_span, state.hi_span, state.objective):
+                    yield from self._close_block(k, block, state)
                 state.lo_span[block], state.hi_span[block] = lb, ub
                 state.objective = prev_objective
+                continue
+            end = self._open_end(state, block, rest)
+            if end > horizon:
+                continue
+            state.lo_span[block] = end
+            ok = self._bounds_ok(state.lo_span, state.hi_span, prev_objective + weight * (end - lb))
+            state.lo_span[block] = lb
+            if ok:
+                yield from self._assign_cycles(k + 1, state)
         state.busy[block] = busy
         state.block_end[block] = prev_end
         state.cycle.pop(idx, None)
 
+    def _open_end(self, state: "_ScheduleState", block: int, rest: tuple) -> int:
+        """A lower bound on the end of an open block: its unplaced ops
+        `rest` fill its free cycles preemptively, each from its release (its
+        earliest start after its same-block dependencies), in release
+        order, and the terminator comes after all of them.  On one unit
+        with preemption, filling in release order ends earliest (the
+        preemptive relaxation of Baptiste, Le Pape and Nuijten,
+        "Constraint-Based Scheduling", 2001)."""
+        cycle = state.cycle
+        release: dict[int, int] = {}
+        jobs = []
+        for idx, lat, deps in rest:
+            r = 0
+            for site, site_lat in deps:
+                start = cycle.get(site)
+                if start is None:
+                    start = release.get(site, 0)
+                if start + site_lat > r:
+                    r = start + site_lat
+            release[idx] = r
+            jobs.append((r, lat))
+        # a block's terminator is its last op
+        last = jobs.pop() if rest[-1][0] in self.plan.terminators else None
+        busy = state.busy[block]
+        jobs.sort()
+        for r, lat in jobs:
+            for _ in range(lat):
+                free = ~busy >> r << r
+                busy |= free & -free
+        # every op placed or filled ends by the highest busy cycle
+        end = busy.bit_length()
+        if last is not None:
+            r, lat = last
+            end = (r if r > end else end) + lat
+        return end
+
+    def _close_block(self, k: int, block: int, state: "_ScheduleState") -> Iterator[Solution]:
+        """Place the ops after op k, `block` now closed.  The later blocks'
+        search reads only the spans of the closed blocks, its own blocks'
+        dependencies and an incumbent that never gets worse.  So once it
+        reaches no schedule from one vector of closed spans, it never will
+        from that vector in this entry, and the vector is skipped."""
+        key = tuple(state.lo_span[: block + 1])
+        if key in state.dead:
+            return
+        scheduled = self.scheduled
+        yield from self._assign_cycles(k + 1, state)
+        if self.scheduled == scheduled:
+            state.dead.add(key)
+
     # -- phase C: locations ---------------------------------------------
 
     def _enter_allocation(self, state: "_ScheduleState") -> Iterator[Solution]:
+        self.scheduled += 1
         prob = self.prob
         model = build_value_model(prob, state.active, state.cycle, state.roots)
         order = sorted(
@@ -589,8 +688,9 @@ class _ScheduleState:
     # each block's span bounds, both its span once its last op is placed
     lo_span: list[int]
     hi_span: list[int]
-    # ops whose placement fixes their block's span
-    closing: set[int]
+    # each active op's later active ops in its block, as (op, latency,
+    # dependencies)
+    later: dict[int, tuple[tuple[int, int, Sequence[tuple[int, int]]], ...]]
     # scaled objective with the spans fixed so far and lo_span elsewhere
     objective: int
     # each block's busy cycles, bit c for cycle c (every latency is at
@@ -598,6 +698,23 @@ class _ScheduleState:
     busy: list[int]
     block_end: list[int]
     cycle: dict[int, int] = field(default_factory=dict)
+    # the closed-span vectors whose subtree reached no schedule
+    dead: set[tuple[int, ...]] = field(default_factory=set)
+
+
+def _pad_lengths(orders: Sequence[Sequence[bool]]) -> list[int]:
+    """The order in which a NOP-by-NOP search visits a pad's lengths, given
+    the value order of each NOP's activation.  NOP i, decided with NOPs
+    0..i-1 on, is off exactly for length i and on for every longer length,
+    so `[False, True]` puts length i before the longer lengths and
+    `[True, False]` after them."""
+    lengths = [len(orders)]
+    for i in reversed(range(len(orders))):
+        if orders[i][0]:
+            lengths.append(i)
+        else:
+            lengths.insert(0, i)
+    return lengths
 
 
 def _intervals_overlap(a, b) -> bool:
@@ -613,6 +730,15 @@ def _intervals_overlap(a, b) -> bool:
 # ----------------------------------------------------------------------
 
 
+def _deadline(time_budget: float) -> float:
+    """The monotonic time at which a search stops.  A budget of 0 or less
+    stops it at its first deadline check; a NaN budget would never stop it,
+    because no comparison with NaN holds."""
+    if math.isnan(time_budget):
+        raise ValueError("time_budget must be a number, not NaN")
+    return time.monotonic() + time_budget
+
+
 def solve_optimal(prob: CopProblem, time_budget: float = 600.0) -> SolveResult:
     """Best solution by one exhaustive branch-and-bound search, or
     UNSAT/TIMEOUT.
@@ -621,7 +747,7 @@ def solve_optimal(prob: CopProblem, time_budget: float = 600.0) -> SolveResult:
     the incumbent that bounds the rest.  A TIMEOUT carries the best leaf
     found so far, if any, and `nodes` counts every node of the solve.
     """
-    return _Search(_Plan(prob), deadline=time.monotonic() + time_budget).run()
+    return _Search(_Plan(prob), deadline=_deadline(time_budget)).run()
 
 
 def solve_one(
@@ -632,6 +758,7 @@ def solve_one(
     seed: int = 0,
 ) -> SolveResult:
     """First feasible solution under the problem bound and blocking set."""
+    deadline = _deadline(time_budget)
     plan = _Plan(prob)
     return _Search(
         plan,
@@ -639,7 +766,7 @@ def solve_one(
         shuffle=True,
         blocked=[plan.values(sol) for sol in blocking or ()],
         dthresh=dthresh,
-        deadline=time.monotonic() + time_budget,
+        deadline=deadline,
     ).run()
 
 
@@ -663,12 +790,12 @@ def diversify(
 ) -> VariantPool:
     """Grow a pool of solutions within the optimality gap, each at least
     `dthresh` away from every other; the best solution is variant 0."""
+    deadline = _deadline(time_budget)
     bounded = replace(prob, opt_bound=(1 + gap) * best.objective)
     # every search of the pool shares one plan, and the pool's value vectors
     plan = _Plan(bounded)
     pool = [best]
     blocked = [plan.values(best)]
-    deadline = time.monotonic() + time_budget
     reason = PoolReason.COMPLETE
     i = 0
     while len(pool) < n:

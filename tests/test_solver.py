@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (
@@ -17,6 +18,7 @@ from bruteforce import (
     brute_optimal,
 )
 from conftest import corpus_naive_pool, load
+from test_verify import _bit_test_functions
 from secdiv import solver
 from secdiv.copmodel import (
     Mode,
@@ -80,8 +82,9 @@ def test_solver_output_is_checker_clean():
 def test_secret_arm_of_optional_copies_balances():
     # block 1 holds only an optional copy: when the copy is off, the block
     # spans 0 cycles, and the balance check counts it so.  That cuts every
-    # short NOP prefix before its cycles are placed: 73 nodes, against 504
-    # with the block's span left open up to its horizon
+    # short pad before its cycles are placed: 24 nodes (73 when a pad's
+    # NOPs were decided one by one, 504 with the block's span left open up
+    # to its horizon)
     func = parse_function(
         "func f (k:secret, x:public)\n"
         "block 0\n  z = li 0\n  bne k, z, 2\n"
@@ -90,7 +93,7 @@ def test_secret_arm_of_optional_copies_balances():
     )
     prob = build_problem(analyze(func, TIGHT8, mode=Mode.TSC))
     result = solve_optimal(prob, time_budget=30)
-    assert (result.status, result.nodes) == (SolveStatus.OPTIMAL, 73)
+    assert (result.status, result.nodes) == (SolveStatus.OPTIMAL, 24)
     assert check_solution(result.solution, prob) == []
     pool = diversify(prob, result.solution, n=20, gap=Fraction(1, 2), time_budget=30, seed=0)
     assert len(pool.solutions) > 1
@@ -128,15 +131,44 @@ def test_zero_budget_times_out_at_first_deadline_check():
     assert result.nodes == 512
 
 
+def _secret_region(n: int):
+    """Block 0 branches on the secret k past n diamonds, each a branch on
+    the publics into the arms `a_i = add x, y` and `c_i = mov x`: every
+    path from block 0 to the return lies in one secret region."""
+    end = 3 * n + 1
+    lines = ["func r (x:public, y:public, k:secret)", "block 0", "  z = li 0", f"  bne k, z, {end}"]
+    for i in range(n):
+        head = 3 * i + 1
+        lines += [f"block {head}", f"  bne x, y, {head + 2}",
+                  f"block {head + 1}", f"  a{i} = add x, y", f"  b {head + 3}",
+                  f"block {head + 2}", f"  c{i} = mov x"]
+    lines += [f"block {end}", "  ret x"]
+    return parse_function("\n".join(lines) + "\n")
+
+
 def test_zero_budget_keeps_the_first_incumbent():
     # the first deadline check comes at node 512; this search finds its
-    # first leaf before it, at node 438
-    prob = _problem("two_branches", Mode.TSC)
+    # first leaf before it and runs past it (it ends after 4,576 nodes)
+    prob = build_problem(analyze(_secret_region(2), TIGHT8, mode=Mode.TSC))
     result = solve_optimal(prob, time_budget=0)
     assert result.status is SolveStatus.TIMEOUT
     assert result.nodes == 512
     assert result.solution is not None
     assert check_solution(result.solution, prob) == []
+
+
+@pytest.mark.parametrize("entry", ["solve_optimal", "solve_one", "diversify"])
+def test_nan_budget_is_rejected(entry):
+    # no comparison with NaN holds, so a NaN deadline would never pass
+    prob = _problem("check_bit", Mode.TSC)
+    best = solve_optimal(prob, time_budget=30).solution
+    calls = {
+        "solve_optimal": lambda budget: solve_optimal(prob, time_budget=budget),
+        "solve_one": lambda budget: solve_one(prob, blocking=[best], time_budget=budget),
+        "diversify": lambda budget: diversify(prob, best, n=4, time_budget=budget),
+    }
+    with pytest.raises(ValueError, match="NaN"):
+        calls[entry](float("nan"))
 
 
 # ----------------------------------------------------------------------
@@ -338,20 +370,22 @@ def _digest(solutions) -> str:
 # fractional optimum at gap 0, which left those pools with the optimum
 # alone.  The long_arm tsc row was pinned again when balancing gave it one
 # NOP block instead of two, and every optimum's nodes when solve_optimal
-# became one search whose count covers the whole solve.
+# became one search whose count covers the whole solve.  Every node count
+# was pinned again, lower, when the search stopped visiting subtrees that
+# hold no leaf; every status, objective and digest stayed.
 _FRACTIONAL_GOLDEN = {
-    ("two_branches", "tsc"): ("optimal", 1033, "1525/36", "a5f56186fa59cb7f",
-                              ("complete", 6, "b9d358d83bca3351"), ("complete", 6, "1060605120070306"), 253),
+    ("two_branches", "tsc"): ("optimal", 92, "1525/36", "a5f56186fa59cb7f",
+                              ("complete", 6, "b9d358d83bca3351"), ("complete", 6, "1060605120070306"), 44),
     ("two_branches", "none"): ("optimal", 22, "239/12", "5b7b2b781dd10661",
-                               ("complete", 6, "60e2c80ecda96150"), ("complete", 6, "83636e7e843cee9a"), 27),
-    ("long_arm", "tsc"): ("optimal", 203, "1025/36", "0d0b9e6da2ab8187",
-                          ("complete", 6, "8bb053e900ddc659"), ("complete", 6, "7b98a249baceb305"), 208),
+                               ("complete", 6, "60e2c80ecda96150"), ("complete", 6, "83636e7e843cee9a"), 22),
+    ("long_arm", "tsc"): ("optimal", 51, "1025/36", "0d0b9e6da2ab8187",
+                          ("complete", 6, "8bb053e900ddc659"), ("complete", 6, "7b98a249baceb305"), 40),
     ("long_arm", "none"): ("optimal", 22, "62/3", "faf28f09fa49a5fb",
-                           ("complete", 6, "4df6ee96d2f0a0c7"), ("complete", 6, "fd4d353fad99e09c"), 41),
-    ("check_bit", "tsc"): ("optimal", 97, "74/3", "afa05da1ac3bcf47",
-                           ("complete", 6, "d7ee18177bab034f"), ("complete", 6, "9da0b831314c147d"), 73),
+                           ("complete", 6, "4df6ee96d2f0a0c7"), ("complete", 6, "fd4d353fad99e09c"), 22),
+    ("check_bit", "tsc"): ("optimal", 32, "74/3", "afa05da1ac3bcf47",
+                           ("complete", 6, "d7ee18177bab034f"), ("complete", 6, "9da0b831314c147d"), 23),
     ("check_bit", "none"): ("optimal", 15, "59/4", "601fa9676cb94481",
-                            ("complete", 6, "0845628de506999f"), ("complete", 6, "e6e0a50e35f4e6d4"), 18),
+                            ("complete", 6, "0845628de506999f"), ("complete", 6, "e6e0a50e35f4e6d4"), 15),
 }
 
 
@@ -384,11 +418,13 @@ def test_fractional_weights_search_respects_bound(name):
 # the tsc_pool jobs at n=8 and seed 0: the pool (reason, size, digest), and
 # the nodes of solve_one(pool.problem, blocking=pool.solutions[:k], seed=k)
 # for k = 1..7.  A search that visits its nodes in another order, or prunes
-# another set of them, changes some of these.
+# another set of them, changes some of these.  The node counts were pinned
+# again, lower, when the search stopped visiting subtrees that hold no
+# leaf; the pools stayed.
 _TSC_POOL_GOLDEN = {
-    ("modexp_step", 0): (("complete", 8, "5df05380d675679c"), (596, 542, 1220, 709, 505, 1115, 1428)),
-    ("two_branches", 5): (("complete", 8, "91aeaedd7f3089ba"), (321, 183, 255, 325, 87, 845, 958)),
-    ("long_arm", 5): (("complete", 8, "9201dd45b237a87f"), (149, 395, 361, 170, 187, 197, 150)),
+    ("modexp_step", 0): (("complete", 8, "5df05380d675679c"), (58, 67, 115, 66, 67, 105, 117)),
+    ("two_branches", 5): (("complete", 8, "91aeaedd7f3089ba"), (59, 37, 60, 59, 36, 107, 89)),
+    ("long_arm", 5): (("complete", 8, "9201dd45b237a87f"), (40, 56, 56, 40, 38, 39, 39)),
 }
 
 
@@ -439,3 +475,121 @@ def test_leaf_distance_agrees_with_distance():
     other = solve_optimal(_problem("straightline", Mode.NONE), time_budget=10).solution
     with pytest.raises(ValueError, match="different problems"):
         plan.values(other)
+
+
+# ----------------------------------------------------------------------
+# the cuts keep every leaf
+# ----------------------------------------------------------------------
+
+
+def _nop_by_nop_lengths(orders) -> list[int]:
+    """The pad lengths in the order a search visits them when it decides
+    one NOP at a time, in each NOP's value order, and lets NOP i on only
+    after NOP i-1."""
+    visited = []
+
+    def visit(i: int, on: int) -> None:
+        if i == len(orders):
+            visited.append(on)
+            return
+        for value in orders[i]:
+            if value and on < i:
+                continue
+            visit(i + 1, on + value)
+
+    visit(0, 0)
+    return visited
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_pad_lengths_follow_nop_by_nop_order(m):
+    for firsts in itertools.product([False, True], repeat=m):
+        orders = [[first, not first] for first in firsts]
+        assert solver._pad_lengths(orders) == _nop_by_nop_lengths(orders)
+
+
+# modexp_step tsc pools at gap 10% and n=20 (reason, size, digest), pinned
+# before the search cut its leafless subtrees; their search time has a
+# heavy tail over seeds (perfbench/workloads.py)
+_HEAVY_TAIL_GOLDEN = {
+    0: ("complete", 20, "023a2df5085cfadb"),
+    1: ("complete", 20, "1edceac35fd37fc0"),
+    2: ("complete", 20, "3b1c837a6883507f"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_HEAVY_TAIL_GOLDEN))
+def test_heavy_tail_pools_reproduce_pinned_digests(seed):
+    prob = _problem("modexp_step", Mode.TSC)
+    best = solve_optimal(prob, time_budget=60).solution
+    pool = diversify(prob, best, n=20, gap=Fraction(1, 10), time_budget=60, seed=seed)
+    row = (pool.reason.value, len(pool.solutions), _digest(pool.solutions))
+    assert row == _HEAVY_TAIL_GOLDEN[seed]
+
+
+class _Uncut(solver._Search):
+    """The search without its four cuts: one NOP at a time, each after the
+    one before it; the bounds tested only on whole structures; an open
+    block's end bounded by its placed ops alone; and no nogoods.  It stops
+    with TIMEOUT past `limit` nodes."""
+
+    limit = 50_000
+
+    def _tick(self):
+        super()._tick()
+        if self.nodes > self.limit:
+            raise solver._Timeout()
+
+    def _assign_structural(self, k):
+        self._tick()
+        plan = self.plan
+        if k == len(plan.active_vars):
+            self.lb_span = list(plan.lb_span)
+            for idx in self.on:
+                self.lb_span[plan.prob.op_block[idx]] += plan.lat[idx]
+            self.ub_span = [plan.span_upper(b, lb, 0) for b, lb in enumerate(self.lb_span)]
+            self.objective = sum(
+                w * (lb + e) for w, lb, e in zip(plan.weight, self.lb_span, plan.edge_const)
+            )
+            if self._bounds_ok(self.lb_span, self.ub_span, self.objective):
+                yield from self._enter_schedule()
+            return
+        idx = plan.active_vars[k]
+        nops = plan.prob.nop_blocks.get(plan.prob.op_block[idx], (idx,))
+        pos = nops.index(idx)
+        for value in self.value_order[("active", idx)]:
+            if value:
+                if pos and nops[pos - 1] not in self.on:
+                    continue
+                self.on.add(idx)
+            yield from self._assign_structural(k + 1)
+            self.on.discard(idx)
+
+    def _open_end(self, state, block, rest):
+        return max(state.block_end[block], state.lo_span[block])
+
+    def _close_block(self, k, block, state):
+        yield from self._assign_cycles(k + 1, state)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_bit_test_functions(), st.sampled_from([Mode.NONE, Mode.TSC]))
+def test_cuts_keep_every_solution(text, mode):
+    """solve_optimal and solve_one return what the uncut search returns.
+    The uncut search of some 5-block tsc shapes takes over a million nodes
+    (4,285 with the cuts), so an example whose uncut search passes
+    `_Uncut.limit` nodes is skipped."""
+    prob = build_problem(analyze(parse_function(text), TIGHT8, mode=mode))
+    result = solve_optimal(prob)
+    uncut = _Uncut(solver._Plan(prob)).run()
+    assume(uncut.status is not SolveStatus.TIMEOUT)
+    assert (result.status, result.solution) == (uncut.status, uncut.solution)
+    assert result.nodes <= uncut.nodes
+    bounded = replace(prob, opt_bound=Fraction(11, 10) * result.solution.objective)
+    plan = solver._Plan(bounded)
+    for seed in range(4):
+        one = solve_one(bounded, blocking=[result.solution], seed=seed)
+        uncut = _Uncut(plan, seed=seed, shuffle=True, blocked=[plan.values(result.solution)]).run()
+        assume(uncut.status is not SolveStatus.TIMEOUT)
+        assert (one.status, one.solution) == (uncut.status, uncut.solution)
+        assert one.nodes <= uncut.nodes
