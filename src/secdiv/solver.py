@@ -14,9 +14,7 @@ become an incumbent or a pool member.
 What depends on neither the seed nor the blocking set is built once per
 problem, in a ``_Plan``: ``diversify`` builds one for its bounded problem,
 and every search of the pool reads it.  It holds the balance rows, the
-structural steps, each block's span from its mandatory ops, and the roots
-and dependencies of each set of active optional copies (NOPs change
-neither).
+structural steps and each block's span from its mandatory ops.
 
 The search cuts every subtree that holds no leaf, and only those, so the
 leaves and their order are those of a search without the cuts:
@@ -48,7 +46,7 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -132,10 +130,6 @@ class _Plan:
             op.index for op in prob.ops if len(prob.alternatives[op.index]) > 1
         ]
         self.swap_vars = list(prob.swap_ops)
-        # the optional copies; NOPs change neither roots nor dependencies
-        self.copies = frozenset(
-            idx for idx in self.active_vars if prob.op_at[idx].opcode is not Opcode.NOP
-        )
         # the structural phase decides one step at a time: an optional op on
         # or off, or a pad's length (a balancing block's active NOPs always
         # form a prefix, pinned to cycles 0, 1, ...); turning on n ops of
@@ -191,7 +185,6 @@ class _Plan:
         self.objective = sum(
             w * (lb + e) for w, lb, e in zip(self.weight, self.lb_span, self.edge_const)
         )
-        self._closures: dict[frozenset[int], tuple[dict, dict]] = {}
 
     def span_upper(self, b: int, lb: int, undecided: int) -> int:
         """Block b's largest span when its active ops take `lb` cycles and
@@ -200,35 +193,6 @@ class _Plan:
         least 1) and a pad (span_cap None) spans its NOPs."""
         cap = self.span_cap[b]
         return cap if cap is not None and (lb or undecided) else lb + undecided
-
-    def closure(
-        self, copies: frozenset[int]
-    ) -> tuple[dict[str, str], dict[int, list[tuple[int, int]]]]:
-        """The roots of the temps and each op's same-block dependencies
-        (site, latency) when exactly the optional copies in `copies` are
-        active, kept for every later entry with the same copies."""
-        found = self._closures.get(copies)
-        if found is not None:
-            return found
-        prob = self.prob
-        active = self.mandatory | copies
-        roots = resolve_roots(prob, active)
-        deps: dict[int, list[tuple[int, int]]] = {}
-        for ops in self.ops_by_block:
-            for idx in ops:
-                if idx not in active:
-                    continue
-                for temp in prob.op_uses[idx]:
-                    site = prob.def_site.get(roots[temp])
-                    if site is None or site not in active:
-                        continue
-                    if prob.op_block[site] == prob.op_block[idx]:
-                        deps.setdefault(idx, []).append((site, self.lat[site]))
-        for a, b in prob.mem_deps:
-            if a in active and b in active:
-                deps.setdefault(b, []).append((a, self.lat[a]))
-        found = self._closures[copies] = (roots, deps)
-        return found
 
     def values(self, sol: Solution) -> tuple:
         """The solution's value vector, in the problem's variable order."""
@@ -242,7 +206,12 @@ class _Search:
     live in methods that can be overridden to switch them off: the
     pad-length steps and the bounds at every structural node in
     `_assign_structural`, the open block's end in `_open_end`, and the
-    closed-span nogoods in `_close_block`."""
+    closed-span nogoods in `_close_block`.
+
+    The cycle phase narrows the structural phase's span bounds and
+    objective in place and restores them as it backtracks;
+    `_enter_schedule` sets up the rest of each schedule entry's state on
+    the search."""
 
     def __init__(
         self,
@@ -368,29 +337,38 @@ class _Search:
 
     def _enter_schedule(self) -> Iterator[Solution]:
         plan = self.plan
-        active = plan.mandatory | self.on
-        roots, deps = plan.closure(plan.copies & self.on)
-        # each active op's later active ops in its block, with their
-        # latencies and dependencies: none for the op whose placement
-        # closes the block and fixes its span
-        later = {}
+        prob = self.prob
+        active = self.active = plan.mandatory | self.on
+        roots = self.roots = resolve_roots(prob, active)
+        # each active op's same-block dependencies, as (site, latency)
+        deps: dict[int, list[tuple[int, int]]] = {}
+        for ops in plan.ops_by_block:
+            for idx in ops:
+                if idx not in active:
+                    continue
+                for temp in prob.op_uses[idx]:
+                    site = prob.def_site.get(roots[temp])
+                    if site in active and prob.op_block[site] == prob.op_block[idx]:
+                        deps.setdefault(idx, []).append((site, plan.lat[site]))
+        for a, b in prob.mem_deps:
+            if a in active and b in active:
+                deps.setdefault(b, []).append((a, plan.lat[a]))
+        self.deps = deps
+        # each active op's later active ops in its block, as (op, latency,
+        # dependencies): none for the op whose placement closes the block
+        # and fixes its span
+        self.later: dict[int, tuple[tuple[int, int, Sequence[tuple[int, int]]], ...]] = {}
         for ops in plan.ops_by_block:
             ops = [(idx, plan.lat[idx], deps.get(idx, ())) for idx in ops if idx in active]
             for i, (idx, _, _) in enumerate(ops):
-                later[idx] = tuple(ops[i + 1 :])
-        nblocks = len(plan.ops_by_block)
-        state = _ScheduleState(
-            active=active,
-            roots=roots,
-            deps=deps,
-            lo_span=list(self.lb_span),
-            hi_span=list(self.ub_span),
-            later=later,
-            objective=self.objective,
-            busy=[0] * nblocks,
-            block_end=[0] * nblocks,
-        )
-        yield from self._assign_cycles(0, state)
+                self.later[idx] = tuple(ops[i + 1 :])
+        # each block's busy cycles, bit c for cycle c (every latency is at
+        # least 1, so a block's placed ops end by busy.bit_length())
+        self.busy = [0] * len(plan.ops_by_block)
+        self.cycle: dict[int, int] = {}
+        # the closed-span vectors whose subtree reached no schedule
+        self.dead: set[tuple[int, ...]] = set()
+        yield from self._assign_cycles(0)
 
     def _bounds_ok(self, lo_span: list[int], hi_span: list[int], objective: int) -> bool:
         if not self._balance_bounds_ok(lo_span, hi_span):
@@ -422,64 +400,59 @@ class _Search:
             return False
         return True
 
-    def _assign_cycles(self, k: int, state: "_ScheduleState") -> Iterator[Solution]:
+    def _assign_cycles(self, k: int) -> Iterator[Solution]:
         self._tick()
         plan = self.plan
         order = plan.cycle_order
-        while k < len(order) and order[k] not in state.active:
+        while k < len(order) and order[k] not in self.active:
             k += 1
         if k == len(order):
-            yield from self._enter_allocation(state)
+            yield from self._enter_allocation()
             return
         idx = order[k]
         block = self.prob.op_block[idx]
         lat = plan.lat[idx]
         horizon = self.prob.horizon[block]
-        busy = state.busy[block]
-        prev_end = state.block_end[block]
+        busy = self.busy[block]
         lo = 0
-        for site, site_lat in state.deps.get(idx, ()):
-            lo = max(lo, state.cycle[site] + site_lat)
+        for site, site_lat in self.deps.get(idx, ()):
+            lo = max(lo, self.cycle[site] + site_lat)
         if idx in plan.terminators:
-            lo = max(lo, prev_end)
+            lo = max(lo, busy.bit_length())
 
-        rest = state.later[idx]
+        rest = self.later[idx]
         weight = plan.weight[block]
-        lb = state.lo_span[block]
-        ub = state.hi_span[block]
-        prev_objective = state.objective
+        lb = self.lb_span[block]
+        ub = self.ub_span[block]
+        objective = self.objective
         ones = (1 << lat) - 1
 
         for c in self.value_order[("cycle", idx)]:
             if c < lo or c + lat > horizon or busy >> c & ones:
                 continue
-            state.cycle[idx] = c
-            state.busy[block] = busy | ones << c
-            end = c + lat
-            if end < prev_end:
-                end = prev_end
-            state.block_end[block] = end
+            self.cycle[idx] = c
+            self.busy[block] = busy | ones << c
             if not rest:
-                state.lo_span[block] = state.hi_span[block] = end
-                state.objective = prev_objective + weight * (end - lb)
-                if self._bounds_ok(state.lo_span, state.hi_span, state.objective):
-                    yield from self._close_block(k, block, state)
-                state.lo_span[block], state.hi_span[block] = lb, ub
-                state.objective = prev_objective
+                end = self.busy[block].bit_length()
+                self.lb_span[block] = self.ub_span[block] = end
+                self.objective = objective + weight * (end - lb)
+                if self._bounds_ok(self.lb_span, self.ub_span, self.objective):
+                    yield from self._close_block(k, block)
+                self.lb_span[block], self.ub_span[block] = lb, ub
+                self.objective = objective
                 continue
-            end = self._open_end(state, block, rest)
+            end = self._open_end(block, rest)
             if end > horizon:
                 continue
-            state.lo_span[block] = end
-            ok = self._bounds_ok(state.lo_span, state.hi_span, prev_objective + weight * (end - lb))
-            state.lo_span[block] = lb
+            self.lb_span[block] = end
+            ok = self._bounds_ok(self.lb_span, self.ub_span, objective + weight * (end - lb))
+            self.lb_span[block] = lb
             if ok:
-                yield from self._assign_cycles(k + 1, state)
-        state.busy[block] = busy
-        state.block_end[block] = prev_end
-        state.cycle.pop(idx, None)
+                yield from self._assign_cycles(k + 1)
+        self.busy[block] = busy
+        self.cycle.pop(idx, None)
 
-    def _open_end(self, state: "_ScheduleState", block: int, rest: tuple) -> int:
+    def _open_end(self, block: int, rest: tuple) -> int:
         """A lower bound on the end of an open block: its unplaced ops
         `rest` fill its free cycles preemptively, each from its release (its
         earliest start after its same-block dependencies), in release
@@ -487,7 +460,7 @@ class _Search:
         with preemption, filling in release order ends earliest (the
         preemptive relaxation of Baptiste, Le Pape and Nuijten,
         "Constraint-Based Scheduling", 2001)."""
-        cycle = state.cycle
+        cycle = self.cycle
         release: dict[int, int] = {}
         jobs = []
         for idx, lat, deps in rest:
@@ -502,7 +475,7 @@ class _Search:
             jobs.append((r, lat))
         # a block's terminator is its last op
         last = jobs.pop() if rest[-1][0] in self.plan.terminators else None
-        busy = state.busy[block]
+        busy = self.busy[block]
         jobs.sort()
         for r, lat in jobs:
             for _ in range(lat):
@@ -515,26 +488,26 @@ class _Search:
             end = (r if r > end else end) + lat
         return end
 
-    def _close_block(self, k: int, block: int, state: "_ScheduleState") -> Iterator[Solution]:
+    def _close_block(self, k: int, block: int) -> Iterator[Solution]:
         """Place the ops after op k, `block` now closed.  The later blocks'
         search reads only the spans of the closed blocks, its own blocks'
         dependencies and an incumbent that never gets worse.  So once it
         reaches no schedule from one vector of closed spans, it never will
         from that vector in this entry, and the vector is skipped."""
-        key = tuple(state.lo_span[: block + 1])
-        if key in state.dead:
+        key = tuple(self.lb_span[: block + 1])
+        if key in self.dead:
             return
         scheduled = self.scheduled
-        yield from self._assign_cycles(k + 1, state)
+        yield from self._assign_cycles(k + 1)
         if self.scheduled == scheduled:
-            state.dead.add(key)
+            self.dead.add(key)
 
     # -- phase C: locations ---------------------------------------------
 
-    def _enter_allocation(self, state: "_ScheduleState") -> Iterator[Solution]:
+    def _enter_allocation(self) -> Iterator[Solution]:
         self.scheduled += 1
         prob = self.prob
-        model = build_value_model(prob, state.active, state.cycle, state.roots)
+        model = build_value_model(prob, self.active, self.cycle, self.roots)
         order = sorted(
             model.values,
             key=lambda v: (model.def_point[v][0], model.def_point[v][1], v),
@@ -558,22 +531,22 @@ class _Search:
         # the objective is fixed by the schedule: one feasible allocation per
         # schedule is enough when optimizing, and a first-solution search
         # stops at its first leaf anyway
-        leaves = self._assign_locs(0, order, overlap, mem_ok, model, state, {})
+        leaves = self._assign_locs(0, order, overlap, mem_ok, model, {})
         yield from itertools.islice(leaves, 1)
 
-    def _assign_locs(self, k, order, overlap, mem_ok, model, state, loc) -> Iterator[Solution]:
+    def _assign_locs(self, k, order, overlap, mem_ok, model, loc) -> Iterator[Solution]:
         self._tick()
         prob = self.prob
         nregs = prob.num_registers
         if k == len(order):
-            yield from self._leaf(state, loc, model)
+            yield from self._leaf(loc, model)
             return
         value = order[k]
         copy_src_mem = False
         site = prob.def_site.get(value)
         if site is not None and site in prob.copy_ops:
             src, _ = prob.copy_ops[site]
-            copy_src_mem = loc[state.roots[src]] >= nregs
+            copy_src_mem = loc[self.roots[src]] >= nregs
 
         for r in self.value_order[("reg", value)]:
             # a memory slot takes neither a value with a non-copy use nor
@@ -586,7 +559,7 @@ class _Search:
                 self._fail("rot-conflict")
                 continue
             loc[value] = r
-            yield from self._assign_locs(k + 1, order, overlap, mem_ok, model, state, loc)
+            yield from self._assign_locs(k + 1, order, overlap, mem_ok, model, loc)
             del loc[value]
 
     def _psc_candidate_ok(self, value, r, loc, model) -> bool:
@@ -627,18 +600,18 @@ class _Search:
 
     # -- leaf -----------------------------------------------------------
 
-    def _leaf(self, state, loc, model) -> Iterator[Solution]:
+    def _leaf(self, loc, model) -> Iterator[Solution]:
         prob = self.prob
         values: dict[VarKey, object] = {}
         for idx in self.plan.active_vars:
-            values[("active", idx)] = idx in state.active
+            values[("active", idx)] = idx in self.active
         for op in prob.ops:
-            if op.index in state.active:
-                values[("cycle", op.index)] = state.cycle[op.index]
+            if op.index in self.active:
+                values[("cycle", op.index)] = self.cycle[op.index]
             else:
                 values[("cycle", op.index)] = prob.cycle_domain[op.index][0]
         for name in prob.function.temps:
-            root = state.roots[name]
+            root = self.roots[name]
             values[("reg", name)] = loc[root]
 
         checked = False
@@ -678,28 +651,6 @@ class _Search:
         orders = [self.value_order[k] for k in keys]
         for combo in itertools.product(*orders):
             yield dict(zip(keys, combo))
-
-
-@dataclass
-class _ScheduleState:
-    active: set[int]
-    roots: dict[str, str]
-    deps: dict[int, list[tuple[int, int]]]
-    # each block's span bounds, both its span once its last op is placed
-    lo_span: list[int]
-    hi_span: list[int]
-    # each active op's later active ops in its block, as (op, latency,
-    # dependencies)
-    later: dict[int, tuple[tuple[int, int, Sequence[tuple[int, int]]], ...]]
-    # scaled objective with the spans fixed so far and lo_span elsewhere
-    objective: int
-    # each block's busy cycles, bit c for cycle c (every latency is at
-    # least 1), and the latest end of its placed ops
-    busy: list[int]
-    block_end: list[int]
-    cycle: dict[int, int] = field(default_factory=dict)
-    # the closed-span vectors whose subtree reached no schedule
-    dead: set[tuple[int, ...]] = field(default_factory=set)
 
 
 def _pad_lengths(orders: Sequence[Sequence[bool]]) -> list[int]:
@@ -759,6 +710,8 @@ def solve_one(
 ) -> SolveResult:
     """First feasible solution under the problem bound and blocking set."""
     deadline = _deadline(time_budget)
+    if dthresh < 1:
+        raise ValueError(f"dthresh must be at least 1, not {dthresh}")
     plan = _Plan(prob)
     return _Search(
         plan,
@@ -791,6 +744,8 @@ def diversify(
     """Grow a pool of solutions within the optimality gap, each at least
     `dthresh` away from every other; the best solution is variant 0."""
     deadline = _deadline(time_budget)
+    if dthresh < 1:
+        raise ValueError(f"dthresh must be at least 1, not {dthresh}")
     bounded = replace(prob, opt_bound=(1 + gap) * best.objective)
     # every search of the pool shares one plan, and the pool's value vectors
     plan = _Plan(bounded)

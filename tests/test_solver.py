@@ -157,6 +157,20 @@ def test_zero_budget_keeps_the_first_incumbent():
     assert check_solution(result.solution, prob) == []
 
 
+@pytest.mark.parametrize(
+    "n, nodes, digest",
+    [(1, 486, "ac42dfd13865591e"), (2, 4576, "961876122e7b7414"), (3, 35391, "05e9d45f90c75696")],
+)
+def test_secret_region_optimum_is_pinned(n, nodes, digest):
+    # every combination of pad lengths is a schedule entry here, so the
+    # closed-span nogoods within an entry show in the node counts: without
+    # them the search takes 559, 5,072 and 37,637 nodes
+    prob = build_problem(analyze(_secret_region(n), TIGHT8, mode=Mode.TSC))
+    result = solve_optimal(prob, time_budget=60)
+    assert (result.status, result.nodes) == (SolveStatus.OPTIMAL, nodes)
+    assert _digest([result.solution]) == digest
+
+
 @pytest.mark.parametrize("entry", ["solve_optimal", "solve_one", "diversify"])
 def test_nan_budget_is_rejected(entry):
     # no comparison with NaN holds, so a NaN deadline would never pass
@@ -169,6 +183,23 @@ def test_nan_budget_is_rejected(entry):
     }
     with pytest.raises(ValueError, match="NaN"):
         calls[entry](float("nan"))
+
+
+@pytest.mark.parametrize("dthresh", [0, -1])
+@pytest.mark.parametrize("entry", ["solve_one", "diversify"])
+def test_dthresh_below_one_is_rejected(entry, dthresh, monkeypatch):
+    # every solution lies at distance 0 or more from a blocked one, so a
+    # dthresh below 1 blocks nothing and a pool repeats its solutions;
+    # with _Search gone, the error can only come before any search
+    prob = _problem("minimal", Mode.NONE)
+    best = solve_optimal(prob, time_budget=30).solution
+    monkeypatch.setattr(solver, "_Search", None)
+    calls = {
+        "solve_one": lambda: solve_one(prob, blocking=[best], dthresh=dthresh),
+        "diversify": lambda: diversify(prob, best, n=5, gap=Fraction(1), dthresh=dthresh),
+    }
+    with pytest.raises(ValueError, match="dthresh"):
+        calls[entry]()
 
 
 # ----------------------------------------------------------------------
@@ -530,8 +561,9 @@ def test_heavy_tail_pools_reproduce_pinned_digests(seed):
 class _Uncut(solver._Search):
     """The search without its four cuts: one NOP at a time, each after the
     one before it; the bounds tested only on whole structures; an open
-    block's end bounded by its placed ops alone; and no nogoods.  It stops
-    with TIMEOUT past `limit` nodes."""
+    block's end bounded by its placed ops alone (the length of its busy
+    mask) and its span's lower bound; and no nogoods.  It stops with
+    TIMEOUT past `limit` nodes."""
 
     limit = 50_000
 
@@ -565,11 +597,11 @@ class _Uncut(solver._Search):
             yield from self._assign_structural(k + 1)
             self.on.discard(idx)
 
-    def _open_end(self, state, block, rest):
-        return max(state.block_end[block], state.lo_span[block])
+    def _open_end(self, block, rest):
+        return max(self.busy[block].bit_length(), self.lb_span[block])
 
-    def _close_block(self, k, block, state):
-        yield from self._assign_cycles(k + 1, state)
+    def _close_block(self, k, block):
+        yield from self._assign_cycles(k + 1)
 
 
 @settings(max_examples=15, deadline=None)
