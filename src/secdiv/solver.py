@@ -742,10 +742,17 @@ def diversify(
     seed: int = 0,
 ) -> VariantPool:
     """Grow a pool of solutions within the optimality gap, each at least
-    `dthresh` away from every other; the best solution is variant 0."""
+    `dthresh` away from every other; the best solution is variant 0.
+    A `gap` below 0 would bound the objective below `best`'s own, and an
+    `n` below 1 asks for less than variant 0: both raise ValueError, as a
+    `dthresh` below 1 does, before any search."""
     deadline = _deadline(time_budget)
     if dthresh < 1:
         raise ValueError(f"dthresh must be at least 1, not {dthresh}")
+    if gap < 0:
+        raise ValueError(f"gap must be at least 0, not {gap}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
     bounded = replace(prob, opt_bound=(1 + gap) * best.objective)
     # every search of the pool shares one plan, and the pool's value vectors
     plan = _Plan(bounded)

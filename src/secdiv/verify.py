@@ -5,7 +5,8 @@ simulator or from the encoded words alone; nothing is shared with the
 analysis, the constraint model or the solver, so these checks can veto
 the whole pipeline.
 
-  * functional equivalence of two programs,
+  * functional equivalence of two programs, proved symbolically where
+    it can be and otherwise tested on concrete inputs,
   * constant-resource checking: best- and worst-case cycle counts must
     coincide for every public input, proved statically,
   * first-order power-leak checking: at every register write and memory
@@ -23,6 +24,31 @@ ones `run_batch` runs, and a program out of the shape `machine._decode`
 states is a MachineError in every check.  So the words, cycles and edges
 they reason about are the ones that run: every word of a block runs,
 every edge goes to a later block, and every run ends at a RET.
+
+Equivalence, a symbolic proof first.  `check_equivalence` walks every
+path of both programs' decoded blocks (`_paths`) in the style of
+translation validation (Pnueli, Siegel and Singerman, "Translation
+validation", TACAS 1998; Necula, "Translation validation for an
+optimizing compiler", PLDI 2000).  Each state row holds an interned term
+(`_Terms`) over the input registers; rows that are not inputs start at
+0, as in `run_batch`.  ADD and SUB give one coefficient map over Z/256,
+so x - x is 0 and the 8-bit wrap-around is exact; XOR gives a parity set
+with a folded constant; AND and OR give idempotent sets, with 0 and 0xFF
+folded.  MOV, LD and ST copy a row's term.  A BEQ or BNE is decided when
+the difference of its operands is a constant, or when the same
+difference was decided earlier on the path; otherwise the walk forks,
+and (difference, whether the operands are equal) joins the path key.
+Each program gives a map from path key to returned term, and `b` is
+proven equivalent to `a` when the two maps are equal.  Sketch: each
+input meets the conditions of exactly one key of a map, its own path's,
+since two paths of one program part at a fork; equal maps have equal
+keys, so both programs take paths with one key and return one term.
+The proof is sound, not complete: it can fail on equal programs, e.g.
+(a & b) ^ (a | b) against a ^ b.  Then, or when a walk passes
+`_PROOF_PATHS` paths or interns more than `_PROOF_NODES` new terms, both
+programs run on every input up to `_EXHAUSTIVE_LIMIT` inputs, or on
+`_SAMPLES` seeded ones, and `run_batch` decides.  Variant 0's proof is
+kept for the next call, as its concrete returns are.
 
 Taint.  One forward pass over the decoded blocks (`_taint`) tracks which
 state rows, registers and memory slots, may hold a value derived from a
@@ -112,6 +138,10 @@ Policy = Sequence[tuple[str, SecurityLabel]]
 
 _EXHAUSTIVE_LIMIT = 2  # inputs; beyond this, equivalence uses samples
 _SAMPLES = 1000
+# caps of one symbolic walk of the equivalence proof: paths, and terms it
+# adds; past either, check_equivalence runs both programs instead
+_PROOF_PATHS = 256
+_PROOF_NODES = 4096
 # secret and random inputs; beyond this, the byte-wise check_psc reports
 # its enumeration incomplete
 _HIDDEN_LIMIT = 3
@@ -136,14 +166,17 @@ def _full_grid(k: int) -> np.ndarray:
 
 @dataclass
 class EquivalenceReport:
-    pairs_tested: int
+    pairs_tested: int  # 0 when proven
     mismatch: Optional[tuple[tuple[int, ...], int, int]] = None
+    proven: bool = False
 
     @property
     def ok(self) -> bool:
         return self.mismatch is None
 
     def lines(self) -> list[str]:
+        if self.proven:
+            return ["equivalent\tproven\t-"]
         if self.ok:
             return [f"equivalent\t{self.pairs_tested} inputs\t-"]
         inputs, ra, rb = self.mismatch
@@ -153,14 +186,20 @@ class EquivalenceReport:
 def check_equivalence(
     a: MachineProgram, b: MachineProgram, seed: int = 0
 ) -> EquivalenceReport:
-    """Compare return values on exhaustive 8-bit inputs (two inputs or
-    fewer) or on seeded samples; reports the first mismatching input.
+    """Prove that `b` returns what `a` returns on every input, by their
+    maps from path key to normal-form return (`_paths`, see the module
+    docstring).  Where the maps differ, or a walk passes a cap, compare
+    return values on exhaustive 8-bit inputs (two inputs or fewer) or on
+    seeded samples, and report the first mismatching input.
 
-    The inputs and `a`'s returns are kept for the next call with an equal
-    `a` and the same seed, so a pool checked against its variant 0 runs
-    that variant once."""
+    `a`'s proof, and its inputs and returns for that seed, are kept for
+    the next call with an equal `a`, so a pool checked against its
+    variant 0 walks and runs that variant once."""
     if a.num_inputs != b.num_inputs:
         raise ValueError("programs take different numbers of inputs")
+    terms, paths = _proof_reference(a)
+    if paths is not None and _paths(b, terms) == paths:
+        return EquivalenceReport(pairs_tested=0, proven=True)
     inputs, ra = _equivalence_reference(a, seed)
     rb = run_batch(b, inputs, collect_transitions=False).returns
     diff = np.nonzero(ra != rb)[0]
@@ -192,6 +231,176 @@ def _equivalence_reference(program: MachineProgram, seed: int) -> tuple[np.ndarr
         returns = run_batch(program, inputs, collect_transitions=False).returns
         _reference = (program, seed, inputs, returns)
     return _reference[2], _reference[3]
+
+
+# the last `_proof_reference`: (program, terms, its paths or None)
+_proof: Optional[tuple[MachineProgram, _Terms, Optional[dict]]] = None
+
+
+def _proof_reference(program: MachineProgram) -> tuple[_Terms, Optional[dict]]:
+    """`program`'s paths (`_paths`) and the terms their ids name, kept for
+    the next call with an equal program; the next walks intern into the
+    same terms, so their ids compare with these."""
+    global _proof
+    if _proof is None or _proof[0] != program:
+        terms = _Terms()
+        _proof = (program, terms, _paths(program, terms))
+    return _proof[1], _proof[2]
+
+
+class _Terms:
+    """Interned normal forms of 8-bit expressions over the inputs.
+
+    A term is a tuple (kind, constant, operands), and its id is its index
+    in `nodes`.  Each term is interned once, so equal ids are equal terms,
+    and a term's value is a function of the inputs alone.  Kinds:
+      * "c": the constant;
+      * "x": the input register numbered by the constant;
+      * "+": the constant plus the sum of coefficient times operand over
+        the (operand id, coefficient) pairs, mod 256;
+      * "^", "&" and "|": the constant combined with every operand id.
+    Operands are sorted and distinct, and no operand is a constant or of
+    the term's own kind, so chains flatten and repeated operands fold:
+    coefficients add, XOR operands cancel in pairs, AND and OR ones are
+    idempotent.  A combination that leaves no operand is a constant, and
+    one that leaves one operand alone, under the kind's neutral constant,
+    is that operand; AND with a constant 0 is 0 and OR with 0xFF is 0xFF.
+    Children are interned before their parents, so `nodes` is in an
+    order in which every operand comes before its term.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def intern(self, term: tuple) -> int:
+        id_ = self._ids.get(term)
+        if id_ is None:
+            id_ = self._ids[term] = len(self.nodes)
+            self.nodes.append(term)
+        return id_
+
+    def const(self, value: int) -> int:
+        return self.intern(("c", value & 0xFF, ()))
+
+    def input(self, register: int) -> int:
+        return self.intern(("x", register, ()))
+
+    def alu(self, op: Opcode, x: int, y: int) -> int:
+        if op is Opcode.ADD:
+            return self.linear(x, y, 1)
+        if op is Opcode.SUB:
+            return self.linear(x, y, -1)
+        if op is Opcode.XOR:
+            return self.parity(x, y)
+        return self.lattice("&" if op is Opcode.AND else "|", x, y)
+
+    def linear(self, x: int, y: int, sign: int) -> int:
+        """x + sign * y."""
+        constant, coeffs = 0, {}
+        for t, scale in ((x, 1), (y, sign)):
+            kind, value, operands = self.nodes[t]
+            if kind in ("c", "+"):
+                constant += scale * value
+            else:
+                operands = ((t, 1),)
+            for u, coeff in operands:
+                coeffs[u] = coeffs.get(u, 0) + scale * coeff
+        constant &= 0xFF
+        operands = tuple(sorted((u, coeff & 0xFF) for u, coeff in coeffs.items() if coeff & 0xFF))
+        if not operands:
+            return self.const(constant)
+        if constant == 0 and len(operands) == 1 and operands[0][1] == 1:
+            return operands[0][0]
+        return self.intern(("+", constant, operands))
+
+    def difference(self, x: int, y: int) -> int:
+        """A term that is 0 exactly where x == y, the same for (y, x)."""
+        return min(self.linear(x, y, -1), self.linear(y, x, -1))
+
+    def parity(self, x: int, y: int) -> int:
+        """x ^ y."""
+        constant, operands = 0, set()
+        for t in (x, y):
+            kind, value, children = self.nodes[t]
+            if kind == "c":
+                constant ^= value
+            elif kind == "^":
+                constant ^= value
+                operands.symmetric_difference_update(children)
+            else:
+                operands.symmetric_difference_update((t,))
+        return self._make("^", constant, operands, 0)
+
+    def lattice(self, kind: str, x: int, y: int) -> int:
+        """x & y for kind "&", x | y for "|"."""
+        neutral = 0xFF if kind == "&" else 0
+        constant, operands = neutral, set()
+        for t in (x, y):
+            node_kind, value, children = self.nodes[t]
+            if node_kind == "c" or node_kind == kind:
+                constant = constant & value if kind == "&" else constant | value
+                operands.update(children)
+            else:
+                operands.add(t)
+        if constant == neutral ^ 0xFF:
+            return self.const(constant)  # x & 0, x | 0xFF
+        return self._make(kind, constant, operands, neutral)
+
+    def _make(self, kind: str, constant: int, operands: set[int], neutral: int) -> int:
+        if not operands:
+            return self.const(constant)
+        if constant == neutral and len(operands) == 1:
+            return next(iter(operands))
+        return self.intern((kind, constant, tuple(sorted(operands))))
+
+
+def _paths(program: MachineProgram, terms: _Terms) -> Optional[dict[tuple, int]]:
+    """Walk every path of `program`'s decoded blocks symbolically: a map
+    from each path's key, its (condition, outcome) pairs in order, to the
+    term it returns, its ids interned in `terms`.  None once the walk
+    passes `_PROOF_PATHS` paths or interns more than `_PROOF_NODES` new
+    terms (see the module docstring)."""
+    decoded = program.decoded
+    blocks = decoded.blocks
+    rows = [terms.input(r) for r in decoded.input_regs]
+    rows += [terms.const(0)] * (decoded.nrows - len(rows))
+    limit = len(terms) + _PROOF_NODES
+    paths: dict[tuple, int] = {}
+    work = [(0, rows, ())]  # (block, the term in each row, path key)
+    while work:
+        index, rows, key = work.pop()
+        words, _, edges = blocks[index]
+        for op, a, b, c, fn, _, _ in words:
+            if fn is not None:
+                rows[a] = terms.alu(op, rows[b], rows[c])
+            elif op is Opcode.LI:
+                rows[a] = terms.const(b)
+            elif op in (Opcode.MOV, Opcode.LD, Opcode.ST):
+                rows[a] = rows[b]  # the bus row, which no word reads, is left out
+            elif op is Opcode.RET:
+                paths[key] = rows[a]
+            else:  # BEQ or BNE, the block's last word
+                beq, cond = op is Opcode.BEQ, terms.difference(rows[a], rows[b])
+        if len(edges) == 1:
+            work.append((edges[0][0], rows, key))
+        elif edges:
+            kind, value, _ = terms.nodes[cond]
+            # whether the operands are equal: decided by a constant
+            # difference or by the same condition earlier on the path
+            equal = value == 0 if kind == "c" else dict(key).get(cond)
+            (target, _), (fall, _) = edges
+            for succ, arm in ((target, beq), (fall, not beq)):
+                if equal is None:
+                    work.append((succ, list(rows), key + ((cond, arm),)))
+                elif equal == arm:
+                    work.append((succ, rows, key))
+        if len(terms) > limit or len(paths) > _PROOF_PATHS:
+            return None
+    return paths
 
 
 # ----------------------------------------------------------------------

@@ -211,6 +211,24 @@ def test_verify_flags_tampered_variant(tmp_path, capsys):
     assert "mismatch" in (pool / "verify.txt").read_text()
 
 
+def test_verify_txt_counts_every_proven_variant_equivalent(tmp_path, capsys):
+    """perfbench/run.py counts the lines holding
+    "\\tequivalence\\tequivalent\\t" and wants one per variant past
+    variant 0; a proven variant's line is one of them."""
+    out = tmp_path / "out"
+    assert run_cli("diversify", corpus_path("long_arm"), "--mode", "tsc", "--out", out,
+                   "--variants", "8", "--gap", "5") == 0
+    pool = out / "long_arm-tsc-g5"
+    assert run_cli("verify", corpus_path("long_arm"), "--pool", pool) == 0
+    produced = json.loads((pool / "manifest.json").read_text())["produced"]
+    assert produced > 2
+    lines = (pool / "verify.txt").read_text().splitlines()
+    equivalent = [l for l in lines if "\tequivalence\tequivalent\t" in l]
+    assert equivalent == [
+        f"variant_{i:03d}\tequivalence\tequivalent\tproven\t-" for i in range(1, produced)
+    ]
+
+
 def test_verify_rejects_another_functions_pool(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("diversify", corpus_path("minimal"), "--out", out, "--variants", "1") == 0

@@ -202,6 +202,23 @@ def test_dthresh_below_one_is_rejected(entry, dthresh, monkeypatch):
         calls[entry]()
 
 
+@pytest.mark.parametrize(
+    "n, gap, match",
+    [(4, Fraction(-1, 10), "gap"), (4, Fraction(-1), "gap"), (0, Fraction(1, 10), "n must"),
+     (-1, Fraction(1, 10), "n must")],
+)
+def test_pool_arguments_out_of_range_are_rejected(n, gap, match, monkeypatch):
+    # a negative gap bounds the objective below variant 0's own, so
+    # variant 0 fails its pool's problem; an n below 1 would still give a
+    # pool of one; with _Search gone, the error can only come before any
+    # search
+    prob = _problem("check_bit", Mode.TSC)
+    best = solve_optimal(prob, time_budget=30).solution
+    monkeypatch.setattr(solver, "_Search", None)
+    with pytest.raises(ValueError, match=match):
+        diversify(prob, best, n=n, gap=gap)
+
+
 # ----------------------------------------------------------------------
 # distance
 # ----------------------------------------------------------------------

@@ -56,14 +56,36 @@ def _compile(name: str, mode: Mode, profile=TIGHT8):
 def test_program_equivalent_to_itself():
     _, _, _, program = _compile("masked_xor", Mode.PSC)
     report = check_equivalence(program, program)
-    assert report.ok
+    assert report.ok and report.proven
+    assert report.pairs_tested == 0  # no input runs
+    assert report.lines() == ["equivalent\tproven\t-"]
+
+
+def _and_or_xor(inputs: int) -> tuple[MachineProgram, MachineProgram]:
+    """(a & b) ^ (a | b) ^ ... and a ^ b ^ ... over `inputs` inputs: equal
+    programs whose normal forms differ, so only the concrete check can
+    call them equivalent."""
+    tail = [Instr(Opcode.XOR, 7, 7, r) for r in range(2, inputs)]
+    first = [Instr(Opcode.AND, 5, 0, 1), Instr(Opcode.OR, 6, 0, 1), Instr(Opcode.XOR, 7, 5, 6)]
+    second = [Instr(Opcode.XOR, 7, 1, 0)]
+    return tuple(
+        MachineProgram("tight8", inputs, [words + tail + [Instr(Opcode.RET, 7)]])
+        for words in (first, second)
+    )
+
+
+def test_unprovable_pair_is_sampled():
+    a, b = _and_or_xor(3)
+    report = check_equivalence(a, b)
+    assert report.ok and not report.proven
     assert report.pairs_tested == 1000  # 3 inputs -> seeded samples
+    assert report.lines() == ["equivalent\t1000 inputs\t-"]
 
 
 def test_two_input_program_exhaustive():
-    _, _, _, program = _compile("check_bit", Mode.TSC)
-    report = check_equivalence(program, program)
-    assert report.ok
+    a, b = _and_or_xor(2)
+    report = check_equivalence(a, b)
+    assert report.ok and not report.proven
     assert report.pairs_tested == 65536
 
 
@@ -219,7 +241,7 @@ def test_static_path_cost_matches_simulator():
 
 
 @st.composite
-def _flow_programs(draw) -> MachineProgram:
+def _flow_programs(draw, arithmetic: bool = False) -> MachineProgram:
     """Well-formed programs on two inputs of 1-5 blocks.  A block has some
     `_instructions` and ends in one of: a B to a later block; a BEQ or BNE
     on r0 and r1 to a later block, often the next one; a RET; or nothing,
@@ -227,7 +249,7 @@ def _flow_programs(draw) -> MachineProgram:
     n = draw(st.integers(1, 5))
     blocks = []
     for index in range(n):
-        words = draw(_instructions(3))
+        words = draw(_instructions(3, arithmetic))
         end = draw(st.sampled_from(["b", "branch", "ret", "fall"] if index < n - 1 else ["ret"]))
         if end in ("b", "branch"):
             target = draw(st.one_of(st.just(index + 1), st.integers(index + 1, n - 1)))
@@ -609,15 +631,19 @@ _CONSTANTS = (0x00, 0xFF, 0x5A, 0x0F)
 
 
 @st.composite
-def _instructions(draw, size: int) -> list[Instr]:
-    """Bitwise instructions that write r1-r6 and slots 0-1 and read any
-    register: r0 holds the public input, r7 a constant."""
+def _instructions(draw, size: int, arithmetic: bool = False) -> list[Instr]:
+    """Bitwise instructions, and with `arithmetic` ADD and SUB too, that
+    write r1-r6 and slots 0-1 and read any register: r0 holds the public
+    input, r7 a constant."""
     body = []
+    ops = ["xor", "and", "or", "mov", "li", "ld", "st", "nop"] + ["add", "sub"] * arithmetic
     for _ in range(draw(st.integers(0, size))):
-        op = draw(st.sampled_from(["xor", "and", "or", "mov", "li", "ld", "st", "nop"]))
+        op = draw(st.sampled_from(ops))
         a, b, c = draw(st.integers(1, 6)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
         slot = draw(st.integers(0, 1))
         body.append({
+            "add": Instr(Opcode.ADD, a, b, c),
+            "sub": Instr(Opcode.SUB, a, b, c),
             "xor": Instr(Opcode.XOR, a, b, c),
             "and": Instr(Opcode.AND, a, b, c),
             "or": Instr(Opcode.OR, a, b, c),
@@ -1062,6 +1088,221 @@ def test_implicit_flow_through_a_register_is_a_hidden_branch():
     assert report.regions == [(0, 6, 6), (3, 3, 4)]
     assert not report.secure
     assert not constant_resource(program, policy)
+
+
+# ----------------------------------------------------------------------
+# the symbolic equivalence proof
+# ----------------------------------------------------------------------
+
+
+def _term_values(terms, inputs: np.ndarray) -> list[np.ndarray]:
+    """Every term's value on each lane of `inputs`, from the definition
+    of its kind alone: operands come before the terms that use them."""
+    values: list[np.ndarray] = []
+    combine = {"^": np.bitwise_xor, "&": np.bitwise_and, "|": np.bitwise_or}
+    for kind, constant, operands in terms.nodes:
+        if kind == "x":
+            value = inputs[constant].astype(np.int64)
+        else:
+            value = np.full(inputs.shape[1], constant, dtype=np.int64)
+        if kind == "+":
+            for u, coeff in operands:
+                value = (value + coeff * values[u]) % 256
+        elif kind in combine:
+            for u in operands:
+                value = combine[kind](value, values[u])
+        values.append(value)
+    return values
+
+
+def _check_paths(program: MachineProgram, inputs: np.ndarray) -> None:
+    """The program's proof paths, checked lane by lane against `run_batch`
+    with every RET made to return each register in turn, so that no term
+    goes unchecked for being dead: every lane meets the conditions of
+    exactly one path key, and there the path's term is the lane's return
+    value."""
+    for register in range(8):
+        blocks = [
+            [Instr(Opcode.RET, register) if i.opcode is Opcode.RET else i for i in block]
+            for block in program.blocks
+        ]
+        observed = replace(program, blocks=blocks)
+        terms = verify._Terms()
+        paths = verify._paths(observed, terms)
+        assert paths is not None
+        values = _term_values(terms, inputs)
+        returns = run_batch(observed, inputs, collect_transitions=False).returns
+        met = np.zeros(inputs.shape[1], dtype=int)
+        for key, term in paths.items():
+            on = np.ones(inputs.shape[1], dtype=bool)
+            for cond, equal in key:
+                on &= (values[cond] == 0) == equal
+            assert (values[term][on] == returns[on]).all()
+            met += on
+        assert (met == 1).all()
+
+
+def _commuted(program: MachineProgram) -> MachineProgram:
+    """The program with the operands of every ADD, XOR, AND, OR, BEQ and
+    BNE swapped: it computes the same function."""
+    swap = (Opcode.ADD, Opcode.XOR, Opcode.AND, Opcode.OR)
+    blocks = [
+        [
+            Instr(i.opcode, i.a, i.c, i.b) if i.opcode in swap
+            else Instr(i.opcode, i.b, i.a, i.c) if i.opcode in (Opcode.BEQ, Opcode.BNE)
+            else i
+            for i in block
+        ]
+        for block in program.blocks
+    ]
+    return replace(program, blocks=blocks)
+
+
+def _agree(a: MachineProgram, b: MachineProgram) -> bool:
+    grid = verify._full_grid(a.num_inputs)
+    run = lambda p: run_batch(p, grid, collect_transitions=False).returns
+    return bool((run(a) == run(b)).all())
+
+
+@st.composite
+def _dense_programs(draw) -> MachineProgram:
+    """One block on two inputs of 4-16 ALU and LI words over r0-r3, so
+    that words often combine values that share operands, then a RET."""
+    ops = [Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR, Opcode.LI]
+    words = []
+    for _ in range(draw(st.integers(4, 16))):
+        op = draw(st.sampled_from(ops))
+        a, b, c = (draw(st.integers(0, 3)) for _ in range(3))
+        words.append(Instr(op, a, draw(st.sampled_from(_CONSTANTS)))
+                     if op is Opcode.LI else Instr(op, a, b, c))
+    return MachineProgram("tight8", 2, [words + [Instr(Opcode.RET, 0)]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_flow_programs(), _flow_programs(arithmetic=True), _dense_programs()))
+def test_proof_paths_match_run_batch_on_generated_flow_programs(program):
+    _check_paths(program, verify._full_grid(2))
+    # swapping commutative operands keeps every normal form
+    commuted = _commuted(program)
+    report = check_equivalence(program, commuted)
+    assert report.proven and _agree(program, commuted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bitwise_programs(hidden=(1, 3)), st.integers(0, 2**32 - 1))
+def test_proof_paths_match_run_batch_on_generated_bitwise_programs(generated, seed):
+    program, _ = generated
+    rng = np.random.default_rng(seed)
+    inputs = rng.integers(0, 256, size=(program.num_inputs, 4096), dtype=np.uint8)
+    # half the lanes take the public input from the constants the branch
+    # compares it with
+    inputs[0, ::2] = rng.choice(_CONSTANTS, size=2048)
+    _check_paths(program, inputs)
+
+
+def _mutations(program: MachineProgram) -> list[MachineProgram]:
+    """Every program one of these edits makes: a SUB's operands swapped,
+    a BEQ or BNE sent to another later block, an LI's immediate changed,
+    a BEQ turned into a BNE or back."""
+    out = []
+    last = len(program.blocks) - 1
+    for bi, block in enumerate(program.blocks):
+        for wi, i in enumerate(block):
+            edits = []
+            if i.opcode is Opcode.SUB and i.b != i.c:
+                edits.append(Instr(Opcode.SUB, i.a, i.c, i.b))
+            if i.opcode in (Opcode.BEQ, Opcode.BNE):
+                flip = Opcode.BNE if i.opcode is Opcode.BEQ else Opcode.BEQ
+                edits.append(Instr(flip, i.a, i.b, i.c))
+                edits.extend(Instr(i.opcode, i.a, i.b, t) for t in range(bi + 1, last + 1) if t != i.c)
+            if i.opcode is Opcode.LI:
+                edits.append(Instr(Opcode.LI, i.a, (i.b + 1) & 0xFF))
+            for edit in edits:
+                blocks = [list(b) for b in program.blocks]
+                blocks[bi][wi] = edit
+                out.append(replace(program, blocks=blocks))
+    return out
+
+
+# x, y: block 0 is d = x - y; five = li 5; beq x, five, 2.  Block 1
+# returns d + 5, block 2 d ^ 5, and block 3, which no run reaches, d | 5.
+_MUTANT_BASE = MachineProgram("tight8", 2, [
+    [Instr(Opcode.SUB, 2, 0, 1), Instr(Opcode.LI, 3, 5), Instr(Opcode.BEQ, 0, 3, 2)],
+    [Instr(Opcode.ADD, 4, 2, 3), Instr(Opcode.RET, 4)],
+    [Instr(Opcode.XOR, 4, 2, 3), Instr(Opcode.RET, 4)],
+    [Instr(Opcode.OR, 4, 2, 3), Instr(Opcode.RET, 4)],
+])
+
+
+def test_mutations_are_never_proven_and_the_fallback_finds_them():
+    mutants = _mutations(_MUTANT_BASE)
+    # a SUB swap, a BNE, two retargets (to 1 and to 3) and an LI immediate
+    assert len(mutants) == 5
+    for mutant in mutants:
+        report = check_equivalence(_MUTANT_BASE, mutant)
+        assert not report.proven and not report.ok
+        assert report.pairs_tested == 65536
+        witness, ra, rb = report.mismatch
+        lane = np.array(witness, dtype=np.uint8)[:, None]
+        assert run_batch(_MUTANT_BASE, lane).returns[0] == ra != rb
+        assert run_batch(mutant, lane).returns[0] == rb
+    assert check_equivalence(_MUTANT_BASE, _MUTANT_BASE).proven
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flow_programs(arithmetic=True), st.data())
+def test_mutated_generated_programs_are_proven_only_when_equal(program, data):
+    mutants = _mutations(program)
+    assume(mutants)
+    mutant = data.draw(st.sampled_from(mutants))
+    report = check_equivalence(program, mutant)
+    equal = _agree(program, mutant)
+    assert report.ok == equal  # two inputs: the fallback is exhaustive
+    if report.proven:
+        assert equal
+
+
+def _diamonds(count: int, last: int = 13) -> MachineProgram:
+    """x, y: `count` diamonds in a row, the i-th `beq x, c_i` around an
+    arm that adds y to an accumulator, with `c_i` = i except the last,
+    `last`.  The conditions x - c_i are distinct, so the walk forks at
+    each: 2**count paths, of which at most count + 1 run."""
+    blocks = []
+    for i in range(count):
+        constant = last if i == count - 1 else i
+        blocks.append([Instr(Opcode.LI, 3, constant), Instr(Opcode.BEQ, 0, 3, 2 * i + 2)])
+        blocks.append([Instr(Opcode.ADD, 2, 2, 1)])
+    blocks.append([Instr(Opcode.RET, 2)])
+    return MachineProgram("tight8", 2, blocks)
+
+
+def test_path_cap_falls_back_to_run_batch():
+    program = _diamonds(14)
+    assert 2**14 > verify._PROOF_PATHS
+    assert verify._paths(program, verify._Terms()) is None
+    report = check_equivalence(program, program)
+    assert report.ok and not report.proven
+    assert report.pairs_tested == 65536
+    mutant = _diamonds(14, last=200)
+    report = check_equivalence(program, mutant)
+    assert not report.proven
+    witness, ra, rb = report.mismatch
+    assert witness[0] in (13, 200) and ra != rb
+    # below the cap the same shape is proven
+    small = _diamonds(8)
+    assert len(verify._paths(small, verify._Terms())) == 2**8 <= verify._PROOF_PATHS
+    assert check_equivalence(small, small).proven
+
+
+def test_node_cap_falls_back_to_run_batch(monkeypatch):
+    a, b = _MUTANT_BASE, _commuted(_MUTANT_BASE)
+    assert check_equivalence(a, b).proven
+    monkeypatch.setattr(verify, "_proof", None)
+    monkeypatch.setattr(verify, "_PROOF_NODES", 3)
+    assert verify._paths(a, verify._Terms()) is None
+    report = check_equivalence(a, b)
+    assert report.ok and not report.proven
+    assert report.pairs_tested == 65536
 
 
 def test_verify_imports_only_the_machine_and_the_ir():
