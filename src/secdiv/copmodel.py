@@ -12,16 +12,28 @@ A problem instance is built from an analyzed function and exposes
     register-transition and memory-order conflicts for the power model,
   * an optional optimality-gap bound on the block-weighted objective.
 
+`build_problem` fills what every leaf reads once per problem: each op's
+latency (`CopProblem.latency`, which `op_lat` reads) and the block weights
+as integers, scaled by the LCM of their denominators, so the objective is
+an integer sum divided by that scale, exact and equal to the `Fraction`
+sum.  `build_value_model` is memoized per problem instance on the active
+set and the cycles of the active ops, the inputs it reads (the roots
+follow from the active set); the memo lives on the problem and only as
+long as it, and a `ValueModel` is read-only.
+
 `check_solution` re-evaluates every constraint from scratch on a full
-assignment; it shares no code with the solver's propagation and is the
-final word on feasibility.
+assignment, its `objective` field included; it shares no code with the
+solver's propagation and is the final word on feasibility.  It derives
+each fact of the assignment once per check, and a memo hit means only
+that the same pure function got equal inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import AbstractSet, Mapping, Optional, Sequence
 
 from .machine import MachineProfile, Opcode, Schedule, remat_constant
 from .mir import FunctionIR, Operation
@@ -59,9 +71,11 @@ class Solution:
 
 
 def make_solution(prob: "CopProblem", values: Mapping[VarKey, object]) -> Solution:
-    canon = canonicalize(prob, dict(values))
+    active = active_set(prob, values)
+    canon = _canonical(prob, values, active, resolve_roots(prob, active))
     assignment = tuple((k, canon[k]) for k in prob.var_order)
-    objective = objective_value_from(prob, canon)
+    cycle = {op.index: canon[("cycle", op.index)] for op in prob.ops}
+    objective = _objective(prob, block_makespans(prob, active, cycle))
     return Solution(assignment=assignment, objective=objective)
 
 
@@ -93,19 +107,26 @@ class CopProblem:
     # same-slot memory accesses keep their program order (no aliasing
     # analysis: one name is one location)
     mem_deps: tuple[tuple[int, int], ...] = ()
+    # each op's latency, by op index
+    latency: dict[int, int] = field(default_factory=dict)
+    # the block weights as integers: each weight times weight_scale, the
+    # LCM of their denominators
+    weight_scale: int = 1
+    scaled_weights: tuple[int, ...] = ()
+    # each block's taken-edge overhead in the objective
+    edge_overhead: tuple[int, ...] = ()
+    # build_value_model's memo, keyed on each op's cycle (None for an
+    # inactive op); a copy made with dataclasses.replace starts empty
+    value_models: dict[tuple, "ValueModel"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def num_registers(self) -> int:
         return self.profile.num_registers
 
     def op_lat(self, op: Operation) -> int:
-        # Copies occupy a uniform 2-cycle slot whatever they lower to
-        # (mov, self-or/and, li, or a spill store/reload); a register move
-        # gets a padding NOP after it.  Keeping the latency independent of
-        # the register choice keeps scheduling and allocation separable.
-        if op.opcode is Opcode.COPY:
-            return 2
-        return self.profile.lat(op.opcode)
+        return self.latency[op.index]
 
 
 def build_problem(analyzed: AnalyzedFunction) -> CopProblem:
@@ -131,6 +152,16 @@ def build_problem(analyzed: AnalyzedFunction) -> CopProblem:
     )
 
     prob.ops = sorted(func.all_ops(), key=lambda o: o.index)
+    # Copies occupy a uniform 2-cycle slot whatever they lower to (mov,
+    # self-or/and, li, or a spill store/reload); a register move gets a
+    # padding NOP after it.  Keeping the latency independent of the
+    # register choice keeps scheduling and allocation separable.
+    prob.latency = {
+        op.index: 2 if op.opcode is Opcode.COPY else profile.lat(op.opcode) for op in prob.ops
+    }
+    prob.weight_scale = math.lcm(*(b.weight.denominator for b in func.blocks))
+    prob.scaled_weights = tuple(int(b.weight * prob.weight_scale) for b in func.blocks)
+    prob.edge_overhead = tuple(worst_edge_overhead(prob, b.index) for b in func.blocks)
     for block in func.blocks:
         for op in block.ops:
             prob.op_at[op.index] = op
@@ -225,7 +256,7 @@ def _detect_obvious_infeasibility(prob: CopProblem) -> None:
     of simultaneously live values must fit in registers plus spill slots."""
     active = {op.index for op in prob.ops if not op.optional}
     cycle = _compact_cycles(prob, active)
-    model = build_value_model(prob, active, cycle, resolve_roots(prob, active))
+    model = _build_value_model(prob, active, cycle, resolve_roots(prob, active))
     capacity = prob.num_registers + (prob.profile.mem_slots - len(prob.function.slots))
     for block in prob.function.blocks:
         ivs = [
@@ -271,8 +302,11 @@ def resolve_roots(prob: CopProblem, active: set[int]) -> dict[str, str]:
     return roots
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValueModel:
+    """The live values of one schedule; read-only, since the problem's memo
+    hands one instance to every caller."""
+
     values: list[str]
     def_point: dict[str, tuple[int, int]]  # value -> (block, ready time)
     uses: dict[str, list[tuple[int, int, int]]]  # value -> [(block, cycle, op)]
@@ -284,8 +318,23 @@ _INF = 1 << 30
 
 
 def build_value_model(
+    prob: CopProblem, active: AbstractSet[int], cycle: Mapping[int, int]
+) -> ValueModel:
+    """The value model of the schedule that `active` and the active ops'
+    `cycle` give, memoized on the problem: the model reads nothing else
+    (each temp's root follows from the active set)."""
+    key = tuple(cycle[op.index] if op.index in active else None for op in prob.ops)
+    model = prob.value_models.get(key)
+    if model is None:
+        model = prob.value_models[key] = _build_value_model(
+            prob, active, cycle, resolve_roots(prob, active)
+        )
+    return model
+
+
+def _build_value_model(
     prob: CopProblem,
-    active: set[int],
+    active: AbstractSet[int],
     cycle: Mapping[int, int],
     roots: Mapping[str, str],
 ) -> ValueModel:
@@ -360,7 +409,7 @@ def build_value_model(
 
 
 def block_makespans(
-    prob: CopProblem, active: set[int], cycle: Mapping[int, int]
+    prob: CopProblem, active: AbstractSet[int], cycle: Mapping[int, int]
 ) -> dict[int, int]:
     spans: dict[int, int] = {}
     for block in prob.function.blocks:
@@ -382,11 +431,16 @@ def worst_edge_overhead(prob: CopProblem, block_index: int) -> int:
 def objective_value_from(prob: CopProblem, values: Mapping[VarKey, object]) -> Fraction:
     active = active_set(prob, values)
     cycle = {op.index: values[("cycle", op.index)] for op in prob.ops}
-    spans = block_makespans(prob, active, cycle)
-    total = Fraction(0)
-    for block in prob.function.blocks:
-        total += block.weight * (spans[block.index] + worst_edge_overhead(prob, block.index))
-    return total
+    return _objective(prob, block_makespans(prob, active, cycle))
+
+
+def _objective(prob: CopProblem, spans: Mapping[int, int]) -> Fraction:
+    """The block-weighted sum of spans and taken-edge overheads, summed in
+    integers on the scaled weights and divided by their scale once."""
+    total = 0
+    for b, (weight, edge) in enumerate(zip(prob.scaled_weights, prob.edge_overhead)):
+        total += weight * (spans[b] + edge)
+    return Fraction(total, prob.weight_scale)
 
 
 def path_cost(
@@ -422,9 +476,19 @@ def active_set(prob: CopProblem, values: Mapping[VarKey, object]) -> set[int]:
 def canonicalize(prob: CopProblem, values: dict[VarKey, object]) -> dict[VarKey, object]:
     """Normalize the meaningless parts of an assignment so that distinct
     canonical assignments correspond to genuinely different code."""
+    active = active_set(prob, values)
+    return _canonical(prob, values, active, resolve_roots(prob, active))
+
+
+def _canonical(
+    prob: CopProblem,
+    values: Mapping[VarKey, object],
+    active: AbstractSet[int],
+    roots: Mapping[str, str],
+) -> dict[VarKey, object]:
+    """`canonicalize` on the active set and roots of `values`, derived once
+    by the caller; canonical form changes no activation."""
     out = dict(values)
-    active = active_set(prob, out)
-    roots = resolve_roots(prob, active)
     for op in prob.ops:
         if op.index not in active:
             out[("cycle", op.index)] = prob.cycle_domain[op.index][0]
@@ -497,7 +561,7 @@ def check_solution(sol: Solution | Mapping[VarKey, object], prob: CopProblem) ->
             )
 
     # canonical-form constraints (symmetry breaking)
-    canon = canonicalize(prob, values)
+    canon = _canonical(prob, values, active, roots)
     for key in prob.var_order:
         if values[key] != canon[key]:
             out.append(Violation("symmetry", f"non-canonical value for {key}"))
@@ -603,7 +667,7 @@ def check_solution(sol: Solution | Mapping[VarKey, object], prob: CopProblem) ->
         return out
 
     # live-range interference
-    model = build_value_model(prob, active, cycle, roots)
+    model = build_value_model(prob, active, cycle)
     vals = model.values
     for i, v1 in enumerate(vals):
         for v2 in vals[i + 1 :]:
@@ -638,14 +702,15 @@ def check_solution(sol: Solution | Mapping[VarKey, object], prob: CopProblem) ->
     if prob.pairs.rpairs or prob.pairs.hazard_temps:
         out.extend(_check_transitions(prob, active, cycle, loc, roots))
 
-    if prob.opt_bound is not None:
-        obj = objective_value_from(prob, values)
-        if obj > prob.opt_bound:
-            out.append(
-                Violation(
-                    "optimality-gap", f"objective {obj} exceeds bound {prob.opt_bound}"
-                )
-            )
+    obj = _objective(prob, spans)
+    if isinstance(sol, Solution) and sol.objective != obj:
+        out.append(
+            Violation("objective", f"objective field {sol.objective} is not the cost {obj}")
+        )
+    if prob.opt_bound is not None and obj > prob.opt_bound:
+        out.append(
+            Violation("optimality-gap", f"objective {obj} exceeds bound {prob.opt_bound}")
+        )
     return out
 
 

@@ -61,7 +61,6 @@ from .copmodel import (
     make_solution,
     path_cost,
     resolve_roots,
-    worst_edge_overhead,
 )
 from .machine import Opcode
 from .mir import FunctionIR, SecurityLabel
@@ -108,17 +107,18 @@ class _Plan:
         self.prob = prob
         func = prob.function
         nblocks = len(func.blocks)
-        # the objective in integers: block weights scaled by the LCM of
-        # their denominators, and the bound and incumbent scaled alike; the
-        # scaled objective is an int, so flooring the scaled bound is exact
-        self.scale = math.lcm(*(b.weight.denominator for b in func.blocks))
-        self.weight = [int(b.weight * self.scale) for b in func.blocks]
+        # the objective in integers: the problem's block weights scaled by
+        # the LCM of their denominators, and the bound and incumbent scaled
+        # alike; the scaled objective is an int, so flooring the scaled
+        # bound is exact
+        self.scale = prob.weight_scale
+        self.weight = prob.scaled_weights
         self.bound = None if prob.opt_bound is None else math.floor(prob.opt_bound * self.scale)
         self.keys = tuple(prob.var_order)
         self.inputs = func.input_names()
         self.ops_by_block = [[op.index for op in b.ops] for b in func.blocks]
         self.cycle_order = [idx for ops in self.ops_by_block for idx in ops]
-        self.lat = {op.index: prob.op_lat(op) for op in prob.ops}
+        self.lat = prob.latency
         self.mandatory = frozenset(op.index for op in prob.ops if not op.optional)
         self.terminators = {op.index for op in prob.ops if op.is_terminator}
         # only activations are searched: instruction alternatives and
@@ -155,7 +155,7 @@ class _Plan:
         for b in reversed(range(nblocks)):
             self.reach[b] = {b}.union(*(self.reach[s] for s in func.successors(b)))
 
-        self.edge_const = [worst_edge_overhead(prob, b) for b in range(nblocks)]
+        self.edge_const = prob.edge_overhead
 
         # balance equalities in difference form: shared blocks cancel, so
         # the check fires as soon as the differing blocks are scheduled
@@ -507,7 +507,7 @@ class _Search:
     def _enter_allocation(self) -> Iterator[Solution]:
         self.scheduled += 1
         prob = self.prob
-        model = build_value_model(prob, self.active, self.cycle, self.roots)
+        model = build_value_model(prob, self.active, self.cycle)
         order = sorted(
             model.values,
             key=lambda v: (model.def_point[v][0], model.def_point[v][1], v),
@@ -821,7 +821,7 @@ def naive_diversify(
     active = active_set(prob, base_values)
     roots = resolve_roots(prob, active)
     cycle = {op.index: base_values[("cycle", op.index)] for op in prob.ops}
-    model = build_value_model(prob, active, cycle, roots)
+    model = build_value_model(prob, active, cycle)
     order = sorted(
         model.values, key=lambda v: (model.def_point[v][0], model.def_point[v][1], v)
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 import time
 from fractions import Fraction
@@ -14,9 +15,11 @@ from secdiv.copmodel import (
     _ZERO,
     Mode,
     ModelInfeasibleError,
+    _build_value_model,
     _check_transitions,
     _hazard,
     build_problem,
+    build_value_model,
     check_solution,
     emit_model,
     make_solution,
@@ -24,11 +27,13 @@ from secdiv.copmodel import (
     resolve_roots,
     to_schedule,
 )
-from secdiv.machine import TIGHT8, encode
+from secdiv.machine import TIGHT8, WIDE32, encode
 from secdiv.mir import FunctionIR, Opcode, parse_function, paths
 from secdiv.secanalysis import analyze
 from secdiv import solver
+from conftest import all_corpus_names
 from test_secanalysis import _graph, dag_edges
+from test_solver import _WEIGHTS
 
 
 def _problem(name: str, mode: Mode, profile=TIGHT8):
@@ -251,6 +256,15 @@ def test_check_solution_flags_gap_bound():
     assert "optimality-gap" in families
 
 
+def test_check_solution_flags_objective():
+    prob = _problem("straightline", Mode.NONE)
+    sol = solver.solve_optimal(prob, time_budget=10).solution
+    assert check_solution(sol, prob) == []
+    wrong = dataclasses.replace(sol, objective=sol.objective + 1)
+    families = {v.family for v in check_solution(wrong, prob)}
+    assert families == {"objective"}
+
+
 def test_balance_constraint_implies_equal_simulated_paths():
     prob = _problem("check_bit", Mode.TSC)
     sol = solver.solve_optimal(prob, time_budget=30).solution
@@ -379,3 +393,105 @@ def test_twenty_diamonds_build_fast(mode, cond):
     build_problem(analyzed)
     assert time.process_time() - start < 1.0
     assert len(analyzed.psets) == (20 if mode is Mode.TSC else 0)
+
+
+# ----------------------------------------------------------------------
+# what build_problem derives once per problem
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("profile", [TIGHT8, WIDE32], ids=lambda p: p.name)
+def test_latency_table_matches_the_profile(profile):
+    copies = 0
+    for name in all_corpus_names():
+        for mode in Mode:
+            prob = _problem(name, mode, profile)
+            assert sorted(prob.latency) == [op.index for op in prob.ops]
+            for op in prob.ops:
+                if op.opcode is Opcode.COPY:
+                    copies += 1
+                    assert prob.latency[op.index] == 2
+                else:
+                    assert prob.latency[op.index] == profile.lat(op.opcode)
+                assert prob.op_lat(op) == prob.latency[op.index]
+            assert solver._Plan(prob).lat is prob.latency
+    assert copies > 0
+
+
+def _span_sum(prob, values) -> Fraction:
+    """The objective summed in Fractions, block by block."""
+    total = Fraction(0)
+    for block in prob.function.blocks:
+        span = 0
+        for op in block.ops:
+            if not op.optional or values[("active", op.index)]:
+                span = max(span, values[("cycle", op.index)] + prob.op_lat(op))
+        term = block.terminator
+        if term is not None and term.opcode in (Opcode.BEQ, Opcode.BNE):
+            span += prob.profile.taken_branch_overhead
+        total += block.weight * span
+    return total
+
+
+_ANY_WEIGHT = st.one_of(
+    st.sampled_from(_WEIGHTS),
+    st.fractions(min_value=Fraction(1, 97), max_value=50, max_denominator=97),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([("two_branches", Mode.TSC), ("long_arm", Mode.TSC), ("masked_xor", Mode.PSC)]),
+    st.data(),
+)
+def test_integer_objective_equals_fraction_sum(job, data):
+    name, mode = job
+    analyzed = analyze(load(name), TIGHT8, mode=mode)
+    for block in analyzed.function.blocks:
+        block.weight = data.draw(_ANY_WEIGHT)
+    prob = build_problem(analyzed)
+    values = {}
+    for op in prob.ops:
+        if op.optional:
+            values[("active", op.index)] = data.draw(st.booleans())
+        values[("cycle", op.index)] = data.draw(st.sampled_from(prob.cycle_domain[op.index]))
+    objective = objective_value_from(prob, values)
+    assert isinstance(objective, Fraction)
+    assert objective == _span_sum(prob, values)
+
+
+def _fields_equal(a, b) -> None:
+    for f in dataclasses.fields(a):
+        assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+def test_value_model_memo_keys_on_the_cycles():
+    prob = _problem("straightline", Mode.NONE)
+    active = {op.index for op in prob.ops}
+    compact = {}
+    clock = 0
+    for op in prob.ops:
+        compact[op.index] = clock
+        clock += prob.op_lat(op)
+    # the same ops, each issued one cycle later
+    later = {idx: c + 1 for idx, c in compact.items()}
+    first = build_value_model(prob, active, compact)
+    second = build_value_model(prob, active, later)
+    assert first != second
+    assert first.def_point != second.def_point
+    for cycle, model in ((compact, first), (later, second)):
+        _fields_equal(model, _build_value_model(prob, active, cycle, resolve_roots(prob, active)))
+        assert build_value_model(prob, active, dict(cycle)) is model
+    assert len(prob.value_models) == 2
+
+
+def test_value_model_memo_belongs_to_one_problem():
+    prob = _problem("two_branches", Mode.TSC)
+    solver.solve_optimal(prob, time_budget=30)
+    assert prob.value_models
+    other = _problem("check_bit", Mode.TSC)
+    assert other.value_models == {}
+    # the bounded copy that diversify searches starts empty too
+    bounded = dataclasses.replace(prob, opt_bound=Fraction(100))
+    assert bounded.value_models == {} and prob.value_models
+    assert "value_models" not in repr(prob)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -19,10 +20,12 @@ from bruteforce import (
 )
 from conftest import corpus_naive_pool, load
 from test_verify import _bit_test_functions
-from secdiv import solver
+from secdiv import copmodel, solver
 from secdiv.copmodel import (
     Mode,
+    _build_value_model,
     build_problem,
+    build_value_model,
     check_solution,
     make_solution,
     path_cost,
@@ -506,6 +509,46 @@ def test_diversify_builds_balance_rows_once(monkeypatch):
     rows = sum(len(pset.paths) - 1 for pset in prob.psets)
     assert rows > 0
     assert len(calls) == 2 * rows
+
+
+def test_memoized_value_models_equal_fresh_builds(monkeypatch):
+    # every model the search and the checker ask for while growing the
+    # pool, a memo hit or not, equals a build that bypasses the memo
+    prob = _problem("two_branches", Mode.TSC)
+    best = solve_optimal(prob, time_budget=60).solution
+    requested = []
+
+    def compared(prob, active, cycle):
+        model = build_value_model(prob, active, cycle)
+        fresh = _build_value_model(prob, active, cycle, resolve_roots(prob, active))
+        for f in dataclasses.fields(model):
+            assert getattr(model, f.name) == getattr(fresh, f.name), f.name
+        requested.append(model)
+        return model
+
+    monkeypatch.setattr(solver, "build_value_model", compared)
+    monkeypatch.setattr(copmodel, "build_value_model", compared)
+    pool = diversify(prob, best, n=8, gap=Fraction(5, 100), time_budget=60, seed=0)
+    assert len(pool.solutions) == 8
+    memo = pool.problem.value_models
+    # each leaf asks twice, once in the search and once in the checker
+    assert len(requested) >= 2 * (len(pool.solutions) - 1)
+    assert 0 < len(memo) < len(requested)
+    assert {id(m) for m in requested} == {id(m) for m in memo.values()}
+
+
+@pytest.mark.parametrize("name, mode", [("masked_xor", Mode.PSC), ("spill_pair", Mode.NONE)])
+def test_leaf_combinations_share_one_objective(name, mode):
+    # instruction alternatives and operand swaps change no latency, so
+    # every combination the leaf may yield costs the same
+    prob = _problem(name, mode)
+    search = solver._Search(solver._Plan(prob), seed=3, shuffle=True)
+    result = search.run()
+    assert result.status is SolveStatus.SAT
+    values = result.solution.as_dict()
+    solutions = [make_solution(prob, {**values, **combo}) for combo in search._leaf_combos()]
+    assert len({sol.assignment for sol in solutions}) > 1
+    assert {sol.objective for sol in solutions} == {result.solution.objective}
 
 
 def test_leaf_distance_agrees_with_distance():
