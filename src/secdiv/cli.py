@@ -129,7 +129,7 @@ def cmd_compile(args) -> int:
         "notes": analyzed.notes + [LDST_NOTE],
     }
     _write_json(out / "compile.json", payload)
-    (out / "timing.log").write_text(f"compile_seconds\t{elapsed:.3f}\n")
+    _write_time(out, "compile_seconds", elapsed)
     line = f"{func.name}: objective {_frac_str(result.solution.objective)}"
     if overhead is not None:
         line += f" (baseline {_frac_str(baseline_obj)}, overhead {overhead:.1f}%)"
@@ -195,7 +195,7 @@ def cmd_diversify(args) -> int:
         "variants": variants,
     }
     _write_json(out / "manifest.json", manifest)
-    (out / "timing.log").write_text(f"diversify_seconds\t{elapsed:.3f}\n")
+    _write_time(out, "diversify_seconds", elapsed)
     print(
         f"{func.name}: {len(pool.solutions)} variants ({pool.reason.value}) "
         f"gap {args.gap}% -> {out}"
@@ -316,7 +316,7 @@ def cmd_verify(args) -> int:
     for i, (eq, cr, psc) in enumerate(reports):
         tag = f"variant_{i:03d}"
         if eq is not None:
-            lines.extend(f"{tag}\tequivalence\t{l}" for l in eq.lines())
+            lines.append(f"{tag}\tequivalence\t{eq.line()}")
             if not eq.ok:
                 failures += 1
         if check_cr:
@@ -446,7 +446,7 @@ def cmd_report(args) -> int:
                 m["reason"],
             ]
             if args.with_times:
-                row.append(_read_time(d / "timing.log"))
+                row.append(_time_lines(d).get("diversify_seconds", "-"))
             pool_rows.append(row)
             gadgets_json = d / "gadgets.json"
             if gadgets_json.exists():
@@ -501,14 +501,20 @@ def _pct(rate) -> str:
     return f"{rate * 100:.0f}" if rate is not None else "-"
 
 
-def _read_time(path: Path) -> str:
+def _time_lines(run_dir: Path) -> dict[str, str]:
+    """The (key, seconds) lines of a run directory's ``timing.log``."""
+    path = run_dir / "timing.log"
     if not path.exists():
-        return "-"
-    for line in path.read_text().splitlines():
-        parts = line.split("\t")
-        if len(parts) == 2:
-            return parts[1]
-    return "-"
+        return {}
+    return dict(line.split("\t", 1) for line in path.read_text().splitlines() if "\t" in line)
+
+
+def _write_time(run_dir: Path, key: str, seconds: float) -> None:
+    """Replace `key`'s line of ``timing.log``: ``compile`` and a gap-0
+    ``diversify`` share a run directory, and each keeps its own time."""
+    times = _time_lines(run_dir)
+    times[key] = f"{seconds:.3f}"
+    (run_dir / "timing.log").write_text("".join(f"{k}\t{v}\n" for k, v in times.items()))
 
 
 def _at_least(lo: int):

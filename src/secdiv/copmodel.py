@@ -21,8 +21,10 @@ set and the cycles of the active ops, the inputs it reads (the roots
 follow from the active set); the memo lives on the problem and only as
 long as it, and a `ValueModel` is read-only.
 
-`check_solution` re-evaluates every constraint from scratch on a full
-assignment, its `objective` field included; it shares no code with the
+`check_solution` re-evaluates every constraint from scratch on a
+`Solution`, its `objective` field included, after checking that every
+variable lies in its domain (an activation or swap is a bool, an
+instruction indexes its op's alternatives); it shares no code with the
 solver's propagation and is the final word on feasibility.  It derives
 each fact of the assignment once per check, and a memo hit means only
 that the same pure function got equal inputs.
@@ -428,12 +430,6 @@ def worst_edge_overhead(prob: CopProblem, block_index: int) -> int:
     return 0
 
 
-def objective_value_from(prob: CopProblem, values: Mapping[VarKey, object]) -> Fraction:
-    active = active_set(prob, values)
-    cycle = {op.index: values[("cycle", op.index)] for op in prob.ops}
-    return _objective(prob, block_makespans(prob, active, cycle))
-
-
 def _objective(prob: CopProblem, spans: Mapping[int, int]) -> Fraction:
     """The block-weighted sum of spans and taken-edge overheads, summed in
     integers on the scaled weights and divided by their scale once."""
@@ -473,21 +469,16 @@ def active_set(prob: CopProblem, values: Mapping[VarKey, object]) -> set[int]:
 # ----------------------------------------------------------------------
 
 
-def canonicalize(prob: CopProblem, values: dict[VarKey, object]) -> dict[VarKey, object]:
-    """Normalize the meaningless parts of an assignment so that distinct
-    canonical assignments correspond to genuinely different code."""
-    active = active_set(prob, values)
-    return _canonical(prob, values, active, resolve_roots(prob, active))
-
-
 def _canonical(
     prob: CopProblem,
     values: Mapping[VarKey, object],
     active: AbstractSet[int],
     roots: Mapping[str, str],
 ) -> dict[VarKey, object]:
-    """`canonicalize` on the active set and roots of `values`, derived once
-    by the caller; canonical form changes no activation."""
+    """Normalize the meaningless parts of an assignment, so that distinct
+    canonical assignments are genuinely different code, on the active set
+    and roots of `values` that the caller derived; canonical form changes
+    no activation."""
     out = dict(values)
     for op in prob.ops:
         if op.index not in active:
@@ -519,29 +510,33 @@ def _canonical(
 # ----------------------------------------------------------------------
 
 
-def check_solution(sol: Solution | Mapping[VarKey, object], prob: CopProblem) -> list[Violation]:
+def check_solution(sol: Solution, prob: CopProblem) -> list[Violation]:
     """Re-evaluate every constraint from scratch; empty list means feasible.
 
     This is a from-first-principles evaluation, deliberately disjoint from
     the solver's propagation machinery.
     """
-    values = sol.as_dict() if isinstance(sol, Solution) else dict(sol)
+    values = sol.as_dict()
     out: list[Violation] = []
     func = prob.function
     nregs = prob.num_registers
 
     for key in prob.var_order:
         if key not in values:
-            out.append(Violation("domain", f"missing variable {key}"))
-            return out
-    for op in prob.ops:
-        c = values[("cycle", op.index)]
-        if c not in prob.cycle_domain[op.index]:
-            out.append(Violation("domain", f"cycle of op {op.index} = {c} outside domain"))
-    for name in func.temps:
-        r = values[("reg", name)]
-        if r not in prob.reg_domain[name]:
-            out.append(Violation("domain", f"reg of {name} = {r} outside domain"))
+            return [Violation("domain", f"missing variable {key}")]
+        kind, index = key
+        v = values[key]
+        if kind in ("active", "swap"):
+            ok = isinstance(v, bool)
+        elif kind == "instr":
+            ok = v in range(len(prob.alternatives[index]))
+        elif kind == "cycle":
+            ok = v in prob.cycle_domain[index]
+        else:
+            ok = v in prob.reg_domain[index]
+        if not ok:
+            where = index if kind == "reg" else f"op {index}"
+            out.append(Violation("domain", f"{kind} of {where} = {v!r} outside domain"))
     if out:
         return out
 
@@ -703,7 +698,7 @@ def check_solution(sol: Solution | Mapping[VarKey, object], prob: CopProblem) ->
         out.extend(_check_transitions(prob, active, cycle, loc, roots))
 
     obj = _objective(prob, spans)
-    if isinstance(sol, Solution) and sol.objective != obj:
+    if sol.objective != obj:
         out.append(
             Violation("objective", f"objective field {sol.objective} is not the cost {obj}")
         )

@@ -638,18 +638,13 @@ class _Search:
         return any(sum(map(operator.ne, values, b)) < self.dthresh for b in self.blocked)
 
     def _leaf_combos(self):
-        """Assignments of the free instr/swap variables: the defaults when
-        optimizing, every combination (shuffled) when generating variants."""
-        instr_vars, swap_vars = self.plan.instr_vars, self.plan.swap_vars
-        if not self.shuffle or (not instr_vars and not swap_vars):
-            yield {
-                **{("instr", i): 0 for i in instr_vars},
-                **{("swap", i): False for i in swap_vars},
-            }
-            return
-        keys = [("instr", i) for i in instr_vars] + [("swap", i) for i in swap_vars]
-        orders = [self.value_order[k] for k in keys]
-        for combo in itertools.product(*orders):
+        """Assignments of the free instr/swap variables, in their value
+        orders.  An optimizing search's orders are unshuffled, so its first
+        combination is the defaults, and `_enter_allocation` keeps one leaf
+        of a schedule."""
+        keys = [("instr", i) for i in self.plan.instr_vars]
+        keys += [("swap", i) for i in self.plan.swap_vars]
+        for combo in itertools.product(*(self.value_order[k] for k in keys)):
             yield dict(zip(keys, combo))
 
 
@@ -699,28 +694,6 @@ def solve_optimal(prob: CopProblem, time_budget: float = 600.0) -> SolveResult:
     found so far, if any, and `nodes` counts every node of the solve.
     """
     return _Search(_Plan(prob), deadline=_deadline(time_budget)).run()
-
-
-def solve_one(
-    prob: CopProblem,
-    blocking: Optional[list[Solution]] = None,
-    dthresh: int = 1,
-    time_budget: float = 600.0,
-    seed: int = 0,
-) -> SolveResult:
-    """First feasible solution under the problem bound and blocking set."""
-    deadline = _deadline(time_budget)
-    if dthresh < 1:
-        raise ValueError(f"dthresh must be at least 1, not {dthresh}")
-    plan = _Plan(prob)
-    return _Search(
-        plan,
-        seed=seed,
-        shuffle=True,
-        blocked=[plan.values(sol) for sol in blocking or ()],
-        dthresh=dthresh,
-        deadline=deadline,
-    ).run()
 
 
 def distance(a: Solution, b: Solution) -> int:

@@ -174,13 +174,13 @@ class EquivalenceReport:
     def ok(self) -> bool:
         return self.mismatch is None
 
-    def lines(self) -> list[str]:
+    def line(self) -> str:
         if self.proven:
-            return ["equivalent\tproven\t-"]
+            return "equivalent\tproven\t-"
         if self.ok:
-            return [f"equivalent\t{self.pairs_tested} inputs\t-"]
+            return f"equivalent\t{self.pairs_tested} inputs\t-"
         inputs, ra, rb = self.mismatch
-        return [f"mismatch\tinputs={inputs}\t{ra} != {rb}"]
+        return f"mismatch\tinputs={inputs}\t{ra} != {rb}"
 
 
 def check_equivalence(
@@ -192,15 +192,27 @@ def check_equivalence(
     return values on exhaustive 8-bit inputs (two inputs or fewer) or on
     seeded samples, and report the first mismatching input.
 
-    `a`'s proof, and its inputs and returns for that seed, are kept for
-    the next call with an equal `a`, so a pool checked against its
-    variant 0 walks and runs that variant once."""
+    `a`'s proof, and its inputs and returns for that seed, are kept in
+    `_reference` for the next call with an equal `a`, so a pool checked
+    against its variant 0 walks and runs that variant once."""
+    global _reference
     if a.num_inputs != b.num_inputs:
         raise ValueError("programs take different numbers of inputs")
-    terms, paths = _proof_reference(a)
-    if paths is not None and _paths(b, terms) == paths:
+    if _reference is None or _reference.program != a:
+        terms = _Terms()
+        _reference = _Reference(a, terms, _paths(a, terms))
+    ref = _reference
+    if ref.paths is not None and _paths(b, ref.terms) == ref.paths:
         return EquivalenceReport(pairs_tested=0, proven=True)
-    inputs, ra = _equivalence_reference(a, seed)
+    if ref.concrete is None or ref.concrete[0] != seed:
+        k = a.num_inputs
+        if k <= _EXHAUSTIVE_LIMIT:
+            inputs = _full_grid(k)
+        else:
+            sample = random.Random(seed).randbytes(k * _SAMPLES)
+            inputs = np.frombuffer(sample, dtype=np.uint8).reshape(k, _SAMPLES)
+        ref.concrete = (seed, inputs, run_batch(a, inputs, collect_transitions=False).returns)
+    _, inputs, ra = ref.concrete
     rb = run_batch(b, inputs, collect_transitions=False).returns
     diff = np.nonzero(ra != rb)[0]
     if diff.size:
@@ -212,40 +224,20 @@ def check_equivalence(
     return EquivalenceReport(pairs_tested=inputs.shape[1])
 
 
-# the last `_equivalence_reference`: (program, seed, inputs, returns)
-_reference: Optional[tuple[MachineProgram, int, np.ndarray, np.ndarray]] = None
+@dataclass
+class _Reference:
+    """The first program of the last `check_equivalence`: its paths (None
+    past a cap), the terms their ids name, which later walks intern into,
+    and from its first fallback on the concrete check's (seed, inputs,
+    returns), whose arrays no caller writes to."""
+
+    program: MachineProgram
+    terms: _Terms
+    paths: Optional[dict]
+    concrete: Optional[tuple[int, np.ndarray, np.ndarray]] = None
 
 
-def _equivalence_reference(program: MachineProgram, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The inputs `check_equivalence` tests, and `program`'s return value
-    on each, kept for the next call with an equal program and the same
-    seed; callers must not write to either array."""
-    global _reference
-    if _reference is None or _reference[1] != seed or _reference[0] != program:
-        k = program.num_inputs
-        if k <= _EXHAUSTIVE_LIMIT:
-            inputs = _full_grid(k)
-        else:
-            sample = random.Random(seed).randbytes(k * _SAMPLES)
-            inputs = np.frombuffer(sample, dtype=np.uint8).reshape(k, _SAMPLES)
-        returns = run_batch(program, inputs, collect_transitions=False).returns
-        _reference = (program, seed, inputs, returns)
-    return _reference[2], _reference[3]
-
-
-# the last `_proof_reference`: (program, terms, its paths or None)
-_proof: Optional[tuple[MachineProgram, _Terms, Optional[dict]]] = None
-
-
-def _proof_reference(program: MachineProgram) -> tuple[_Terms, Optional[dict]]:
-    """`program`'s paths (`_paths`) and the terms their ids name, kept for
-    the next call with an equal program; the next walks intern into the
-    same terms, so their ids compare with these."""
-    global _proof
-    if _proof is None or _proof[0] != program:
-        terms = _Terms()
-        _proof = (program, terms, _paths(program, terms))
-    return _proof[1], _proof[2]
+_reference: Optional[_Reference] = None
 
 
 class _Terms:

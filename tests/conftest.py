@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from secdiv.copmodel import build_problem
 from secdiv.machine import TIGHT8
 from secdiv.mir import parse_function
 from secdiv.secanalysis import analyze
+from secdiv import solver
 from secdiv.solver import naive_diversify, pick_base_mode, solve_optimal
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "secdiv" / "corpus"
@@ -53,6 +55,20 @@ def corpus_naive_pool(name: str, n: int, seed: int = 0):
     prob = build_problem(analyzed)
     base = solve_optimal(prob, time_budget=120).solution
     return naive_diversify(prob, base, n, seed=seed)
+
+
+def first_solution(prob, blocking, dthresh=1, time_budget=600.0, seed=0):
+    """One first-solution search of `prob` under the blocking set, built
+    as `diversify` builds each search of a pool."""
+    plan = solver._Plan(prob)
+    return solver._Search(
+        plan,
+        seed=seed,
+        shuffle=True,
+        blocked=[plan.values(sol) for sol in blocking],
+        dthresh=dthresh,
+        deadline=time.monotonic() + time_budget,
+    ).run()
 
 
 @pytest.fixture

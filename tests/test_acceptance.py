@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import floor
 
 from bruteforce import brute_optimal
-from conftest import all_corpus_names, corpus_naive_pool, corpus_path, load
+from conftest import all_corpus_names, corpus_naive_pool, corpus_path, first_solution, load
 from cr_reference import constant_resource, cycle_bounds
 from gadget_overlap import mean_srate
 from secdiv import gadgets as gadgets_mod
@@ -238,12 +238,8 @@ def test_criterion_6_diversity_production():
         else:
             assert len(pool.solutions) < POOL_SIZE
             # a correct EXHAUSTED report: no further solution exists
-            extra = solver_mod.solve_one(
-                pool.problem,
-                blocking=list(pool.solutions),
-                dthresh=DTHRESH,
-                time_budget=60,
-                seed=99,
+            extra = first_solution(
+                pool.problem, pool.solutions, dthresh=DTHRESH, time_budget=60, seed=99
             )
             assert extra.status is SolveStatus.UNSAT
         for sol in pool.solutions:

@@ -595,10 +595,28 @@ def test_report_with_times_adds_only_the_seconds_column(tmp_path, capsys):
     changed = [(t, p) for t, p in zip(timed, plain) if t != p]
     assert all(t[:-1] == p for t, p in changed)
     logs = [
-        (out / f"straightline-none-g{gap}" / "timing.log").read_text().split()[1]
-        for gap in (0, 10)
+        cli._time_lines(out / f"straightline-none-g{gap}")["diversify_seconds"] for gap in (0, 10)
     ]
     assert [t[-1] for t, _ in changed] == ["seconds"] + logs
+
+
+def test_report_shows_the_diversify_time_after_a_compile(tmp_path, capsys):
+    # compile and a gap-0 diversify share one run directory; each keeps
+    # its own line of timing.log, and the pool row reads diversify's
+    out = tmp_path / "out"
+    run = out / "straightline-none-g0"
+    assert run_cli("diversify", corpus_path("straightline"), "--variants", 3,
+                   "--out", out, "--budget-secs", "30") == 0
+    (run / "timing.log").write_text("diversify_seconds\t7.000\n")
+    assert run_cli("compile", corpus_path("straightline"), "--out", out,
+                   "--budget-secs", "30") == 0
+    lines = (run / "timing.log").read_text().splitlines()
+    assert lines[0] == "diversify_seconds\t7.000"
+    assert [line.split("\t")[0] for line in lines] == ["diversify_seconds", "compile_seconds"]
+    capsys.readouterr()
+    assert run_cli("report", "--out", out, "--format", "csv", "--with-times") == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert ["straightline", "none", "0", "3", "3", "complete", "7.000"] in rows
 
 
 def test_report_missing_dir(tmp_path, capsys):

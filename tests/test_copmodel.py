@@ -23,7 +23,6 @@ from secdiv.copmodel import (
     check_solution,
     emit_model,
     make_solution,
-    objective_value_from,
     resolve_roots,
     to_schedule,
 )
@@ -256,6 +255,33 @@ def test_check_solution_flags_gap_bound():
     assert "optimality-gap" in families
 
 
+DOMAIN_TEXT = (
+    "func f (a:public, b:public)\n"
+    "block 0\n"
+    "  x = mov a\n"
+    "  y = add x, b\n"
+    "  opt yc = copy y\n"
+    "  ret yc\n"
+)
+
+
+@pytest.mark.parametrize(
+    "kind, opcode, value",
+    [("instr", Opcode.MOV, -1), ("instr", Opcode.MOV, 3), ("swap", Opcode.ADD, 2),
+     ("swap", Opcode.ADD, "yes"), ("active", Opcode.COPY, 5)],
+)
+def test_check_solution_flags_values_outside_their_domain(kind, opcode, value):
+    # an instr of -1 would lower to the last alternative and one of 3 past
+    # the alternatives; an activation or swap is a bool
+    prob = build_problem(analyze(parse_function(DOMAIN_TEXT), TIGHT8, mode=Mode.NONE))
+    sol = solver.solve_optimal(prob, time_budget=10).solution
+    assert check_solution(sol, prob) == []
+    values = sol.as_dict()
+    values[(kind, next(op.index for op in prob.ops if op.opcode is opcode))] = value
+    families = {v.family for v in check_solution(make_solution(prob, values), prob)}
+    assert families == {"domain"}
+
+
 def test_check_solution_flags_objective():
     prob = _problem("straightline", Mode.NONE)
     sol = solver.solve_optimal(prob, time_budget=10).solution
@@ -455,7 +481,9 @@ def test_integer_objective_equals_fraction_sum(job, data):
         if op.optional:
             values[("active", op.index)] = data.draw(st.booleans())
         values[("cycle", op.index)] = data.draw(st.sampled_from(prob.cycle_domain[op.index]))
-    objective = objective_value_from(prob, values)
+    for name in sorted(prob.function.temps):
+        values[("reg", name)] = data.draw(st.sampled_from(prob.reg_domain[name]))
+    objective = make_solution(prob, values).objective
     assert isinstance(objective, Fraction)
     assert objective == _span_sum(prob, values)
 

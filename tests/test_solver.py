@@ -18,7 +18,7 @@ from bruteforce import (
     _location_assignments,
     brute_optimal,
 )
-from conftest import corpus_naive_pool, load
+from conftest import corpus_naive_pool, first_solution, load
 from test_verify import _bit_test_functions
 from secdiv import copmodel, solver
 from secdiv.copmodel import (
@@ -40,7 +40,6 @@ from secdiv.solver import (
     distance,
     diversify,
     pick_base_mode,
-    solve_one,
     solve_optimal,
 )
 
@@ -174,14 +173,13 @@ def test_secret_region_optimum_is_pinned(n, nodes, digest):
     assert _digest([result.solution]) == digest
 
 
-@pytest.mark.parametrize("entry", ["solve_optimal", "solve_one", "diversify"])
+@pytest.mark.parametrize("entry", ["solve_optimal", "diversify"])
 def test_nan_budget_is_rejected(entry):
     # no comparison with NaN holds, so a NaN deadline would never pass
     prob = _problem("check_bit", Mode.TSC)
     best = solve_optimal(prob, time_budget=30).solution
     calls = {
         "solve_optimal": lambda budget: solve_optimal(prob, time_budget=budget),
-        "solve_one": lambda budget: solve_one(prob, blocking=[best], time_budget=budget),
         "diversify": lambda budget: diversify(prob, best, n=4, time_budget=budget),
     }
     with pytest.raises(ValueError, match="NaN"):
@@ -189,7 +187,7 @@ def test_nan_budget_is_rejected(entry):
 
 
 @pytest.mark.parametrize("dthresh", [0, -1])
-@pytest.mark.parametrize("entry", ["solve_one", "diversify"])
+@pytest.mark.parametrize("entry", ["diversify"])
 def test_dthresh_below_one_is_rejected(entry, dthresh, monkeypatch):
     # every solution lies at distance 0 or more from a blocked one, so a
     # dthresh below 1 blocks nothing and a pool repeats its solutions;
@@ -197,12 +195,8 @@ def test_dthresh_below_one_is_rejected(entry, dthresh, monkeypatch):
     prob = _problem("minimal", Mode.NONE)
     best = solve_optimal(prob, time_budget=30).solution
     monkeypatch.setattr(solver, "_Search", None)
-    calls = {
-        "solve_one": lambda: solve_one(prob, blocking=[best], dthresh=dthresh),
-        "diversify": lambda: diversify(prob, best, n=5, gap=Fraction(1), dthresh=dthresh),
-    }
     with pytest.raises(ValueError, match="dthresh"):
-        calls[entry]()
+        diversify(prob, best, n=5, gap=Fraction(1), dthresh=dthresh)
 
 
 @pytest.mark.parametrize(
@@ -257,8 +251,8 @@ def test_distance_mismatched_problems_rejected():
 def test_distance_symmetry(seed_a, seed_b):
     prob = _problem("masked_xor", Mode.NONE)
     best = solve_optimal(prob, time_budget=10).solution
-    sa = solve_one(prob, blocking=[best], seed=seed_a, time_budget=10).solution
-    sb = solve_one(prob, blocking=[best], seed=seed_b, time_budget=10).solution
+    sa = first_solution(prob, [best], seed=seed_a, time_budget=10).solution
+    sb = first_solution(prob, [best], seed=seed_b, time_budget=10).solution
     assert distance(sa, sb) == distance(sb, sa)
     assert distance(sa, sb) >= 0
 
@@ -448,7 +442,7 @@ def test_fractional_weights_reproduce_pinned_search(name, mode):
     for gap in (0, 25):
         pool = diversify(prob, result.solution, 6, gap=Fraction(gap, 100), time_budget=60)
         row.append((pool.reason.value, len(pool.solutions), _digest(pool.solutions)))
-    row.append(solve_one(pool.problem, blocking=[result.solution], seed=1).nodes)
+    row.append(first_solution(pool.problem, [result.solution], seed=1).nodes)
     assert tuple(row) == _FRACTIONAL_GOLDEN[(name, mode)]
 
 
@@ -467,7 +461,7 @@ def test_fractional_weights_search_respects_bound(name):
 
 
 # the tsc_pool jobs at n=8 and seed 0: the pool (reason, size, digest), and
-# the nodes of solve_one(pool.problem, blocking=pool.solutions[:k], seed=k)
+# the nodes of first_solution(pool.problem, pool.solutions[:k], seed=k)
 # for k = 1..7.  A search that visits its nodes in another order, or prunes
 # another set of them, changes some of these.  The node counts were pinned
 # again, lower, when the search stopped visiting subtrees that hold no
@@ -485,7 +479,7 @@ def test_tsc_pool_jobs_reproduce_pinned_search(name, gap):
     best = solve_optimal(prob, time_budget=60).solution
     pool = diversify(prob, best, n=8, gap=Fraction(gap, 100), time_budget=60, seed=0)
     nodes = tuple(
-        solve_one(pool.problem, blocking=pool.solutions[:k], seed=k, time_budget=60).nodes
+        first_solution(pool.problem, pool.solutions[:k], seed=k, time_budget=60).nodes
         for k in range(1, 8)
     )
     row = ((pool.reason.value, len(pool.solutions), _digest(pool.solutions)), nodes)
@@ -667,7 +661,8 @@ class _Uncut(solver._Search):
 @settings(max_examples=15, deadline=None)
 @given(_bit_test_functions(), st.sampled_from([Mode.NONE, Mode.TSC]))
 def test_cuts_keep_every_solution(text, mode):
-    """solve_optimal and solve_one return what the uncut search returns.
+    """solve_optimal and a first-solution search return what the uncut
+    search returns.
     The uncut search of some 5-block tsc shapes takes over a million nodes
     (4,285 with the cuts), so an example whose uncut search passes
     `_Uncut.limit` nodes is skipped."""
@@ -680,7 +675,7 @@ def test_cuts_keep_every_solution(text, mode):
     bounded = replace(prob, opt_bound=Fraction(11, 10) * result.solution.objective)
     plan = solver._Plan(bounded)
     for seed in range(4):
-        one = solve_one(bounded, blocking=[result.solution], seed=seed)
+        one = first_solution(bounded, [result.solution], seed=seed)
         uncut = _Uncut(plan, seed=seed, shuffle=True, blocked=[plan.values(result.solution)]).run()
         assume(uncut.status is not SolveStatus.TIMEOUT)
         assert (one.status, one.solution) == (uncut.status, uncut.solution)

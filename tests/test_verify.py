@@ -32,6 +32,7 @@ from secdiv.solver import diversify, solve_optimal
 from secdiv.verify import (
     PUBLIC_PROBES,
     _hidden_chunks,
+    _paths,
     check_cr,
     check_equivalence,
     check_psc,
@@ -58,7 +59,7 @@ def test_program_equivalent_to_itself():
     report = check_equivalence(program, program)
     assert report.ok and report.proven
     assert report.pairs_tested == 0  # no input runs
-    assert report.lines() == ["equivalent\tproven\t-"]
+    assert report.line() == "equivalent\tproven\t-"
 
 
 def _and_or_xor(inputs: int) -> tuple[MachineProgram, MachineProgram]:
@@ -79,7 +80,7 @@ def test_unprovable_pair_is_sampled():
     report = check_equivalence(a, b)
     assert report.ok and not report.proven
     assert report.pairs_tested == 1000  # 3 inputs -> seeded samples
-    assert report.lines() == ["equivalent\t1000 inputs\t-"]
+    assert report.line() == "equivalent\t1000 inputs\t-"
 
 
 def test_two_input_program_exhaustive():
@@ -1297,12 +1298,49 @@ def test_path_cap_falls_back_to_run_batch():
 def test_node_cap_falls_back_to_run_batch(monkeypatch):
     a, b = _MUTANT_BASE, _commuted(_MUTANT_BASE)
     assert check_equivalence(a, b).proven
-    monkeypatch.setattr(verify, "_proof", None)
+    monkeypatch.setattr(verify, "_reference", None)
     monkeypatch.setattr(verify, "_PROOF_NODES", 3)
     assert verify._paths(a, verify._Terms()) is None
     report = check_equivalence(a, b)
     assert report.ok and not report.proven
     assert report.pairs_tested == 65536
+
+
+def _cache_steps(case: str) -> list:
+    """Calls of `check_equivalence` as (a, b, seed), and None for a reset
+    of the variant-0 cache."""
+    if case == "two seeds":
+        a, b = _and_or_xor(3)
+        # (a ^ b) & c differs from a ^ b ^ c on some sampled inputs
+        c = MachineProgram("tight8", 3, [[
+            Instr(Opcode.XOR, 7, 1, 0), Instr(Opcode.AND, 7, 7, 2), Instr(Opcode.RET, 7),
+        ]])
+        return [(a, v, seed) for seed in (0, 1) for v in (b, _commuted(a), c)]
+    mutant = _mutations(_MUTANT_BASE)[0]
+    proven = (_MUTANT_BASE, _commuted(_MUTANT_BASE), 0)
+    if case == "fallback after a proof":
+        return [proven, (_MUTANT_BASE, mutant, 0), proven, (_MUTANT_BASE, mutant, 0)]
+    return [(_MUTANT_BASE, mutant, 0), None, proven, None, (_MUTANT_BASE, mutant, 0)]
+
+
+@pytest.mark.parametrize("case", ["two seeds", "fallback after a proof", "reset"])
+def test_variant_zero_cache_gives_the_reports_of_fresh_calls(case, monkeypatch):
+    steps = _cache_steps(case)
+    fresh = []
+    for step in steps:
+        monkeypatch.setattr(verify, "_reference", None)
+        fresh.append(None if step is None else check_equivalence(step[0], step[1], seed=step[2]))
+    monkeypatch.setattr(verify, "_reference", None)
+    walks = []
+    monkeypatch.setattr(verify, "_paths", lambda p, t: walks.append(p) or _paths(p, t))
+    kept = []
+    for step in steps:
+        if step is None:
+            monkeypatch.setattr(verify, "_reference", None)
+        kept.append(None if step is None else check_equivalence(step[0], step[1], seed=step[2]))
+    assert kept == fresh
+    # variant 0 is walked once, and again only after a reset
+    assert walks.count(steps[0][0]) == 1 + steps.count(None)
 
 
 def test_verify_imports_only_the_machine_and_the_ir():
