@@ -303,7 +303,8 @@ def cmd_verify(args) -> int:
     cr_violations = 0
     psc_violations = 0
     mode = manifest["mode"]
-    check_psc = any(label is SecurityLabel.RANDOM for _, label in policy)
+    # a psc pool is checked for power leaks even if FILE has no random input
+    check_psc = mode == "psc" or any(label is SecurityLabel.RANDOM for _, label in policy)
     reports = []
     for i, program in enumerate(programs):
         eq = verify.check_equivalence(programs[0], program, seed=manifest["seed"]) if i else None
@@ -358,6 +359,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# the gadget-overlap table of `gadgets` and of `report`: a pool's name
+# fields, its pair count and each bucket's share of the pairs in percent
+_GADGET_HEADER = ("function", "mode", "gap", "pairs", "pct_zero", "pct_low", "pct_high")
+
+
+def _gadget_row(manifest: dict, counts: dict) -> list:
+    total = counts["pairs"] or 1
+    shares = (f"{100 * counts[b] / total:.1f}" for b in ("zero", "low", "high"))
+    name = [manifest["function"], manifest["mode"], manifest["gap_percent"]]
+    return [*name, counts["pairs"], *shares]
+
+
 def cmd_gadgets(args) -> int:
     pool_dir = Path(args.pool)
     manifest, programs = _load_pool(pool_dir)
@@ -365,27 +378,9 @@ def cmd_gadgets(args) -> int:
         print("pool has fewer than two variants", file=sys.stderr)
         return EXIT_USAGE
     hist = gadgets.pool_histogram(programs, k=args.k)
-    pz, pl, ph = (float(x * 100) for x in hist.percentages())
-    rows = [
-        ["function", "mode", "gap", "pairs", "pct_zero", "pct_low", "pct_high"],
-        [
-            manifest["function"],
-            manifest["mode"],
-            manifest["gap_percent"],
-            hist.total,
-            f"{pz:.1f}",
-            f"{pl:.1f}",
-            f"{ph:.1f}",
-        ],
-    ]
-    _emit_table(rows, args.format)
-    payload = {
-        "pairs": hist.total,
-        "zero": hist.zero,
-        "low": hist.low,
-        "high": hist.high,
-    }
-    _write_json(pool_dir / "gadgets.json", payload)
+    counts = {"pairs": hist.total, "zero": hist.zero, "low": hist.low, "high": hist.high}
+    _emit_table([_GADGET_HEADER, _gadget_row(manifest, counts)], args.format)
+    _write_json(pool_dir / "gadgets.json", counts)
     return EXIT_OK
 
 
@@ -417,7 +412,7 @@ def cmd_report(args) -> int:
     if args.with_times:
         pool_header.append("seconds")
     pool_rows = [pool_header]
-    gadget_rows = [["function", "mode", "gap", "pairs", "pct_zero", "pct_low", "pct_high"]]
+    gadget_rows = [_GADGET_HEADER]
     breakage_rows = [["function", "variants", "cr_violation_pct", "psc_violation_pct"]]
 
     for d in run_dirs:
@@ -450,19 +445,7 @@ def cmd_report(args) -> int:
             pool_rows.append(row)
             gadgets_json = d / "gadgets.json"
             if gadgets_json.exists():
-                g = _read_report_file(gadgets_json)
-                total = g["pairs"] or 1
-                gadget_rows.append(
-                    [
-                        m["function"],
-                        m["mode"],
-                        m["gap_percent"],
-                        g["pairs"],
-                        f"{100 * g['zero'] / total:.1f}",
-                        f"{100 * g['low'] / total:.1f}",
-                        f"{100 * g['high'] / total:.1f}",
-                    ]
-                )
+                gadget_rows.append(_gadget_row(m, _read_report_file(gadgets_json)))
             verify_json = d / "verify.json"
             if verify_json.exists() and m["mode"] == "naive":
                 v = _read_report_file(verify_json)

@@ -118,7 +118,8 @@ class CopProblem:
     # each block's taken-edge overhead in the objective
     edge_overhead: tuple[int, ...] = ()
     # build_value_model's memo, keyed on each op's cycle (None for an
-    # inactive op); a copy made with dataclasses.replace starts empty
+    # inactive op); a copy made with dataclasses.replace starts empty, and
+    # diversify hands its bounded copy the memo of the problem it copies
     value_models: dict[tuple, "ValueModel"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

@@ -727,6 +727,8 @@ def diversify(
     if n < 1:
         raise ValueError(f"n must be at least 1, not {n}")
     bounded = replace(prob, opt_bound=(1 + gap) * best.objective)
+    # a value model reads nothing that opt_bound changes: share the memo
+    bounded.value_models = prob.value_models
     # every search of the pool shares one plan, and the pool's value vectors
     plan = _Plan(bounded)
     pool = [best]

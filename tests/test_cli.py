@@ -439,6 +439,24 @@ def test_verify_flags_a_branch_on_an_implicit_flow(tmp_path, capsys, mode, code)
     assert json.loads((pool / "verify.json").read_text())["cr_violation_rate"] == 1
 
 
+def test_verify_checks_a_psc_pool_whose_file_has_no_random_input(tmp_path, capsys):
+    """check_bit has no random input, yet its psc pool is built to resist
+    power leaks; its branch leaks through an implicit flow, which the psc
+    oracle sees."""
+    out = tmp_path / "out"
+    assert run_cli("diversify", corpus_path("check_bit"), "--mode", "psc", "--out", out,
+                   "--variants", "4", "--gap", "10") == 0
+    pool = out / "check_bit-psc-g10"
+    assert run_cli("verify", corpus_path("check_bit"), "--pool", pool) == 5
+    lines = (pool / "verify.txt").read_text().splitlines()
+    assert [l for l in lines if "\tpsc\t" in l] == [
+        f"variant_{i:03d}\tpsc\tinsecure" for i in range(4)
+    ]
+    verdicts = json.loads((pool / "verify.json").read_text())
+    assert (verdicts["failures"], verdicts["psc_violation_rate"]) == (4, 1)
+    assert "4 oracle failures" in capsys.readouterr().err
+
+
 def test_verify_runs_without_the_analysis(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert run_cli("diversify", corpus_path("check_bit"), "--mode", "tsc", "--out", out,

@@ -29,7 +29,7 @@ from secdiv.copmodel import (
 from secdiv.machine import TIGHT8, WIDE32, encode
 from secdiv.mir import FunctionIR, Opcode, parse_function, paths
 from secdiv.secanalysis import analyze
-from secdiv import solver
+from secdiv import copmodel, solver
 from conftest import all_corpus_names
 from test_secanalysis import _graph, dag_edges
 from test_solver import _WEIGHTS
@@ -519,7 +519,26 @@ def test_value_model_memo_belongs_to_one_problem():
     assert prob.value_models
     other = _problem("check_bit", Mode.TSC)
     assert other.value_models == {}
-    # the bounded copy that diversify searches starts empty too
+    # a plain bounded copy starts empty too; diversify hands the copy it
+    # searches the memo of the problem it copies
     bounded = dataclasses.replace(prob, opt_bound=Fraction(100))
     assert bounded.value_models == {} and prob.value_models
     assert "value_models" not in repr(prob)
+
+
+def test_no_value_model_is_built_twice_for_one_problem(monkeypatch):
+    """solve_optimal and diversify's bounded search of one problem build
+    each value model once: the bounded copy shares the problem's memo."""
+    built = []
+    real = copmodel._build_value_model
+
+    def record(prob, active, cycle, roots):
+        built.append(tuple(cycle[op.index] if op.index in active else None for op in prob.ops))
+        return real(prob, active, cycle, roots)
+
+    prob = _problem("check_bit", Mode.TSC)
+    monkeypatch.setattr(copmodel, "_build_value_model", record)
+    best = solver.solve_optimal(prob, time_budget=30).solution
+    pool = solver.diversify(prob, best, 4, seed=0)
+    assert len(pool.solutions) == 4
+    assert built and len(built) == len(set(built))

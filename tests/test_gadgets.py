@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import load
-from gadget_overlap import mean_srate, srate
+from conftest import corpus_path, load
+from gadget_overlap import gadgets, mean_srate, srate
+from secdiv.cli import main
 from secdiv.copmodel import build_problem, to_schedule
-from secdiv.gadgets import SrateHistogram, extract_gadgets, pool_histogram
+from secdiv.gadgets import DEFAULT_MAX_LEN, SrateHistogram, extract_gadgets, pool_histogram
 from secdiv.machine import TIGHT8, Instr, MachineProgram, Schedule, encode
 from secdiv.mir import Opcode
 from secdiv.secanalysis import analyze
@@ -33,15 +36,15 @@ def _xor_ret() -> MachineProgram:
 def test_gadgets_end_at_ret():
     gads = extract_gadgets(_xor_ret())
     assert len(gads) == 4  # suffix lengths 1..4
-    assert {len(g.words) for g in gads} == {1, 2, 3, 4}
+    assert {len(words) for words in gads.values()} == {1, 2, 3, 4}
     end = 4 * 3
-    for g in gads:
-        assert g.start + 4 * (len(g.words) - 1) == end
+    for start, words in gads.items():
+        assert start + 4 * (len(words) - 1) == end
 
 
 def test_no_ret_no_gadgets():
     program = _program([Instr(Opcode.ADD, 1, 2, 3), Instr(Opcode.B, 0)])
-    assert extract_gadgets(program) == set()
+    assert extract_gadgets(program) == {}
 
 
 def test_two_rets_two_families():
@@ -53,9 +56,17 @@ def test_two_rets_two_families():
     )
     program = encode(func, sched, TIGHT8)
     gads = extract_gadgets(program)
-    ends = {g.start + 4 * (len(g.words) - 1) for g in gads}
-    assert len(ends) == 2
-    assert len({g.start for g in gads}) == len(gads)  # a start fixes its gadget
+    flat = program.flat()
+    rets = [i for i, ins in enumerate(flat) if ins.opcode is Opcode.RET]
+    assert len(rets) == 2
+    # each gadget ends at the first RET from its start, whose word it ends with
+    ends = set()
+    for start, words in gads.items():
+        end = next(r for r in rets if r >= start // 4)
+        assert words[-1] == flat[end].word()
+        ends.add(end)
+    assert ends == set(rets)
+    assert len(gads) == len(gadgets(program))  # a start fixes its gadget
 
 
 def test_gadget_does_not_cross_control_transfer():
@@ -68,12 +79,14 @@ def test_gadget_does_not_cross_control_transfer():
         ]
     )
     gads = extract_gadgets(program)
-    assert max(len(g.words) for g in gads) == 2  # stops before the b
+    assert set(gads) == {8, 12}  # stops before the b
+    assert max(len(words) for words in gads.values()) == 2
 
 
 def test_k_limits_length():
     gads = extract_gadgets(_xor_ret(), k=2)
-    assert {len(g.words) for g in gads} == {1, 2}
+    assert set(gads) == {8, 12}
+    assert {len(words) for words in gads.values()} == {1, 2}
 
 
 def test_srate_self_is_one():
@@ -170,9 +183,10 @@ def test_histogram_disjoint_pool_all_zero():
 
 def test_histogram_buckets_partition():
     hist = SrateHistogram()
-    for rate in [Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(21, 100), Fraction(1)]:
-        hist.add(rate)
-    assert (hist.zero, hist.low, hist.high) == (1, 2, 2)
+    # (shared, total): srates 0, 0 (no gadget), 1/10, 1/5, 1/5, 21/100, 1
+    for shared, total in [(0, 5), (0, 0), (1, 10), (1, 5), (2, 10), (21, 100), (1, 1)]:
+        hist.add(shared, total)
+    assert (hist.zero, hist.low, hist.high) == (2, 3, 2)
 
 
 def test_histogram_needs_two_variants():
@@ -185,3 +199,91 @@ def test_mean_srate_bounds():
     b = _program([Instr(Opcode.MOV, 6, 6)] + list(a.blocks[0]), num_inputs=3)
     assert mean_srate([a, a]) == 1
     assert mean_srate([a, b]) == 0
+
+
+def _reference_buckets(programs, k) -> tuple[int, int, int]:
+    """(zero, low, high) of the reference srate over all ordered pairs."""
+    rates = [srate(a, b, k) for a, b in itertools.permutations(programs, 2)]
+    return (
+        sum(r == 0 for r in rates),
+        sum(0 < r <= Fraction(1, 5) for r in rates),
+        sum(r > Fraction(1, 5) for r in rates),
+    )
+
+
+def _buckets(programs, k) -> tuple[int, int, int]:
+    hist = pool_histogram(programs, k)
+    return (hist.zero, hist.low, hist.high)
+
+
+# the jobs of the tsc_pool benchmark workload: (function, gap percent, variants)
+TSC_POOL_JOBS = [("modexp_step", 0, 30), ("two_branches", 5, 40), ("long_arm", 5, 40)]
+
+
+@pytest.mark.parametrize("name, gap, n", TSC_POOL_JOBS)
+def test_histogram_matches_the_reference_on_tsc_pools(tmp_path, name, gap, n):
+    out = tmp_path / "out"
+    argv = ["diversify", corpus_path(name), "--mode", "tsc", "--gap", gap, "--variants", n,
+            "--seed", 0, "--out", out]
+    assert main([str(a) for a in argv]) == 0
+    variants = sorted((out / f"{name}-tsc-g{gap}").glob("variant_*.bin"))
+    programs = [MachineProgram.from_bytes(v.read_bytes()) for v in variants]
+    assert len(programs) == n
+    assert _buckets(programs, DEFAULT_MAX_LEN) == _reference_buckets(programs, DEFAULT_MAX_LEN)
+
+
+_PALETTE = [
+    Instr(Opcode.XOR, 1, 2, 3),
+    Instr(Opcode.ADD, 1, 1, 2),
+    Instr(Opcode.MOV, 2, 3),
+    Instr(Opcode.AND, 3, 1, 2),
+    Instr(Opcode.NOP),
+    Instr(Opcode.NOP),
+    Instr(Opcode.B, 0),
+    Instr(Opcode.BEQ, 1, 2, 1),
+    Instr(Opcode.RET, 1),
+    Instr(Opcode.RET, 2),
+]
+
+
+def _generated_pool(seed: int) -> list[MachineProgram]:
+    """Four variants of one random stream of ALU words, NOPs, branches and
+    RETs: each edits a few words or inserts NOPs, which shifts the rest."""
+    rng = random.Random(seed)
+    base = [rng.choice(_PALETTE) for _ in range(rng.randint(3, 14))] + [Instr(Opcode.RET, 1)]
+    pool = []
+    for _ in range(4):
+        words = list(base)
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randrange(len(words))
+            if rng.random() < 0.5:
+                words.insert(at, Instr(Opcode.NOP))
+            else:
+                words[at] = rng.choice(_PALETTE)
+        # one block per control transfer, as the encoder lays them out
+        blocks, block = [], []
+        for ins in words:
+            block.append(ins)
+            if ins.opcode in (Opcode.B, Opcode.BEQ, Opcode.RET):
+                blocks.append(block)
+                block = []
+        pool.append(MachineProgram("tight8", 3, blocks + [block] if block else blocks))
+    return pool
+
+
+def test_histogram_matches_the_reference_on_generated_pools():
+    rates, gadget_free = set(), 0
+    for seed in range(60):
+        pool = _generated_pool(seed)
+        for k in range(1, 7):
+            for program in pool:
+                assert set(extract_gadgets(program, k).items()) == gadgets(program, k)
+                gadget_free += not gadgets(program, k)
+            assert _buckets(pool, k) == _reference_buckets(pool, k), (seed, k)
+            rates.update(srate(a, b, k) for a, b in itertools.permutations(pool, 2))
+    # the pools reach every bucket, the boundary between low and high, and
+    # programs without any gadget
+    assert gadget_free
+    assert {0, Fraction(1, 5), 1} <= rates
+    assert any(0 < r < Fraction(1, 5) for r in rates)
+    assert any(Fraction(1, 5) < r < 1 for r in rates)

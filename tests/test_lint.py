@@ -36,3 +36,57 @@ def test_every_public_function_has_a_caller_in_the_package():
         and node.name not in loaded
     ]
     assert unread == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _secdiv_imports(tree: ast.Module) -> dict[str, set[str]]:
+    """Each `secdiv` module a file imports, with the names it takes from
+    it ("*" for the whole module, as `from secdiv import mir` takes it)."""
+    imports: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "secdiv":
+            for alias in node.names:
+                imports.setdefault(f"secdiv.{alias.name}", set()).add("*")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("secdiv."):
+            imports.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "secdiv":
+                    imports.setdefault(alias.name, set()).add("*")
+    return imports
+
+
+def _names(tree: ast.Module) -> set[str]:
+    """Every identifier the code of a file names: variables, attributes,
+    imported names and definitions, but not docstrings or comments."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_test_side_references_stay_independent_of_what_they_check():
+    """The tests' references check the package only while they do not
+    reuse the code they check: the gadget reference takes no more than
+    the default length from `secdiv.gadgets`, the IR evaluator reads only
+    `secdiv.mir`, the scalar machine neither calls nor reuses the batch
+    machine's decoder, and the brute-force solver imports no solver."""
+    trees = {
+        name: ast.parse((TESTS / f"{name}.py").read_text())
+        for name in ("gadget_overlap", "ir_eval", "scalar_machine", "bruteforce")
+    }
+    assert _secdiv_imports(trees["gadget_overlap"]).get("secdiv.gadgets", set()) <= {
+        "DEFAULT_MAX_LEN"
+    }
+    assert set(_secdiv_imports(trees["ir_eval"])) == {"secdiv.mir"}
+    assert not _names(trees["scalar_machine"]) & {"run_batch", "decoded", "_decode"}
+    assert "secdiv.solver" not in _secdiv_imports(trees["bruteforce"])

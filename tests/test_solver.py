@@ -522,13 +522,18 @@ def test_memoized_value_models_equal_fresh_builds(monkeypatch):
 
     monkeypatch.setattr(solver, "build_value_model", compared)
     monkeypatch.setattr(copmodel, "build_value_model", compared)
+    before = dict(prob.value_models)
     pool = diversify(prob, best, n=8, gap=Fraction(5, 100), time_budget=60, seed=0)
     assert len(pool.solutions) == 8
+    # the bounded copy that diversify searches shares the problem's memo,
+    # which keeps what solve_optimal built
     memo = pool.problem.value_models
+    assert memo is prob.value_models
     # each leaf asks twice, once in the search and once in the checker
     assert len(requested) >= 2 * (len(pool.solutions) - 1)
-    assert 0 < len(memo) < len(requested)
-    assert {id(m) for m in requested} == {id(m) for m in memo.values()}
+    assert 0 < len(memo) - len(before) < len(requested)
+    kept = {id(m) for m in before.values()}
+    assert {id(m) for m in requested} | kept == {id(m) for m in memo.values()}
 
 
 @pytest.mark.parametrize("name, mode", [("masked_xor", Mode.PSC), ("spill_pair", Mode.NONE)])
