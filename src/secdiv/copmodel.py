@@ -118,7 +118,8 @@ class CopProblem:
     # each block's taken-edge overhead in the objective
     edge_overhead: tuple[int, ...] = ()
     # build_value_model's memo, keyed on each op's cycle (None for an
-    # inactive op); a copy made with dataclasses.replace starts empty, and
+    # inactive op); build_problem leaves in it the model its infeasibility
+    # check reads, a copy made with dataclasses.replace starts empty, and
     # diversify hands its bounded copy the memo of the problem it copies
     value_models: dict[tuple, "ValueModel"] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -259,7 +260,7 @@ def _detect_obvious_infeasibility(prob: CopProblem) -> None:
     of simultaneously live values must fit in registers plus spill slots."""
     active = {op.index for op in prob.ops if not op.optional}
     cycle = _compact_cycles(prob, active)
-    model = _build_value_model(prob, active, cycle, resolve_roots(prob, active))
+    model = build_value_model(prob, active, cycle)
     capacity = prob.num_registers + (prob.profile.mem_slots - len(prob.function.slots))
     for block in prob.function.blocks:
         ivs = [

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .mir import TERMINATORS, FunctionIR, Opcode
+from .mir import OPERANDS, TERMINATORS, FunctionIR, Opcode
 
 MAGIC = b"MRSC"
 
@@ -190,10 +190,6 @@ class Schedule:
     swapped: set[int] = field(default_factory=set)
 
 
-def slot_index(func: FunctionIR, slot: str) -> int:
-    return func.slots.index(slot)
-
-
 def encode(func: FunctionIR, schedule: Schedule, profile: MachineProfile) -> MachineProgram:
     """Emit instructions in issue-cycle order, filling idle cycles with NOPs."""
     nregs = profile.num_registers
@@ -239,38 +235,21 @@ def remat_constant(func: FunctionIR, temp: str) -> Optional[int]:
 
 
 def _lower(func: FunctionIR, schedule: Schedule, op, reg_of, nregs: int) -> Instr:
+    """One word for `op`: its defs, then its uses (the first two swapped
+    when the schedule says so), each laid out by its kind in `OPERANDS`."""
     opcode = schedule.impl.get(op.index, op.opcode)
     if op.opcode is Opcode.COPY:
         return _lower_copy(func, schedule, op, reg_of, opcode, nregs)
-    if opcode in (Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR):
-        if op.opcode is Opcode.MOV:
-            # self-move alternative: or/and of the source with itself
-            src = reg_of(op.uses[0])
-            return Instr(opcode, reg_of(op.defs[0]), src, src)
-        u0, u1 = op.uses
-        if op.index in schedule.swapped:
-            u0, u1 = u1, u0
-        return Instr(opcode, reg_of(op.defs[0]), reg_of(u0), reg_of(u1))
-    if opcode is Opcode.MOV:
-        return Instr(Opcode.MOV, reg_of(op.defs[0]), reg_of(op.uses[0]))
-    if opcode is Opcode.LI:
-        return Instr(Opcode.LI, reg_of(op.defs[0]), op.uses[0])
-    if opcode is Opcode.LD:
-        return Instr(Opcode.LD, reg_of(op.defs[0]), slot_index(func, op.uses[0]))
-    if opcode is Opcode.ST:
-        return Instr(Opcode.ST, slot_index(func, op.uses[0]), reg_of(op.uses[1]))
-    if opcode in (Opcode.BEQ, Opcode.BNE):
-        u0, u1 = op.uses[0], op.uses[1]
-        if op.index in schedule.swapped:
-            u0, u1 = u1, u0
-        return Instr(opcode, reg_of(u0), reg_of(u1), op.uses[2])
-    if opcode is Opcode.B:
-        return Instr(Opcode.B, op.uses[0])
-    if opcode is Opcode.RET:
-        return Instr(Opcode.RET, reg_of(op.uses[0]))
-    if opcode is Opcode.NOP:
-        return Instr(Opcode.NOP)
-    raise MachineError(f"cannot lower opcode {opcode}")
+    if op.opcode is Opcode.MOV and opcode is not Opcode.MOV:
+        # self-move alternative: or/and of the source with itself
+        src = reg_of(op.uses[0])
+        return Instr(opcode, reg_of(op.defs[0]), src, src)
+    uses = list(op.uses)
+    if op.index in schedule.swapped:
+        uses[:2] = uses[1::-1]
+    convert = {"t": reg_of, "s": func.slots.index, "i": int, "b": int}
+    kinds = OPERANDS[op.opcode][1]
+    return Instr(opcode, *map(reg_of, op.defs), *(convert[k](u) for k, u in zip(kinds, uses)))
 
 
 def _lower_copy(func: FunctionIR, schedule: Schedule, op, reg_of, impl: Opcode, nregs: int) -> Instr:
@@ -317,19 +296,13 @@ _ALU = {
     Opcode.OR: np.bitwise_or,
 }
 
-# What operands a, b and c of each opcode name: "r" a register, "s" a
-# memory slot, "-" an immediate, a block or nothing.
+# What operands a, b and c of each machine opcode name: "r" a register,
+# "s" a memory slot, "-" an immediate, a block or nothing.  A word holds
+# its op's defs (registers), then its uses by their kind in `OPERANDS`.
 _ROLES = {
-    **{op: "rrr" for op in _ALU},
-    Opcode.MOV: "rr-",
-    Opcode.LI: "r--",
-    Opcode.LD: "rs-",
-    Opcode.ST: "sr-",
-    Opcode.BEQ: "rr-",
-    Opcode.BNE: "rr-",
-    Opcode.B: "---",
-    Opcode.RET: "r--",
-    Opcode.NOP: "---",
+    op: ("r" * ndefs + kinds.translate(str.maketrans("tib", "r--"))).ljust(3, "-")
+    for op, (ndefs, kinds) in OPERANDS.items()
+    if op is not Opcode.COPY
 }
 
 

@@ -16,7 +16,7 @@ Text format (one function per file, ``#`` comments, LF line endings):
 
 ``st`` lines have no def (``st <slot>, <use>``) and ``ld`` reads a named
 slot (``<def> = ld <slot>``).  Blocks without a terminator fall through
-to the next block.
+to the next block.  Immediates, block ids and weights are ASCII numbers.
 """
 
 from __future__ import annotations
@@ -63,6 +63,25 @@ OPTIONAL_ALLOWED = frozenset({Opcode.COPY, Opcode.NOP})
 # A use is a temp name, a named memory slot, or an 8-bit immediate.
 Operand = Union[str, int]
 
+# The one statement of each opcode's operands: the number of defs, then
+# the kind of each use, "t" a temp, "s" a memory slot name, "i" an
+# immediate, "b" a block id.  The parser checks ops against it, and the
+# machine encoder and decoder lay out words by it.
+OPERANDS: dict[Opcode, tuple[int, str]] = {
+    **{op: (1, "tt") for op in (Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR)},
+    Opcode.MOV: (1, "t"),
+    Opcode.LI: (1, "i"),
+    Opcode.LD: (1, "s"),
+    Opcode.ST: (0, "st"),
+    Opcode.BEQ: (0, "ttb"),
+    Opcode.BNE: (0, "ttb"),
+    Opcode.B: (0, "b"),
+    Opcode.RET: (0, "t"),
+    Opcode.NOP: (0, ""),
+    Opcode.COPY: (1, "t"),
+}
+_KIND_NAMES = {"t": "a temp", "s": "a slot name", "i": "an immediate", "b": "a block id"}
+
 
 class IRError(Exception):
     """Base class for parse and validation failures."""
@@ -98,17 +117,13 @@ class Operation:
     @property
     def slot(self) -> Optional[str]:
         """Named memory slot for LD/ST, else None."""
-        if self.opcode in (Opcode.LD, Opcode.ST):
-            return self.uses[0]  # type: ignore[return-value]
-        return None
+        kinds = OPERANDS[self.opcode][1]
+        return self.uses[kinds.index("s")] if "s" in kinds else None  # type: ignore[return-value]
 
     def temp_uses(self) -> tuple[str, ...]:
         """Temp-name operands only (immediates and slot names excluded)."""
-        if self.opcode is Opcode.LD:
-            return ()
-        if self.opcode is Opcode.ST:
-            return (self.uses[1],)  # type: ignore[return-value]
-        return tuple(u for u in self.uses if isinstance(u, str))
+        kinds = OPERANDS[self.opcode][1]
+        return tuple(u for u, k in zip(self.uses, kinds) if k == "t")  # type: ignore[misc]
 
 
 @dataclass
@@ -218,10 +233,8 @@ def parse_function(text: str) -> FunctionIR:
             op = _parse_op(line, lineno, op_index)
             op_index += 1
             current.ops.append(op)
-            if op.opcode in (Opcode.LD, Opcode.ST):
-                slot = op.slot
-                if slot not in slots:
-                    slots.append(slot)
+            if op.slot is not None and op.slot not in slots:
+                slots.append(op.slot)
 
     if func is None:
         raise IRSyntaxError("no function found", len(lines))
@@ -258,7 +271,7 @@ def _parse_block_header(words: list[str], lineno: int, expected: int) -> Block:
     if len(words) not in (2, 4):
         raise IRSyntaxError("malformed block header", lineno)
     try:
-        index = int(words[1])
+        index = int(_ascii(words[1]))
     except ValueError:
         raise IRSyntaxError(f"bad block id {words[1]!r}", lineno) from None
     if index != expected:
@@ -268,7 +281,7 @@ def _parse_block_header(words: list[str], lineno: int, expected: int) -> Block:
         if words[2] != "weight":
             raise IRSyntaxError("expected 'weight'", lineno)
         try:
-            weight = Fraction(words[3])
+            weight = Fraction(_ascii(words[3]))
         except (ValueError, ZeroDivisionError):
             raise IRSyntaxError(f"bad weight {words[3]!r}", lineno) from None
         if weight <= 0:
@@ -276,11 +289,19 @@ def _parse_block_header(words: list[str], lineno: int, expected: int) -> Block:
     return Block(index=index, weight=weight)
 
 
+def _ascii(word: str) -> str:
+    """`word` itself when it is ASCII: `int` and `Fraction` also read
+    other scripts' digits, which the format does not allow."""
+    if not word.isascii():
+        raise ValueError(word)
+    return word
+
+
 def _parse_operand(tok: str, lineno: int) -> Operand:
     tok = tok.strip()
     if not tok:
         raise IRSyntaxError("empty operand", lineno)
-    if tok.lstrip("-").isdigit():
+    if tok.isascii() and tok.removeprefix("-").isdigit():
         value = int(tok)
         if not 0 <= value <= VALUE_MASK:
             raise IRSyntaxError(f"immediate {value} out of range", lineno)
@@ -316,51 +337,19 @@ def _parse_op(line: str, lineno: int, index: int) -> Operation:
     return op
 
 
-_SHAPES: dict[Opcode, tuple[int, int]] = {
-    # opcode -> (number of defs, number of uses)
-    Opcode.ADD: (1, 2),
-    Opcode.SUB: (1, 2),
-    Opcode.XOR: (1, 2),
-    Opcode.AND: (1, 2),
-    Opcode.OR: (1, 2),
-    Opcode.MOV: (1, 1),
-    Opcode.LI: (1, 1),
-    Opcode.LD: (1, 1),
-    Opcode.ST: (0, 2),
-    Opcode.BEQ: (0, 3),
-    Opcode.BNE: (0, 3),
-    Opcode.B: (0, 1),
-    Opcode.RET: (0, 1),
-    Opcode.NOP: (0, 0),
-    Opcode.COPY: (1, 1),
-}
-
-
 def _check_shape(op: Operation, lineno: int) -> None:
-    ndefs, nuses = _SHAPES[op.opcode]
-    if len(op.defs) != ndefs or len(op.uses) != nuses:
-        raise IRSyntaxError(f"{op.opcode.value} expects {ndefs} def(s), {nuses} use(s)", lineno)
+    ndefs, kinds = OPERANDS[op.opcode]
+    if len(op.defs) != ndefs or len(op.uses) != len(kinds):
+        raise IRSyntaxError(
+            f"{op.opcode.value} expects {ndefs} def(s), {len(kinds)} use(s)", lineno
+        )
     if op.optional and op.opcode not in OPTIONAL_ALLOWED:
         raise IRSyntaxError(f"{op.opcode.value} cannot be optional", lineno)
-    if op.opcode is Opcode.LI and not isinstance(op.uses[0], int):
-        raise IRSyntaxError("li takes an immediate", lineno)
-    if op.opcode in (Opcode.LD, Opcode.ST) and not isinstance(op.uses[0], str):
-        raise IRSyntaxError(f"{op.opcode.value} needs a slot name", lineno)
-    if op.opcode is Opcode.ST and not isinstance(op.uses[1], str):
-        raise IRSyntaxError("st stores a temp", lineno)
-    if op.opcode in (Opcode.BEQ, Opcode.BNE):
-        if not (isinstance(op.uses[0], str) and isinstance(op.uses[1], str)):
-            raise IRSyntaxError("branch compares temps", lineno)
-        if not isinstance(op.uses[2], int):
-            raise IRSyntaxError("branch target must be a block id", lineno)
-    if op.opcode is Opcode.B and not isinstance(op.uses[0], int):
-        raise IRSyntaxError("b target must be a block id", lineno)
-    if op.opcode is Opcode.RET and not isinstance(op.uses[0], str):
-        raise IRSyntaxError("ret returns a temp", lineno)
-    if op.opcode not in (Opcode.LI, Opcode.LD, Opcode.ST, Opcode.B, Opcode.BEQ, Opcode.BNE):
-        for use in op.uses:
-            if isinstance(use, int):
-                raise IRSyntaxError("immediates are only allowed in li", lineno)
+    for n, (kind, use) in enumerate(zip(kinds, op.uses), 1):
+        if isinstance(use, int) != (kind in "ib"):
+            raise IRSyntaxError(
+                f"{op.opcode.value} use {n} must be {_KIND_NAMES[kind]}, not {use!r}", lineno
+            )
 
 
 def _collect_temps(func: FunctionIR) -> None:

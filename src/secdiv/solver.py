@@ -836,17 +836,12 @@ def _naive_rename(prob, model, order, inputs, roots, values, rng) -> bool:
             loc[value] = base_loc
             continue
         db, dt = model.def_point[value]
-        candidates = []
-        for r in range(nregs):
-            clash = False
-            for other, rother in loc.items():
-                if rother == r and _intervals_overlap(
-                    model.intervals[value], model.intervals[other]
-                ):
-                    clash = True
-                    break
-            if not clash:
-                candidates.append(r)
+        clashing = {
+            rother
+            for other, rother in loc.items()
+            if _intervals_overlap(model.intervals[value], model.intervals[other])
+        }
+        candidates = [r for r in range(nregs) if r not in clashing]
         if not candidates:
             return False
         weights = []

@@ -41,6 +41,17 @@ def test_missing_opcode_exit_code(tmp_path, capsys):
     assert "missing opcode" in capsys.readouterr().err
 
 
+def test_non_ascii_digit_is_a_parse_error(tmp_path, capsys):
+    # int() reads the superscript as a digit and then fails on it
+    bad = tmp_path / "bad.mir"
+    bad.write_text("func f (x:public)\nblock 0\n  y = li \u00b2\n  ret y\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("diversify", bad, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 3:")
+    assert not out.exists()
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert run_cli("compile", tmp_path / "nope.mir", "--out", tmp_path / "out") == 2
 

@@ -516,19 +516,19 @@ def test_value_model_memo_keys_on_the_cycles():
 def test_value_model_memo_belongs_to_one_problem():
     prob = _problem("two_branches", Mode.TSC)
     solver.solve_optimal(prob, time_budget=30)
-    assert prob.value_models
+    assert len(prob.value_models) > 1
+    # a fresh problem's memo holds only the model of its infeasibility check
     other = _problem("check_bit", Mode.TSC)
-    assert other.value_models == {}
-    # a plain bounded copy starts empty too; diversify hands the copy it
+    assert len(other.value_models) == 1 and other.value_models is not prob.value_models
+    # a plain bounded copy starts empty; diversify hands the copy it
     # searches the memo of the problem it copies
     bounded = dataclasses.replace(prob, opt_bound=Fraction(100))
     assert bounded.value_models == {} and prob.value_models
     assert "value_models" not in repr(prob)
 
 
-def test_no_value_model_is_built_twice_for_one_problem(monkeypatch):
-    """solve_optimal and diversify's bounded search of one problem build
-    each value model once: the bounded copy shares the problem's memo."""
+def _record_value_model_builds(monkeypatch) -> list[tuple]:
+    """The key of every value model built from now on, in build order."""
     built = []
     real = copmodel._build_value_model
 
@@ -536,9 +536,27 @@ def test_no_value_model_is_built_twice_for_one_problem(monkeypatch):
         built.append(tuple(cycle[op.index] if op.index in active else None for op in prob.ops))
         return real(prob, active, cycle, roots)
 
-    prob = _problem("check_bit", Mode.TSC)
     monkeypatch.setattr(copmodel, "_build_value_model", record)
+    return built
+
+
+def test_no_value_model_is_built_twice_for_one_problem(monkeypatch):
+    """build_problem's infeasibility check, solve_optimal and diversify's
+    bounded search of one problem build each value model once: they all
+    go through the problem's memo, which the bounded copy shares."""
+    built = _record_value_model_builds(monkeypatch)
+    prob = _problem("check_bit", Mode.TSC)
     best = solver.solve_optimal(prob, time_budget=30).solution
     pool = solver.diversify(prob, best, 4, seed=0)
     assert len(pool.solutions) == 4
     assert built and len(built) == len(set(built))
+
+
+def test_infeasibility_check_builds_its_value_model_through_the_memo(monkeypatch):
+    built = _record_value_model_builds(monkeypatch)
+    prob = _problem("masked_xor", Mode.PSC)
+    assert len(built) == 1 and list(prob.value_models) == built
+    best = solver.solve_optimal(prob, time_budget=30).solution
+    pool = solver.diversify(prob, best, 4, gap=Fraction(10, 100), seed=0)
+    assert len(pool.solutions) == 4
+    assert len(built) == len(set(built))

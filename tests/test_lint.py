@@ -90,3 +90,31 @@ def test_test_side_references_stay_independent_of_what_they_check():
     assert set(_secdiv_imports(trees["ir_eval"])) == {"secdiv.mir"}
     assert not _names(trees["scalar_machine"]) & {"run_batch", "decoded", "_decode"}
     assert "secdiv.solver" not in _secdiv_imports(trees["bruteforce"])
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The `secdiv` modules a package module imports, relatively or by
+    their full name."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "secdiv"
+        ):
+            module = (node.module or "").removeprefix("secdiv").lstrip(".")
+            imported.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(
+                a.name.removeprefix("secdiv.") for a in node.names if a.name.startswith("secdiv.")
+            )
+    return imported
+
+
+def test_oracles_stay_independent_of_the_backend():
+    """`verify` and `gadgets` judge what the backend emits, so they read
+    only the machine model and the IR: they import no other package
+    module and name neither the constraint model, the solver nor the
+    security analysis."""
+    trees = _trees()
+    for name in ("verify", "gadgets"):
+        assert _package_imports(trees[name]) <= {"machine", "mir"}, name
+        assert not _names(trees[name]) & {"copmodel", "solver", "secanalysis"}, name

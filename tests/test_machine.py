@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import all_corpus_names, load
 from scalar_machine import check_shape, hd_leak_points, run
+from secdiv import machine
 from secdiv.copmodel import build_problem, to_schedule
 from secdiv.machine import (
     PROFILES,
@@ -40,6 +41,26 @@ def test_word_encoding_bijective():
     for op in Opcode:
         ins = Instr(op, 1, 2, 3)
         assert Instr.from_word(ins.word()) == ins
+
+
+def test_operand_roles_of_every_machine_opcode():
+    # derived from mir.OPERANDS; this is the table as written out by hand
+    assert machine._ROLES == {
+        Opcode.ADD: "rrr",
+        Opcode.SUB: "rrr",
+        Opcode.XOR: "rrr",
+        Opcode.AND: "rrr",
+        Opcode.OR: "rrr",
+        Opcode.MOV: "rr-",
+        Opcode.LI: "r--",
+        Opcode.LD: "rs-",
+        Opcode.ST: "sr-",
+        Opcode.BEQ: "rr-",
+        Opcode.BNE: "rr-",
+        Opcode.B: "---",
+        Opcode.RET: "r--",
+        Opcode.NOP: "---",
+    }
 
 
 def test_undecodable_word_rejected():

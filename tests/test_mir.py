@@ -250,3 +250,68 @@ def test_roundtrip_property(text):
     func = parse_function(text)
     assert serialize_function(func) == text
     assert topological_check(func)
+
+
+# Each opcode's operands, written out here apart from `mir.OPERANDS`: the
+# number of defs and the uses of one well-formed line.  Numeric uses are
+# immediates or block ids; the others are temps (x, y) or a slot (s).
+_OPERAND_CASES = {
+    **{op: (1, ["x", "y"]) for op in (Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR)},
+    Opcode.MOV: (1, ["x"]),
+    Opcode.LI: (1, ["7"]),
+    Opcode.LD: (1, ["s"]),
+    Opcode.ST: (0, ["s", "x"]),
+    Opcode.BEQ: (0, ["x", "y", "2"]),
+    Opcode.BNE: (0, ["x", "y", "2"]),
+    Opcode.B: (0, ["1"]),
+    Opcode.RET: (0, ["x"]),
+    Opcode.NOP: (0, []),
+    Opcode.COPY: (1, ["x"]),
+}
+
+
+def _one_op_function(opcode: Opcode, ndefs: int, uses: list[str]) -> str:
+    """A function whose line 3 is `opcode` with these defs and uses."""
+    line = " ".join([opcode.value, ", ".join(uses)]).strip()
+    tail = {
+        Opcode.B: "block 1\n  ret x\n",
+        Opcode.BEQ: "block 1\n  ret x\nblock 2\n  ret y\n",
+        Opcode.BNE: "block 1\n  ret x\nblock 2\n  ret y\n",
+        Opcode.RET: "",
+    }.get(opcode, "  ret x\n")
+    return f"func f (x:public, y:public)\nblock 0\n  {'d = ' * ndefs}{line}\n{tail}"
+
+
+@pytest.mark.parametrize("opcode", list(Opcode))
+def test_each_opcode_takes_exactly_its_operands(opcode):
+    ndefs, uses = _OPERAND_CASES[opcode]
+    op = parse_function(_one_op_function(opcode, ndefs, uses)).blocks[0].ops[0]
+    assert (op.opcode, len(op.defs), [str(u) for u in op.uses]) == (opcode, ndefs, uses)
+    wrong = [(1 - ndefs, uses), (ndefs, uses + ["x"])]
+    if uses:
+        wrong.append((ndefs, uses[:-1]))
+    for n, use in enumerate(uses):
+        other = "x" if use.isdigit() else "7"  # a name for a number, or back
+        wrong.append((ndefs, uses[:n] + [other] + uses[n + 1 :]))
+    for bad_defs, bad_uses in wrong:
+        with pytest.raises(IRSyntaxError, match="line 3:") as exc:
+            parse_function(_one_op_function(opcode, bad_defs, bad_uses))
+        assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "lines, lineno",
+    [
+        (["  y = li ²", "  ret y"], 3),  # superscript two
+        (["  y = li ٣", "  ret y"], 3),  # Arabic-Indic three
+        (["  y = li --5", "  ret y"], 3),
+        (["  beq x, x, ²", "block 1", "  ret x", "block 2", "  ret x"], 3),
+        (["  b 1", "block ١", "  ret x"], 4),  # Arabic-Indic one
+        (["  b 1", "block 1 weight ٢", "  ret x"], 4),  # Arabic-Indic two
+    ],
+)
+def test_numbers_are_ascii_decimal(lines, lineno):
+    text = "\n".join(["func f (x:public)", "block 0", *lines]) + "\n"
+    with pytest.raises(IRSyntaxError, match=f"line {lineno}:") as exc:
+        parse_function(text)
+    assert exc.value.line == lineno
