@@ -12,22 +12,26 @@ A problem instance is built from an analyzed function and exposes
     register-transition and memory-order conflicts for the power model,
   * an optional optimality-gap bound on the block-weighted objective.
 
+The model states each fact once, for the solver and the lowering to read:
+`CopProblem.domain` lists each variable's values, `_canonical` is the
+canonical form that every `Solution` is in, and `hazard` the transition rule.
+
 `build_problem` fills what every leaf reads once per problem: each op's
-latency (`CopProblem.latency`, which `op_lat` reads) and the block weights
-as integers, scaled by the LCM of their denominators, so the objective is
-an integer sum divided by that scale, exact and equal to the `Fraction`
-sum.  `build_value_model` is memoized per problem instance on the active
-set and the cycles of the active ops, the inputs it reads (the roots
-follow from the active set); the memo lives on the problem and only as
-long as it, and a `ValueModel` is read-only.
+latency (`CopProblem.latency`), each block's taken-edge overhead and the
+block weights as integers, scaled by the LCM of their denominators, so
+the objective is an integer sum divided by that scale, exact and equal to
+the `Fraction` sum.  `build_value_model` is memoized per problem instance
+on the active set and the cycles of the active ops, the inputs it reads
+(the roots follow from the active set); the memo lives on the problem and
+only as long as it, and a `ValueModel` is read-only.
 
 `check_solution` re-evaluates every constraint from scratch on a
 `Solution`, its `objective` field included, after checking that every
-variable lies in its domain (an activation or swap is a bool, an
-instruction indexes its op's alternatives); it shares no code with the
-solver's propagation and is the final word on feasibility.  It derives
-each fact of the assignment once per check, and a memo hit means only
-that the same pure function got equal inputs.
+variable takes a value of its domain and of its type (an activation or
+swap is a bool, an instruction, cycle or location an int); it shares no
+code with the solver's propagation and is the final word on feasibility.
+It derives each fact of the assignment once per check, and a memo hit
+means only that the same pure function got equal inputs.
 """
 
 from __future__ import annotations
@@ -73,10 +77,11 @@ class Solution:
 
 
 def make_solution(prob: "CopProblem", values: Mapping[VarKey, object]) -> Solution:
+    """The canonical solution of `values`: the activations, the active ops'
+    cycles and each root value's location, and canonical form for the rest."""
     active = active_set(prob, values)
-    canon = _canonical(prob, values, active, resolve_roots(prob, active))
-    assignment = tuple((k, canon[k]) for k in prob.var_order)
-    cycle = {op.index: canon[("cycle", op.index)] for op in prob.ops}
+    assignment = _canonical(prob, values, active, resolve_roots(prob, active))
+    cycle = {idx: values[("cycle", idx)] for idx in active}
     objective = _objective(prob, block_makespans(prob, active, cycle))
     return Solution(assignment=assignment, objective=objective)
 
@@ -93,7 +98,6 @@ class CopProblem:
 
     # derived structure (filled by build_problem)
     ops: list[Operation] = field(default_factory=list)
-    op_at: dict[int, Operation] = field(default_factory=dict)
     op_block: dict[int, int] = field(default_factory=dict)
     # temp-name operands of each op, and the op defining each non-input temp
     op_uses: dict[int, tuple[str, ...]] = field(default_factory=dict)
@@ -129,8 +133,14 @@ class CopProblem:
     def num_registers(self) -> int:
         return self.profile.num_registers
 
-    def op_lat(self, op: Operation) -> int:
-        return self.latency[op.index]
+    def domain(self, key: VarKey) -> tuple:
+        """The values of variable `key`, in an unshuffled search's order."""
+        kind, index = key
+        if kind in ("active", "swap"):
+            return (False, True)
+        if kind == "instr":
+            return tuple(range(len(self.alternatives[index])))
+        return (self.cycle_domain if kind == "cycle" else self.reg_domain)[index]
 
 
 def build_problem(analyzed: AnalyzedFunction) -> CopProblem:
@@ -165,10 +175,12 @@ def build_problem(analyzed: AnalyzedFunction) -> CopProblem:
     }
     prob.weight_scale = math.lcm(*(b.weight.denominator for b in func.blocks))
     prob.scaled_weights = tuple(int(b.weight * prob.weight_scale) for b in func.blocks)
-    prob.edge_overhead = tuple(worst_edge_overhead(prob, b.index) for b in func.blocks)
+    prob.edge_overhead = tuple(
+        0 if func.taken_successor(b.index) is None else profile.taken_branch_overhead
+        for b in func.blocks
+    )
     for block in func.blocks:
         for op in block.ops:
-            prob.op_at[op.index] = op
             prob.op_block[op.index] = block.index
             prob.op_uses[op.index] = op.temp_uses()
             for name in op.defs:
@@ -203,7 +215,7 @@ def build_problem(analyzed: AnalyzedFunction) -> CopProblem:
             prob.nop_blocks[block.index] = tuple(o.index for o in block.ops)
 
     for block in func.blocks:
-        total = sum(prob.op_lat(op) for op in block.ops)
+        total = sum(prob.latency[op.index] for op in block.ops)
         prob.horizon[block.index] = total + (0 if block.index in prob.nop_blocks else NOP_BUDGET)
 
     for op in prob.ops:
@@ -212,7 +224,7 @@ def build_problem(analyzed: AnalyzedFunction) -> CopProblem:
             pos = prob.nop_blocks[b].index(op.index)
             prob.cycle_domain[op.index] = (pos,)
         else:
-            hi = prob.horizon[b] - prob.op_lat(op)
+            hi = prob.horizon[b] - prob.latency[op.index]
             prob.cycle_domain[op.index] = tuple(range(0, hi + 1))
 
     nregs = profile.num_registers
@@ -285,7 +297,7 @@ def _compact_cycles(prob: CopProblem, active: set[int]) -> dict[int, int]:
         for op in block.ops:
             cycle[op.index] = clock if op.index in active else 0
             if op.index in active:
-                clock += prob.op_lat(op)
+                clock += prob.latency[op.index]
     return cycle
 
 
@@ -350,7 +362,8 @@ def _build_value_model(
             root = roots[op.defs[0]]
             if root == op.defs[0]:
                 values.append(root)
-                def_point[root] = (prob.op_block[op.index], cycle[op.index] + prob.op_lat(op))
+                ready = cycle[op.index] + prob.latency[op.index]
+                def_point[root] = (prob.op_block[op.index], ready)
 
     uses: dict[str, list[tuple[int, int, int]]] = {v: [] for v in values}
     for op in prob.ops:
@@ -420,16 +433,9 @@ def block_makespans(
         span = 0
         for op in block.ops:
             if op.index in active:
-                span = max(span, cycle[op.index] + prob.op_lat(op))
+                span = max(span, cycle[op.index] + prob.latency[op.index])
         spans[block.index] = span
     return spans
-
-
-def worst_edge_overhead(prob: CopProblem, block_index: int) -> int:
-    term = prob.function.blocks[block_index].terminator
-    if term is not None and term.opcode in (Opcode.BEQ, Opcode.BNE):
-        return prob.profile.taken_branch_overhead
-    return 0
 
 
 def _objective(prob: CopProblem, spans: Mapping[int, int]) -> Fraction:
@@ -456,14 +462,7 @@ def path_cost(
 
 
 def active_set(prob: CopProblem, values: Mapping[VarKey, object]) -> set[int]:
-    active = set()
-    for op in prob.ops:
-        if op.optional:
-            if values.get(("active", op.index)):
-                active.add(op.index)
-        else:
-            active.add(op.index)
-    return active
+    return {op.index for op in prob.ops if not op.optional or values.get(("active", op.index))}
 
 
 # ----------------------------------------------------------------------
@@ -476,35 +475,29 @@ def _canonical(
     values: Mapping[VarKey, object],
     active: AbstractSet[int],
     roots: Mapping[str, str],
-) -> dict[VarKey, object]:
-    """Normalize the meaningless parts of an assignment, so that distinct
-    canonical assignments are genuinely different code, on the active set
-    and roots of `values` that the caller derived; canonical form changes
-    no activation."""
-    out = dict(values)
-    for op in prob.ops:
-        if op.index not in active:
-            out[("cycle", op.index)] = prob.cycle_domain[op.index][0]
-            if ("instr", op.index) in out or len(prob.alternatives[op.index]) > 1:
-                out[("instr", op.index)] = 0
-            if op.index in prob.swap_ops:
-                out[("swap", op.index)] = False
-        elif op.index in prob.copy_ops and len(prob.alternatives[op.index]) > 1:
-            src, dst = prob.copy_ops[op.index]
-            nregs = prob.num_registers
-            src_loc = out[("reg", roots[src])]
-            if out[("reg", dst)] >= nregs or src_loc >= nregs:
-                out[("instr", op.index)] = 0  # impl forced to a store or load
-    for name in prob.function.temps:
-        root = roots[name]
-        if root != name:
-            out[("reg", name)] = out[("reg", root)]
-    for op in prob.ops:
-        if ("instr", op.index) not in out and len(prob.alternatives[op.index]) > 1:
-            out[("instr", op.index)] = 0
-        if op.index in prob.swap_ops and ("swap", op.index) not in out:
-            out[("swap", op.index)] = False
-    return out
+) -> tuple[tuple[VarKey, object], ...]:
+    """The canonical assignment of `values` in variable order, on the active
+    set and roots of `values` that the caller derived, so that distinct
+    canonical assignments are genuinely different code: a temp takes its
+    root's location, and an inactive op's variable, an unset one and the
+    instruction of a copy to or from memory the first of their domains.
+    It changes no activation."""
+    nregs = prob.num_registers
+    out = []
+    for key in prob.var_order:
+        kind, x = key
+        if kind == "reg":
+            v = values[("reg", roots[x])]
+        elif kind != "active" and x not in active or key not in values:
+            v = prob.domain(key)[0]
+        elif kind == "instr" and x in prob.copy_ops:
+            src, dst = prob.copy_ops[x]
+            memory = values[("reg", dst)] >= nregs or values[("reg", roots[src])] >= nregs
+            v = 0 if memory else values[key]
+        else:
+            v = values[key]
+        out.append((key, v))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -528,15 +521,9 @@ def check_solution(sol: Solution, prob: CopProblem) -> list[Violation]:
             return [Violation("domain", f"missing variable {key}")]
         kind, index = key
         v = values[key]
-        if kind in ("active", "swap"):
-            ok = isinstance(v, bool)
-        elif kind == "instr":
-            ok = v in range(len(prob.alternatives[index]))
-        elif kind == "cycle":
-            ok = v in prob.cycle_domain[index]
-        else:
-            ok = v in prob.reg_domain[index]
-        if not ok:
+        # 1 == True, so membership alone would take a bool for an int
+        kind_type = bool if kind in ("active", "swap") else int
+        if type(v) is not kind_type or v not in prob.domain(key):
             where = index if kind == "reg" else f"op {index}"
             out.append(Violation("domain", f"{kind} of {where} = {v!r} outside domain"))
     if out:
@@ -558,9 +545,8 @@ def check_solution(sol: Solution, prob: CopProblem) -> list[Violation]:
             )
 
     # canonical-form constraints (symmetry breaking)
-    canon = _canonical(prob, values, active, roots)
-    for key in prob.var_order:
-        if values[key] != canon[key]:
+    for key, v in _canonical(prob, values, active, roots):
+        if values[key] != v:
             out.append(Violation("symmetry", f"non-canonical value for {key}"))
     for b, nops in prob.nop_blocks.items():
         actives = [i for i in nops if i in active]
@@ -615,7 +601,7 @@ def check_solution(sol: Solution, prob: CopProblem) -> list[Violation]:
                 continue
             db, ub = prob.op_block[site], prob.op_block[op.index]
             if db == ub:
-                ready = cycle[site] + prob.op_lat(prob.op_at[site])
+                ready = cycle[site] + prob.latency[site]
                 if cycle[op.index] < ready:
                     out.append(
                         Violation(
@@ -629,7 +615,7 @@ def check_solution(sol: Solution, prob: CopProblem) -> list[Violation]:
 
     for a, b in prob.mem_deps:
         if a in active and b in active:
-            ready = cycle[a] + prob.op_lat(prob.op_at[a])
+            ready = cycle[a] + prob.latency[a]
             if cycle[b] < ready:
                 out.append(
                     Violation(
@@ -642,7 +628,7 @@ def check_solution(sol: Solution, prob: CopProblem) -> list[Violation]:
     for block in func.blocks:
         ops_here = [op for op in block.ops if op.index in active]
         spans_here = sorted(
-            (cycle[o.index], cycle[o.index] + prob.op_lat(o), o.index) for o in ops_here
+            (cycle[o.index], cycle[o.index] + prob.latency[o.index], o.index) for o in ops_here
         )
         for (s1, e1, i1), (s2, e2, i2) in zip(spans_here, spans_here[1:]):
             if s2 < e1:
@@ -711,15 +697,16 @@ def check_solution(sol: Solution, prob: CopProblem) -> list[Violation]:
     return out
 
 
-_ZERO = "<zero>"
+ZERO = "<zero>"  # what a location holds before its first write
 
 
-def _hazard(prob: CopProblem, a: str, b: str) -> bool:
-    if a == _ZERO and b == _ZERO:
+def hazard(prob: CopProblem, a: str, b: str) -> bool:
+    """The transition rule: whether writing `b` over `a` in one location leaks."""
+    if a == ZERO and b == ZERO:
         return False
-    if a == _ZERO:
+    if a == ZERO:
         return b in prob.pairs.hazard_temps
-    if b == _ZERO:
+    if b == ZERO:
         return a in prob.pairs.hazard_temps
     if a == b:
         return False
@@ -741,13 +728,13 @@ def _check_transitions(prob, active, cycle, loc, roots) -> list[Violation]:
     nregs = prob.num_registers
     seen: set[tuple[str, str, str]] = set()
     held: list[dict[str, set[str]]] = [{} for _ in func.blocks]
-    held[0] = {f"r{r}": {_ZERO} for r in range(nregs)}
+    held[0] = {f"r{r}": {ZERO} for r in range(nregs)}
     held[0].update({f"r{i}": {name} for i, name in enumerate(func.input_names())})
-    held[0]["bus"] = {_ZERO}
+    held[0]["bus"] = {ZERO}
 
     def write(here: dict[str, set[str]], where: str, value: str, op: Operation) -> None:
         for prev in sorted(here[where]):
-            if _hazard(prob, prev, value) and (where, prev, value) not in seen:
+            if hazard(prob, prev, value) and (where, prev, value) not in seen:
                 seen.add((where, prev, value))
                 if where == "bus":
                     family, what = "mre-conflict", "memory bus"
@@ -792,17 +779,15 @@ def _check_transitions(prob, active, cycle, loc, roots) -> list[Violation]:
 
 
 def to_schedule(prob: CopProblem, sol: Solution) -> Schedule:
+    """The machine schedule of a solution, read as its canonical form stands."""
     values = sol.as_dict()
     active = active_set(prob, values)
-    roots = resolve_roots(prob, active)
-    loc = {name: values[("reg", roots[name])] for name in prob.function.temps}
+    loc = {name: values[("reg", name)] for name in prob.function.temps}
     impl: dict[int, Opcode] = {}
     for op in prob.ops:
         if op.index in active and len(prob.alternatives[op.index]) > 1:
-            impl[op.index] = prob.alternatives[op.index][values.get(("instr", op.index), 0)]
-    swapped = {
-        idx for idx in prob.swap_ops if values.get(("swap", idx)) and idx in active
-    }
+            impl[op.index] = prob.alternatives[op.index][values[("instr", op.index)]]
+    swapped = {idx for idx in prob.swap_ops if idx in active and values[("swap", idx)]}
     cycle = {op.index: values[("cycle", op.index)] for op in prob.ops if op.index in active}
     return Schedule(active=active, cycle=cycle, loc=loc, impl=impl, swapped=swapped)
 

@@ -16,11 +16,14 @@ Text format (one function per file, ``#`` comments, LF line endings):
 
 ``st`` lines have no def (``st <slot>, <use>``) and ``ld`` reads a named
 slot (``<def> = ld <slot>``).  Blocks without a terminator fall through
-to the next block.  Immediates, block ids and weights are ASCII numbers.
+to the next block.  Immediates and block ids are ASCII decimal numbers,
+and a weight is an ASCII decimal number or fraction ``<n>/<d>`` with
+``d`` non-zero.  Nothing follows the ``)`` of the ``func`` header.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -195,6 +198,10 @@ class FunctionIR:
 
 _LABELS = {lab.value: lab for lab in SecurityLabel}
 _OPCODES = {op.value: op for op in Opcode}
+# header numbers: a block id, and a weight whose denominator, if any, has
+# a non-zero digit
+_BLOCK_ID = re.compile(r"[0-9]+")
+_WEIGHT = re.compile(r"([0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
 def _strip(line: str) -> str:
@@ -249,6 +256,8 @@ def _parse_header(line: str, lineno: int) -> FunctionIR:
     close_paren = line.rfind(")")
     if open_paren < 0 or close_paren < open_paren:
         raise IRSyntaxError("malformed func header", lineno)
+    if line[close_paren + 1 :].strip():
+        raise IRSyntaxError("text after func header", lineno)
     name = line[4:open_paren].strip()
     if not name.isidentifier():
         raise IRSyntaxError(f"bad function name {name!r}", lineno)
@@ -270,31 +279,22 @@ def _parse_header(line: str, lineno: int) -> FunctionIR:
 def _parse_block_header(words: list[str], lineno: int, expected: int) -> Block:
     if len(words) not in (2, 4):
         raise IRSyntaxError("malformed block header", lineno)
-    try:
-        index = int(_ascii(words[1]))
-    except ValueError:
-        raise IRSyntaxError(f"bad block id {words[1]!r}", lineno) from None
+    if not _BLOCK_ID.fullmatch(words[1]):
+        raise IRSyntaxError(f"bad block id {words[1]!r}", lineno)
+    index = int(words[1])
     if index != expected:
         raise IRSyntaxError(f"block {index} out of order (expected {expected})", lineno)
     weight = Fraction(1)
     if len(words) == 4:
         if words[2] != "weight":
             raise IRSyntaxError("expected 'weight'", lineno)
-        try:
-            weight = Fraction(_ascii(words[3]))
-        except (ValueError, ZeroDivisionError):
-            raise IRSyntaxError(f"bad weight {words[3]!r}", lineno) from None
+        number = _WEIGHT.fullmatch(words[3])
+        if number is None:
+            raise IRSyntaxError(f"bad weight {words[3]!r}", lineno)
+        weight = Fraction(int(number[1]), int(number[2] or 1))
         if weight <= 0:
             raise IRSyntaxError("weight must be positive", lineno)
     return Block(index=index, weight=weight)
-
-
-def _ascii(word: str) -> str:
-    """`word` itself when it is ASCII: `int` and `Fraction` also read
-    other scripts' digits, which the format does not allow."""
-    if not word.isascii():
-        raise ValueError(word)
-    return word
 
 
 def _parse_operand(tok: str, lineno: int) -> Operand:

@@ -200,22 +200,18 @@ def get_paths(func: FunctionIR, n: int) -> tuple[tuple[int, ...], ...]:
     return paths(func, n, post_dominator(func, n))
 
 
-def branch_condition_type(
-    func: FunctionIR, block: Block, types: dict[str, InferredType]
-) -> Optional[InferredType]:
-    term = block.terminator
-    if term is None or term.opcode not in (Opcode.BEQ, Opcode.BNE):
-        return None
-    return xor_type(types[term.uses[0]], types[term.uses[1]])
-
-
 def extract_secret_path_sets(
     func: FunctionIR, types: dict[str, InferredType]
 ) -> list[SecretPathSet]:
+    """The paths of each conditional branch whose condition, the xor of
+    its two operands, is secret."""
     sets: list[SecretPathSet] = []
     for block in func.blocks:
-        cond = branch_condition_type(func, block, types)
-        if cond is not None and cond.label is SecurityLabel.SECRET:
+        term = block.terminator
+        if term is None or term.opcode not in (Opcode.BEQ, Opcode.BNE):
+            continue
+        cond = xor_type(types[term.uses[0]], types[term.uses[1]])
+        if cond.label is SecurityLabel.SECRET:
             sets.append(SecretPathSet(branch_block=block.index, paths=get_paths(func, block.index)))
     return sets
 

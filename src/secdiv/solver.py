@@ -14,7 +14,9 @@ become an incumbent or a pool member.
 What depends on neither the seed nor the blocking set is built once per
 problem, in a ``_Plan``: ``diversify`` builds one for its bounded problem,
 and every search of the pool reads it.  It holds the balance rows, the
-structural steps and each block's span from its mandatory ops.
+structural steps and each block's span from its mandatory ops.  What the
+model states (tables, domains, canonical form, transition rule), the
+search reads from the problem and does not restate.
 
 The search cuts every subtree that holds no leaf, and only those, so the
 leaves and their order are those of a search without the cuts:
@@ -52,17 +54,18 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .copmodel import (
+    ZERO,
     CopProblem,
     Solution,
     VarKey,
     active_set,
     build_value_model,
     check_solution,
+    hazard,
     make_solution,
     path_cost,
     resolve_roots,
 )
-from .machine import Opcode
 from .mir import FunctionIR, SecurityLabel
 from .secanalysis import Mode, extract_secret_path_sets, infer_types
 
@@ -107,18 +110,15 @@ class _Plan:
         self.prob = prob
         func = prob.function
         nblocks = len(func.blocks)
-        # the objective in integers: the problem's block weights scaled by
-        # the LCM of their denominators, and the bound and incumbent scaled
-        # alike; the scaled objective is an int, so flooring the scaled
-        # bound is exact
-        self.scale = prob.weight_scale
-        self.weight = prob.scaled_weights
-        self.bound = None if prob.opt_bound is None else math.floor(prob.opt_bound * self.scale)
+        # the objective in integers: the problem's scaled block weights, and
+        # the bound and incumbent scaled alike; the scaled objective is an
+        # int, so flooring the scaled bound is exact
+        bound = prob.opt_bound
+        self.bound = None if bound is None else math.floor(bound * prob.weight_scale)
         self.keys = tuple(prob.var_order)
         self.inputs = func.input_names()
         self.ops_by_block = [[op.index for op in b.ops] for b in func.blocks]
         self.cycle_order = [idx for ops in self.ops_by_block for idx in ops]
-        self.lat = prob.latency
         self.mandatory = frozenset(op.index for op in prob.ops if not op.optional)
         self.terminators = {op.index for op in prob.ops if op.is_terminator}
         # only activations are searched: instruction alternatives and
@@ -129,7 +129,6 @@ class _Plan:
         self.instr_vars = [
             op.index for op in prob.ops if len(prob.alternatives[op.index]) > 1
         ]
-        self.swap_vars = list(prob.swap_ops)
         # the structural phase decides one step at a time: an optional op on
         # or off, or a pad's length (a balancing block's active NOPs always
         # form a prefix, pinned to cycles 0, 1, ...); turning on n ops of
@@ -146,7 +145,7 @@ class _Plan:
         )
         self.step_block = [prob.op_block[step[0]] for step in self.steps]
         self.step_lat = [
-            tuple(itertools.accumulate((self.lat[idx] for idx in step), initial=0))
+            tuple(itertools.accumulate((prob.latency[idx] for idx in step), initial=0))
             for step in self.steps
         ]
 
@@ -154,8 +153,6 @@ class _Plan:
         self.reach: list[set[int]] = [set() for _ in func.blocks]
         for b in reversed(range(nblocks)):
             self.reach[b] = {b}.union(*(self.reach[s] for s in func.successors(b)))
-
-        self.edge_const = prob.edge_overhead
 
         # balance equalities in difference form: shared blocks cancel, so
         # the check fires as soon as the differing blocks are scheduled
@@ -177,14 +174,13 @@ class _Plan:
         self.span_cap = [None if b in prob.nop_blocks else prob.horizon[b] for b in range(nblocks)]
         self.lb_span = [0] * nblocks
         for idx in self.mandatory:
-            self.lb_span[prob.op_block[idx]] += self.lat[idx]
+            self.lb_span[prob.op_block[idx]] += prob.latency[idx]
         self.undecided = [0] * nblocks
         for idx in self.active_vars:
-            self.undecided[prob.op_block[idx]] += self.lat[idx]
+            self.undecided[prob.op_block[idx]] += prob.latency[idx]
         self.ub_span = [self.span_upper(b, self.lb_span[b], self.undecided[b]) for b in range(nblocks)]
-        self.objective = sum(
-            w * (lb + e) for w, lb, e in zip(self.weight, self.lb_span, self.edge_const)
-        )
+        spans = zip(prob.scaled_weights, self.lb_span, prob.edge_overhead)
+        self.objective = sum(w * (lb + e) for w, lb, e in spans)
 
     def span_upper(self, b: int, lb: int, undecided: int) -> int:
         """Block b's largest span when its active ops take `lb` cycles and
@@ -246,19 +242,16 @@ class _Search:
         self.undecided = list(plan.undecided)
         self.objective = plan.objective
 
-        # per-variable value orders, fixed up front for reproducibility
-        self.value_order: dict[VarKey, list] = {}
-        for idx in plan.active_vars:
-            self.value_order[("active", idx)] = self._ordered([False, True])
-        for idx in plan.instr_vars:
-            n = len(prob.alternatives[idx])
-            self.value_order[("instr", idx)] = self._ordered(list(range(n)))
-        for idx in plan.swap_vars:
-            self.value_order[("swap", idx)] = self._ordered([False, True])
-        for idx in plan.cycle_order:
-            self.value_order[("cycle", idx)] = self._ordered(list(prob.cycle_domain[idx]))
-        for name in prob.function.temps:
-            self.value_order[("reg", name)] = self._ordered(list(prob.reg_domain[name]))
+        # per-variable value orders over the problem's domains, fixed up
+        # front for reproducibility: a seed's draws go in this key order
+        keys = [("active", idx) for idx in plan.active_vars]
+        keys += [("instr", idx) for idx in plan.instr_vars]
+        keys += [("swap", idx) for idx in prob.swap_ops]
+        keys += [("cycle", idx) for idx in plan.cycle_order]
+        keys += [("reg", name) for name in prob.function.temps]
+        self.value_order: dict[VarKey, list] = {
+            key: self._ordered(list(prob.domain(key))) for key in keys
+        }
         # each step's lengths, in the order the activations' values give
         self.lengths = [
             _pad_lengths([self.value_order[("active", idx)] for idx in step])
@@ -273,7 +266,7 @@ class _Search:
         return values
 
     def _scaled(self, sol: Solution) -> int:
-        return int(sol.objective * self.plan.scale)
+        return int(sol.objective * self.prob.weight_scale)
 
     def _fail(self, family: str) -> None:
         self.fail_counts[family] = self.fail_counts.get(family, 0) + 1
@@ -331,7 +324,7 @@ class _Search:
         lb = self.lb_span[b] = self.lb_span[b] + sign * lats[n]
         undecided = self.undecided[b] = self.undecided[b] - sign * lats[-1]
         self.ub_span[b] = plan.span_upper(b, lb, undecided)
-        self.objective += sign * plan.weight[b] * lats[n]
+        self.objective += sign * self.prob.scaled_weights[b] * lats[n]
 
     # -- phase B: cycles ------------------------------------------------
 
@@ -349,17 +342,17 @@ class _Search:
                 for temp in prob.op_uses[idx]:
                     site = prob.def_site.get(roots[temp])
                     if site in active and prob.op_block[site] == prob.op_block[idx]:
-                        deps.setdefault(idx, []).append((site, plan.lat[site]))
+                        deps.setdefault(idx, []).append((site, prob.latency[site]))
         for a, b in prob.mem_deps:
             if a in active and b in active:
-                deps.setdefault(b, []).append((a, plan.lat[a]))
+                deps.setdefault(b, []).append((a, prob.latency[a]))
         self.deps = deps
         # each active op's later active ops in its block, as (op, latency,
         # dependencies): none for the op whose placement closes the block
         # and fixes its span
         self.later: dict[int, tuple[tuple[int, int, Sequence[tuple[int, int]]], ...]] = {}
         for ops in plan.ops_by_block:
-            ops = [(idx, plan.lat[idx], deps.get(idx, ())) for idx in ops if idx in active]
+            ops = [(idx, prob.latency[idx], deps.get(idx, ())) for idx in ops if idx in active]
             for i, (idx, _, _) in enumerate(ops):
                 self.later[idx] = tuple(ops[i + 1 :])
         # each block's busy cycles, bit c for cycle c (every latency is at
@@ -410,9 +403,10 @@ class _Search:
             yield from self._enter_allocation()
             return
         idx = order[k]
-        block = self.prob.op_block[idx]
-        lat = plan.lat[idx]
-        horizon = self.prob.horizon[block]
+        prob = self.prob
+        block = prob.op_block[idx]
+        lat = prob.latency[idx]
+        horizon = prob.horizon[block]
         busy = self.busy[block]
         lo = 0
         for site, site_lat in self.deps.get(idx, ()):
@@ -421,7 +415,7 @@ class _Search:
             lo = max(lo, busy.bit_length())
 
         rest = self.later[idx]
-        weight = plan.weight[block]
+        weight = prob.scaled_weights[block]
         lb = self.lb_span[block]
         ub = self.ub_span[block]
         objective = self.objective
@@ -524,9 +518,7 @@ class _Search:
         mem_ok = {}
         for v in model.values:
             uses = model.uses[v]
-            mem_ok[v] = all(
-                prob.op_at[op_idx].opcode is Opcode.COPY for _, _, op_idx in uses
-            )
+            mem_ok[v] = all(op_idx in prob.copy_ops for _, _, op_idx in uses)
 
         # the objective is fixed by the schedule: one feasible allocation per
         # schedule is enough when optimizing, and a first-solution search
@@ -563,15 +555,15 @@ class _Search:
             del loc[value]
 
     def _psc_candidate_ok(self, value, r, loc, model) -> bool:
-        """Forbid a location when it provably creates a hazardous adjacent
-        register transition (no unplaced value could break the adjacency)."""
+        """Forbid a location when it provably makes an adjacent register
+        transition that `hazard` forbids (no unplaced value could break the
+        adjacency)."""
         prob = self.prob
         if r >= prob.num_registers:
             return True
         if not prob.pairs.rpairs and not prob.pairs.hazard_temps:
             return True
         here = model.def_point[value]
-        inputs = self.plan.inputs
         prev = None
         prev_key = None
         for v, rv in loc.items():
@@ -586,33 +578,24 @@ class _Search:
         if prev is None:
             if any(model.def_point[v] <= here for v in unplaced):
                 return True  # something may still be written to r first
-            init = inputs[r] if r < len(inputs) else None
-            if init is None:
-                return value not in prob.pairs.hazard_temps
-            pair = (init, value) if init < value else (value, init)
-            return init == value or pair not in prob.pairs.rpairs
+            inputs = self.plan.inputs
+            prev = inputs[r] if r < len(inputs) else ZERO
         # an unplaced value defined between prev and this one could still
         # take r and break the adjacency
-        if any(prev_key < model.def_point[v] <= here for v in unplaced):
+        elif any(prev_key < model.def_point[v] <= here for v in unplaced):
             return True
-        pair = (prev, value) if prev < value else (value, prev)
-        return prev == value or pair not in prob.pairs.rpairs
+        return not hazard(prob, prev, value)
 
     # -- leaf -----------------------------------------------------------
 
     def _leaf(self, loc, model) -> Iterator[Solution]:
+        # canonical form fills in what the leaf did not decide
         prob = self.prob
-        values: dict[VarKey, object] = {}
-        for idx in self.plan.active_vars:
-            values[("active", idx)] = idx in self.active
-        for op in prob.ops:
-            if op.index in self.active:
-                values[("cycle", op.index)] = self.cycle[op.index]
-            else:
-                values[("cycle", op.index)] = prob.cycle_domain[op.index][0]
-        for name in prob.function.temps:
-            root = self.roots[name]
-            values[("reg", name)] = loc[root]
+        values: dict[VarKey, object] = {
+            ("active", idx): idx in self.active for idx in self.plan.active_vars
+        }
+        values.update((("cycle", idx), c) for idx, c in self.cycle.items())
+        values.update((("reg", v), r) for v, r in loc.items())
 
         checked = False
         for combo in self._leaf_combos():
@@ -643,7 +626,7 @@ class _Search:
         combination is the defaults, and `_enter_allocation` keeps one leaf
         of a schedule."""
         keys = [("instr", i) for i in self.plan.instr_vars]
-        keys += [("swap", i) for i in self.plan.swap_vars]
+        keys += [("swap", i) for i in self.prob.swap_ops]
         for combo in itertools.product(*(self.value_order[k] for k in keys)):
             yield dict(zip(keys, combo))
 
@@ -794,7 +777,6 @@ def naive_diversify(
 
     base_values = base.as_dict()
     active = active_set(prob, base_values)
-    roots = resolve_roots(prob, active)
     cycle = {op.index: base_values[("cycle", op.index)] for op in prob.ops}
     model = build_value_model(prob, active, cycle)
     order = sorted(
@@ -809,7 +791,7 @@ def naive_diversify(
             break
         rng = random.Random(f"naive:{seed}:{variant}")
         values = dict(base_values)
-        if not _naive_rename(prob, model, order, inputs, roots, values, rng):
+        if not _naive_rename(prob, model, order, inputs, values, rng):
             continue
         _naive_insert_nops(prob, active, values, rng)
         sol = make_solution(prob, values)
@@ -827,7 +809,7 @@ def naive_diversify(
 _REUSE_WEIGHT = 5
 
 
-def _naive_rename(prob, model, order, inputs, roots, values, rng) -> bool:
+def _naive_rename(prob, model, order, inputs, values, rng) -> bool:
     nregs = prob.num_registers
     loc: dict[str, int] = {}
     for value in order:
@@ -855,8 +837,7 @@ def _naive_rename(prob, model, order, inputs, roots, values, rng) -> bool:
                         recent = True
             weights.append(_REUSE_WEIGHT if recent else 1)
         loc[value] = rng.choices(candidates, weights=weights, k=1)[0]
-    for name in prob.function.temps:
-        values[("reg", name)] = loc[roots[name]]
+    values.update((("reg", v), r) for v, r in loc.items())  # the roots' locations
     return True
 
 

@@ -117,7 +117,7 @@ def _compact_schedules(prob, active, roots):
                     elif site in active and prob.op_block[site] == prob.op_block[op.index]:
                         feasible = False  # same-slot access reordered
                 cycles[op.index] = lo
-                clock = lo + prob.op_lat(op)
+                clock = lo + prob.latency[op.index]
                 ready[op.index] = clock
                 if clock > prob.horizon[prob.op_block[op.index]]:
                     feasible = False

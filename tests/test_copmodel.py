@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 import time
 from fractions import Fraction
@@ -9,25 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load
+from conftest import corpus_naive_pool, load
 from scalar_machine import run
 from secdiv.copmodel import (
-    _ZERO,
+    ZERO,
     Mode,
     ModelInfeasibleError,
+    Solution,
     _build_value_model,
     _check_transitions,
-    _hazard,
     build_problem,
     build_value_model,
     check_solution,
     emit_model,
+    hazard,
     make_solution,
     resolve_roots,
     to_schedule,
 )
 from secdiv.machine import TIGHT8, WIDE32, encode
-from secdiv.mir import FunctionIR, Opcode, parse_function, paths
+from secdiv.mir import FunctionIR, Opcode, SecurityLabel, parse_function, paths
 from secdiv.secanalysis import analyze
 from secdiv import copmodel, solver
 from conftest import all_corpus_names
@@ -291,6 +293,73 @@ def test_check_solution_flags_objective():
     assert families == {"objective"}
 
 
+@pytest.mark.parametrize(
+    "kind, value", [("instr", False), ("cycle", False), ("reg", True), ("swap", 0), ("active", 0)]
+)
+def test_check_solution_flags_values_of_the_wrong_type(kind, value):
+    # each value equals one of its domain (False == 0, True == 1), so only
+    # its type puts it outside: an activation or swap is a bool, an
+    # instruction, cycle or location an int
+    prob = _problem("masked_xor", Mode.PSC)
+    sol = solver.solve_optimal(prob, time_budget=10).solution
+    key = next(k for k, v in sol.assignment if k[0] == kind and v == value)
+    wrong = Solution(
+        tuple((k, value if k == key else v) for k, v in sol.assignment), sol.objective
+    )
+    assert {v.family for v in check_solution(wrong, prob)} == {"domain"}
+
+
+@functools.cache
+def _corpus_pools() -> list:
+    """A pool of 4 of each corpus function in each mode that applies to it
+    (tsc with a secret branch, psc with a random input), and its naive
+    pool."""
+    pools = []
+    for name in all_corpus_names():
+        for mode in Mode:
+            func = load(name)
+            analyzed = analyze(func, TIGHT8, mode=mode)
+            random = any(label is SecurityLabel.RANDOM for _, label in func.inputs)
+            if mode is Mode.TSC and not analyzed.psets or mode is Mode.PSC and not random:
+                continue
+            prob = build_problem(analyzed)
+            best = solver.solve_optimal(prob, time_budget=60).solution
+            pools.append(solver.diversify(prob, best, n=4, gap=Fraction(1, 20), time_budget=60))
+        pools.append(corpus_naive_pool(name, 4))
+    return pools
+
+
+def test_make_solution_is_idempotent_on_the_corpus_pools():
+    for pool in _corpus_pools():
+        for sol in pool.solutions:
+            assert make_solution(pool.problem, sol.as_dict()) == sol
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_symmetry_names_the_keys_off_canonical_form(data):
+    """The symmetry family names, in variable order, exactly the keys
+    where an assignment differs from its canonical form. The checker
+    stops at a domain violation, and a naive variant may hold a cycle
+    outside its domain, so the drawn base is one within its domains."""
+    pool = data.draw(st.sampled_from(_corpus_pools()))
+    prob = pool.problem
+    in_domain = [
+        s for s in pool.solutions if all(v.family != "domain" for v in check_solution(s, prob))
+    ]
+    sol = data.draw(st.sampled_from(in_domain))
+    values = sol.as_dict()
+    for key in data.draw(st.lists(st.sampled_from(prob.var_order), min_size=1, max_size=6)):
+        values[key] = data.draw(st.sampled_from(prob.domain(key)))
+    perturbed = Solution(tuple((k, values[k]) for k in prob.var_order), sol.objective)
+    canonical = make_solution(prob, values).assignment
+    expected = [f"non-canonical value for {k}" for k, v in canonical if values[k] != v]
+    found = [
+        v.message for v in check_solution(perturbed, prob) if v.message.startswith("non-canonical")
+    ]
+    assert found == expected
+
+
 def test_balance_constraint_implies_equal_simulated_paths():
     prob = _problem("check_bit", Mode.TSC)
     sol = solver.solve_optimal(prob, time_budget=30).solution
@@ -324,9 +393,9 @@ def _every_path_transitions(prob, active, cycle, loc, roots) -> set:
     nregs = prob.num_registers
     found = set()
     for path in paths(func):
-        held = {f"r{r}": _ZERO for r in range(nregs)}
+        held = {f"r{r}": ZERO for r in range(nregs)}
         held.update({f"r{i}": name for i, name in enumerate(func.input_names())})
-        held["bus"] = _ZERO
+        held["bus"] = ZERO
         for b in path:
             ops = [op for op in func.blocks[b].ops if op.index in active]
             for op in sorted(ops, key=lambda o: cycle[o.index]):
@@ -342,7 +411,7 @@ def _every_path_transitions(prob, active, cycle, loc, roots) -> set:
                 if op.defs and roots[op.defs[0]] == op.defs[0] and loc[op.defs[0]] < nregs:
                     writes.append((f"r{loc[op.defs[0]]}", op.defs[0]))
                 for where, value in writes:
-                    if _hazard(prob, held[where], value):
+                    if hazard(prob, held[where], value):
                         family = "mre-conflict" if where == "bus" else "rot-conflict"
                         found.add((family, where, held[where], value))
                     held[where] = value
@@ -439,8 +508,6 @@ def test_latency_table_matches_the_profile(profile):
                     assert prob.latency[op.index] == 2
                 else:
                     assert prob.latency[op.index] == profile.lat(op.opcode)
-                assert prob.op_lat(op) == prob.latency[op.index]
-            assert solver._Plan(prob).lat is prob.latency
     assert copies > 0
 
 
@@ -451,7 +518,7 @@ def _span_sum(prob, values) -> Fraction:
         span = 0
         for op in block.ops:
             if not op.optional or values[("active", op.index)]:
-                span = max(span, values[("cycle", op.index)] + prob.op_lat(op))
+                span = max(span, values[("cycle", op.index)] + prob.latency[op.index])
         term = block.terminator
         if term is not None and term.opcode in (Opcode.BEQ, Opcode.BNE):
             span += prob.profile.taken_branch_overhead
@@ -500,7 +567,7 @@ def test_value_model_memo_keys_on_the_cycles():
     clock = 0
     for op in prob.ops:
         compact[op.index] = clock
-        clock += prob.op_lat(op)
+        clock += prob.latency[op.index]
     # the same ops, each issued one cycle later
     later = {idx: c + 1 for idx, c in compact.items()}
     first = build_value_model(prob, active, compact)

@@ -14,11 +14,25 @@ def _trees() -> dict[str, ast.Module]:
     return {p.stem: ast.parse(p.read_text()) for p in sorted(SOURCE.glob("*.py"))}
 
 
+def _functions(tree: ast.Module):
+    """Each module-level function of a module, and each method and
+    property of its classes, as (qualified name, name)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def test_every_public_function_has_a_caller_in_the_package():
-    """A public module-level function that nothing in `src/secdiv` reads
-    is a second path only tests take.  A name counts as read when it is
-    loaded, bare or as an attribute; docstrings, which name functions in
-    prose, do not count."""
+    """A public module-level function, or a public method or property of
+    a package class, that nothing in `src/secdiv` reads is a second path
+    only tests take.  A name counts as read when it is loaded, bare or as
+    an attribute; docstrings, which name functions in prose, do not
+    count."""
     trees = _trees()
     loaded = set()
     for tree in trees.values():
@@ -28,12 +42,10 @@ def test_every_public_function_has_a_caller_in_the_package():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     unread = [
-        f"{module}.{node.name}"
+        f"{module}.{qualified}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not node.name.startswith("_")
-        and node.name not in loaded
+        for qualified, name in _functions(tree)
+        if not name.startswith("_") and name not in loaded
     ]
     assert unread == []
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,3 +317,26 @@ def test_numbers_are_ascii_decimal(lines, lineno):
     with pytest.raises(IRSyntaxError, match=f"line {lineno}:") as exc:
         parse_function(text)
     assert exc.value.line == lineno
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["block +1", "block 0_1", "block 1 weight 1e1", "block 1 weight 1_0", "block 1 weight +2",
+     "block 1 weight 0.5", "block 1 weight 3/0", "block 1 weight 3/"],
+)
+def test_block_header_numbers_are_ascii_digits(header):
+    # int and Fraction read each of these; the format does not
+    text = f"func f (x:public)\nblock 0\n  b 1\n{header}\n  ret x\n"
+    with pytest.raises(IRSyntaxError, match="line 4:1: bad (block id|weight) "):
+        parse_function(text)
+
+
+@pytest.mark.parametrize("weight", ["3", "3/4", "03/4"])
+def test_block_weight_is_a_number_or_a_fraction(weight):
+    text = f"func f (x:public)\nblock 0 weight {weight}\n  ret x\n"
+    assert parse_function(text).blocks[0].weight == Fraction(weight)
+
+
+def test_text_after_func_header_is_rejected():
+    with pytest.raises(IRSyntaxError, match="line 1:1: text after func header"):
+        parse_function("func f (a:public) junk\nblock 0\n  ret a\n")

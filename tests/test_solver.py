@@ -550,6 +550,21 @@ def test_leaf_combinations_share_one_objective(name, mode):
     assert {sol.objective for sol in solutions} == {result.solution.objective}
 
 
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_value_orders_are_permutations_of_the_domains(shuffle):
+    # an unshuffled search draws each domain in its own order
+    jobs = [("masked_xor", Mode.PSC), ("check_bit", Mode.TSC), ("spill_pair", Mode.NONE)]
+    for name, mode in jobs:
+        prob = _problem(name, mode)
+        for seed in range(3):
+            orders = solver._Search(solver._Plan(prob), seed=seed, shuffle=shuffle).value_order
+            assert set(orders) == set(prob.var_order)
+            for key, order in orders.items():
+                domain = list(prob.domain(key))
+                assert sorted(order) == sorted(domain)
+                assert shuffle or order == domain
+
+
 def test_leaf_distance_agrees_with_distance():
     prob = _problem("check_bit", Mode.TSC)
     best = solve_optimal(prob, time_budget=30).solution
@@ -637,11 +652,10 @@ class _Uncut(solver._Search):
         if k == len(plan.active_vars):
             self.lb_span = list(plan.lb_span)
             for idx in self.on:
-                self.lb_span[plan.prob.op_block[idx]] += plan.lat[idx]
+                self.lb_span[self.prob.op_block[idx]] += self.prob.latency[idx]
             self.ub_span = [plan.span_upper(b, lb, 0) for b, lb in enumerate(self.lb_span)]
-            self.objective = sum(
-                w * (lb + e) for w, lb, e in zip(plan.weight, self.lb_span, plan.edge_const)
-            )
+            weights, edges = self.prob.scaled_weights, self.prob.edge_overhead
+            self.objective = sum(w * (lb + e) for w, lb, e in zip(weights, self.lb_span, edges))
             if self._bounds_ok(self.lb_span, self.ub_span, self.objective):
                 yield from self._enter_schedule()
             return
