@@ -9,11 +9,15 @@ and reports are byte-identical across reruns with the same seed.
 ``verify`` takes the security labels from FILE, the source function, and
 reads no file of the pool but its manifest and variants.
 
-Exit codes: 0 success, 2 usage error (an out-of-range option too) or
-parse error (of the IR; of an encoded variant, also one out of the block
-shape that ``machine._decode`` states, or one that takes another number
-of inputs than FILE; of a pool's ``manifest.json``; or of a JSON file
-that ``report`` reads, also a field of the wrong type), 3 unsatisfiable
+Each pool mode's contract is one row of ``POOL_MODES``.
+
+Exit codes: 0 success, 2 usage error (an out-of-range option too, and a
+gap or distance given to naive ``diversify``) or parse error (of the IR;
+of an encoded variant, also one out of the block shape that
+``machine._decode`` states, or one that takes another number of inputs
+than FILE; of a pool's ``manifest.json``, also a mode outside
+``POOL_MODES``; or of a JSON file that ``report`` reads, also a field of
+the wrong type), 3 unsatisfiable
 model, or one infeasible by construction (too many inputs, slots or live
 values), 4 solver timeout with an incumbent, 5 oracle failure.
 tsc balancing always succeeds: it pads every secret path that costs
@@ -37,7 +41,7 @@ from . import copmodel, gadgets, solver, verify
 from .copmodel import build_problem, to_schedule
 from .machine import PROFILES, MachineError, MachineProgram, encode
 from .mir import IRError, SecurityLabel, parse_function, serialize_function
-from .secanalysis import Mode, analyze, emit_analysis
+from .secanalysis import Mode, analyze, emit_analysis, pick_base_mode
 from .solver import SolveResult, SolveStatus
 
 EXIT_OK = 0
@@ -49,6 +53,25 @@ EXIT_ORACLE = 5
 # model note surfaced in reports: the load/store latency is a choice of
 # this machine model, not a measured value
 LDST_NOTE = "model note: ld/st latency fixed at 2 cycles (model choice)"
+
+
+class PoolMode(NamedTuple):
+    """What a pool of one ``--mode`` is and what ``verify`` holds it to."""
+
+    # the analysis mode its base compiles in (None: `pick_base_mode` picks)
+    base: Optional[Mode]
+    # the check whose insecure verdict fails verify (equivalence always does)
+    oracle: Optional[str]
+    # whether the pool is searched under a gap and a distance
+    searched: bool
+
+
+POOL_MODES = {
+    "tsc": PoolMode(Mode.TSC, "cr", True),
+    "psc": PoolMode(Mode.PSC, "psc", True),
+    "none": PoolMode(Mode.NONE, None, True),
+    "naive": PoolMode(None, None, False),
+}
 
 
 def _frac_str(x: Fraction) -> str:
@@ -141,28 +164,31 @@ def cmd_compile(args) -> int:
 
 
 def cmd_diversify(args) -> int:
+    contract = POOL_MODES[args.mode]
+    if not contract.searched and (args.gap, args.dthresh) != (0, 1):
+        print(f"error: --gap and --dthresh do not apply to --mode {args.mode}", file=sys.stderr)
+        return EXIT_USAGE
     func = _load_function(args.file)
     profile = PROFILES[args.profile]
-    gap = Fraction(args.gap, 100)
     out = _run_dir(Path(args.out), func.name, args.mode, args.gap)
 
     started = time.monotonic()
-    mode = solver.pick_base_mode(func) if args.mode == "naive" else Mode(args.mode)
+    mode = pick_base_mode(func) if contract.base is None else contract.base
     _, prob, result = _compile(func, profile, mode, args.budget_secs, args.balance)
     if result.solution is None:
         return _no_solution(result)
-    if args.mode == "naive":
-        pool = solver.naive_diversify(prob, result.solution, args.variants, seed=args.seed)
-    else:
+    if contract.searched:
         pool = solver.diversify(
             prob,
             result.solution,
             n=args.variants,
-            gap=gap,
+            gap=Fraction(args.gap, 100),
             dthresh=args.dthresh,
             time_budget=args.budget_secs,
             seed=args.seed,
         )
+    else:
+        pool = solver.naive_diversify(prob, result.solution, args.variants, seed=args.seed)
     prob = pool.problem
     elapsed = time.monotonic() - started
 
@@ -217,6 +243,7 @@ class _Kind(NamedTuple):
 _COUNT = _Kind("a non-negative integer", lambda v: type(v) is int and v >= 0)
 # a rate may be absent, which reads as null
 _RATE = _Kind("a number or null", lambda v: v is None or type(v) in (int, float))
+_MODE = _Kind(f"one of {', '.join(POOL_MODES)}", lambda v: type(v) is str and v in POOL_MODES)
 
 
 def _read_object(path: Path, fields: dict, pool: Optional[Path] = None) -> dict:
@@ -246,12 +273,12 @@ def _read_object(path: Path, fields: dict, pool: Optional[Path] = None) -> dict:
 # gadgets reads, and each run directory file that report reads
 _FIELDS = {
     "pool": {
-        "function": None, "mode": None, "profile": None, "seed": _COUNT,
+        "function": None, "mode": _MODE, "profile": None, "seed": _COUNT,
         "gap_percent": None, "produced": _COUNT,
     },
     "compile.json": {"function": None, "profile": None, "mode": None, "objective": None},
     "manifest.json": {
-        "function": None, "mode": None, "gap_percent": None, "requested": _COUNT,
+        "function": None, "mode": _MODE, "gap_percent": None, "requested": _COUNT,
         "produced": _COUNT, "reason": None,
     },
     "gadgets.json": {"pairs": _COUNT, "zero": _COUNT, "low": _COUNT, "high": _COUNT},
@@ -297,14 +324,10 @@ def cmd_verify(args) -> int:
             )
             return EXIT_USAGE
 
-    lines: list[str] = []
-    failures = 0
-    incomplete = False
-    cr_violations = 0
-    psc_violations = 0
-    mode = manifest["mode"]
+    contract = POOL_MODES[manifest["mode"]]
     # a psc pool is checked for power leaks even if FILE has no random input
-    check_psc = mode == "psc" or any(label is SecurityLabel.RANDOM for _, label in policy)
+    randoms = any(label is SecurityLabel.RANDOM for _, label in policy)
+    check_psc = contract.base is Mode.PSC or randoms
     reports = []
     for i, program in enumerate(programs):
         eq = verify.check_equivalence(programs[0], program, seed=manifest["seed"]) if i else None
@@ -314,38 +337,32 @@ def cmd_verify(args) -> int:
     # a pool gets cr lines when some variant has a hidden branch
     check_cr = any(cr.regions for _, cr, _ in reports)
 
+    # one (check, verdict, holds) row per line of verify.txt
+    lines: list[str] = []
+    violations = {"equivalence": 0, "cr": 0, "psc": 0}
     for i, (eq, cr, psc) in enumerate(reports):
-        tag = f"variant_{i:03d}"
-        if eq is not None:
-            lines.append(f"{tag}\tequivalence\t{eq.line()}")
-            if not eq.ok:
-                failures += 1
+        rows = [("equivalence", eq.line(), eq.ok)] if eq is not None else []
         if check_cr:
-            lines.append(f"{tag}\tcr\t{'secure' if cr.secure else 'insecure'}")
-            if not cr.secure:
-                cr_violations += 1
-                if mode == "tsc":
-                    failures += 1
-        if psc is not None:
-            if psc.incomplete:
-                incomplete = True
-                lines.append(f"{tag}\tpsc\tincomplete\t{psc.reason}")
-            else:
-                lines.append(f"{tag}\tpsc\t{'secure' if psc.secure else 'insecure'}")
-                if not psc.secure:
-                    psc_violations += 1
-                    if mode == "psc":
-                        failures += 1
+            rows.append(("cr", "secure" if cr.secure else "insecure", cr.secure))
+        if psc is not None and psc.incomplete:  # no verdict, so no violation
+            rows.append(("psc", f"incomplete\t{psc.reason}", True))
+        elif psc is not None:
+            rows.append(("psc", "secure" if psc.secure else "insecure", psc.secure))
+        for check, verdict, holds in rows:
+            lines.append(f"variant_{i:03d}\t{check}\t{verdict}")
+            violations[check] += not holds
+    incomplete = any(psc is not None and psc.incomplete for _, _, psc in reports)
+    failures = violations["equivalence"] + violations.get(contract.oracle, 0)
 
     n = len(programs)
     payload = {
         "function": manifest["function"],
-        "mode": mode,
+        "mode": manifest["mode"],
         "variants": n,
         "failures": failures,
         "incomplete": incomplete,
-        "cr_violation_rate": round(cr_violations / n, 4) if check_cr else None,
-        "psc_violation_rate": round(psc_violations / n, 4) if check_psc else None,
+        "cr_violation_rate": round(violations["cr"] / n, 4) if check_cr else None,
+        "psc_violation_rate": round(violations["psc"] / n, 4) if check_psc else None,
     }
     _write_json(pool_dir / "verify.json", payload)
     (pool_dir / "verify.txt").write_text("\n".join(lines) + "\n" if lines else "")
@@ -447,7 +464,7 @@ def cmd_report(args) -> int:
             if gadgets_json.exists():
                 gadget_rows.append(_gadget_row(m, _read_report_file(gadgets_json)))
             verify_json = d / "verify.json"
-            if verify_json.exists() and m["mode"] == "naive":
+            if verify_json.exists() and not POOL_MODES[m["mode"]].searched:
                 v = _read_report_file(verify_json)
                 breakage_rows.append(
                     [
@@ -540,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="analyze, build the model, solve, and encode")
     p.add_argument("file")
-    p.add_argument("--mode", choices=["tsc", "psc", "none"], default="none")
+    analysis_modes = [m for m, contract in POOL_MODES.items() if contract.base is not None]
+    p.add_argument("--mode", choices=analysis_modes, default="none")
     p.add_argument("--emit-analysis", action="store_true")
     p.add_argument("--emit-model", action="store_true")
     common(p)
@@ -548,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diversify", help="produce a pool of diverse variants")
     p.add_argument("file")
-    p.add_argument("--mode", choices=["tsc", "psc", "none", "naive"], default="none")
+    p.add_argument("--mode", choices=list(POOL_MODES), default="none")
     p.add_argument("--variants", type=_at_least(1), default=20)
     p.add_argument("--gap", type=_at_least(0), default=0, help="optimality gap in percent")
     p.add_argument("--dthresh", type=_at_least(1), default=1)

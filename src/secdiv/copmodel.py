@@ -824,7 +824,5 @@ def emit_model(prob: CopProblem) -> str:
         lines.append(f"  (mre-conflict {o1} {o2})")
     for t in sorted(prob.pairs.hazard_temps):
         lines.append(f"  (secret-valued {t})")
-    if prob.opt_bound is not None:
-        lines.append(f"  (objective-bound {prob.opt_bound})")
     lines.append(")")
     return "\n".join(lines) + "\n"

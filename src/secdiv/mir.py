@@ -511,10 +511,6 @@ def post_dominator(func: FunctionIR, block: int) -> Optional[int]:
 # ----------------------------------------------------------------------
 
 
-def _operand_str(use: Operand) -> str:
-    return str(use)
-
-
 def serialize_function(func: FunctionIR) -> str:
     """Canonical printer; parse(serialize(f)) is structurally equal to f."""
     out: list[str] = []
@@ -527,7 +523,7 @@ def serialize_function(func: FunctionIR) -> str:
             out.append(f"block {block.index} weight {block.weight}")
         for op in block.ops:
             prefix = "  opt " if op.optional else "  "
-            uses = ", ".join(_operand_str(u) for u in op.uses)
+            uses = ", ".join(str(u) for u in op.uses)
             if op.defs:
                 rhs = f"{op.opcode.value} {uses}" if uses else op.opcode.value
                 out.append(f"{prefix}{op.defs[0]} = {rhs}")

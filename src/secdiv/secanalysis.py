@@ -216,6 +216,15 @@ def extract_secret_path_sets(
     return sets
 
 
+def pick_base_mode(func: FunctionIR) -> Mode:
+    """The analysis mode that a security-unaware pool's base compiles in."""
+    if extract_secret_path_sets(func, infer_types(func)):
+        return Mode.TSC
+    if any(label is SecurityLabel.RANDOM for _, label in func.inputs):
+        return Mode.PSC
+    return Mode.NONE
+
+
 # ----------------------------------------------------------------------
 # branch balancing
 # ----------------------------------------------------------------------

@@ -66,8 +66,6 @@ from .copmodel import (
     path_cost,
     resolve_roots,
 )
-from .mir import FunctionIR, SecurityLabel
-from .secanalysis import Mode, extract_secret_path_sets, infer_types
 
 
 class SolveStatus(Enum):
@@ -748,15 +746,6 @@ def diversify(
 # ----------------------------------------------------------------------
 
 
-def pick_base_mode(func: FunctionIR) -> Mode:
-    types = infer_types(func)
-    if extract_secret_path_sets(func, types):
-        return Mode.TSC
-    if any(label is SecurityLabel.RANDOM for _, label in func.inputs):
-        return Mode.PSC
-    return Mode.NONE
-
-
 def naive_diversify(
     prob: CopProblem,
     base: Solution,
@@ -766,8 +755,10 @@ def naive_diversify(
     """Random register renaming plus random NOP insertion on top of a
     secure base solution, with no knowledge of balancing or leak pairs.
 
-    `prob` is built in the mode `pick_base_mode` picks, and `base` solves
-    it.  Renaming keeps live-range validity (variants stay functionally
+    `base` solves `prob`; ``secdiv diversify --mode naive`` builds `prob`
+    in the mode `secanalysis.pick_base_mode` picks.  The pool promises
+    equivalence to `base` only, and no gap or distance bounds it.
+    Renaming keeps live-range validity (variants stay functionally
     correct) and prefers recently freed registers the way a reuse-friendly
     allocator does, but it ignores transition hazards; NOP insertion
     ignores path balance.

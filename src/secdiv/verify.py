@@ -150,10 +150,6 @@ _HIDDEN_LIMIT = 3
 _SLICED_LIMIT = 8
 
 
-def _over_budget(hidden: int, kind: str, limit: int) -> str:
-    return f"{hidden} secret/random inputs exceed the {kind} enumeration budget ({limit})"
-
-
 def _full_grid(k: int) -> np.ndarray:
     """All 256**k input combinations, shape (k, 256**k)."""
     return next(_hidden_chunks(k, max_lanes=256**k))
@@ -601,7 +597,8 @@ def check_psc(
     sliced = _bit_local(program, secret_idx + random_idx)
     kind, limit = ("bit-sliced", _SLICED_LIMIT) if sliced else ("exhaustive", _HIDDEN_LIMIT)
     if hidden > limit:
-        return PscReport(incomplete=True, reason=_over_budget(hidden, kind, limit))
+        reason = f"{hidden} secret/random inputs exceed the {kind} enumeration budget ({limit})"
+        return PscReport(incomplete=True, reason=reason)
 
     report = PscReport()
     if not secret_idx:

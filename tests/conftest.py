@@ -8,9 +8,9 @@ import pytest
 from secdiv.copmodel import build_problem
 from secdiv.machine import TIGHT8
 from secdiv.mir import parse_function
-from secdiv.secanalysis import analyze
+from secdiv.secanalysis import analyze, pick_base_mode
 from secdiv import solver
-from secdiv.solver import naive_diversify, pick_base_mode, solve_optimal
+from secdiv.solver import naive_diversify, solve_optimal
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "secdiv" / "corpus"
 

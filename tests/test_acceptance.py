@@ -21,7 +21,7 @@ from secdiv import verify as verify_mod
 from secdiv.copmodel import Mode, build_problem, check_solution, to_schedule
 from secdiv.machine import PROFILES, TIGHT8, Schedule, encode
 from secdiv.mir import SecurityLabel
-from secdiv.secanalysis import analyze
+from secdiv.secanalysis import analyze, pick_base_mode
 from secdiv.solver import PoolReason, SolveStatus
 
 GAP = Fraction(10, 100)
@@ -43,7 +43,7 @@ def base_op_count(name: str) -> int:
 
 
 def secure_mode(name: str) -> Mode:
-    return solver_mod.pick_base_mode(load(name))
+    return pick_base_mode(load(name))
 
 
 def compiled(name: str, mode: Mode, profile_name: str = "tight8"):

@@ -387,6 +387,8 @@ def test_verify_rejects_a_variant_with_another_input_count(tmp_path, capsys, dif
         ("produced True", "manifest.json has produced True, not a non-negative integer"),
         ("produced -1", "manifest.json has produced -1, not a non-negative integer"),
         ("seed '1'", "manifest.json has seed '1', not a non-negative integer"),
+        ("mode 'TSC'", "manifest.json has mode 'TSC', not one of tsc, psc, none, naive"),
+        ("mode 'tcs'", "manifest.json has mode 'tcs', not one of tsc, psc, none, naive"),
     ],
 )
 def test_bad_manifest_exits_2(tmp_path, capsys, command, damage, message):
@@ -405,7 +407,9 @@ def test_bad_manifest_exits_2(tmp_path, capsys, command, damage, message):
         path.write_text(json.dumps(manifest))
     else:
         field, value = damage.split()
-        manifest[field] = {"'2'": "2", "'1'": "1", "True": True, "-1": -1}[value]
+        manifest[field] = {
+            "'2'": "2", "'1'": "1", "'TSC'": "TSC", "'tcs'": "tcs", "True": True, "-1": -1
+        }[value]
         path.write_text(json.dumps(manifest))
     capsys.readouterr()
     args = ("verify", corpus_path("minimal")) if command == "verify" else ("gadgets",)
@@ -413,6 +417,50 @@ def test_bad_manifest_exits_2(tmp_path, capsys, command, damage, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: pool {pool}: {message}") and err.count("\n") == 1
     assert not (pool / "verify.json").exists() and not (pool / "gadgets.json").exists()
+
+
+# (verify exit, failures, cr rate, psc rate) of a naive pool relabelled as
+# each mode: the rates are the pool's own, and only the oracle of the
+# label fails it.  check_bit's psc label fails too: a psc pool runs the psc
+# oracle even without a random input, and all 4 variants leak
+_RELABELLED = {
+    "check_bit": {
+        "tsc": (5, 2, 0.5, None), "psc": (5, 4, 0.5, 1), "none": (0, 0, 0.5, None),
+        "naive": (0, 0, 0.5, None),
+    },
+    "masked_xor": {
+        "tsc": (0, 0, None, 0.5), "psc": (5, 2, None, 0.5), "none": (0, 0, None, 0.5),
+        "naive": (0, 0, None, 0.5),
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_RELABELLED))
+def test_verify_holds_each_mode_to_its_oracle(tmp_path, name):
+    out = tmp_path / "out"
+    src = corpus_path(name)
+    # a gap of 0 and a distance of 1 are a naive pool's own, so they pass
+    assert run_cli("diversify", src, "--mode", "naive", "--variants", 4, "--seed", 0,
+                   "--gap", 0, "--dthresh", 1, "--out", out) == 0
+    pool = out / f"{name}-naive-g0"
+    manifest = json.loads((pool / "manifest.json").read_text())
+    got = {}
+    for mode in _RELABELLED[name]:
+        (pool / "manifest.json").write_text(json.dumps({**manifest, "mode": mode}))
+        code = run_cli("verify", src, "--pool", pool)
+        v = json.loads((pool / "verify.json").read_text())
+        got[mode] = (code, v["failures"], v["cr_violation_rate"], v["psc_violation_rate"])
+    assert got == _RELABELLED[name]
+
+
+@pytest.mark.parametrize("option, value", [("--gap", 10), ("--dthresh", 5)])
+def test_naive_diversify_rejects_a_gap_or_a_distance(tmp_path, capsys, option, value):
+    """A naive pool is not searched, so neither bound would apply."""
+    out = tmp_path / "out"
+    assert run_cli("diversify", corpus_path("check_bit"), "--mode", "naive", option, value,
+                   "--out", out) == 2
+    assert capsys.readouterr().err == "error: --gap and --dthresh do not apply to --mode naive\n"
+    assert not out.exists()
 
 
 def test_verify_gives_four_secrets_an_exact_cr_verdict(tmp_path, capsys):
@@ -704,6 +752,7 @@ def test_report_rejects_a_run_file_without_the_fields_it_reads(
         ("gadgets.json", "low", -1, "has low -1, not a non-negative integer"),
         ("gadgets.json", "zero", 1.0, "has zero 1.0, not a non-negative integer"),
         ("manifest.json", "requested", True, "has requested True, not a non-negative integer"),
+        ("manifest.json", "mode", "TSC", "has mode 'TSC', not one of tsc, psc, none, naive"),
         ("verify.json", "cr_violation_rate", "0.5",
          "has cr_violation_rate '0.5', not a number or null"),
         ("verify.json", "psc_violation_rate", [0], "has psc_violation_rate [0], not a number or null"),

@@ -130,3 +130,9 @@ def test_oracles_stay_independent_of_the_backend():
     for name in ("verify", "gadgets"):
         assert _package_imports(trees[name]) <= {"machine", "mir"}, name
         assert not _names(trees[name]) & {"copmodel", "solver", "secanalysis"}, name
+
+
+def test_solver_imports_only_the_model():
+    """The search reads the model, not the analysis or the IR: the modes,
+    secret paths and leak pairs reach it through the built problem."""
+    assert _package_imports(_trees()["solver"]) == {"copmodel"}

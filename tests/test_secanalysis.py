@@ -40,6 +40,7 @@ from secdiv.secanalysis import (
     infer_types,
     input_type,
     memory_conflicts,
+    pick_base_mode,
     restore_mask_order,
     xor_type,
 )
@@ -489,6 +490,12 @@ def test_masked_comparison_branch_not_secret():
         "  ret mk\n"
     )
     assert extract_secret_path_sets(func, infer_types(func)) == []
+
+
+def test_pick_base_mode():
+    assert pick_base_mode(load("check_bit")) is Mode.TSC
+    assert pick_base_mode(load("masked_xor")) is Mode.PSC
+    assert pick_base_mode(load("straightline")) is Mode.NONE
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,6 @@ from secdiv.solver import (
     SolveStatus,
     distance,
     diversify,
-    pick_base_mode,
     solve_optimal,
 )
 
@@ -362,12 +361,6 @@ def test_different_seeds_different_streams():
 # ----------------------------------------------------------------------
 # security-unaware baseline
 # ----------------------------------------------------------------------
-
-
-def test_pick_base_mode():
-    assert pick_base_mode(load("check_bit")) is Mode.TSC
-    assert pick_base_mode(load("masked_xor")) is Mode.PSC
-    assert pick_base_mode(load("straightline")) is Mode.NONE
 
 
 def test_naive_single_variant_is_base():

@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import ast
 import itertools
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1341,18 +1339,3 @@ def test_variant_zero_cache_gives_the_reports_of_fresh_calls(case, monkeypatch):
     assert kept == fresh
     # variant 0 is walked once, and again only after a reset
     assert walks.count(steps[0][0]) == 1 + steps.count(None)
-
-
-def test_verify_imports_only_the_machine_and_the_ir():
-    """The oracles stay a proof of their own: nothing from the analysis,
-    the model or the solver."""
-    tree = ast.parse((Path(verify.__file__)).read_text())
-    package = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            package.add(node.module)
-        elif isinstance(node, ast.ImportFrom) and node.module.startswith("secdiv"):
-            package.add(node.module)
-        elif isinstance(node, ast.Import):
-            package.update(a.name for a in node.names if a.name.startswith("secdiv"))
-    assert package == {"machine", "mir"}
