@@ -171,7 +171,7 @@ def build_problem(analyzed: AnalyzedFunction) -> CopProblem:
     # padding NOP after it.  Keeping the latency independent of the
     # register choice keeps scheduling and allocation separable.
     prob.latency = {
-        op.index: 2 if op.opcode is Opcode.COPY else profile.lat(op.opcode) for op in prob.ops
+        op.index: 2 if op.opcode is Opcode.COPY else profile.latency[op.opcode] for op in prob.ops
     }
     prob.weight_scale = math.lcm(*(b.weight.denominator for b in func.blocks))
     prob.scaled_weights = tuple(int(b.weight * prob.weight_scale) for b in func.blocks)

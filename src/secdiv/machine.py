@@ -8,21 +8,25 @@ functional results, cycle counts, and the register/memory-bus value
 transitions that the Hamming-distance leakage model observes, lane by
 lane: branches only go forward, so a lane runs each site at most once.
 
-Control flow is decoded in one place, `_decode`, once per program: a
-`MachineProgram` is immutable and keeps what `_decode` gives as its
-`decoded` property.  Per block, that is its words renamed to compact
-state rows (one per register and memory slot the program names, then the
-bus, so an unnamed location costs nothing), their cycles, and the edges
-to the successors with the cycles each adds.  `run_batch` runs these
-blocks, and `verify` reads the same ones for its taint pass and its
-static constant-resource proof.  `_decode` also states the one shape a
-program may have, the one the encoder emits (every word of a block runs,
-every run ends at a RET), and rejects any other with a MachineError.  One
-set of lane buffers serves every `run_batch` call in the process, so
-repeated calls allocate no large array besides the ones they return.  The
-tests check `run_batch` lane by lane against a scalar reference
-interpreter (`tests/scalar_machine.py`), which checks the same shape on
-its own.
+What each word does is decoded in one place, `_decode`, once per
+program: a `MachineProgram` is immutable and keeps what `_decode` gives
+as its `decoded` property.  Per block, that is its writes over compact
+state rows (one per register and memory slot the program names, one per
+constant an LI loads, then the bus, so an unnamed location costs
+nothing): each sets a row to the ufunc of two rows or to a copy of one,
+and names the transition sites it updates.  Then its cycles, the edges
+to its successors with the cycles each adds, and the rows its branch
+tests or its RET returns.  `run_batch` runs these blocks, and `verify` reads the
+same ones for its equivalence proof, its taint pass and its static
+constant-resource proof; none of them names a MOV, LI, LD or ST.
+`_decode` also states the one shape a program may have, the one the
+encoder emits (every word of a block runs, every run ends at a RET), and
+rejects any other with a MachineError.  One set of lane buffers serves
+every `run_batch` call in the process, so repeated calls allocate no
+large array besides the ones they return.  The tests check `run_batch`
+lane by lane against a scalar reference interpreter
+(`tests/scalar_machine.py`), which decodes the words and checks the same
+shape on its own.
 
 Cost model: ALU/MOV/LI/NOP take 1 cycle, LD/ST take 2, the unconditional
 branch takes 3, a conditional branch takes 1 plus a 2-cycle overhead when
@@ -53,9 +57,6 @@ class MachineProfile:
     latency: dict[Opcode, int]
     taken_branch_overhead: int = 2
     mem_slots: int = 8
-
-    def lat(self, opcode: Opcode) -> int:
-        return self.latency[opcode]
 
 
 def _base_latency() -> dict[Opcode, int]:
@@ -219,7 +220,7 @@ def encode(func: FunctionIR, schedule: Schedule, profile: MachineProfile) -> Mac
                 clock += 1
             ins = _lower(func, schedule, op, reg_of, nregs)
             words.append(ins)
-            clock = start + profile.lat(ins.opcode)
+            clock = start + profile.latency[ins.opcode]
         blocks.append(words)
     return MachineProgram(
         profile_name=profile.name, num_inputs=len(func.inputs), blocks=blocks
@@ -297,42 +298,55 @@ _ALU = {
 }
 
 # What operands a, b and c of each machine opcode name: "r" a register,
-# "s" a memory slot, "-" an immediate, a block or nothing.  A word holds
-# its op's defs (registers), then its uses by their kind in `OPERANDS`.
+# "s" a memory slot, "k" a constant (LI's immediate), "-" a block or
+# nothing.  A word holds its op's defs (registers), then its uses by their
+# kind in `OPERANDS`.
 _ROLES = {
-    op: ("r" * ndefs + kinds.translate(str.maketrans("tib", "r--"))).ljust(3, "-")
+    op: ("r" * ndefs + kinds.translate(str.maketrans("tib", "rk-"))).ljust(3, "-")
     for op, (ndefs, kinds) in OPERANDS.items()
     if op is not Opcode.COPY
 }
 
 
 class _Block(NamedTuple):
-    words: list[tuple]  # every word but B and NOP
+    # per ALU op, MOV, LI, LD and ST: (opcode, a, b, c, ALU ufunc,
+    # register site, bus site), row a <- ufunc(row b, row c), or <- row b
+    # (c None) where the ufunc is None
+    writes: list[tuple]
     cycles: int  # the latencies of all its words
     edges: list[tuple[int, int]]  # (successor, extra cycles on that edge)
+    test: Optional[tuple[int, int, bool]]  # a BEQ/BNE's (row, row, taken if equal)
+    ret: Optional[int]  # a RET's row
 
 
 class _Decoded(NamedTuple):
-    """A program decoded once: its control flow, renamed to compact state
-    rows.
+    """A program decoded once: what each word reads and writes, over
+    compact state rows, and its control flow.
 
-    `blocks` holds a `_Block` per block, all of whose words run.  Its words
-    are all but B and NOP, as (opcode, a, b, c, ALU ufunc, register site,
-    bus site) with register and slot operands replaced by their rows.  Its
-    cycles are the latencies of all its words.  Its edges come from its
-    last word: to the target of a BEQ or BNE, with the profile's
-    taken-branch overhead, and to the next block; to the target of a B;
-    nowhere after a RET; otherwise to the next block.
-    `run_batch` runs these blocks and `verify` proves its constant-resource
-    and taint results on them.  `input_regs` lists the input registers that
-    have a row (their rows come first, in the same order); `nrows` the
-    number of rows.  It holds no lane buffers: `run_batch` keeps one set
-    for every program (`_lanes`), so two `run_batch` calls must not run at
-    the same time.
+    `blocks` holds a `_Block` per block, all of whose words run.  Its
+    writes state every word that changes the state, in order: an ALU op
+    writes the ufunc of two rows, a MOV, LD or ST copies a row (LD and ST
+    to the bus row too), and an LI copies the row of its constant.  Each
+    write carries its register site (not ST) and its bus site (LD and ST
+    only), `(byte address, "reg" or "bus", register index)`.  Its cycles
+    are the latencies of all its words.  Its edges come from its last
+    word: to the target of a BEQ or BNE, with the profile's taken-branch
+    overhead, and to the next block; to the target of a B; nowhere after a
+    RET; otherwise to the next block.  Its test is a BEQ or BNE's two rows
+    and whether equal rows take the branch, and its ret a RET's row; B and
+    NOP give only edges and cycles.
+    `run_batch` runs these blocks and `verify` proves equivalence, constant
+    resource and taint results on them.  `input_regs` lists the input
+    registers that have a row (their rows come first, in the same order);
+    `constants` the (row, value) of each constant, a row that no word
+    writes; `nrows` the number of rows.  It holds no lane buffers:
+    `run_batch` keeps one set for every program (`_lanes`), so two
+    `run_batch` calls must not run at the same time.
     """
 
     blocks: list[_Block]
     input_regs: list[int]
+    constants: list[tuple[int, int]]
     nrows: int
 
 
@@ -346,20 +360,21 @@ _JUMPS = (Opcode.B, Opcode.BEQ, Opcode.BNE)
 
 def _decode(program: MachineProgram) -> _Decoded:
     """Decode a program (`MachineProgram.decoded` calls this once per
-    program): the one place that states MiniRISC control flow and the
-    shape a program may have.
+    program): the one place that states what each MiniRISC word reads and
+    writes, its control flow, and the shape a program may have.
 
     Only the registers some word names get a row, in index order, then
-    the memory slots some LD/ST names, then the bus as the last row; a
-    location no word names is never read or written.  A MachineError,
-    whether or not the word would run, is first a register or slot
-    operand outside the profile, then a branch to a block that is not a
-    later block, then the first B, BEQ, BNE or RET before the last word
-    of its block, COPY (no machine opcode) or last block not ending in
-    RET.  So every word runs, and every run ends at a RET.
+    the memory slots some LD/ST names, then each distinct LI immediate,
+    then the bus as the last row; a location no word names is never read
+    or written.  A MachineError, whether or not the word would run, is
+    first a register or slot operand outside the profile, then a branch
+    to a block that is not a later block, then the first B, BEQ, BNE or
+    RET before the last word of its block, COPY (no machine opcode) or
+    last block not ending in RET.  So every word runs, and every run ends
+    at a RET.
     """
     profile = PROFILES[program.profile_name]
-    named: dict[str, set[int]] = {"r": set(), "s": set(), "-": set()}
+    named: dict[str, set[int]] = {"r": set(), "s": set(), "k": set(), "-": set()}
     backward = None  # the first branch that does not go to a later block
     malformed = None  # the first word out of the block shape
     for index, block in enumerate(program.blocks):
@@ -397,32 +412,35 @@ def _decode(program: MachineProgram) -> _Decoded:
         raise MachineError(malformed)
     registers = sorted(named["r"])
     row = {("r", r): i for i, r in enumerate(registers)}
-    row.update({("s", s): len(row) + i for i, s in enumerate(sorted(named["s"]))})
-    nrows = len(row) + 1
-    row.update({("-", v): v for v in named["-"]})  # immediates and blocks stay
+    for role in "sk":
+        row.update({(role, v): len(row) + i for i, v in enumerate(sorted(named[role]))})
+    constants = [(row["k", v], v) for v in sorted(named["k"])]
 
     blocks, start = [], 0
     for index, block in enumerate(program.blocks):
-        words, cycles, edges = [], 0, [(index + 1, 0)]
+        writes, cycles, edges, test, ret = [], 0, [(index + 1, 0)], None, None
         for address, ins in enumerate(block, start):
             op = ins.opcode
             cycles += profile.latency[op]
             if op is Opcode.B:
                 edges = [(ins.a, 0)]
+            elif op is Opcode.RET:
+                edges, ret = [], row["r", ins.a]
+            elif op in (Opcode.BEQ, Opcode.BNE):
+                edges = [(ins.c, profile.taken_branch_overhead), (index + 1, 0)]
+                test = (row["r", ins.a], row["r", ins.b], op is Opcode.BEQ)
             elif op is not Opcode.NOP:
                 ra, rb, rc = _ROLES[op]
-                words.append((
-                    op, row[ra, ins.a], row[rb, ins.b], row[rc, ins.c], _ALU.get(op),
-                    (4 * address, "reg", ins.a), (4 * address, "bus", 0),
+                fn = _ALU.get(op)
+                writes.append((
+                    op, row[ra, ins.a], row[rb, ins.b], row[rc, ins.c] if fn else None, fn,
+                    (4 * address, "reg", ins.a) if ra == "r" else None,
+                    (4 * address, "bus", 0) if "s" in (ra, rb) else None,
                 ))
-                if op is Opcode.RET:
-                    edges = []
-                elif op in (Opcode.BEQ, Opcode.BNE):
-                    edges = [(ins.c, profile.taken_branch_overhead), (index + 1, 0)]
-        blocks.append(_Block(words, cycles, edges))
+        blocks.append(_Block(writes, cycles, edges, test, ret))
         start += len(block)
     input_regs = [r for r in registers if r < program.num_inputs]
-    return _Decoded(blocks, input_regs, nrows)
+    return _Decoded(blocks, input_regs, constants, len(row) + 1)
 
 
 def run_batch(
@@ -441,13 +459,14 @@ def run_batch(
 
     The program is decoded once per program, not per call
     (`MachineProgram.decoded`), and the decoded blocks are the whole of
-    its control flow: a work item adds its block's cycles, runs all of
-    the block's words and follows its edges.  The state holds a row only
-    for each register and memory slot that a word names, plus the bus, so
-    a branch split copies no more rows than the program uses; transition
-    sites keep the architectural register index.  A program that
-    `_decode` rejects raises MachineError before anything runs, so every
-    run ends at a RET.
+    what it does: a work item adds its block's cycles, makes its writes
+    in order, then returns at its RET, splits its lanes on its branch
+    test or follows its one edge.  The state holds a row only for each
+    register and memory slot that a word names, each constant, and the
+    bus, so a branch split copies no more rows than the program uses;
+    transition sites keep the architectural register index.  A program
+    that `_decode` rejects raises MachineError before anything runs, so
+    every run ends at a RET.
 
     The root state, ALU results, transition values and branch conditions
     live in lane buffers that every call in the process shares (`_lanes`),
@@ -473,6 +492,8 @@ def run_batch(
     for row, r in enumerate(decoded.input_regs):
         state0[row] = inputs[r]
     state0[len(decoded.input_regs) :].fill(0)
+    for row, constant in decoded.constants:
+        state0[row] = constant
     bus = nrows - 1
 
     returns = np.zeros(n, dtype=np.uint8)
@@ -493,63 +514,42 @@ def run_batch(
     work = [(0, None, state0, 0)] if n else []
     while work:
         block, lanes, state, spent = work.pop()
-        words, block_cycles, edges = blocks[block]
+        writes, block_cycles, edges, test, ret = blocks[block]
         spent += block_cycles
         rows = list(state)
         # this item's slices of the lane buffers
         m = state.shape[1]
         value, delta, mask = values[:m], deltas[:m], conditions[:m]
-        for op, a, b, c, fn, reg_site, bus_site in words:
-            if fn is not None:
+        for _, a, b, c, fn, reg_site, bus_site in writes:
+            new = rows[b] if fn is None else fn(rows[b], rows[c], out=value)
+            if bus_site:
                 if collect_transitions:
-                    fn(rows[b], rows[c], out=value)
-                    record(reg_site, np.bitwise_xor(rows[a], value, out=delta))
-                    rows[a][:] = value
-                else:
-                    fn(rows[b], rows[c], out=rows[a])
-            elif op is Opcode.MOV:
-                if collect_transitions:
-                    record(reg_site, np.bitwise_xor(rows[a], rows[b], out=delta))
-                rows[a][:] = rows[b]
-            elif op is Opcode.LI:
-                if collect_transitions:
-                    record(reg_site, np.bitwise_xor(rows[a], np.uint8(b), out=delta))
-                rows[a][:] = b
-            elif op is Opcode.LD:
-                if collect_transitions:
-                    record(bus_site, np.bitwise_xor(rows[bus], rows[b], out=delta))
-                    record(reg_site, np.bitwise_xor(rows[a], rows[b], out=delta))
-                rows[bus][:] = rows[b]
-                rows[a][:] = rows[b]
-            elif op is Opcode.ST:
-                if collect_transitions:
-                    record(bus_site, np.bitwise_xor(rows[bus], rows[b], out=delta))
-                rows[bus][:] = rows[b]
-                rows[a][:] = rows[b]
-            elif op in (Opcode.BEQ, Opcode.BNE):
-                (target, extra), (fall, _) = edges
-                taken_mask = (np.equal if op is Opcode.BEQ else np.not_equal)(
-                    rows[a], rows[b], out=mask
-                )
-                taken = spent + extra
-                if taken_mask.all():
-                    work.append((target, lanes, state, taken))
-                elif not taken_mask.any():
-                    work.append((fall, lanes, state, spent))
-                else:
-                    for idx, succ, cost in (
-                        (np.nonzero(taken_mask)[0], target, taken),
-                        (np.nonzero(~taken_mask)[0], fall, spent),
-                    ):
-                        sub = idx if lanes is None else lanes[idx]
-                        work.append((succ, sub, np.take(state, idx, axis=1), cost))
-            elif lanes is None:  # RET
-                returns[:] = rows[a]
-                cycles[:] = spent
-            else:  # RET
-                returns[lanes] = rows[a]
-                cycles[lanes] = spent
-        if len(edges) == 1:  # a B or a fall-through
+                    record(bus_site, np.bitwise_xor(rows[bus], new, out=delta))
+                rows[bus][:] = new
+            if reg_site and collect_transitions:
+                record(reg_site, np.bitwise_xor(rows[a], new, out=delta))
+            rows[a][:] = new
+        if ret is not None:
+            where = slice(None) if lanes is None else lanes
+            returns[where] = rows[ret]
+            cycles[where] = spent
+        elif test is not None:
+            x, y, if_equal = test
+            (target, extra), (fall, _) = edges
+            taken_mask = (np.equal if if_equal else np.not_equal)(rows[x], rows[y], out=mask)
+            taken = spent + extra
+            if taken_mask.all():
+                work.append((target, lanes, state, taken))
+            elif not taken_mask.any():
+                work.append((fall, lanes, state, spent))
+            else:
+                for idx, succ, cost in (
+                    (np.nonzero(taken_mask)[0], target, taken),
+                    (np.nonzero(~taken_mask)[0], fall, spent),
+                ):
+                    sub = idx if lanes is None else lanes[idx]
+                    work.append((succ, sub, np.take(state, idx, axis=1), cost))
+        else:  # a B or a fall-through
             (succ, _), = edges
             work.append((succ, lanes, state, spent))
 

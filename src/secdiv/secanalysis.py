@@ -268,7 +268,7 @@ def _deficits(func: FunctionIR, cost, edges, jumped, profile: MachineProfile) ->
     cost[b]; an edge, its taken-branch overhead and a `b` if in `jumped`."""
 
     def edge_cost(u: int, v: int) -> int:
-        jump = profile.lat(Opcode.B) if (u, v) in jumped else 0
+        jump = profile.latency[Opcode.B] if (u, v) in jumped else 0
         return jump + (profile.taken_branch_overhead if func.taken_successor(u) == v else 0)
 
     longest = [0] * len(cost)
@@ -283,7 +283,7 @@ def _nop_budget(pset: SecretPathSet, short, cost, profile: MachineProfile) -> in
     cost of the blocks exclusive to the sibling paths, plus the jump the
     insertion may add and one taken-branch overhead of slack."""
     worst = max(sum(cost[b] for b in path if b not in short) for path in pset.paths)
-    return worst + profile.lat(Opcode.B) + profile.taken_branch_overhead + 3
+    return worst + profile.latency[Opcode.B] + profile.taken_branch_overhead + 3
 
 
 def _copy_refusal(func: FunctionIR, pset: SecretPathSet) -> Optional[str]:
@@ -378,7 +378,7 @@ def apply_balancing(
     # under cbb: why each region cannot copy its arm (None: it can), and where
     why = {p.branch_block: _copy_refusal(func, p) for p in psets if method == "cbb"}
     skip = {b: min(p.paths, key=len) for b, p in zip(why, psets) if why[b] is None}
-    cost = [sum(profile.lat(op.opcode) for op in block.ops) for block in func.blocks]
+    cost = [sum(profile.latency[op.opcode] for op in block.ops) for block in func.blocks]
     fronts, grown = None, set()
     while grown != fronts:
         fronts = grown

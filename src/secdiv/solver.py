@@ -500,10 +500,7 @@ class _Search:
         self.scheduled += 1
         prob = self.prob
         model = build_value_model(prob, self.active, self.cycle)
-        order = sorted(
-            model.values,
-            key=lambda v: (model.def_point[v][0], model.def_point[v][1], v),
-        )
+        order = _allocation_order(model)
         overlap: dict[str, list[str]] = {v: [] for v in model.values}
         for i, v1 in enumerate(order):
             for v2 in order[i + 1 :]:
@@ -644,6 +641,12 @@ def _pad_lengths(orders: Sequence[Sequence[bool]]) -> list[int]:
     return lengths
 
 
+def _allocation_order(model) -> list[str]:
+    """The values in the order both allocators place them: by defining
+    block, then ready cycle, then name."""
+    return sorted(model.values, key=lambda v: (model.def_point[v], v))
+
+
 def _intervals_overlap(a, b) -> bool:
     for b1, s1, e1 in a:
         for b2, s2, e2 in b:
@@ -770,9 +773,7 @@ def naive_diversify(
     active = active_set(prob, base_values)
     cycle = {op.index: base_values[("cycle", op.index)] for op in prob.ops}
     model = build_value_model(prob, active, cycle)
-    order = sorted(
-        model.values, key=lambda v: (model.def_point[v][0], model.def_point[v][1], v)
-    )
+    order = _allocation_order(model)
     inputs = prob.function.input_names()
 
     variant = 0

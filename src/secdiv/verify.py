@@ -18,26 +18,29 @@ no tolerances to tune.  The byte-wise power-leak check enumerates at most
 `_HIDDEN_LIMIT` secret and random inputs and reports more as incomplete;
 the bit-sliced one takes up to `_SLICED_LIMIT`.
 
-Control flow is not decoded here: the taint pass and the
+No word is decoded here: the equivalence proof, the taint pass and the
 constant-resource proof read the blocks of `MachineProgram.decoded`, the
 ones `run_batch` runs, and a program out of the shape `machine._decode`
-states is a MachineError in every check.  So the words, cycles and edges
-they reason about are the ones that run: every word of a block runs,
-every edge goes to a later block, and every run ends at a RET.
+states is a MachineError in every check.  So the writes, branch tests,
+returns, cycles and edges they reason about are the ones that run: every
+word of a block runs, every edge goes to a later block, and every run
+ends at a RET.
 
 Equivalence, a symbolic proof first.  `check_equivalence` walks every
 path of both programs' decoded blocks (`_paths`) in the style of
 translation validation (Pnueli, Siegel and Singerman, "Translation
 validation", TACAS 1998; Necula, "Translation validation for an
 optimizing compiler", PLDI 2000).  Each state row holds an interned term
-(`_Terms`) over the input registers; rows that are not inputs start at
-0, as in `run_batch`.  ADD and SUB give one coefficient map over Z/256,
-so x - x is 0 and the 8-bit wrap-around is exact; XOR gives a parity set
-with a folded constant; AND and OR give idempotent sets, with 0 and 0xFF
-folded.  MOV, LD and ST copy a row's term.  A BEQ or BNE is decided when
-the difference of its operands is a constant, or when the same
-difference was decided earlier on the path; otherwise the walk forks,
-and (difference, whether the operands are equal) joins the path key.
+(`_Terms`) over the input registers; a constant's row holds its
+constant, and the other rows start at 0, as in `run_batch`.  An ALU
+write makes a term of its two rows' terms: ADD and SUB give one
+coefficient map over Z/256, so x - x is 0 and the 8-bit wrap-around is
+exact; XOR gives a parity set with a folded constant; AND and OR give
+idempotent sets, with 0 and 0xFF folded.  Any other write copies a row's
+term.  A block's branch test is decided when the difference of its rows
+is a constant, or when the same difference was decided earlier on the
+path; otherwise the walk forks, and (difference, whether the rows are
+equal) joins the path key.
 Each program gives a map from path key to returned term, and `b` is
 proven equivalent to `a` when the two maps are equal.  Sketch: each
 input meets the conditions of exactly one key of a map, its own path's,
@@ -356,32 +359,30 @@ def _paths(program: MachineProgram, terms: _Terms) -> Optional[dict[tuple, int]]
     blocks = decoded.blocks
     rows = [terms.input(r) for r in decoded.input_regs]
     rows += [terms.const(0)] * (decoded.nrows - len(rows))
+    for row, constant in decoded.constants:
+        rows[row] = terms.const(constant)
     limit = len(terms) + _PROOF_NODES
     paths: dict[tuple, int] = {}
     work = [(0, rows, ())]  # (block, the term in each row, path key)
     while work:
         index, rows, key = work.pop()
-        words, _, edges = blocks[index]
-        for op, a, b, c, fn, _, _ in words:
-            if fn is not None:
-                rows[a] = terms.alu(op, rows[b], rows[c])
-            elif op is Opcode.LI:
-                rows[a] = terms.const(b)
-            elif op in (Opcode.MOV, Opcode.LD, Opcode.ST):
-                rows[a] = rows[b]  # the bus row, which no word reads, is left out
-            elif op is Opcode.RET:
-                paths[key] = rows[a]
-            else:  # BEQ or BNE, the block's last word
-                beq, cond = op is Opcode.BEQ, terms.difference(rows[a], rows[b])
-        if len(edges) == 1:
-            work.append((edges[0][0], rows, key))
-        elif edges:
+        block = blocks[index]
+        for op, a, b, c, fn, _, _ in block.writes:
+            # the bus row, which no word reads, is left out
+            rows[a] = rows[b] if fn is None else terms.alu(op, rows[b], rows[c])
+        if block.ret is not None:
+            paths[key] = rows[block.ret]
+        elif block.test is None:
+            work.append((block.edges[0][0], rows, key))
+        else:
+            x, y, if_equal = block.test
+            cond = terms.difference(rows[x], rows[y])
             kind, value, _ = terms.nodes[cond]
             # whether the operands are equal: decided by a constant
             # difference or by the same condition earlier on the path
             equal = value == 0 if kind == "c" else dict(key).get(cond)
-            (target, _), (fall, _) = edges
-            for succ, arm in ((target, beq), (fall, not beq)):
+            (target, _), (fall, _) = block.edges
+            for succ, arm in ((target, if_equal), (fall, not if_equal)):
                 if equal is None:
                     work.append((succ, list(rows), key + ((cond, arm),)))
                 elif equal == arm:
@@ -459,7 +460,7 @@ def _region(blocks: list, branch: int, join: int) -> tuple[list[int], int, int]:
             continue
         if v != branch:
             region.append(v)
-        _, cycles, edges = blocks[v]
+        cycles, edges = blocks[v].cycles, blocks[v].edges
         lo, hi = fewest[v] + cycles, most[v] + cycles
         if not edges:
             ends.append((lo, hi))
@@ -494,35 +495,28 @@ def _taint(program: MachineProgram, hidden: Sequence[int]) -> tuple[bool, list[t
     ipdom: Optional[list[int]] = None
     arithmetic = False
     regions = []
-    for index, (words, _, edges) in enumerate(blocks):
+    for index, block in enumerate(blocks):
         taint = entry[index]
         if taint is None:
             continue
-        for op, a, b, c, fn, _, _ in words:
-            if fn is not None:
-                hot = b in taint or c in taint
-                if hot and b == c and op in (Opcode.XOR, Opcode.SUB):
-                    hot = False  # x ^ x and x - x are 0
-                elif hot and op in (Opcode.ADD, Opcode.SUB):
-                    arithmetic = True
-            elif op in (Opcode.MOV, Opcode.LD, Opcode.ST):
-                hot = b in taint  # row b is copied to row a
-            elif op is Opcode.LI:
-                hot = False
-            else:  # BEQ, BNE or RET, which write nothing
-                if op is not Opcode.RET and (a in taint or b in taint):
-                    if ipdom is None:
-                        ipdom = _post_dominators(blocks)
-                    region, fewest, most = _region(blocks, index, ipdom[index])
-                    for v in region:
-                        implicit[v] = True
-                    regions.append((index, fewest, most))
-                continue
+        for op, a, b, c, _, _, _ in block.writes:
+            hot = b in taint or c in taint  # c is None for a copy of row b
+            if hot and b == c and op in (Opcode.XOR, Opcode.SUB):
+                hot = False  # x ^ x and x - x are 0
+            elif hot and op in (Opcode.ADD, Opcode.SUB):
+                arithmetic = True
             if hot or implicit[index]:
                 taint.add(a)
             else:
                 taint.discard(a)
-        for succ, _ in edges:
+        if block.test is not None and (block.test[0] in taint or block.test[1] in taint):
+            if ipdom is None:
+                ipdom = _post_dominators(blocks)
+            region, fewest, most = _region(blocks, index, ipdom[index])
+            for v in region:
+                implicit[v] = True
+            regions.append((index, fewest, most))
+        for succ, _ in block.edges:
             entry[succ] = taint | (entry[succ] or set())
     return arithmetic, regions
 
@@ -586,12 +580,16 @@ def check_psc(
     up to `_SLICED_LIMIT` secret and random inputs; any other program is
     enumerated byte by byte up to `_HIDDEN_LIMIT`, several secret values
     sharing one `run_batch` call, a run of lanes per secret.  Both paths
-    give the same report; beyond its limit a path reports incomplete.
+    give the same report; beyond its limit a path reports incomplete.  A
+    program without a secret input has nothing to compare across and is
+    secure, whatever its random inputs.
     """
     names = [n for n, _ in policy]
     secret_idx = [i for i, (_, lab) in enumerate(policy) if lab is SecurityLabel.SECRET]
     random_idx = [i for i, (_, lab) in enumerate(policy) if lab is SecurityLabel.RANDOM]
     public_idx = [i for i, (_, lab) in enumerate(policy) if lab is SecurityLabel.PUBLIC]
+    if not secret_idx:
+        return PscReport()  # nothing to compare across, whatever the budget
 
     hidden = len(secret_idx) + len(random_idx)
     sliced = _bit_local(program, secret_idx + random_idx)
@@ -600,12 +598,10 @@ def check_psc(
         reason = f"{hidden} secret/random inputs exceed the {kind} enumeration budget ({limit})"
         return PscReport(incomplete=True, reason=reason)
 
-    report = PscReport()
-    if not secret_idx:
-        return report  # nothing to compare across
     if sliced:
         return _sliced_psc(program, len(names), secret_idx, random_idx, public_idx, public_probes)
 
+    report = PscReport()
     random_grid = _full_grid(len(random_idx))
     per_secret = random_grid.shape[1]
     secrets_per_call = max(1, _PSC_BATCH_LANES // per_secret)

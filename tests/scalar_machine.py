@@ -72,7 +72,7 @@ def run(
         while pos < len(words):
             ins = words[pos]
             address = 4 * (starts[block] + pos)
-            cycles = profile.lat(ins.opcode)
+            cycles = profile.latency[ins.opcode]
             reg_write = None
             bus_write = None
             op = ins.opcode

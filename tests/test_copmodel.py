@@ -507,7 +507,7 @@ def test_latency_table_matches_the_profile(profile):
                     copies += 1
                     assert prob.latency[op.index] == 2
                 else:
-                    assert prob.latency[op.index] == profile.lat(op.opcode)
+                    assert prob.latency[op.index] == profile.latency[op.opcode]
     assert copies > 0
 
 

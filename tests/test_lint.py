@@ -136,3 +136,16 @@ def test_solver_imports_only_the_model():
     """The search reads the model, not the analysis or the IR: the modes,
     secret paths and leak pairs reach it through the built problem."""
     assert _package_imports(_trees()["solver"]) == {"copmodel"}
+
+
+def test_only_the_decoder_states_what_a_word_writes():
+    """`machine._decode` states which words copy a row or load a
+    constant, and its readers read that: `verify` names none of MOV, LD,
+    ST and LI, and the body of `machine.run_batch` names no opcode."""
+    trees = _trees()
+    assert not _names(trees["verify"]) & {"MOV", "LD", "ST", "LI"}
+    (run_batch,) = (
+        node for node in trees["machine"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "run_batch"
+    )
+    assert "Opcode" not in _names(run_batch)

@@ -34,7 +34,7 @@ def test_profiles_shipped():
     assert TIGHT8.latency[Opcode.B] == 3
     assert TIGHT8.latency[Opcode.MOV] == 1
     assert TIGHT8.taken_branch_overhead == 2
-    assert TIGHT8.lat(Opcode.BEQ) == 1
+    assert TIGHT8.latency[Opcode.BEQ] == 1
 
 
 def test_word_encoding_bijective():
@@ -52,7 +52,7 @@ def test_operand_roles_of_every_machine_opcode():
         Opcode.AND: "rrr",
         Opcode.OR: "rrr",
         Opcode.MOV: "rr-",
-        Opcode.LI: "r--",
+        Opcode.LI: "rk-",
         Opcode.LD: "rs-",
         Opcode.ST: "sr-",
         Opcode.BEQ: "rr-",
@@ -61,6 +61,48 @@ def test_operand_roles_of_every_machine_opcode():
         Opcode.RET: "r--",
         Opcode.NOP: "---",
     }
+
+
+def test_decoded_entry_of_one_word_of_every_machine_opcode():
+    """What `_decode` states each word does, written out by hand.  Rows:
+    registers 0-5, then slots 0 and 1 (rows 6 and 7), then the constant
+    9 (row 8), then the bus (row 9).  A write is (opcode, destination
+    row, source row, second source row or None for a copy, ALU ufunc or
+    None, register site, bus site)."""
+    program = MachineProgram("tight8", 2, [
+        [
+            Instr(Opcode.ADD, 2, 0, 1), Instr(Opcode.SUB, 3, 2, 0), Instr(Opcode.XOR, 2, 3, 1),
+            Instr(Opcode.AND, 3, 2, 2), Instr(Opcode.OR, 2, 3, 0), Instr(Opcode.MOV, 3, 2),
+            Instr(Opcode.LI, 4, 9), Instr(Opcode.LD, 5, 1), Instr(Opcode.ST, 0, 4),
+            Instr(Opcode.NOP), Instr(Opcode.BEQ, 0, 1, 2),
+        ],
+        [Instr(Opcode.BNE, 2, 3, 3)],
+        [Instr(Opcode.B, 3)],
+        [Instr(Opcode.RET, 5)],
+    ])
+    writes = [
+        (Opcode.ADD, 2, 0, 1, np.add, (0, "reg", 2), None),
+        (Opcode.SUB, 3, 2, 0, np.subtract, (4, "reg", 3), None),
+        (Opcode.XOR, 2, 3, 1, np.bitwise_xor, (8, "reg", 2), None),
+        (Opcode.AND, 3, 2, 2, np.bitwise_and, (12, "reg", 3), None),
+        (Opcode.OR, 2, 3, 0, np.bitwise_or, (16, "reg", 2), None),
+        (Opcode.MOV, 3, 2, None, None, (20, "reg", 3), None),
+        (Opcode.LI, 4, 8, None, None, (24, "reg", 4), None),
+        (Opcode.LD, 5, 7, None, None, (28, "reg", 5), (28, "bus", 0)),
+        (Opcode.ST, 6, 4, None, None, None, (32, "bus", 0)),
+    ]
+    assert program.decoded == machine._Decoded(
+        blocks=[
+            # (writes, cycles, edges, test, ret)
+            machine._Block(writes, 13, [(2, 2), (1, 0)], (0, 1, True), None),
+            machine._Block([], 1, [(3, 2), (2, 0)], (2, 3, False), None),
+            machine._Block([], 3, [(3, 0)], None, None),
+            machine._Block([], 1, [], None, 5),
+        ],
+        input_regs=[0, 1],
+        constants=[(8, 9)],
+        nrows=10,
+    )
 
 
 def test_undecodable_word_rejected():

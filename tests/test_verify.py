@@ -292,7 +292,7 @@ def test_static_path_cost_matches_simulator_on_generated_programs(program, x, y)
     # a taken branch to the next block leaves by the same block path as its
     # fall-through, which static_path_cost counts: without the overhead
     to_next = sum(
-        step.cycles - TIGHT8.lat(step.opcode)
+        step.cycles - TIGHT8.latency[step.opcode]
         for step in trace.steps
         if step.opcode in (Opcode.BEQ, Opcode.BNE)
         and flat[step.address // 4].c == block_of[step.address // 4] + 1
@@ -431,6 +431,23 @@ def test_sliced_budget_exceeded_incomplete():
     assert report.incomplete
     assert not report.secure
     assert report.reason == "9 secret/random inputs exceed the bit-sliced enumeration budget (8)"
+
+
+@pytest.mark.parametrize("profile, words", [
+    # the ADD of two randoms makes the byte-wise path, budget 3, take it
+    ("tight8", [Instr(Opcode.ADD, 5, 1, 2), Instr(Opcode.XOR, 5, 5, 3),
+                Instr(Opcode.XOR, 5, 5, 4), Instr(Opcode.XOR, 5, 5, 0)]),
+    # bit-local, budget 8
+    ("wide32", [Instr(Opcode.XOR, 0, 0, r) for r in range(1, 10)]),
+], ids=["bytewise", "sliced"])
+def test_psc_without_a_secret_is_secure_past_either_budget(profile, words):
+    """No secret leaves nothing to compare across, however many random
+    inputs pass the enumeration budget."""
+    randoms = max(ins.c for ins in words)
+    policy = [("p", SecurityLabel.PUBLIC)] + [(f"m{i}", SecurityLabel.RANDOM) for i in range(randoms)]
+    program = MachineProgram(profile, randoms + 1, [words + [Instr(Opcode.RET, words[-1].a)]])
+    report = check_psc(program, policy)
+    assert report.secure and not report.incomplete and report.reason == ""
 
 
 def test_psc_agrees_with_typing_on_corpus():
