@@ -17,7 +17,8 @@ of an encoded variant, also one out of the block shape that
 ``machine._decode`` states, or one that takes another number of inputs
 than FILE; of a pool's ``manifest.json``, also a mode outside
 ``POOL_MODES``; or of a JSON file that ``report`` reads, also a field of
-the wrong type), 3 unsatisfiable
+the wrong type; a file that does not decode is one that does not parse)
+or a path that cannot be read or written, 3 unsatisfiable
 model, or one infeasible by construction (too many inputs, slots or live
 values), 4 solver timeout with an incumbent, 5 oracle failure.
 tsc balancing always succeeds: it pads every secret path that costs
@@ -83,7 +84,11 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _load_function(path: str):
-    return parse_function(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise IRError(f"{path} is not text: {exc}") from None
+    return parse_function(text)
 
 
 def _run_dir(out: Path, name: str, mode: str, gap_percent: int) -> Path:
@@ -230,9 +235,9 @@ def cmd_diversify(args) -> int:
 
 
 class PoolError(Exception):
-    """A pool directory whose manifest cannot be read, or a run directory
+    """A pool directory whose manifest cannot be read, a run directory
     file that is not a JSON object with the fields that are read, each of
-    the kind read."""
+    the kind read, or a ``timing.log`` that is not text."""
 
 
 class _Kind(NamedTuple):
@@ -254,7 +259,7 @@ def _read_object(path: Path, fields: dict, pool: Optional[Path] = None) -> dict:
     where = f"pool {pool}: {path.name}" if pool else str(path)
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise PoolError(f"{where} is not JSON" + (f": {exc}" if pool else "")) from None
     if not isinstance(payload, dict):
         raise PoolError(f"{where} is not a JSON object")
@@ -506,7 +511,11 @@ def _time_lines(run_dir: Path) -> dict[str, str]:
     path = run_dir / "timing.log"
     if not path.exists():
         return {}
-    return dict(line.split("\t", 1) for line in path.read_text().splitlines() if "\t" in line)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise PoolError(f"{path} is not text: {exc}") from None
+    return dict(line.split("\t", 1) for line in text.splitlines() if "\t" in line)
 
 
 def _write_time(run_dir: Path, key: str, seconds: float) -> None:
@@ -609,6 +618,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"error: missing input {exc.filename}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except copmodel.ModelInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -14,7 +14,10 @@ A problem instance is built from an analyzed function and exposes
 
 The model states each fact once, for the solver and the lowering to read:
 `CopProblem.domain` lists each variable's values, `_canonical` is the
-canonical form that every `Solution` is in, and `hazard` the transition rule.
+canonical form that every `Solution` is in, `hazard` the transition rule,
+and a schedule's `ValueModel` its live ranges, which values clash
+(`interference`) and which only copies read (`copied_only`); the
+allocator, the naive renamer and the checker read those two.
 
 `build_problem` fills what every leaf reads once per problem: each op's
 latency (`CopProblem.latency`), each block's taken-edge overhead and the
@@ -23,7 +26,10 @@ the objective is an integer sum divided by that scale, exact and equal to
 the `Fraction` sum.  `build_value_model` is memoized per problem instance
 on the active set and the cycles of the active ops, the inputs it reads
 (the roots follow from the active set); the memo lives on the problem and
-only as long as it, and a `ValueModel` is read-only.
+only as long as it, and a `ValueModel` is read-only.  It is built in one
+pass per fact: each block's last use of each value, live-in and live-out
+in one backward pass, one interval per block a value is defined in or
+live into, and the clashes from each block's intervals.
 
 `check_solution` re-evaluates every constraint from scratch on a
 `Solution`, its `objective` field included, after checking that every
@@ -320,14 +326,19 @@ def resolve_roots(prob: CopProblem, active: set[int]) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class ValueModel:
-    """The live values of one schedule; read-only, since the problem's memo
-    hands one instance to every caller."""
+    """The live values of one schedule and which of them clash; read-only,
+    since the problem's memo hands one instance to every caller."""
 
     values: list[str]
     def_point: dict[str, tuple[int, int]]  # value -> (block, ready time)
-    uses: dict[str, list[tuple[int, int, int]]]  # value -> [(block, cycle, op)]
-    # value -> [(block, start, end)] closed intervals; end may be INF
+    # value -> [(block, start, end)] closed intervals, by block; end may be INF
     intervals: dict[str, list[tuple[int, int, int]]]
+    # value -> {each value whose interval overlaps one of its own in the
+    # same block: the first such block}; clashing values need two locations
+    interference: dict[str, dict[str, int]]
+    # the values that no active op but a copy reads, so a memory slot may
+    # hold them (a copy reloads them before any other read)
+    copied_only: frozenset[str]
 
 
 _INF = 1 << 30
@@ -355,69 +366,66 @@ def _build_value_model(
     roots: Mapping[str, str],
 ) -> ValueModel:
     func = prob.function
+    nblocks = len(func.blocks)
     values = list(func.input_names())
     def_point: dict[str, tuple[int, int]] = {n: (0, 0) for n in values}
     for op in prob.ops:
-        if op.index in active and op.defs:
-            root = roots[op.defs[0]]
-            if root == op.defs[0]:
-                values.append(root)
-                ready = cycle[op.index] + prob.latency[op.index]
-                def_point[root] = (prob.op_block[op.index], ready)
+        if op.index in active and op.defs and roots[op.defs[0]] == op.defs[0]:
+            values.append(op.defs[0])
+            ready = cycle[op.index] + prob.latency[op.index]
+            def_point[op.defs[0]] = (prob.op_block[op.index], ready)
 
-    uses: dict[str, list[tuple[int, int, int]]] = {v: [] for v in values}
+    # each block's last-use cycle of each value it reads, and the values
+    # that an active op other than a copy reads (only optional ops, copies
+    # and NOPs, are inactive, so every root read is a value)
+    last_use: list[dict[str, int]] = [{} for _ in range(nblocks)]
+    read: set[str] = set()
     for op in prob.ops:
         if op.index not in active:
             continue
-        for temp in prob.op_uses[op.index]:
-            root = roots[temp]
-            if root in uses:
-                uses[root].append((prob.op_block[op.index], cycle[op.index], op.index))
+        here, at = last_use[prob.op_block[op.index]], cycle[op.index]
+        used = [roots[temp] for temp in prob.op_uses[op.index]]
+        for root in used:
+            if here.get(root, -1) < at:
+                here[root] = at
+        if op.index not in prob.copy_ops:
+            read.update(used)
 
-    nblocks = len(func.blocks)
-    use_blocks: dict[int, set[str]] = {b: set() for b in range(nblocks)}
-    def_blocks: dict[int, set[str]] = {b: set() for b in range(nblocks)}
-    for v in values:
-        def_blocks[def_point[v][0]].add(v)
-        for ub, _, _ in uses[v]:
-            use_blocks[ub].add(v)
+    # blocks are in topological order, and inside a block defs precede
+    # uses, so a value is live into a block that reads it or passes it on
+    # and does not define it
+    live_in: list[set[str]] = [set() for _ in range(nblocks)]
+    live_out: list[set[str]] = [set() for _ in range(nblocks)]
+    for b in reversed(range(nblocks)):
+        live_out[b] = set().union(*(live_in[s] for s in func.successors(b)))
+        live_in[b] = {v for v in live_out[b].union(last_use[b]) if def_point[v][0] != b}
 
-    live_in: dict[int, set[str]] = {b: set() for b in range(nblocks)}
-    live_out: dict[int, set[str]] = {b: set() for b in range(nblocks)}
-    for b in range(nblocks - 1, -1, -1):
-        out: set[str] = set()
-        for s in func.successors(b):
-            out |= live_in[s]
-        live_out[b] = out
-        # upward-exposed: used in b and not defined in b (defs precede uses
-        # inside a block by the def-before-use rule)
-        live_in[b] = (out - def_blocks[b]) | {
-            v for v in use_blocks[b] if v not in def_blocks[b]
-        }
-
+    # one interval in the def block and in each block the value is live
+    # into: it ends at the block's end if the value is live out, else at
+    # its last use (which a live-in block always has), else where it starts
     intervals: dict[str, list[tuple[int, int, int]]] = {v: [] for v in values}
-    for v in values:
-        db, ready = def_point[v]
-        blocks_alive = {db}
-        for b in range(nblocks):
-            if v in live_in[b] or v in live_out[b] or v in use_blocks[b]:
-                blocks_alive.add(b)
-        for b in sorted(blocks_alive):
-            last_use = max((c for ub, c, _ in uses[v] if ub == b), default=None)
-            starts = ready if b == db else 0
-            if b != db and v not in live_in[b]:
-                continue
-            if v in live_out[b]:
-                end = _INF
-            elif last_use is not None:
-                end = last_use
-            elif b == db:
-                end = starts
-            else:
-                continue
-            if end >= starts:
-                intervals[v].append((b, starts, end))
-    return ValueModel(values=values, def_point=def_point, uses=uses, intervals=intervals)
+    interference: dict[str, dict[str, int]] = {v: {} for v in values}
+    for b in range(nblocks):
+        here = []
+        for v in values:
+            db, ready = def_point[v]
+            if b == db or v in live_in[b]:
+                start = ready if b == db else 0
+                end = _INF if v in live_out[b] else last_use[b].get(v, start)
+                intervals[v].append((b, start, end))
+                here.append((v, start, end))
+        for i, (v1, s1, e1) in enumerate(here):
+            for v2, s2, e2 in here[i + 1 :]:
+                if s1 <= e2 and s2 <= e1:
+                    interference[v1].setdefault(v2, b)
+                    interference[v2].setdefault(v1, b)
+    return ValueModel(
+        values=values,
+        def_point=def_point,
+        intervals=intervals,
+        interference=interference,
+        copied_only=frozenset(values).difference(read),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -653,23 +661,16 @@ def check_solution(sol: Solution, prob: CopProblem) -> list[Violation]:
     model = build_value_model(prob, active, cycle)
     vals = model.values
     for i, v1 in enumerate(vals):
+        clashes = model.interference[v1]
         for v2 in vals[i + 1 :]:
-            if loc[v1] != loc[v2]:
-                continue
-            for b1, s1, e1 in model.intervals[v1]:
-                for b2, s2, e2 in model.intervals[v2]:
-                    if b1 == b2 and s1 <= e2 and s2 <= e1:
-                        out.append(
-                            Violation(
-                                "interference",
-                                f"{v1} and {v2} overlap in location {loc[v1]} "
-                                f"(block {b1})",
-                            )
-                        )
-                        break
-                else:
-                    continue
-                break
+            b = clashes.get(v2)
+            if b is not None and loc[v1] == loc[v2]:
+                out.append(
+                    Violation(
+                        "interference",
+                        f"{v1} and {v2} overlap in location {loc[v1]} (block {b})",
+                    )
+                )
 
     # timing-balance constraints
     spans = block_makespans(prob, active, cycle)

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .machine import MachineProfile, TIGHT8
 from .mir import (
@@ -200,25 +200,31 @@ def get_paths(func: FunctionIR, n: int) -> tuple[tuple[int, ...], ...]:
     return paths(func, n, post_dominator(func, n))
 
 
-def extract_secret_path_sets(
-    func: FunctionIR, types: dict[str, InferredType]
-) -> list[SecretPathSet]:
-    """The paths of each conditional branch whose condition, the xor of
-    its two operands, is secret."""
-    sets: list[SecretPathSet] = []
+def _secret_branches(func: FunctionIR, types: dict[str, InferredType]) -> Iterator[int]:
+    """Each block whose conditional branch has a secret condition, the
+    xor of its two operands, in block order."""
     for block in func.blocks:
         term = block.terminator
         if term is None or term.opcode not in (Opcode.BEQ, Opcode.BNE):
             continue
-        cond = xor_type(types[term.uses[0]], types[term.uses[1]])
-        if cond.label is SecurityLabel.SECRET:
-            sets.append(SecretPathSet(branch_block=block.index, paths=get_paths(func, block.index)))
-    return sets
+        if xor_type(types[term.uses[0]], types[term.uses[1]]).label is SecurityLabel.SECRET:
+            yield block.index
+
+
+def extract_secret_path_sets(
+    func: FunctionIR, types: dict[str, InferredType]
+) -> list[SecretPathSet]:
+    """The paths of each conditional branch whose condition is secret."""
+    return [
+        SecretPathSet(branch_block=b, paths=get_paths(func, b))
+        for b in _secret_branches(func, types)
+    ]
 
 
 def pick_base_mode(func: FunctionIR) -> Mode:
-    """The analysis mode that a security-unaware pool's base compiles in."""
-    if extract_secret_path_sets(func, infer_types(func)):
+    """The analysis mode that a security-unaware pool's base compiles in:
+    tsc as soon as one branch is secret, whatever its paths."""
+    if next(_secret_branches(func, infer_types(func)), None) is not None:
         return Mode.TSC
     if any(label is SecurityLabel.RANDOM for _, label in func.inputs):
         return Mode.PSC

@@ -15,8 +15,9 @@ What depends on neither the seed nor the blocking set is built once per
 problem, in a ``_Plan``: ``diversify`` builds one for its bounded problem,
 and every search of the pool reads it.  It holds the balance rows, the
 structural steps and each block's span from its mandatory ops.  What the
-model states (tables, domains, canonical form, transition rule), the
-search reads from the problem and does not restate.
+model states (tables, domains, canonical form, transition rule, and each
+schedule's clashing and copy-only values), the search reads from the
+problem and does not restate.
 
 The search cuts every subtree that holds no leaf, and only those, so the
 leaves and their order are those of a search without the cuts:
@@ -498,30 +499,14 @@ class _Search:
 
     def _enter_allocation(self) -> Iterator[Solution]:
         self.scheduled += 1
-        prob = self.prob
-        model = build_value_model(prob, self.active, self.cycle)
-        order = _allocation_order(model)
-        overlap: dict[str, list[str]] = {v: [] for v in model.values}
-        for i, v1 in enumerate(order):
-            for v2 in order[i + 1 :]:
-                if _intervals_overlap(model.intervals[v1], model.intervals[v2]):
-                    overlap[v1].append(v2)
-                    overlap[v2].append(v1)
-
-        # values that may live in a memory slot: every use must be a copy
-        # source (the value gets reloaded before any real use)
-        mem_ok = {}
-        for v in model.values:
-            uses = model.uses[v]
-            mem_ok[v] = all(op_idx in prob.copy_ops for _, _, op_idx in uses)
-
+        model = build_value_model(self.prob, self.active, self.cycle)
         # the objective is fixed by the schedule: one feasible allocation per
         # schedule is enough when optimizing, and a first-solution search
         # stops at its first leaf anyway
-        leaves = self._assign_locs(0, order, overlap, mem_ok, model, {})
+        leaves = self._assign_locs(0, _allocation_order(model), model, {})
         yield from itertools.islice(leaves, 1)
 
-    def _assign_locs(self, k, order, overlap, mem_ok, model, loc) -> Iterator[Solution]:
+    def _assign_locs(self, k, order, model, loc) -> Iterator[Solution]:
         self._tick()
         prob = self.prob
         nregs = prob.num_registers
@@ -538,15 +523,15 @@ class _Search:
         for r in self.value_order[("reg", value)]:
             # a memory slot takes neither a value with a non-copy use nor
             # a reload (a copy whose source is in memory)
-            if r >= nregs and (not mem_ok[value] or copy_src_mem):
+            if r >= nregs and (value not in model.copied_only or copy_src_mem):
                 continue
-            if any(loc.get(other) == r for other in overlap[value]):
+            if any(loc.get(other) == r for other in model.interference[value]):
                 continue
             if not self._psc_candidate_ok(value, r, loc, model):
                 self._fail("rot-conflict")
                 continue
             loc[value] = r
-            yield from self._assign_locs(k + 1, order, overlap, mem_ok, model, loc)
+            yield from self._assign_locs(k + 1, order, model, loc)
             del loc[value]
 
     def _psc_candidate_ok(self, value, r, loc, model) -> bool:
@@ -645,14 +630,6 @@ def _allocation_order(model) -> list[str]:
     """The values in the order both allocators place them: by defining
     block, then ready cycle, then name."""
     return sorted(model.values, key=lambda v: (model.def_point[v], v))
-
-
-def _intervals_overlap(a, b) -> bool:
-    for b1, s1, e1 in a:
-        for b2, s2, e2 in b:
-            if b1 == b2 and s1 <= e2 and s2 <= e1:
-                return True
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -810,11 +787,7 @@ def _naive_rename(prob, model, order, inputs, values, rng) -> bool:
             loc[value] = base_loc
             continue
         db, dt = model.def_point[value]
-        clashing = {
-            rother
-            for other, rother in loc.items()
-            if _intervals_overlap(model.intervals[value], model.intervals[other])
-        }
+        clashing = {loc[other] for other in model.interference[value] if other in loc}
         candidates = [r for r in range(nregs) if r not in clashing]
         if not candidates:
             return False

@@ -45,6 +45,21 @@ IMPLICIT = (
 )
 
 
+def secret_region(n: int):
+    """Block 0 branches on the secret k past n diamonds, each a branch on
+    the publics into the arms `a_i = add x, y` and `c_i = mov x`: every
+    path from block 0 to the return lies in one secret region."""
+    end = 3 * n + 1
+    lines = ["func r (x:public, y:public, k:secret)", "block 0", "  z = li 0", f"  bne k, z, {end}"]
+    for i in range(n):
+        head = 3 * i + 1
+        lines += [f"block {head}", f"  bne x, y, {head + 2}",
+                  f"block {head + 1}", f"  a{i} = add x, y", f"  b {head + 3}",
+                  f"block {head + 2}", f"  c{i} = mov x"]
+    lines += [f"block {end}", "  ret x"]
+    return parse_function("\n".join(lines) + "\n")
+
+
 def corpus_naive_pool(name: str, n: int, seed: int = 0):
     """The naive pool of corpus function `name`, grown from the base that
     `secdiv diversify --mode naive` uses: the optimum in the mode

@@ -3,13 +3,16 @@
     python tests/pool_outputs.py TREE DEST
 
 Runs every job of `perfbench.workloads.WORKLOADS` (of the checkout that
-holds this script) on diversify seeds 0 and 1 through TREE's
-`secdiv.cli.main`, in-process: `diversify`, `verify`, then `gadgets`,
-each whatever the one before returned.  Pools land under
-DEST/<workload>/s<seed>/<job key>/, every file but `timing.log` (which
-holds wall times).  DEST/log.txt gives, per command, its arguments, exit
-code, stdout and stderr, with DEST and TREE masked.  Two trees that
-behave alike give two DEST directories that `diff -r` finds equal.
+holds this script), and the `EXTRA` jobs under the name `extra`, on
+diversify seeds 0 and 1 through TREE's `secdiv.cli.main`, in-process:
+`diversify`, `verify`, then `gadgets`, each whatever the one before
+returned.  Pools land under DEST/<workload>/s<seed>/<job key>/.  Then
+`compile --emit-model --emit-analysis` runs once on every (function,
+mode) pair of `corpus_sweep` but naive, into DEST/compile/.  Every file
+but `timing.log` (which holds wall times) is kept.  DEST/log.txt gives,
+per command, its arguments, exit code, stdout and stderr, with DEST and
+TREE masked.  Two trees that behave alike give two DEST directories that
+`diff -r` finds equal.
 
 A script, not a test module: pytest collects only `test_*.py`.  It
 reads `perfbench/` and writes nothing there.
@@ -24,6 +27,11 @@ from pathlib import Path
 
 SEEDS = (0, 1)
 
+# (function, mode, gap, variants) of pools that no benchmark job makes:
+# spill_pair at a 100% gap puts values in memory slots, and its naive
+# pool renames around them
+EXTRA = (("spill_pair", "none", 100, 40), ("spill_pair", "naive", 0, 40))
+
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
@@ -36,26 +44,33 @@ def main(argv: list[str]) -> int:
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     sys.path[:0] = [str(tree / "src"), str(perfbench)]
     from secdiv import cli
-    from workloads import WORKLOADS
+    from workloads import WORKLOADS, Job
 
     corpus = tree / "src" / "secdiv" / "corpus"
     log = []
-    for workload, spec in WORKLOADS.items():
+
+    def run(*args: str) -> None:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(list(args))
+        entry = f"{' '.join(args)}\nexit {code}\n{stdout.getvalue()}{stderr.getvalue()}"
+        log.append(entry.replace(str(dest), "DEST").replace(str(tree), "TREE"))
+
+    jobs = {workload: spec.jobs for workload, spec in WORKLOADS.items()}
+    jobs["extra"] = [Job(*job) for job in EXTRA]
+    for workload, workload_jobs in jobs.items():
         for seed in SEEDS:
             out = dest / workload / f"s{seed}"
-            for job in spec.jobs:
+            for job in workload_jobs:
                 mir, pool = str(corpus / f"{job.function}.mir"), str(out / job.key)
-                for args in (
-                    ["diversify", mir, "--mode", job.mode, "--gap", str(job.gap),
-                     "--variants", str(job.variants), "--seed", str(seed), "--out", str(out)],
-                    ["verify", mir, "--pool", pool],
-                    ["gadgets", "--pool", pool],
-                ):
-                    stdout, stderr = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                        code = cli.main(args)
-                    entry = f"{' '.join(args)}\nexit {code}\n{stdout.getvalue()}{stderr.getvalue()}"
-                    log.append(entry.replace(str(dest), "DEST").replace(str(tree), "TREE"))
+                run("diversify", mir, "--mode", job.mode, "--gap", str(job.gap),
+                    "--variants", str(job.variants), "--seed", str(seed), "--out", str(out))
+                run("verify", mir, "--pool", pool)
+                run("gadgets", "--pool", pool)
+    pairs = {(job.function, job.mode) for job in jobs["corpus_sweep"] if job.mode != "naive"}
+    for function, mode in sorted(pairs):
+        run("compile", str(corpus / f"{function}.mir"), "--mode", mode,
+            "--emit-model", "--emit-analysis", "--out", str(dest / "compile"))
     for timing in dest.rglob("timing.log"):
         timing.unlink()
     (dest / "log.txt").write_text("\n".join(log))

@@ -419,6 +419,51 @@ def test_bad_manifest_exits_2(tmp_path, capsys, command, damage, message):
     assert not (pool / "verify.json").exists() and not (pool / "gadgets.json").exists()
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        "file not utf-8", "file a directory", "pool a file", "variant a directory",
+        "manifest not utf-8 verify", "manifest not utf-8 gadgets", "manifest not utf-8 report",
+        "timing.log not utf-8", "out a file",
+    ],
+)
+def test_unreadable_path_exits_2(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    source = corpus_path("minimal")
+    assert run_cli("diversify", source, "--out", out, "--variants", "2") == 0
+    pool = out / "minimal-none-g0"
+    undecodable, regular = b"\xff\xfe", tmp_path / "regular"
+    regular.write_text("")
+    if case == "file not utf-8":
+        source = tmp_path / "bad.mir"
+        source.write_bytes(undecodable)
+        args = ("compile", source, "--out", out)
+    elif case == "file a directory":
+        args = ("compile", tmp_path, "--out", out)
+    elif case == "pool a file":
+        args = ("verify", source, "--pool", regular)
+    elif case == "variant a directory":
+        (pool / "variant_000.bin").unlink()
+        (pool / "variant_000.bin").mkdir()
+        args = ("verify", source, "--pool", pool)
+    elif case.startswith("manifest"):
+        (pool / "manifest.json").write_bytes(undecodable)
+        args = {
+            "verify": ("verify", source, "--pool", pool),
+            "gadgets": ("gadgets", "--pool", pool),
+            "report": ("report", "--out", out),
+        }[case.split()[-1]]
+    elif case == "timing.log not utf-8":
+        (pool / "timing.log").write_bytes(undecodable)
+        args = ("report", "--out", out, "--with-times")
+    else:
+        args = ("diversify", source, "--out", regular)
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 # (verify exit, failures, cr rate, psc rate) of a naive pool relabelled as
 # each mode: the rates are the pool's own, and only the oracle of the
 # label fails it.  check_bit's psc label fails too: a psc pool runs the psc

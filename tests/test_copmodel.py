@@ -627,3 +627,60 @@ def test_infeasibility_check_builds_its_value_model_through_the_memo(monkeypatch
     pool = solver.diversify(prob, best, 4, gap=Fraction(10, 100), seed=0)
     assert len(pool.solutions) == 4
     assert len(built) == len(set(built))
+
+
+def _searched_pool(name: str, mode: Mode, n: int, gap: Fraction = Fraction(0)):
+    prob = _problem(name, mode)
+    best = solver.solve_optimal(prob, time_budget=60).solution
+    return solver.diversify(prob, best, n, gap=gap, time_budget=60, seed=0)
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [
+        # the only pool of these whose values take memory slots
+        lambda: _searched_pool("spill_pair", Mode.NONE, 40, Fraction(1)),
+        lambda: _searched_pool("two_branches", Mode.TSC, 8),
+        lambda: _searched_pool("masked_xor", Mode.PSC, 8),
+        lambda: corpus_naive_pool("check_bit", 8),
+    ],
+    ids=["spill_pair-none-g100", "two_branches-tsc", "masked_xor-psc", "check_bit-naive"],
+)
+def test_value_model_interference_and_copied_only_match_a_recount(pool):
+    """Every model that a pool's searches left in the memo states the
+    clashes and the copy-only values that a recount finds: two values
+    clash in the first block where their intervals overlap, and a value
+    is copy-only when no active op but a copy reads it."""
+    pool = pool()
+    prob = pool.problem
+    if prob.function.name == "spill_pair":
+        locs = [v for sol in pool.solutions for (kind, _), v in sol.assignment if kind == "reg"]
+        assert max(locs) >= prob.num_registers
+    for key, model in prob.value_models.items():
+        active = {op.index for op, c in zip(prob.ops, key) if c is not None}
+        src_of = {dst: src for i, (src, dst) in prob.copy_ops.items() if i not in active}
+
+        def root(temp: str) -> str:
+            while temp in src_of:
+                temp = src_of[temp]
+            return temp
+
+        clashes = {v: {} for v in model.values}
+        for v1 in model.values:
+            for v2 in model.values:
+                blocks = [
+                    b1
+                    for b1, s1, e1 in model.intervals[v1]
+                    for b2, s2, e2 in model.intervals[v2]
+                    if v1 != v2 and b1 == b2 and s1 <= e2 and s2 <= e1
+                ]
+                if blocks:
+                    clashes[v1][v2] = min(blocks)
+        assert model.interference == clashes
+        read = {
+            root(temp)
+            for op in prob.ops
+            if op.index in active and op.index not in prob.copy_ops
+            for temp in prob.op_uses[op.index]
+        }
+        assert model.copied_only == set(model.values) - read

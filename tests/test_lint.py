@@ -16,15 +16,15 @@ def _trees() -> dict[str, ast.Module]:
 
 def _functions(tree: ast.Module):
     """Each module-level function of a module, and each method and
-    property of its classes, as (qualified name, name)."""
+    property of its classes, as (qualified name, definition)."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, functions):
-            yield node.name, node.name
+            yield node.name, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, functions):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item
 
 
 def test_every_public_function_has_a_caller_in_the_package():
@@ -44,8 +44,8 @@ def test_every_public_function_has_a_caller_in_the_package():
     unread = [
         f"{module}.{qualified}"
         for module, tree in trees.items()
-        for qualified, name in _functions(tree)
-        if not name.startswith("_") and name not in loaded
+        for qualified, node in _functions(tree)
+        if not node.name.startswith("_") and node.name not in loaded
     ]
     assert unread == []
 
@@ -149,3 +149,19 @@ def test_only_the_decoder_states_what_a_word_writes():
         if isinstance(node, ast.FunctionDef) and node.name == "run_batch"
     )
     assert "Opcode" not in _names(run_batch)
+
+
+def test_only_the_model_states_which_values_clash():
+    """`copmodel` derives from a value model's `intervals` which values
+    clash, and the allocator and the checker read that: outside
+    `copmodel`, only `solver._naive_rename` reads `intervals`, for its
+    preference for recently freed registers, and `check_solution` reads
+    them nowhere."""
+    readers = {
+        f"{module}.{qualified}"
+        for module, tree in _trees().items()
+        for qualified, node in _functions(tree)
+        if any(isinstance(n, ast.Attribute) and n.attr == "intervals" for n in ast.walk(node))
+    }
+    assert {r for r in readers if not r.startswith("copmodel.")} == {"solver._naive_rename"}
+    assert "copmodel.check_solution" not in readers

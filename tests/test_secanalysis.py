@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import def_site
-from conftest import all_corpus_names, load
+from conftest import all_corpus_names, load, secret_region
 from ir_eval import eval_ir, input_grid
+from secdiv import secanalysis
 from secdiv.copmodel import build_problem, check_solution, emit_model, to_schedule
 from secdiv.machine import TIGHT8, encode
 from secdiv.mir import (
@@ -496,6 +497,16 @@ def test_pick_base_mode():
     assert pick_base_mode(load("check_bit")) is Mode.TSC
     assert pick_base_mode(load("masked_xor")) is Mode.PSC
     assert pick_base_mode(load("straightline")) is Mode.NONE
+
+
+def test_pick_base_mode_stops_at_the_first_secret_branch(monkeypatch):
+    # 20 diamonds after the secret branch give 2**20 paths, which the mode
+    # does not need: it asks only whether one branch is secret
+    def no_paths(*args):
+        raise AssertionError("pick_base_mode enumerated the secret paths")
+
+    monkeypatch.setattr(secanalysis, "paths", no_paths)
+    assert pick_base_mode(secret_region(20)) is Mode.TSC
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from bruteforce import (
     _location_assignments,
     brute_optimal,
 )
-from conftest import corpus_naive_pool, first_solution, load
+from conftest import corpus_naive_pool, first_solution, load, secret_region
 from test_verify import _bit_test_functions
 from secdiv import copmodel, solver
 from secdiv.copmodel import (
@@ -132,25 +132,10 @@ def test_zero_budget_times_out_at_first_deadline_check():
     assert result.nodes == 512
 
 
-def _secret_region(n: int):
-    """Block 0 branches on the secret k past n diamonds, each a branch on
-    the publics into the arms `a_i = add x, y` and `c_i = mov x`: every
-    path from block 0 to the return lies in one secret region."""
-    end = 3 * n + 1
-    lines = ["func r (x:public, y:public, k:secret)", "block 0", "  z = li 0", f"  bne k, z, {end}"]
-    for i in range(n):
-        head = 3 * i + 1
-        lines += [f"block {head}", f"  bne x, y, {head + 2}",
-                  f"block {head + 1}", f"  a{i} = add x, y", f"  b {head + 3}",
-                  f"block {head + 2}", f"  c{i} = mov x"]
-    lines += [f"block {end}", "  ret x"]
-    return parse_function("\n".join(lines) + "\n")
-
-
 def test_zero_budget_keeps_the_first_incumbent():
     # the first deadline check comes at node 512; this search finds its
     # first leaf before it and runs past it (it ends after 4,576 nodes)
-    prob = build_problem(analyze(_secret_region(2), TIGHT8, mode=Mode.TSC))
+    prob = build_problem(analyze(secret_region(2), TIGHT8, mode=Mode.TSC))
     result = solve_optimal(prob, time_budget=0)
     assert result.status is SolveStatus.TIMEOUT
     assert result.nodes == 512
@@ -166,7 +151,7 @@ def test_secret_region_optimum_is_pinned(n, nodes, digest):
     # every combination of pad lengths is a schedule entry here, so the
     # closed-span nogoods within an entry show in the node counts: without
     # them the search takes 559, 5,072 and 37,637 nodes
-    prob = build_problem(analyze(_secret_region(n), TIGHT8, mode=Mode.TSC))
+    prob = build_problem(analyze(secret_region(n), TIGHT8, mode=Mode.TSC))
     result = solve_optimal(prob, time_budget=60)
     assert (result.status, result.nodes) == (SolveStatus.OPTIMAL, nodes)
     assert _digest([result.solution]) == digest
