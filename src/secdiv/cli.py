@@ -138,7 +138,8 @@ def cmd_compile(args) -> int:
     baseline_obj = None
     overhead = None
     if mode is not Mode.NONE:
-        _, _, base_result = _compile(func, profile, Mode.NONE, args.budget_secs, args.balance)
+        remaining = args.budget_secs - (time.monotonic() - started)
+        _, _, base_result = _compile(func, profile, Mode.NONE, remaining, args.balance)
         if base_result.solution is not None:
             baseline_obj = base_result.solution.objective
             if baseline_obj > 0:
@@ -189,7 +190,7 @@ def cmd_diversify(args) -> int:
             n=args.variants,
             gap=Fraction(args.gap, 100),
             dthresh=args.dthresh,
-            time_budget=args.budget_secs,
+            time_budget=args.budget_secs - (time.monotonic() - started),
             seed=args.seed,
         )
     else:

@@ -15,27 +15,30 @@ A problem instance is built from an analyzed function and exposes
 The model states each fact once, for the solver and the lowering to read:
 `CopProblem.domain` lists each variable's values, `_canonical` is the
 canonical form that every `Solution` is in, `hazard` the transition rule,
-and a schedule's `ValueModel` its live ranges, which values clash
-(`interference`) and which only copies read (`copied_only`); the
-allocator, the naive renamer and the checker read those two.
+`CopProblem.balance` the balance rows, `waits_for` what each op waits
+for in its block, and a schedule's `ValueModel` its live ranges, which
+values clash (`interference`) and which only copies read (`copied_only`).
+The search bounds each of them, and the checker evaluates them.
 
 `build_problem` fills what every leaf reads once per problem: each op's
-latency (`CopProblem.latency`), each block's taken-edge overhead and the
-block weights as integers, scaled by the LCM of their denominators, so
-the objective is an integer sum divided by that scale, exact and equal to
-the `Fraction` sum.  `build_value_model` is memoized per problem instance
-on the active set and the cycles of the active ops, the inputs it reads
-(the roots follow from the active set); the memo lives on the problem and
-only as long as it, and a `ValueModel` is read-only.  It is built in one
-pass per fact: each block's last use of each value, live-in and live-out
-in one backward pass, one interval per block a value is defined in or
-live into, and the clashes from each block's intervals.
+latency (`CopProblem.latency`), the balance rows, each block's taken-edge
+overhead and the block weights as integers, scaled by the LCM of their
+denominators, so the objective is an integer sum divided by that scale,
+exact and equal to the `Fraction` sum.  `build_value_model` is memoized
+per problem instance on the active set and the cycles of the active ops,
+the inputs it reads (the roots follow from the active set); the memo
+lives on the problem and only as long as it, and a `ValueModel` is
+read-only.  It is built in one pass per fact: each block's last use of
+each value, live-in and live-out in one backward pass, one interval per
+block a value is defined in or live into, and the clashes from each
+block's intervals.
 
 `check_solution` re-evaluates every constraint from scratch on a
 `Solution`, its `objective` field included, after checking that every
 variable takes a value of its domain and of its type (an activation or
-swap is a bool, an instruction, cycle or location an int); it shares no
-code with the solver's propagation and is the final word on feasibility.
+swap is a bool, an instruction, cycle or location an int); it reads the
+model's statements, as the search does, but none of the search's
+propagation, and is the final word on feasibility.
 It derives each fact of the assignment once per check, and a memo hit
 means only that the same pure function got equal inputs.
 """
@@ -127,6 +130,11 @@ class CopProblem:
     scaled_weights: tuple[int, ...] = ()
     # each block's taken-edge overhead in the objective
     edge_overhead: tuple[int, ...] = ()
+    # balance rows: each path of a secret path set against the set's first
+    # path, as (blocks only on the first, blocks only on the other, the
+    # first's taken-edge overhead minus the other's), balanced when the
+    # constant plus the first blocks' spans minus the other's is 0
+    balance: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...] = ()
     # build_value_model's memo, keyed on each op's cycle (None for an
     # inactive op); build_problem leaves in it the model its infeasibility
     # check reads, a copy made with dataclasses.replace starts empty, and
@@ -269,6 +277,19 @@ def build_problem(analyzed: AnalyzedFunction) -> CopProblem:
                     mem_deps.append((o1.index, o2.index))
     prob.mem_deps = tuple(mem_deps)
 
+    # the blocks both paths take cancel, so a row is decided as soon as
+    # the blocks where the paths differ are
+    taken = [func.taken_successor(b.index) for b in func.blocks]
+
+    def edges(path: Sequence[int]) -> int:
+        return sum(taken[a] == b for a, b in zip(path, path[1:])) * profile.taken_branch_overhead
+
+    prob.balance = tuple(
+        (tuple(b for b in p if b not in q), tuple(b for b in q if b not in p), edges(p) - edges(q))
+        for p, *others in (pset.paths for pset in prob.psets)
+        for q in others
+    )
+
     _detect_obvious_infeasibility(prob)
     return prob
 
@@ -322,6 +343,27 @@ def resolve_roots(prob: CopProblem, active: set[int]) -> dict[str, str]:
             cur = src_of[cur]
         roots[name] = cur
     return roots
+
+
+def waits_for(
+    prob: CopProblem, active: AbstractSet[int], roots: Mapping[str, str]
+) -> dict[int, list[tuple[int, int]]]:
+    """Map each active op that waits for an active op of its own block to
+    those, as (site, latency): the root def of each temp it reads, then
+    each earlier same-slot access of `mem_deps`."""
+    waits: dict[int, list[tuple[int, int]]] = {}
+    for op in prob.ops:
+        idx = op.index
+        if idx not in active:
+            continue
+        for temp in prob.op_uses[idx]:
+            site = prob.def_site.get(roots[temp])
+            if site in active and prob.op_block[site] == prob.op_block[idx]:
+                waits.setdefault(idx, []).append((site, prob.latency[site]))
+    for a, b in prob.mem_deps:
+        if a in active and b in active:
+            waits.setdefault(b, []).append((a, prob.latency[a]))
+    return waits
 
 
 @dataclass(frozen=True)
@@ -455,20 +497,6 @@ def _objective(prob: CopProblem, spans: Mapping[int, int]) -> Fraction:
     return Fraction(total, prob.weight_scale)
 
 
-def path_cost(
-    prob: CopProblem, path: Sequence[int], spans: Mapping[int, int]
-) -> int:
-    """Cycle count along a path: block makespans plus taken-edge overheads."""
-    total = 0
-    for i, b in enumerate(path):
-        total += spans[b]
-        if i + 1 < len(path):
-            taken = prob.function.taken_successor(b)
-            if taken is not None and path[i + 1] == taken:
-                total += prob.profile.taken_branch_overhead
-    return total
-
-
 def active_set(prob: CopProblem, values: Mapping[VarKey, object]) -> set[int]:
     return {op.index for op in prob.ops if not op.optional or values.get(("active", op.index))}
 
@@ -516,8 +544,9 @@ def _canonical(
 def check_solution(sol: Solution, prob: CopProblem) -> list[Violation]:
     """Re-evaluate every constraint from scratch; empty list means feasible.
 
-    This is a from-first-principles evaluation, deliberately disjoint from
-    the solver's propagation machinery.
+    It evaluates the constraints as the model states them, the statements
+    the search bounds too (the balance rows, `waits_for`), and shares none
+    of the search's propagation.
     """
     values = sol.as_dict()
     out: list[Violation] = []
@@ -593,7 +622,8 @@ def check_solution(sol: Solution, prob: CopProblem) -> list[Violation]:
                         Violation("operand-location", f"op {op.index} defines {d} in memory")
                     )
 
-    # dependencies
+    # dependencies: each root read has an active def in the same or an
+    # earlier block, and an op issues once what it waits for is ready
     for op in prob.ops:
         if op.index not in active:
             continue
@@ -606,31 +636,13 @@ def check_solution(sol: Solution, prob: CopProblem) -> list[Violation]:
                 out.append(
                     Violation("dependency", f"op {op.index} uses {root} whose def is inactive")
                 )
-                continue
-            db, ub = prob.op_block[site], prob.op_block[op.index]
-            if db == ub:
-                ready = cycle[site] + prob.latency[site]
-                if cycle[op.index] < ready:
-                    out.append(
-                        Violation(
-                            "dependency",
-                            f"op {op.index} at cycle {cycle[op.index]} uses {root} "
-                            f"ready at {ready}",
-                        )
-                    )
-            elif db > ub:
+            elif prob.op_block[site] > prob.op_block[op.index]:
                 out.append(Violation("dependency", f"def of {root} in later block than use"))
-
-    for a, b in prob.mem_deps:
-        if a in active and b in active:
-            ready = cycle[a] + prob.latency[a]
-            if cycle[b] < ready:
-                out.append(
-                    Violation(
-                        "dependency",
-                        f"memory op {b} reordered before same-slot op {a}",
-                    )
-                )
+    for idx, waits in waits_for(prob, active, roots).items():
+        for site, lat in waits:
+            if cycle[idx] < cycle[site] + lat:
+                message = f"op {idx} at cycle {cycle[idx]} issues before op {site} is ready"
+                out.append(Violation("dependency", message))
 
     # single-issue, horizon, terminator position
     for block in func.blocks:
@@ -674,13 +686,14 @@ def check_solution(sol: Solution, prob: CopProblem) -> list[Violation]:
 
     # timing-balance constraints
     spans = block_makespans(prob, active, cycle)
-    for pset in prob.psets:
-        costs = {path: path_cost(prob, path, spans) for path in pset.paths}
-        if len(set(costs.values())) > 1:
-            detail = ", ".join(
-                "->".join(map(str, p)) + f"={c}" for p, c in sorted(costs.items())
-            )
-            out.append(Violation("balance", f"unbalanced secret paths: {detail}"))
+    for left, right, const in prob.balance:
+        diff = const
+        for b in left:
+            diff += spans[b]
+        for b in right:
+            diff -= spans[b]
+        if diff:
+            out.append(Violation("balance", f"blocks {left} and {right} differ by {diff}"))
 
     # power constraints: register-overwrite and memory-bus transitions
     if prob.pairs.rpairs or prob.pairs.hazard_temps:

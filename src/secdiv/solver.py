@@ -13,11 +13,11 @@ become an incumbent or a pool member.
 
 What depends on neither the seed nor the blocking set is built once per
 problem, in a ``_Plan``: ``diversify`` builds one for its bounded problem,
-and every search of the pool reads it.  It holds the balance rows, the
-structural steps and each block's span from its mandatory ops.  What the
-model states (tables, domains, canonical form, transition rule, and each
-schedule's clashing and copy-only values), the search reads from the
-problem and does not restate.
+and every search of the pool reads it.  It holds the structural steps and
+each block's span from its mandatory ops.  What the model states (tables,
+domains, canonical form, transition rule, the balance rows, what each op
+waits for in its block, and each schedule's clashing and copy-only
+values), the search reads from the problem and does not restate.
 
 The search cuts every subtree that holds no leaf, and only those, so the
 leaves and their order are those of a search without the cuts:
@@ -64,8 +64,8 @@ from .copmodel import (
     check_solution,
     hazard,
     make_solution,
-    path_cost,
     resolve_roots,
+    waits_for,
 )
 
 
@@ -103,7 +103,8 @@ class _Timeout(Exception):
 
 class _Plan:
     """What every search of one problem shares, built once per problem:
-    everything that depends on neither the seed nor the blocking set."""
+    everything that depends on neither the seed nor the blocking set and
+    that the model does not state (the balance rows are the problem's)."""
 
     def __init__(self, prob: CopProblem):
         self.prob = prob
@@ -152,19 +153,6 @@ class _Plan:
         self.reach: list[set[int]] = [set() for _ in func.blocks]
         for b in reversed(range(nblocks)):
             self.reach[b] = {b}.union(*(self.reach[s] for s in func.successors(b)))
-
-        # balance equalities in difference form: shared blocks cancel, so
-        # the check fires as soon as the differing blocks are scheduled
-        # (path_cost with zero makespans is the taken-edge overhead alone)
-        self.balance_diffs: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-        no_spans = dict.fromkeys(range(nblocks), 0)
-        for pset in prob.psets:
-            anchor, *others = pset.paths
-            for other in others:
-                left = tuple(b for b in anchor if b not in set(other))
-                right = tuple(b for b in other if b not in set(anchor))
-                const = path_cost(prob, anchor, no_spans) - path_cost(prob, other, no_spans)
-                self.balance_diffs.append((left, right, const))
 
         # each block's span bounds with its mandatory ops alone, which the
         # structural phase updates as it decides optional ops: the lower
@@ -332,20 +320,7 @@ class _Search:
         prob = self.prob
         active = self.active = plan.mandatory | self.on
         roots = self.roots = resolve_roots(prob, active)
-        # each active op's same-block dependencies, as (site, latency)
-        deps: dict[int, list[tuple[int, int]]] = {}
-        for ops in plan.ops_by_block:
-            for idx in ops:
-                if idx not in active:
-                    continue
-                for temp in prob.op_uses[idx]:
-                    site = prob.def_site.get(roots[temp])
-                    if site in active and prob.op_block[site] == prob.op_block[idx]:
-                        deps.setdefault(idx, []).append((site, prob.latency[site]))
-        for a, b in prob.mem_deps:
-            if a in active and b in active:
-                deps.setdefault(b, []).append((a, prob.latency[a]))
-        self.deps = deps
+        deps = self.deps = waits_for(prob, active, roots)
         # each active op's later active ops in its block, as (op, latency,
         # dependencies): none for the op whose placement closes the block
         # and fixes its span
@@ -372,7 +347,7 @@ class _Search:
         return True
 
     def _balance_bounds_ok(self, lo_span: list[int], hi_span: list[int]) -> bool:
-        for left, right, const in self.plan.balance_diffs:
+        for left, right, const in self.prob.balance:
             lo = hi = const
             for b in left:
                 lo += lo_span[b]

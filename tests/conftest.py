@@ -44,6 +44,15 @@ IMPLICIT = (
     "block 4\n  q = ld res\n  ret q\n"
 )
 
+# a tsc program whose secret branch skips a one-block arm without stores,
+# which --balance cbb pads with a dead-def copy of the arm, not with NOPs
+CBB_ARM = (
+    "func cbb_arm (x:public, k:secret)\n"
+    "block 0\n  z = li 0\n  bne k, z, 2\n"
+    "block 1\n  a = add x, x\n  b = xor a, x\n  c = add b, a\n  d = xor c, b\n"
+    "block 2\n  ret x\n"
+)
+
 
 def secret_region(n: int):
     """Block 0 branches on the secret k past n diamonds, each a branch on

@@ -3,12 +3,15 @@
     python tests/pool_outputs.py TREE DEST
 
 Runs every job of `perfbench.workloads.WORKLOADS` (of the checkout that
-holds this script), and the `EXTRA` jobs under the name `extra`, on
-diversify seeds 0 and 1 through TREE's `secdiv.cli.main`, in-process:
-`diversify`, `verify`, then `gadgets`, each whatever the one before
-returned.  Pools land under DEST/<workload>/s<seed>/<job key>/.  Then
-`compile --emit-model --emit-analysis` runs once on every (function,
-mode) pair of `corpus_sweep` but naive, into DEST/compile/.  Every file
+holds this script), the `EXTRA` jobs under the name `extra`, and under the
+name `cbb` the tsc jobs of `corpus_sweep` and the sweep of `conftest.CBB_ARM`
+(written to DEST/cbb_arm.mir) at `--balance cbb`, on diversify seeds 0
+and 1 through TREE's `secdiv.cli.main`, in-process: `diversify`,
+`verify`, then `gadgets`, each whatever the one before returned.  Pools
+land under DEST/<workload>/s<seed>/<job key>/.  Then `compile
+--emit-model --emit-analysis` runs once on every (function, mode) pair of
+`corpus_sweep` but naive, into DEST/compile/, and on every function of
+`cbb` at `--balance cbb`, into DEST/compile-cbb/.  Every file
 but `timing.log` (which holds wall times) is kept.  DEST/log.txt gives,
 per command, its arguments, exit code, stdout and stderr, with DEST and
 TREE masked.  Two trees that behave alike give two DEST directories that
@@ -44,9 +47,14 @@ def main(argv: list[str]) -> int:
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     sys.path[:0] = [str(tree / "src"), str(perfbench)]
     from secdiv import cli
-    from workloads import WORKLOADS, Job
+    from workloads import SWEEP_GAPS, WORKLOADS, Job
+    from conftest import CBB_ARM
 
     corpus = tree / "src" / "secdiv" / "corpus"
+    sources = {path.stem: path for path in corpus.glob("*.mir")}
+    sources["cbb_arm"] = dest / "cbb_arm.mir"
+    dest.mkdir(parents=True)
+    sources["cbb_arm"].write_text(CBB_ARM)
     log = []
 
     def run(*args: str) -> None:
@@ -58,19 +66,29 @@ def main(argv: list[str]) -> int:
 
     jobs = {workload: spec.jobs for workload, spec in WORKLOADS.items()}
     jobs["extra"] = [Job(*job) for job in EXTRA]
+    # under cbb a pad is a dead-def copy of the arm instead of NOPs, so
+    # the balance rows differ from ebb's; every corpus function falls back
+    # to ebb, and cbb_arm does not
+    jobs["cbb"] = [job for job in jobs["corpus_sweep"] if job.mode == "tsc"]
+    jobs["cbb"] += [Job("cbb_arm", "tsc", gap, 4) for gap in SWEEP_GAPS]
     for workload, workload_jobs in jobs.items():
+        balance = ["--balance", "cbb"] if workload == "cbb" else []
         for seed in SEEDS:
             out = dest / workload / f"s{seed}"
             for job in workload_jobs:
-                mir, pool = str(corpus / f"{job.function}.mir"), str(out / job.key)
+                mir, pool = str(sources[job.function]), str(out / job.key)
                 run("diversify", mir, "--mode", job.mode, "--gap", str(job.gap),
-                    "--variants", str(job.variants), "--seed", str(seed), "--out", str(out))
+                    "--variants", str(job.variants), "--seed", str(seed), "--out", str(out),
+                    *balance)
                 run("verify", mir, "--pool", pool)
                 run("gadgets", "--pool", pool)
     pairs = {(job.function, job.mode) for job in jobs["corpus_sweep"] if job.mode != "naive"}
     for function, mode in sorted(pairs):
-        run("compile", str(corpus / f"{function}.mir"), "--mode", mode,
+        run("compile", str(sources[function]), "--mode", mode,
             "--emit-model", "--emit-analysis", "--out", str(dest / "compile"))
+    for function in sorted({job.function for job in jobs["cbb"]}):
+        run("compile", str(sources[function]), "--mode", "tsc", "--balance", "cbb",
+            "--emit-model", "--emit-analysis", "--out", str(dest / "compile-cbb"))
     for timing in dest.rglob("timing.log"):
         timing.unlink()
     (dest / "log.txt").write_text("\n".join(log))

@@ -9,6 +9,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -676,6 +677,29 @@ def test_budget_must_be_finite_and_positive(tmp_path, capsys, command, value):
     assert exc.value.code == 2
     assert "argument --budget-secs: must be a finite number above 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compile", "diversify"])
+def test_budget_covers_both_solves_of_a_command(tmp_path, capsys, monkeypatch, command):
+    # on a fake clock every solve takes 3 s: the second solve of a 10 s
+    # budget gets the 7 s the first left
+    clock = [100.0]
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    budgets = []
+
+    def spending(solve):
+        def timed(prob, *args, time_budget, **kwargs):
+            budgets.append(time_budget)
+            clock[0] += 3
+            return solve(prob, *args, time_budget=60, **kwargs)
+        return timed
+
+    monkeypatch.setattr(cli.solver, "solve_optimal", spending(cli.solver.solve_optimal))
+    monkeypatch.setattr(cli.solver, "diversify", spending(cli.solver.diversify))
+    pool = ["--variants", "2"] if command == "diversify" else []
+    assert run_cli(command, corpus_path("check_bit"), "--mode", "tsc", *pool,
+                   "--budget-secs", "10", "--out", tmp_path / "out") == 0
+    assert budgets == [10, 7]
 
 
 def test_report_aggregates(tmp_path, capsys):

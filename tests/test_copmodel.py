@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_naive_pool, load
+from conftest import CBB_ARM, corpus_naive_pool, load, secret_region
 from scalar_machine import run
 from secdiv.copmodel import (
     ZERO,
@@ -27,6 +27,7 @@ from secdiv.copmodel import (
     make_solution,
     resolve_roots,
     to_schedule,
+    waits_for,
 )
 from secdiv.machine import TIGHT8, WIDE32, encode
 from secdiv.mir import FunctionIR, Opcode, SecurityLabel, parse_function, paths
@@ -178,6 +179,7 @@ def test_check_solution_flags_rot_conflict():
 def test_check_solution_flags_unbalanced_paths():
     prob = _problem("check_bit", Mode.TSC)
     sol = solver.solve_optimal(prob, time_budget=30).solution
+    assert check_solution(sol, prob) == []
     values = sol.as_dict()
     # deactivate one padding NOP: the taken path gets shorter
     nops = prob.nop_blocks[2]
@@ -684,3 +686,110 @@ def test_value_model_interference_and_copied_only_match_a_recount(pool):
             for temp in prob.op_uses[op.index]
         }
         assert model.copied_only == set(model.values) - read
+
+
+# a tsc program whose secret arms each end in a return: the secret region
+# has no join, and its paths end at the returns
+SPLIT_RETURNS = (
+    "func split (x:public, k:secret)\n"
+    "block 0\n  z = li 0\n  st s, x\n  bne k, z, 2\n"
+    "block 1\n  a = add x, x\n  b = xor a, x\n  st s, b\n  r = ld s\n  ret r\n"
+    "block 2\n  c = ld s\n  ret c\n"
+)
+
+
+def _built(func, mode: Mode, balance: str = "ebb"):
+    return build_problem(analyze(func, TIGHT8, mode=mode, balance=balance))
+
+
+def _recount_rows(prob) -> tuple:
+    """Each path of each secret path set against the set's first path:
+    the blocks only on either, and the taken edges the first path takes
+    minus those the other takes, times the taken-edge overhead."""
+    func = prob.function
+
+    def taken_edges(path) -> int:
+        return sum(1 for a, b in zip(path, path[1:]) if func.taken_successor(a) == b)
+
+    rows = []
+    for pset in prob.psets:
+        first, *others = pset.paths
+        for other in others:
+            rows.append((
+                tuple(b for b in first if b not in other),
+                tuple(b for b in other if b not in first),
+                (taken_edges(first) - taken_edges(other)) * prob.profile.taken_branch_overhead,
+            ))
+    return tuple(rows)
+
+
+def _recount_waits(prob, active) -> dict:
+    """Walk each block's active ops in order: an op waits for the def of
+    each temp it reads, through inactive copies to the root, when that
+    def is an active op of its block, and then for each earlier load or
+    store of the same slot when either of the two is a store."""
+    defined = {}
+    for block in prob.function.blocks:
+        for op in block.ops:
+            for name in op.defs:
+                defined.setdefault(name, op)
+
+    def root_def(temp):
+        op = defined.get(temp)
+        while op is not None and op.opcode is Opcode.COPY and op.index not in active:
+            op = defined.get(op.uses[0])
+        return op
+
+    waits = {}
+    for block in prob.function.blocks:
+        here = [op for op in block.ops if op.index in active]
+        for i, op in enumerate(here):
+            deps = [
+                (d.index, prob.latency[d.index])
+                for d in map(root_def, op.temp_uses())
+                if d is not None and d in here
+            ]
+            deps += [
+                (e.index, prob.latency[e.index])
+                for e in here[:i]
+                if {e.opcode, op.opcode} <= {Opcode.LD, Opcode.ST}
+                and Opcode.ST in (e.opcode, op.opcode)
+                and e.slot == op.slot
+            ]
+            if deps:
+                waits[op.index] = deps
+    return waits
+
+
+_SCHEDULE_PROBLEMS = {
+    "two_branches-tsc": lambda: _problem("two_branches", Mode.TSC),
+    "long_arm-tsc": lambda: _problem("long_arm", Mode.TSC),
+    "long_arm-tsc-cbb": lambda: _built(load("long_arm"), Mode.TSC, "cbb"),
+    "cbb_arm-tsc-cbb": lambda: _built(parse_function(CBB_ARM), Mode.TSC, "cbb"),
+    "modexp_step-tsc": lambda: _problem("modexp_step", Mode.TSC),
+    "share_compare-tsc": lambda: _problem("share_compare", Mode.TSC),
+    "secret_region-3-tsc": lambda: _built(secret_region(3), Mode.TSC),
+    "split_returns-tsc": lambda: _built(parse_function(SPLIT_RETURNS), Mode.TSC),
+    "spill_pair-none-g100": lambda: _searched_pool("spill_pair", Mode.NONE, 10, Fraction(1)),
+    "masked_chain-psc": lambda: _problem("masked_chain", Mode.PSC),
+}
+
+
+@pytest.mark.parametrize("make", _SCHEDULE_PROBLEMS.values(), ids=_SCHEDULE_PROBLEMS)
+def test_schedule_constraints_match_a_recount(make):
+    """The model's balance rows and `waits_for` state what a recount
+    from the secret path sets and from a walk of each block finds, for
+    the mandatory ops, for every op, and for each active set of a pool."""
+    built = make()
+    pool = built if isinstance(built, solver.VariantPool) else None
+    prob = pool.problem if pool else built
+    assert prob.balance == _recount_rows(prob)
+    if prob.mode is Mode.TSC:
+        assert prob.balance
+    mandatory = {op.index for op in prob.ops if not op.optional}
+    actives = [mandatory, {op.index for op in prob.ops}]
+    if pool:
+        actives += [copmodel.active_set(prob, sol.as_dict()) for sol in pool.solutions]
+    for active in actives:
+        assert waits_for(prob, active, resolve_roots(prob, active)) == _recount_waits(prob, active)
+

@@ -151,17 +151,39 @@ def test_only_the_decoder_states_what_a_word_writes():
     assert "Opcode" not in _names(run_batch)
 
 
+def _field_readers(attr: str) -> set[str]:
+    """Each package function or method that reads the field `attr` of
+    some object, as module.qualified name."""
+    return {
+        f"{module}.{qualified}"
+        for module, tree in _trees().items()
+        for qualified, node in _functions(tree)
+        if any(
+            isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.ctx, ast.Load)
+            for n in ast.walk(node)
+        )
+    }
+
+
 def test_only_the_model_states_which_values_clash():
     """`copmodel` derives from a value model's `intervals` which values
     clash, and the allocator and the checker read that: outside
     `copmodel`, only `solver._naive_rename` reads `intervals`, for its
     preference for recently freed registers, and `check_solution` reads
     them nowhere."""
-    readers = {
-        f"{module}.{qualified}"
-        for module, tree in _trees().items()
-        for qualified, node in _functions(tree)
-        if any(isinstance(n, ast.Attribute) and n.attr == "intervals" for n in ast.walk(node))
-    }
+    readers = _field_readers("intervals")
     assert {r for r in readers if not r.startswith("copmodel.")} == {"solver._naive_rename"}
     assert "copmodel.check_solution" not in readers
+
+
+def test_only_the_model_states_the_schedule_constraints():
+    """`copmodel` states the balance rows, which `build_problem` builds
+    from the secret path sets, and what each op waits for in its block,
+    which `waits_for` derives with the same-slot accesses; the search and
+    the checker read those.  So `mem_deps` is read only in `waits_for`,
+    `psets` outside `secanalysis` only in `build_problem` and
+    `emit_model`, and `solver` names none of them, nor `path_cost`."""
+    assert _field_readers("mem_deps") == {"copmodel.waits_for"}
+    psets = {r for r in _field_readers("psets") if not r.startswith("secanalysis.")}
+    assert psets == {"copmodel.build_problem", "copmodel.emit_model"}
+    assert not _names(_trees()["solver"]) & {"psets", "mem_deps", "path_cost"}

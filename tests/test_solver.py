@@ -28,7 +28,6 @@ from secdiv.copmodel import (
     build_value_model,
     check_solution,
     make_solution,
-    path_cost,
     resolve_roots,
 )
 from secdiv.machine import TIGHT8
@@ -464,23 +463,15 @@ def test_tsc_pool_jobs_reproduce_pinned_search(name, gap):
     assert row == _TSC_POOL_GOLDEN[(name, gap)]
 
 
-def test_diversify_builds_balance_rows_once(monkeypatch):
+def test_diversify_builds_balance_rows_once():
+    # build_problem builds the rows once, and the pool's bounded copy and
+    # every search of it read that same tuple
     prob = _problem("modexp_step", Mode.TSC)
     best = solve_optimal(prob, time_budget=60).solution
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return path_cost(*args)
-
-    monkeypatch.setattr(solver, "path_cost", counted)
     pool = diversify(prob, best, n=30, time_budget=60, seed=0)
     assert len(pool.solutions) == 30
-    # two path costs per balance row (the anchor path and the other one),
-    # for the one plan that the pool's 29 searches share
-    rows = sum(len(pset.paths) - 1 for pset in prob.psets)
-    assert rows > 0
-    assert len(calls) == 2 * rows
+    assert len(prob.balance) == sum(len(pset.paths) - 1 for pset in prob.psets) > 0
+    assert pool.problem.balance is prob.balance
 
 
 def test_memoized_value_models_equal_fresh_builds(monkeypatch):
