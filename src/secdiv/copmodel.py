@@ -18,13 +18,16 @@ canonical form that every `Solution` is in, `hazard` the transition rule,
 `CopProblem.balance` the balance rows, `waits_for` what each op waits
 for in its block, and a schedule's `ValueModel` its live ranges, which
 values clash (`interference`) and which only copies read (`copied_only`).
-The search bounds each of them, and the checker evaluates them.
+The search bounds each of them, and the checker evaluates them.  The
+canonical form and the checker read which copy spills or reloads from
+`machine.copy_opcode`, as the encoder does.
 
 `build_problem` fills what every leaf reads once per problem: each op's
-latency (`CopProblem.latency`), the balance rows, each block's taken-edge
-overhead and the block weights as integers, scaled by the LCM of their
-denominators, so the objective is an integer sum divided by that scale,
-exact and equal to the `Fraction` sum.  `build_value_model` is memoized
+latency (`CopProblem.latency`, the profile's, a copy's 2 cycles too),
+the balance rows, each block's taken-edge overhead and the block weights
+as integers, scaled by the LCM of their denominators, so the objective
+is an integer sum divided by that scale, exact and equal to the
+`Fraction` sum.  `build_value_model` is memoized
 per problem instance on the active set and the cycles of the active ops,
 the inputs it reads (the roots follow from the active set); the memo
 lives on the problem and only as long as it, and a `ValueModel` is
@@ -50,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Mapping, Optional, Sequence
 
-from .machine import MachineProfile, Opcode, Schedule, remat_constant
+from .machine import MachineProfile, Opcode, Schedule, copy_opcode, remat_constant
 from .mir import FunctionIR, Operation
 from .secanalysis import AnalyzedFunction, LeakPairSets, Mode, SecretPathSet, memory_conflicts
 
@@ -180,13 +183,7 @@ def build_problem(analyzed: AnalyzedFunction) -> CopProblem:
     )
 
     prob.ops = sorted(func.all_ops(), key=lambda o: o.index)
-    # Copies occupy a uniform 2-cycle slot whatever they lower to (mov,
-    # self-or/and, li, or a spill store/reload); a register move gets a
-    # padding NOP after it.  Keeping the latency independent of the
-    # register choice keeps scheduling and allocation separable.
-    prob.latency = {
-        op.index: 2 if op.opcode is Opcode.COPY else profile.latency[op.opcode] for op in prob.ops
-    }
+    prob.latency = {op.index: profile.latency[op.opcode] for op in prob.ops}
     prob.weight_scale = math.lcm(*(b.weight.denominator for b in func.blocks))
     prob.scaled_weights = tuple(int(b.weight * prob.weight_scale) for b in func.blocks)
     prob.edge_overhead = tuple(
@@ -528,8 +525,9 @@ def _canonical(
             v = prob.domain(key)[0]
         elif kind == "instr" and x in prob.copy_ops:
             src, dst = prob.copy_ops[x]
-            memory = values[("reg", dst)] >= nregs or values[("reg", roots[src])] >= nregs
-            v = 0 if memory else values[key]
+            impl = prob.alternatives[x][values[key]]
+            word = copy_opcode(impl, values[("reg", roots[src])], values[("reg", dst)], nregs)
+            v = values[key] if word is impl else 0
         else:
             v = values[key]
         out.append((key, v))
@@ -596,14 +594,12 @@ def check_solution(sol: Solution, prob: CopProblem) -> list[Violation]:
             continue
         if op.opcode is Opcode.COPY:
             src, dst = prob.copy_ops[op.index]
-            src_loc = loc[roots[src]]
-            dst_loc = loc[dst]
-            if src_loc >= nregs and dst_loc >= nregs:
+            impl = prob.alternatives[op.index][values.get(("instr", op.index), 0)]
+            if copy_opcode(impl, loc[roots[src]], loc[dst], nregs) is None:
                 out.append(
                     Violation("operand-location", f"copy {op.index} moves memory to memory")
                 )
-            impl = prob.alternatives[op.index][values.get(("instr", op.index), 0)]
-            if impl is Opcode.LI and dst_loc >= nregs:
+            if impl is Opcode.LI and loc[dst] >= nregs:
                 out.append(
                     Violation("operand-location", f"copy {op.index} rematerializes into memory")
                 )
@@ -765,19 +761,13 @@ def _check_transitions(prob, active, cycle, loc, roots) -> list[Violation]:
             (op for op in block.ops if op.index in active), key=lambda o: cycle[o.index]
         )
         for op in ops_here:
-            data: Optional[str] = None
-            if op.opcode is Opcode.ST:
-                data = roots[op.uses[1]]
-            elif op.opcode is Opcode.LD:
-                data = roots[op.defs[0]]
-            elif op.opcode is Opcode.COPY:
-                src, dst = prob.copy_ops[op.index]
-                if loc[dst] >= nregs:
-                    data = roots[src]  # spill store
-                elif loc[roots[src]] >= nregs:
-                    data = roots[dst]  # reload
-            if data is not None:
-                write(here, "bus", data, op)
+            word = op.opcode
+            if word is Opcode.COPY:  # a spill stores its source, a reload loads
+                word = copy_opcode(word, loc[roots[op.uses[0]]], loc[op.defs[0]], nregs)
+            if word is Opcode.ST:  # a store's value is its last use
+                write(here, "bus", roots[op.uses[-1]], op)
+            elif word is Opcode.LD:
+                write(here, "bus", roots[op.defs[0]], op)
             # an aliased def is not a real write
             if op.defs and roots[op.defs[0]] == op.defs[0] and loc[op.defs[0]] < nregs:
                 write(here, f"r{loc[op.defs[0]]}", op.defs[0], op)

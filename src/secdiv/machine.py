@@ -31,7 +31,11 @@ shape on its own.
 Cost model: ALU/MOV/LI/NOP take 1 cycle, LD/ST take 2, the unconditional
 branch takes 3, a conditional branch takes 1 plus a 2-cycle overhead when
 taken, RET takes 1.  The LD/ST latency of 2 is a model choice for a
-predictable microcontroller and is flagged in emitted reports.
+predictable microcontroller and is flagged in emitted reports.  An IR
+copy takes 2 cycles whatever word `copy_opcode` lowers it to, and `encode`
+advances by each IR op's slot, so a register move gets a NOP right after
+it, even at the end of its block.  The profile's `latency` is the one
+table of these costs: the analysis, the model and the encoder read it.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ def _base_latency() -> dict[Opcode, int]:
     lat = {op: 1 for op in Opcode}
     lat[Opcode.LD] = 2
     lat[Opcode.ST] = 2
+    lat[Opcode.COPY] = 2  # one slot for any word: scheduling stays apart from allocation
     lat[Opcode.B] = 3
     return lat
 
@@ -219,8 +224,11 @@ def encode(func: FunctionIR, schedule: Schedule, profile: MachineProfile) -> Mac
                 words.append(Instr(Opcode.NOP))
                 clock += 1
             ins = _lower(func, schedule, op, reg_of, nregs)
-            words.append(ins)
-            clock = start + profile.latency[ins.opcode]
+            slot = profile.latency[op.opcode]
+            # NOPs fill what the op's slot outlasts its word by (a register
+            # copy's second cycle), at the end of a block too
+            words += [ins] + [Instr(Opcode.NOP)] * (slot - profile.latency[ins.opcode])
+            clock = start + slot
         blocks.append(words)
     return MachineProgram(
         profile_name=profile.name, num_inputs=len(func.inputs), blocks=blocks
@@ -235,13 +243,34 @@ def remat_constant(func: FunctionIR, temp: str) -> Optional[int]:
     return None
 
 
+def copy_opcode(impl: Opcode, src_loc: int, dst_loc: int, nregs: int) -> Optional[Opcode]:
+    """A copy's machine opcode: ST into a memory slot, LD out of one, else
+    `impl`, the chosen instruction; None from memory to memory."""
+    if dst_loc >= nregs:
+        return None if src_loc >= nregs else Opcode.ST
+    return Opcode.LD if src_loc >= nregs else impl
+
+
 def _lower(func: FunctionIR, schedule: Schedule, op, reg_of, nregs: int) -> Instr:
     """One word for `op`: its defs, then its uses (the first two swapped
-    when the schedule says so), each laid out by its kind in `OPERANDS`."""
+    when the schedule says so), each laid out by its kind in `OPERANDS`;
+    a copy's opcode is `copy_opcode`'s (MOV unless chosen otherwise)."""
     opcode = schedule.impl.get(op.index, op.opcode)
     if op.opcode is Opcode.COPY:
-        return _lower_copy(func, schedule, op, reg_of, opcode, nregs)
-    if op.opcode is Opcode.MOV and opcode is not Opcode.MOV:
+        src, dst = schedule.loc[op.uses[0]], schedule.loc[op.defs[0]]
+        opcode = copy_opcode(schedule.impl.get(op.index, Opcode.MOV), src, dst, nregs)
+        if opcode is None:
+            raise MachineError(f"copy op {op.index} moves memory to memory")
+        if opcode is Opcode.ST:  # spill the source register into the slot
+            return Instr(Opcode.ST, dst - nregs, reg_of(op.uses[0]))
+        if opcode is Opcode.LD:  # reload from the spill slot
+            return Instr(Opcode.LD, dst, src - nregs)
+        if opcode is Opcode.LI:
+            imm = remat_constant(func, op.uses[0])
+            if imm is None:
+                raise MachineError(f"copy of {op.uses[0]!r} is not rematerializable")
+            return Instr(Opcode.LI, dst, imm)
+    if op.opcode in (Opcode.MOV, Opcode.COPY) and opcode is not Opcode.MOV:
         # self-move alternative: or/and of the source with itself
         src = reg_of(op.uses[0])
         return Instr(opcode, reg_of(op.defs[0]), src, src)
@@ -251,28 +280,6 @@ def _lower(func: FunctionIR, schedule: Schedule, op, reg_of, nregs: int) -> Inst
     convert = {"t": reg_of, "s": func.slots.index, "i": int, "b": int}
     kinds = OPERANDS[op.opcode][1]
     return Instr(opcode, *map(reg_of, op.defs), *(convert[k](u) for k, u in zip(kinds, uses)))
-
-
-def _lower_copy(func: FunctionIR, schedule: Schedule, op, reg_of, impl: Opcode, nregs: int) -> Instr:
-    src, dst = op.uses[0], op.defs[0]
-    src_loc = schedule.loc[src]
-    dst_loc = schedule.loc[dst]
-    if src_loc >= nregs and dst_loc >= nregs:
-        raise MachineError(f"copy op {op.index} moves memory to memory")
-    if dst_loc >= nregs:
-        # spill: store the source register into the chosen slot
-        return Instr(Opcode.ST, dst_loc - nregs, reg_of(src))
-    if impl is Opcode.LI:
-        imm = remat_constant(func, src)
-        if imm is None:
-            raise MachineError(f"copy of {src!r} is not rematerializable")
-        return Instr(Opcode.LI, dst_loc, imm)
-    if src_loc >= nregs:
-        # reload from the spill slot
-        return Instr(Opcode.LD, dst_loc, src_loc - nregs)
-    if impl in (Opcode.OR, Opcode.AND):
-        return Instr(impl, dst_loc, src_loc, src_loc)
-    return Instr(Opcode.MOV, dst_loc, src_loc)
 
 
 # ----------------------------------------------------------------------

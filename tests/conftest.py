@@ -53,6 +53,17 @@ CBB_ARM = (
     "block 2\n  ret x\n"
 )
 
+# a tsc program whose secret arm ends in an optional copy: a register
+# copy's second cycle then ends its block, and the encoder pads it there
+COPY_ARM = (
+    "func tc (x:public, k:secret)\n"
+    "block 0\n  z = li 0\n  bne k, z, 3\n"
+    "block 1\n  t = add x, x\n  opt c = copy t\n"
+    "block 2\n  st o, c\n  b 4\n"
+    "block 3\n  u = add x, x\n  st o, u\n"
+    "block 4\n  r = ld o\n  ret r\n"
+)
+
 
 def secret_region(n: int):
     """Block 0 branches on the secret k past n diamonds, each a branch on

@@ -3,15 +3,18 @@
     python tests/pool_outputs.py TREE DEST
 
 Runs every job of `perfbench.workloads.WORKLOADS` (of the checkout that
-holds this script), the `EXTRA` jobs under the name `extra`, and under the
+holds this script), the `EXTRA` jobs under the name `extra`, under the
 name `cbb` the tsc jobs of `corpus_sweep` and the sweep of `conftest.CBB_ARM`
-(written to DEST/cbb_arm.mir) at `--balance cbb`, on diversify seeds 0
+(written to DEST/cbb_arm.mir) at `--balance cbb`, and under the name
+`copy_arm` a tsc sweep of 20 variants of `conftest.COPY_ARM` (written to
+DEST/tc.mir), whose secret arm ends in a copy, on diversify seeds 0
 and 1 through TREE's `secdiv.cli.main`, in-process: `diversify`,
 `verify`, then `gadgets`, each whatever the one before returned.  Pools
 land under DEST/<workload>/s<seed>/<job key>/.  Then `compile
 --emit-model --emit-analysis` runs once on every (function, mode) pair of
-`corpus_sweep` but naive, into DEST/compile/, and on every function of
-`cbb` at `--balance cbb`, into DEST/compile-cbb/.  Every file
+`corpus_sweep` but naive, into DEST/compile/, on every function of
+`cbb` at `--balance cbb`, into DEST/compile-cbb/, and on COPY_ARM in
+tsc, into DEST/compile-copy_arm/.  Every file
 but `timing.log` (which holds wall times) is kept.  DEST/log.txt gives,
 per command, its arguments, exit code, stdout and stderr, with DEST and
 TREE masked.  Two trees that behave alike give two DEST directories that
@@ -48,13 +51,15 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(tree / "src"), str(perfbench)]
     from secdiv import cli
     from workloads import SWEEP_GAPS, WORKLOADS, Job
-    from conftest import CBB_ARM
+    from conftest import CBB_ARM, COPY_ARM
 
     corpus = tree / "src" / "secdiv" / "corpus"
     sources = {path.stem: path for path in corpus.glob("*.mir")}
-    sources["cbb_arm"] = dest / "cbb_arm.mir"
+    # a job's key names its pool, so COPY_ARM goes by its function's name
+    sources["cbb_arm"], sources["tc"] = dest / "cbb_arm.mir", dest / "tc.mir"
     dest.mkdir(parents=True)
     sources["cbb_arm"].write_text(CBB_ARM)
+    sources["tc"].write_text(COPY_ARM)
     log = []
 
     def run(*args: str) -> None:
@@ -71,6 +76,7 @@ def main(argv: list[str]) -> int:
     # to ebb, and cbb_arm does not
     jobs["cbb"] = [job for job in jobs["corpus_sweep"] if job.mode == "tsc"]
     jobs["cbb"] += [Job("cbb_arm", "tsc", gap, 4) for gap in SWEEP_GAPS]
+    jobs["copy_arm"] = [Job("tc", "tsc", gap, 20) for gap in SWEEP_GAPS]
     for workload, workload_jobs in jobs.items():
         balance = ["--balance", "cbb"] if workload == "cbb" else []
         for seed in SEEDS:
@@ -89,6 +95,8 @@ def main(argv: list[str]) -> int:
     for function in sorted({job.function for job in jobs["cbb"]}):
         run("compile", str(sources[function]), "--mode", "tsc", "--balance", "cbb",
             "--emit-model", "--emit-analysis", "--out", str(dest / "compile-cbb"))
+    run("compile", str(sources["tc"]), "--mode", "tsc",
+        "--emit-model", "--emit-analysis", "--out", str(dest / "compile-copy_arm"))
     for timing in dest.rglob("timing.log"):
         timing.unlink()
     (dest / "log.txt").write_text("\n".join(log))

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import FOUR_SECRETS, IMPLICIT, corpus_path
+from conftest import COPY_ARM, FOUR_SECRETS, IMPLICIT, corpus_path
 from secdiv import cli
 from secdiv.cli import main
 
@@ -542,6 +542,21 @@ def test_verify_flags_a_branch_on_an_implicit_flow(tmp_path, capsys, mode, code)
         f"variant_{i:03d}\tcr\tinsecure" for i in range(produced)
     ]
     assert json.loads((pool / "verify.json").read_text())["cr_violation_rate"] == 1
+
+
+@pytest.mark.parametrize("gap", [25, 50])
+def test_a_copy_that_ends_a_secret_arm_keeps_its_pool_constant_resource(tmp_path, capsys, gap):
+    """A register copy at the end of COPY_ARM's arm takes both cycles of
+    its slot there (a NOP pads it), so every variant runs the cycles the
+    model balanced and the oracle passes all 20 (it found 10 insecure at
+    either gap when the block lost the copy's second cycle)."""
+    src = tmp_path / "tc.mir"
+    src.write_text(COPY_ARM)
+    out = tmp_path / "out"
+    args = ("--mode", "tsc", "--gap", gap, "--variants", "20", "--seed", "0", "--out", out)
+    assert run_cli("diversify", src, *args) == 0
+    assert run_cli("verify", src, "--pool", out / f"tc-tsc-g{gap}") == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_checks_a_psc_pool_whose_file_has_no_random_input(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CBB_ARM, corpus_naive_pool, load, secret_region
+from conftest import CBB_ARM, COPY_ARM, corpus_naive_pool, load, secret_region
 from scalar_machine import run
 from secdiv.copmodel import (
     ZERO,
@@ -35,7 +35,7 @@ from secdiv.secanalysis import analyze
 from secdiv import copmodel, solver
 from conftest import all_corpus_names
 from test_secanalysis import _graph, dag_edges
-from test_solver import _WEIGHTS
+from test_solver import _WEIGHTS, COPY_ONLY_ARM
 
 
 def _problem(name: str, mode: Mode, profile=TIGHT8):
@@ -499,18 +499,16 @@ def test_twenty_diamonds_build_fast(mode, cond):
 
 @pytest.mark.parametrize("profile", [TIGHT8, WIDE32], ids=lambda p: p.name)
 def test_latency_table_matches_the_profile(profile):
-    copies = 0
+    """The profile states every op's slot, a copy's 2 cycles included."""
+    opcodes = set()
     for name in all_corpus_names():
         for mode in Mode:
             prob = _problem(name, mode, profile)
             assert sorted(prob.latency) == [op.index for op in prob.ops]
             for op in prob.ops:
-                if op.opcode is Opcode.COPY:
-                    copies += 1
-                    assert prob.latency[op.index] == 2
-                else:
-                    assert prob.latency[op.index] == profile.latency[op.opcode]
-    assert copies > 0
+                assert prob.latency[op.index] == profile.latency[op.opcode]
+            opcodes.update(op.opcode for op in prob.ops)
+    assert Opcode.COPY in opcodes
 
 
 def _span_sum(prob, values) -> Fraction:
@@ -631,23 +629,22 @@ def test_infeasibility_check_builds_its_value_model_through_the_memo(monkeypatch
     assert len(built) == len(set(built))
 
 
-def _searched_pool(name: str, mode: Mode, n: int, gap: Fraction = Fraction(0)):
-    prob = _problem(name, mode)
+def _searched_pool(func: FunctionIR, mode: Mode, n: int, gap: Fraction = Fraction(0)):
+    prob = build_problem(analyze(func, TIGHT8, mode=mode))
     best = solver.solve_optimal(prob, time_budget=60).solution
     return solver.diversify(prob, best, n, gap=gap, time_budget=60, seed=0)
 
 
-@pytest.mark.parametrize(
-    "pool",
-    [
-        # the only pool of these whose values take memory slots
-        lambda: _searched_pool("spill_pair", Mode.NONE, 40, Fraction(1)),
-        lambda: _searched_pool("two_branches", Mode.TSC, 8),
-        lambda: _searched_pool("masked_xor", Mode.PSC, 8),
-        lambda: corpus_naive_pool("check_bit", 8),
-    ],
-    ids=["spill_pair-none-g100", "two_branches-tsc", "masked_xor-psc", "check_bit-naive"],
-)
+_POOLS = {
+    # the only pool of these whose values take memory slots
+    "spill_pair-none-g100": lambda: _searched_pool(load("spill_pair"), Mode.NONE, 40, Fraction(1)),
+    "two_branches-tsc": lambda: _searched_pool(load("two_branches"), Mode.TSC, 8),
+    "masked_xor-psc": lambda: _searched_pool(load("masked_xor"), Mode.PSC, 8),
+    "check_bit-naive": lambda: corpus_naive_pool("check_bit", 8),
+}
+
+
+@pytest.mark.parametrize("pool", _POOLS.values(), ids=_POOLS)
 def test_value_model_interference_and_copied_only_match_a_recount(pool):
     """Every model that a pool's searches left in the memo states the
     clashes and the copy-only values that a recount finds: two values
@@ -686,6 +683,31 @@ def test_value_model_interference_and_copied_only_match_a_recount(pool):
             for temp in prob.op_uses[op.index]
         }
         assert model.copied_only == set(model.values) - read
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [
+        # secret arms that end in an optional copy, so a register copy's
+        # second cycle may end its block
+        lambda: _searched_pool(parse_function(COPY_ARM), Mode.TSC, 20, Fraction(1, 4)),
+        lambda: _searched_pool(parse_function(COPY_ONLY_ARM), Mode.TSC, 20, Fraction(1, 2)),
+        *_POOLS.values(),
+    ],
+    ids=["copy_arm-tsc-g25", "copy_only_arm-tsc-g50", *_POOLS],
+)
+def test_every_encoded_block_takes_the_cycles_the_model_scheduled(pool):
+    """The profile states each op's slot, and the encoder pads a word that
+    ends before its op's slot does (a register copy), also at the end of a
+    block: so each block of every variant's program takes the makespan
+    the model balanced."""
+    pool = pool()
+    prob = pool.problem
+    for sol in pool.solutions:
+        schedule = to_schedule(prob, sol)
+        program = encode(prob.function, schedule, prob.profile)
+        spans = copmodel.block_makespans(prob, schedule.active, schedule.cycle)
+        assert [block.cycles for block in program.decoded.blocks] == list(spans.values())
 
 
 # a tsc program whose secret arms each end in a return: the secret region
@@ -770,7 +792,7 @@ _SCHEDULE_PROBLEMS = {
     "share_compare-tsc": lambda: _problem("share_compare", Mode.TSC),
     "secret_region-3-tsc": lambda: _built(secret_region(3), Mode.TSC),
     "split_returns-tsc": lambda: _built(parse_function(SPLIT_RETURNS), Mode.TSC),
-    "spill_pair-none-g100": lambda: _searched_pool("spill_pair", Mode.NONE, 10, Fraction(1)),
+    "spill_pair-none-g100": lambda: _searched_pool(load("spill_pair"), Mode.NONE, 10, Fraction(1)),
     "masked_chain-psc": lambda: _problem("masked_chain", Mode.PSC),
 }
 

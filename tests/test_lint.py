@@ -151,15 +151,17 @@ def test_only_the_decoder_states_what_a_word_writes():
     assert "Opcode" not in _names(run_batch)
 
 
-def _field_readers(attr: str) -> set[str]:
+def _field_readers(attr: str, bare: bool = False) -> set[str]:
     """Each package function or method that reads the field `attr` of
-    some object, as module.qualified name."""
+    some object, or with `bare` the name `attr` itself too, as
+    module.qualified name."""
     return {
         f"{module}.{qualified}"
         for module, tree in _trees().items()
         for qualified, node in _functions(tree)
         if any(
             isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.ctx, ast.Load)
+            or bare and isinstance(n, ast.Name) and n.id == attr and isinstance(n.ctx, ast.Load)
             for n in ast.walk(node)
         )
     }
@@ -187,3 +189,27 @@ def test_only_the_model_states_the_schedule_constraints():
     psets = {r for r in _field_readers("psets") if not r.startswith("secanalysis.")}
     assert psets == {"copmodel.build_problem", "copmodel.emit_model"}
     assert not _names(_trees()["solver"]) & {"psets", "mem_deps", "path_cost"}
+
+
+def test_only_the_machine_states_what_a_copy_is():
+    """`machine` states a copy's 2-cycle slot in the profile's latency
+    table, and in `copy_opcode` which copy spills (ST) or reloads (LD):
+    the encoder's `_lower`, the canonical form, the checker's
+    operand-location test and its bus rule read `copy_opcode`, bare-name
+    loads counted, and `copmodel` fills its latency table from the
+    profile alone, naming no COPY and no cycle count of its own."""
+    assert _field_readers("copy_opcode", bare=True) == {
+        "machine._lower",
+        "copmodel._canonical",
+        "copmodel.check_solution",
+        "copmodel._check_transitions",
+    }
+    (table,) = (
+        node.value
+        for node in ast.walk(_trees()["copmodel"])
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Attribute) and t.attr == "latency" for t in node.targets)
+    )
+    assert {"profile", "latency"} <= _names(table)
+    assert "COPY" not in _names(table)
+    assert not any(isinstance(n, ast.Constant) for n in ast.walk(table))

@@ -35,6 +35,7 @@ def test_profiles_shipped():
     assert TIGHT8.latency[Opcode.MOV] == 1
     assert TIGHT8.taken_branch_overhead == 2
     assert TIGHT8.latency[Opcode.BEQ] == 1
+    assert TIGHT8.latency[Opcode.COPY] == 2
 
 
 def test_word_encoding_bijective():
@@ -134,10 +135,17 @@ def test_encode_three_words_plus_ret(masked_xor):
 
 def test_encode_materializes_gap_nops(masked_xor):
     # active copy occupies a 2-cycle slot; its register move is 1 cycle,
-    # so a NOP pads the difference
+    # so a NOP pads the difference, also where the copy ends its block
     program = encode(masked_xor, _sched_masked_xor(True), TIGHT8)
     ops = [w.opcode for w in program.flat()]
     assert ops == [Opcode.XOR, Opcode.MOV, Opcode.NOP, Opcode.XOR, Opcode.RET]
+    func = parse_function("func f (x:public)\nblock 0\n  c = copy x\nblock 1\n  ret c\n")
+    sched = Schedule(active={0, 1}, cycle={0: 0, 1: 0}, loc={"x": 0, "c": 1})
+    program = encode(func, sched, TIGHT8)
+    assert [[w.opcode for w in block] for block in program.blocks] == [
+        [Opcode.MOV, Opcode.NOP], [Opcode.RET]
+    ]
+    assert program.decoded.blocks[0].cycles == TIGHT8.latency[Opcode.COPY]
 
 
 def test_encode_delayed_op_inserts_nop(straightline):
@@ -159,7 +167,7 @@ def test_encode_empty_block_emits_nothing():
     assert len(program.blocks[0]) == 1
 
 
-def test_encode_cycle_collision_rejected(straightline):
+def test_encode_cycle_collision_rejected(straightline, masked_xor):
     sched = Schedule(
         active={0, 1, 2, 3},
         cycle={0: 0, 1: 0, 2: 1, 3: 2},
@@ -167,6 +175,12 @@ def test_encode_cycle_collision_rejected(straightline):
     )
     with pytest.raises(MachineError, match="collision"):
         encode(straightline, sched, TIGHT8)
+    # a copy's slot is 2 cycles though its MOV takes 1, so op 2 may not
+    # issue in the copy's second cycle
+    sched = _sched_masked_xor(True)
+    sched.cycle[2] = 2
+    with pytest.raises(MachineError, match="collision at op 2"):
+        encode(masked_xor, sched, TIGHT8)
 
 
 def test_encode_unmapped_temp_rejected(straightline):

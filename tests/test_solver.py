@@ -29,8 +29,9 @@ from secdiv.copmodel import (
     check_solution,
     make_solution,
     resolve_roots,
+    to_schedule,
 )
-from secdiv.machine import TIGHT8
+from secdiv.machine import TIGHT8, encode
 from secdiv.mir import parse_function
 from secdiv.secanalysis import analyze
 from secdiv.solver import (
@@ -40,6 +41,7 @@ from secdiv.solver import (
     diversify,
     solve_optimal,
 )
+from secdiv.verify import check_cr
 
 
 def _problem(name: str, mode: Mode, profile=TIGHT8):
@@ -79,26 +81,34 @@ def test_solver_output_is_checker_clean():
         assert check_solution(result.solution, prob) == []
 
 
+# a secret arm that holds only an optional copy
+COPY_ONLY_ARM = (
+    "func f (k:secret, x:public)\n"
+    "block 0\n  z = li 0\n  bne k, z, 2\n"
+    "block 1\n  opt c = copy x\n"
+    "block 2\n  ret x\n"
+)
+
+
 def test_secret_arm_of_optional_copies_balances():
     # block 1 holds only an optional copy: when the copy is off, the block
     # spans 0 cycles, and the balance check counts it so.  That cuts every
-    # short pad before its cycles are placed: 24 nodes (73 when a pad's
-    # NOPs were decided one by one, 504 with the block's span left open up
-    # to its horizon)
-    func = parse_function(
-        "func f (k:secret, x:public)\n"
-        "block 0\n  z = li 0\n  bne k, z, 2\n"
-        "block 1\n  opt c = copy x\n"
-        "block 2\n  ret x\n"
-    )
+    # short pad before its cycles are placed: 13 nodes, now that the
+    # analysis costs the copy its 2-cycle slot as the model does (24 when
+    # it cost 1, 73 when a pad's NOPs were decided one by one, 504 with
+    # the block's span left open up to its horizon).  Every variant's
+    # encoding runs the cycles the model balanced, so check_cr holds too
+    func = parse_function(COPY_ONLY_ARM)
     prob = build_problem(analyze(func, TIGHT8, mode=Mode.TSC))
     result = solve_optimal(prob, time_budget=30)
-    assert (result.status, result.nodes) == (SolveStatus.OPTIMAL, 24)
+    assert (result.status, result.nodes) == (SolveStatus.OPTIMAL, 13)
     assert check_solution(result.solution, prob) == []
     pool = diversify(prob, result.solution, n=20, gap=Fraction(1, 2), time_budget=30, seed=0)
     assert len(pool.solutions) > 1
     for sol in pool.solutions:
         assert check_solution(sol, pool.problem) == []
+        program = encode(pool.problem.function, to_schedule(pool.problem, sol), TIGHT8)
+        assert check_cr(program, func.inputs).secure
 
 
 def test_unsat_names_a_family():
